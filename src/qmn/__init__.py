@@ -26,7 +26,6 @@ from .markov import (
     cmi,
     entropy,
     gibbs,
-    is_markov_chain,
     is_markov_network,
     stabilizer_state,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "expand",
     "gibbs",
     "gibbs_factors",
-    "is_markov_chain",
     "is_markov_network",
     "parse_sum",
     "parse_term",

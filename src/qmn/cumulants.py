@@ -19,24 +19,21 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
 from .errors import UnknownSiteError
 from .graphs import Graph
-from .pauli import PauliSum, PauliTerm, as_sum
 from .tensor import (
     SiteSpace,
     SupportedOperator,
     check_hermitian,
     embed,
-    hs_norm,
     partial_trace,
 )
 
 DEFAULT_DROP_RTOL = 1e-12
-GENUINE_RTOL = 1e-10
 
 
 @lru_cache(maxsize=None)
@@ -203,25 +200,6 @@ def expand(matrix: np.ndarray, space: SiteSpace,
     return CumulantExpansion(space, entries, total)
 
 
-def is_genuine(op: SupportedOperator, space: SiteSpace,
-               rtol: float = GENUINE_RTOL) -> bool:
-    """True when the operator is nonzero and traceless on each site it touches.
-
-    Genuine interactions are exactly the operators equal to their own top
-    cumulant.  The empty-support scalar is not genuine.
-    """
-    scale = op.hs_norm()
-    if scale == 0.0 or not op.support:
-        return False
-    sub = space.subspace(op.support)
-    for s in op.support:
-        keep = [x for x in op.support if x != s]
-        red = partial_trace(op.matrix, sub, keep)
-        if hs_norm(red.matrix) > rtol * math.sqrt(sub.dim(s)) * scale:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class CliqueSupportReport:
     """Where an expansion's weight sits relative to the cliques of a graph."""
@@ -259,55 +237,3 @@ def verify_clique_support(expansion: CumulantExpansion, graph: Graph,
     witnesses.sort(key=lambda w: (-w[1], w[0]))
     off = math.sqrt(off_sq)
     return CliqueSupportReport(off <= rtol * total, off, total, tuple(witnesses))
-
-
-@dataclass(frozen=True)
-class CommutatorSupport:
-    """Cumulant-level footprint of a commutator [a, b]."""
-
-    zero: bool
-    support: tuple[int, ...]
-    inputs_genuine: bool
-    masses: dict[frozenset[int], float]
-
-
-Operatorish = Union[SupportedOperator, PauliSum, PauliTerm]
-
-
-def _as_supported(op: Operatorish, space: SiteSpace) -> SupportedOperator:
-    if isinstance(op, SupportedOperator):
-        return op
-    return as_sum(op).to_supported(space)
-
-
-def commutator_support(a: Operatorish, b: Operatorish, space: SiteSpace,
-                       rtol: float = 1e-10) -> CommutatorSupport:
-    """Minimal support of [a, b] for Hermitian a, b, as cumulant components.
-
-    For genuine a on A+B and b on B+C (A, B, C disjoint, B the overlap),
-    every component of the commutator sits on a set containing all of A and
-    C plus a nonempty part of B; ``masses`` holds the embedded norm of each
-    component above threshold.
-    """
-    sa, sb = _as_supported(a, space), _as_supported(b, space)
-    check_hermitian(sa.matrix)
-    check_hermitian(sb.matrix)
-    union = tuple(sorted(set(sa.support) | set(sb.support)))
-    sub = space.subspace(union)
-    da, db = embed(sa, sub), embed(sb, sub)
-    comm = da @ db - db @ da
-    genuine = is_genuine(sa, space) and is_genuine(sb, space)
-    scale = hs_norm(da) * hs_norm(db)
-    if hs_norm(comm) <= rtol * max(scale, 1e-300):
-        return CommutatorSupport(True, (), genuine, {})
-    # i[A, B] is Hermitian for Hermitian A, B and has the same component norms
-    exp = expand(1j * comm, sub, drop_rtol=rtol)
-    cut = rtol * math.sqrt(exp.total_norm_sq)
-    masses = {}
-    covered: set[int] = set()
-    for key in exp.entries:
-        norm = math.sqrt(exp.norm_sq(key))
-        if norm > cut:
-            masses[key] = norm
-            covered |= key
-    return CommutatorSupport(False, tuple(sorted(covered)), genuine, masses)

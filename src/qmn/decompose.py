@@ -8,22 +8,26 @@ site-u Schmidt factors of every other edge at u and h_u commutes with all
 of them.  Regrouping K_uv + G_u^v + G_v^u per edge then yields pairwise
 commuting terms whose sum is log rho.
 
-Splitting across one shielding partition (``split_shield``) and the
-model-level three-way classification (``classify``) reuse the same
-bookkeeping: cumulants or terms are assigned to the A side, the C side, or
-searched over when they sit inside the shield.
+One commutation engine serves every question.  A single relative
+commutator norm, ||[a, b]|| / (||a|| ||b||), is exact for Pauli sums and
+taken on the union support for dense operators.  A single grouping search
+regroups operators across a shielding partition: operators meeting A go to
+the A side, those meeting C to the C side, and the assignments of those
+inside the shield are searched, default first.  ``split_shield`` runs it on
+the cumulants of an operator, ``classify`` on the terms of a model.  The
+star decomposition solves each Hermitian commutant directly, as the real
+null space of X -> [X, g] in a Hermitian basis of the site.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .cumulants import CumulantExpansion, expand, verify_clique_support
+from .cumulants import CumulantExpansion, expand, hermitian_basis, verify_clique_support
 from .errors import (
     CrossCumulantError,
     DecompositionResidualError,
@@ -59,95 +63,123 @@ LOCAL_COMMUTING = "LocalCommuting"
 SHIELD_COMMUTING_ONLY = "ShieldCommutingOnly"
 NOT_SHIELD_COMMUTING = "NotShieldCommuting"
 
+Operand = Union[SupportedOperator, PauliSum]
+
 
 # ---------------------------------------------------------------------------
-# operator subspace utilities
+# the commutation engine: one relative norm, one grouping search
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=complex).reshape(-1)
+def _relative_commutator(a: Operand, b: Operand, space: SiteSpace) -> float:
+    """||[a, b]|| / (||a|| ||b||); 0.0 when either operand is zero.
 
-
-def _orthonormal_span(mats: Iterable[np.ndarray], atol: float = 1e-12
-                      ) -> list[np.ndarray]:
-    """Gram-Schmidt over vectorized matrices, dropping dependent directions."""
-    basis: list[np.ndarray] = []
-    shape = None
-    for m in mats:
-        shape = m.shape
-        v = _vec(m)
-        for b in basis:
-            v = v - np.vdot(b, v) * b
-        n = np.linalg.norm(v)
-        if n > atol * max(1.0, np.linalg.norm(_vec(m))):
-            basis.append(v / n)
-    return [b.reshape(shape) for b in basis] if shape is not None else []
-
-
-def _algebra_closure(gens: Sequence[np.ndarray], dim: int,
-                     atol: float = 1e-10) -> list[np.ndarray]:
-    """Orthonormal basis of the associative, adjoint-closed algebra of gens."""
-    seed = []
-    for g in gens:
-        seed.append(g)
-        seed.append(g.conj().T)
-    basis = _orthonormal_span(seed, atol)
-    while basis and len(basis) < dim * dim:
-        products = [a @ b for a in basis for b in basis]
-        grown = _orthonormal_span(basis + products, atol)
-        if len(grown) == len(basis):
-            break
-        basis = grown
-    return basis
-
-
-def _commutant_basis(gens: Sequence[np.ndarray], dim: int,
-                     rtol: float = DEFAULT_RTOL) -> list[np.ndarray]:
-    """Orthonormal basis of {M : [M, g] = 0 for all g}.
-
-    Null space of the positive form sum_g ||[M, g]||^2; with no generators
-    the commutant is everything.
+    Pauli sums are commuted exactly, so the result is 0.0 exactly when the
+    commutator cancels; their norms are the dimension-normalized ones,
+    sqrt(sum |c|^2).  Dense operators are compared on their union support.
     """
-    d2 = dim * dim
-    eye = np.eye(dim, dtype=complex)
-    form = np.zeros((d2, d2), dtype=complex)
-    for g in gens:
-        s = np.kron(g, eye) - np.kron(eye, g.T)
-        form += s.conj().T @ s
-    w, v = np.linalg.eigh(form)
-    cut = rtol * max(float(w[-1]), 1e-300) if len(gens) else np.inf
-    return [v[:, k].reshape(dim, dim) for k in range(d2) if w[k] <= cut]
+    if isinstance(a, PauliSum) and isinstance(b, PauliSum):
+        c = commutator(a, b)
+        if c.is_zero:
+            return 0.0
+        norms = [math.sqrt(sum(abs(t.coeff) ** 2 for t in s.terms))
+                 for s in (c, a, b)]
+        return norms[0] / max(norms[1] * norms[2], 1e-300)
+    sub = space.subspace(set(a.support) | set(b.support))
+    da, db = embed(a, sub), embed(b, sub)
+    scale = hs_norm(da) * hs_norm(db)
+    if scale == 0.0:
+        return 0.0
+    return hs_norm(da @ db - db @ da) / scale
 
 
-def _intersect_spans(a: Sequence[np.ndarray], b: Sequence[np.ndarray],
-                     atol: float = 1e-9) -> list[np.ndarray]:
-    """Intersection of two orthonormal matrix spans."""
-    if not a or not b:
-        return []
-    qa = np.stack([_vec(m) for m in a], axis=1)
-    qb = np.stack([_vec(m) for m in b], axis=1)
-    _, s, vh = np.linalg.svd(qb.conj().T @ qa)
-    out = []
-    for k, sv in enumerate(s):
-        if sv >= 1.0 - atol:
-            out.append((qa @ vh[k].conj()).reshape(a[0].shape))
-    return out
+def _best_grouping(items: Iterable[tuple[frozenset[int], Operand]],
+                   p: Partition, space: SiteSpace, rtol: float,
+                   search_cap: int, symbolic: bool
+                   ) -> tuple[Operand, Operand, float, dict[frozenset[int], str]]:
+    """Regroup support-keyed operators into two halves across a partition.
+
+    Operators meeting A go to the AB half, the rest meeting C to the BC
+    half, and the scalar part stays on the AB half.  The k operators inside
+    B default to the AB half; when that grouping's relative commutator norm
+    exceeds ``rtol``, every assignment is tried in mask order (bit i sends
+    inner operator i to the BC half) until one commutes, which needs
+    2^k <= ``search_cap``.  Pauli sums (``symbolic``) are summed exactly,
+    dense operators on the sites of their half.  Returns the halves with
+    the smallest norm, that norm and the assignment of the inner supports.
+    """
+    ab_sites = tuple(sorted(p.a | p.b))
+    bc_sites = tuple(sorted(p.b | p.c))
+    side_ab: list[Operand] = []
+    side_bc: list[Operand] = []
+    inner: list[tuple[frozenset[int], Operand]] = []
+    for key, op in items:
+        if key & p.a or not key:
+            side_ab.append(op)
+        elif key & p.c:
+            side_bc.append(op)
+        else:
+            inner.append((key, op))
+
+    def half(parts: list[Operand], sites: tuple[int, ...]) -> Operand:
+        if symbolic:
+            return PauliSum(tuple(t for s in parts for t in s.terms))
+        sub = space.subspace(sites)
+        out = np.zeros((sub.total_dim, sub.total_dim), dtype=complex)
+        for op in parts:
+            out += embed(op, sub)
+        return SupportedOperator(sites, out)
+
+    def grouping(mask: int) -> tuple[Operand, Operand, float]:
+        ab, bc = list(side_ab), list(side_bc)
+        for i, (_, op) in enumerate(inner):
+            (bc if mask >> i & 1 else ab).append(op)
+        h_ab, h_bc = half(ab, ab_sites), half(bc, bc_sites)
+        return h_ab, h_bc, _relative_commutator(h_ab, h_bc, space)
+
+    best_mask = 0
+    h_ab, h_bc, best = grouping(0)
+    if best > rtol:
+        trials = 1 << len(inner)
+        if trials > search_cap:
+            raise EnumerationCapError(
+                f"{len(inner)} shield-internal components need {trials} "
+                f"groupings, above the cap {search_cap}")
+        for mask in range(1, trials):
+            cand = grouping(mask)
+            if cand[2] < best:
+                best_mask, (h_ab, h_bc, best) = mask, cand
+                if best <= rtol:
+                    break
+    assignment = {key: ("BC" if best_mask >> i & 1 else "AB")
+                  for i, (key, _) in enumerate(inner)}
+    return h_ab, h_bc, best, assignment
 
 
-def _hermitian_span(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Real-orthonormal Hermitian basis of an adjoint-closed complex span."""
-    cands = []
-    for m in mats:
-        cands.append((m + m.conj().T) / 2)
-        cands.append((m - m.conj().T) / 2j)
-    basis: list[np.ndarray] = []
-    for m in cands:
-        v = m.astype(complex)
-        for b in basis:
-            v = v - np.real(np.vdot(b, v)) * b
-        n = hs_norm(v)
-        if n > 1e-12 * max(1.0, hs_norm(m)):
-            basis.append(v / n)
-    return basis
+@dataclass(frozen=True)
+class PairwiseCommutation:
+    """Largest relative commutator norm over pairs of operators."""
+
+    commuting: bool
+    max_norm: float
+    worst: tuple[int, int] | None
+
+
+def pairwise_commutation(ops: Sequence[Operand], space: SiteSpace,
+                         rtol: float = DEFAULT_RTOL) -> PairwiseCommutation:
+    """Check all overlapping pairs; norms are relative to the operand norms.
+
+    Operands are dense operators or, compared exactly, Pauli sums.
+    """
+    supports = [set(op.support) for op in ops]
+    worst: tuple[int, int] | None = None
+    max_norm = 0.0
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            if not supports[i] & supports[j]:
+                continue
+            rel = _relative_commutator(ops[i], ops[j], space)
+            if rel > max_norm:
+                max_norm, worst = rel, (i, j)
+    return PairwiseCommutation(max_norm <= rtol, max_norm, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +197,6 @@ class ShieldSplit:
     assignment: dict[frozenset[int], str]
 
 
-def _assemble(entries: Iterable[SupportedOperator], sites: tuple[int, ...],
-              space: SiteSpace) -> SupportedOperator:
-    sub = space.subspace(sites)
-    out = np.zeros((sub.total_dim, sub.total_dim), dtype=complex)
-    for op in entries:
-        out += embed(op, sub)
-    return SupportedOperator(sites, out)
-
-
 def split_shield(expansion: CumulantExpansion, partition: Partition,
                  rtol: float = DEFAULT_RTOL,
                  search_cap: int = SPLIT_SEARCH_CAP) -> ShieldSplit:
@@ -184,70 +207,24 @@ def split_shield(expansion: CumulantExpansion, partition: Partition,
     raises.  Components inside B default to the A side; if the default
     grouping fails to commute, all 2^k reassignments are searched (capped)
     and the best grouping is returned with ``commuting`` reporting whether
-    the commutator vanished within tolerance.
+    the relative commutator norm vanished within tolerance.
     """
     space = expansion.space
     if partition.union != set(space.sites):
         raise UnknownSiteError(
             f"partition {sorted(partition.union)} must cover all sites "
             f"{list(space.sites)}")
-    set_a, set_b, set_c = partition.a, partition.b, partition.c
-    ab_sites = tuple(sorted(set_a | set_b))
-    bc_sites = tuple(sorted(set_b | set_c))
-    side_ab: list[SupportedOperator] = []
-    side_bc: list[SupportedOperator] = []
-    inner: list[tuple[frozenset[int], SupportedOperator]] = []
-    for key, op in expansion.entries.items():
-        if key & set_a and key & set_c:
+    for key in expansion.entries:
+        if key & partition.a and key & partition.c:
             norm = math.sqrt(expansion.norm_sq(key))
             raise CrossCumulantError(
-                f"cumulant on {sorted(key)} meets both A {sorted(set_a)} "
-                f"and C {sorted(set_c)} (norm {norm:.3e})",
+                f"cumulant on {sorted(key)} meets both A {sorted(partition.a)} "
+                f"and C {sorted(partition.c)} (norm {norm:.3e})",
                 support=key, norm=norm)
-        if key & set_a:
-            side_ab.append(op)
-        elif key & set_c:
-            side_bc.append(op)
-        elif key:
-            inner.append((key, op))
-        else:
-            side_ab.append(op)  # scalar component commutes; keep it on A side
-
-    def build(mask: int) -> tuple[SupportedOperator, SupportedOperator]:
-        ab = list(side_ab)
-        bc = list(side_bc)
-        for i, (_, op) in enumerate(inner):
-            (bc if mask >> i & 1 else ab).append(op)
-        return _assemble(ab, ab_sites, space), _assemble(bc, bc_sites, space)
-
-    def comm_norm(h_ab: SupportedOperator, h_bc: SupportedOperator
-                  ) -> tuple[float, float]:
-        da = embed(h_ab, space)
-        db = embed(h_bc, space)
-        scale = hs_norm(da) * hs_norm(db)
-        return hs_norm(da @ db - db @ da), scale
-
-    best_mask = 0
-    h_ab, h_bc = build(0)
-    best_norm, scale = comm_norm(h_ab, h_bc)
-    if best_norm > rtol * max(scale, 1e-300):
-        trials = 1 << len(inner)
-        if trials > search_cap:
-            raise EnumerationCapError(
-                f"{len(inner)} shield-internal components need {trials} "
-                f"groupings, above the cap {search_cap}")
-        for mask in range(1, trials):
-            cand_ab, cand_bc = build(mask)
-            norm, cand_scale = comm_norm(cand_ab, cand_bc)
-            if norm < best_norm:
-                best_mask, best_norm, scale = mask, norm, cand_scale
-                h_ab, h_bc = cand_ab, cand_bc
-                if norm <= rtol * max(cand_scale, 1e-300):
-                    break
-    assignment = {key: ("BC" if best_mask >> i & 1 else "AB")
-                  for i, (key, _) in enumerate(inner)}
-    commuting = best_norm <= rtol * max(scale, 1e-300)
-    return ShieldSplit(partition, h_ab, h_bc, commuting, best_norm, assignment)
+    h_ab, h_bc, norm, assignment = _best_grouping(
+        expansion.entries.items(), partition, space, rtol, search_cap,
+        symbolic=False)
+    return ShieldSplit(partition, h_ab, h_bc, norm <= rtol, norm, assignment)
 
 
 def gibbs_factors(rho: DensityMatrix, partition: Partition,
@@ -264,45 +241,14 @@ def gibbs_factors(rho: DensityMatrix, partition: Partition,
         raise NotMarkovError(
             f"halves of log rho do not commute across "
             f"({sorted(partition.a)}|{sorted(partition.b)}|{sorted(partition.c)}): "
-            f"residual {split.commutator_norm:.3e}")
+            f"relative residual {split.commutator_norm:.3e}")
     f_ab = SupportedOperator(split.h_ab.support, expm_herm(split.h_ab.matrix))
     f_bc = SupportedOperator(split.h_bc.support, expm_herm(split.h_bc.matrix))
     return f_ab, f_bc
 
 
 # ---------------------------------------------------------------------------
-# pairwise commutation and classification
-
-@dataclass(frozen=True)
-class PairwiseCommutation:
-    """Largest relative commutator norm over pairs of operators."""
-
-    commuting: bool
-    max_norm: float
-    worst: tuple[int, int] | None
-
-
-def pairwise_commutation(ops: Sequence[SupportedOperator], space: SiteSpace,
-                         rtol: float = DEFAULT_RTOL) -> PairwiseCommutation:
-    """Check all overlapping pairs; norms are relative to the operand norms."""
-    worst: tuple[int, int] | None = None
-    max_norm = 0.0
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            shared = set(ops[i].support) & set(ops[j].support)
-            if not shared:
-                continue
-            union = tuple(sorted(set(ops[i].support) | set(ops[j].support)))
-            sub = space.subspace(union)
-            a, b = embed(ops[i], sub), embed(ops[j], sub)
-            scale = hs_norm(a) * hs_norm(b)
-            if scale == 0.0:
-                continue
-            rel = hs_norm(a @ b - b @ a) / scale
-            if rel > max_norm:
-                max_norm, worst = rel, (i, j)
-    return PairwiseCommutation(max_norm <= rtol, max_norm, worst)
-
+# classification
 
 @dataclass(frozen=True)
 class ShieldRecord:
@@ -326,164 +272,42 @@ class Classification:
         return self.verdict == LOCAL_COMMUTING
 
 
-def _symbolic_norm(s: PauliSum) -> float:
-    """Dimension-normalized Hilbert-Schmidt norm of a Pauli sum."""
-    return math.sqrt(sum(abs(t.coeff) ** 2 for t in s.terms))
-
-
-def _classify_symbolic_pair(model: ModelInstance) -> tuple[float, tuple[int, int] | None]:
-    terms = [as_sum(t) for t in model.terms]
-    max_norm, worst = 0.0, None
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            c = commutator(terms[i], terms[j])
-            if not c.is_zero:
-                scale = _symbolic_norm(terms[i]) * _symbolic_norm(terms[j])
-                rel = _symbolic_norm(c) / max(scale, 1e-300)
-                if rel > max_norm:
-                    max_norm, worst = rel, (i, j)
-    return max_norm, worst
-
-
-def _grouping_record_symbolic(model: ModelInstance, p: Partition,
-                              search_cap: int) -> ShieldRecord:
-    ab: list[PauliSum] = []
-    bc: list[PauliSum] = []
-    inner: list[PauliSum] = []
-    for t in model.terms:
-        sup = set(model.term_support(t))
-        s = as_sum(t)
-        if sup & p.a:
-            ab.append(s)
-        elif sup & p.c:
-            bc.append(s)
-        else:
-            inner.append(s)
-    trials = 1 << len(inner)
-    if trials > search_cap:
-        raise EnumerationCapError(
-            f"{len(inner)} shield-internal terms need {trials} groupings, "
-            f"above the cap {search_cap}")
-    best = math.inf
-    for mask in range(trials):
-        h_ab = PauliSum.zero()
-        h_bc = PauliSum.zero()
-        for s in ab:
-            h_ab = h_ab + s
-        for s in bc:
-            h_bc = h_bc + s
-        for i, s in enumerate(inner):
-            if mask >> i & 1:
-                h_bc = h_bc + s
-            else:
-                h_ab = h_ab + s
-        c = commutator(h_ab, h_bc)
-        if c.is_zero:
-            return ShieldRecord(p, True, 0.0)
-        scale = max(_symbolic_norm(h_ab) * _symbolic_norm(h_bc), 1e-300)
-        best = min(best, _symbolic_norm(c) / scale)
-    return ShieldRecord(p, False, best)
-
-
-def _grouping_record_dense(model: ModelInstance, p: Partition, rtol: float,
-                           search_cap: int) -> ShieldRecord:
-    ab, bc, inner = [], [], []
-    for t in model.terms:
-        sup = frozenset(model.term_support(t))
-        op = model.term_operator(t)
-        if sup & p.a and sup & p.c:
-            raise CrossCumulantError(
-                f"term on {sorted(sup)} meets both sides of the partition",
-                support=sup, norm=op.hs_norm())
-        if sup & p.a:
-            ab.append(op)
-        elif sup & p.c:
-            bc.append(op)
-        else:
-            inner.append(op)
-    space = model.space
-    ab_sites = tuple(sorted(p.a | p.b))
-    bc_sites = tuple(sorted(p.b | p.c))
-    trials = 1 << len(inner)
-    if trials > search_cap:
-        raise EnumerationCapError(
-            f"{len(inner)} shield-internal terms need {trials} groupings, "
-            f"above the cap {search_cap}")
-    best = math.inf
-    for mask in range(trials):
-        ha = list(ab)
-        hb = list(bc)
-        for i, op in enumerate(inner):
-            (hb if mask >> i & 1 else ha).append(op)
-        da = embed(_assemble(ha, ab_sites, space), space)
-        db = embed(_assemble(hb, bc_sites, space), space)
-        scale = max(hs_norm(da) * hs_norm(db), 1e-300)
-        rel = hs_norm(da @ db - db @ da) / scale
-        best = min(best, rel)
-        if best <= rtol:
-            return ShieldRecord(p, True, best)
-    return ShieldRecord(p, False, best)
-
-
 def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL,
              search_cap: int = SPLIT_SEARCH_CAP) -> Classification:
     """Sort a model into one of three commutation classes.
 
-    ``LocalCommuting``: the given terms already commute pairwise (checked
-    exactly for Pauli models).  ``ShieldCommutingOnly``: they do not, but
-    across every spanning shielding partition some grouping of the terms
-    into the two sides commutes.  ``NotShieldCommuting``: some partition
-    admits no commuting grouping; that partition is the witness.
+    ``LocalCommuting``: the given terms already commute pairwise.
+    ``ShieldCommutingOnly``: they do not, but across every spanning
+    shielding partition some grouping of the terms into the two sides
+    commutes.  ``NotShieldCommuting``: some partition admits no commuting
+    grouping; that partition is the witness.
 
-    Only the pairwise stage runs for locally commuting models, so those are
-    classified symbolically at any system size.
+    Pauli models are checked symbolically, and a grouping of theirs
+    commutes only when its commutator cancels exactly; dense terms are
+    held to ``rtol``.  Only the pairwise stage runs for locally commuting
+    models, so those are classified symbolically at any system size.
     """
-    if model.all_pauli():
-        pair_max, pair_worst = _classify_symbolic_pair(model)
-    else:
-        rep = pairwise_commutation([model.term_operator(t) for t in model.terms],
-                                   model.space, rtol)
-        pair_max, pair_worst = rep.max_norm, rep.worst
-    if pair_worst is None or pair_max <= rtol:
-        return Classification(LOCAL_COMMUTING, pair_max, pair_worst, (), None)
+    symbolic = model.all_pauli()
+    ops = [as_sum(t) if symbolic else model.term_operator(t) for t in model.terms]
+    pair = pairwise_commutation(ops, model.space, rtol)
+    if pair.commuting:
+        return Classification(LOCAL_COMMUTING, pair.max_norm, pair.worst, (), None)
+    keyed = [(frozenset(model.term_support(t)), op)
+             for t, op in zip(model.terms, ops)]
+    tol = 0.0 if symbolic else rtol
     records = []
     for p in spanning_shield_partitions(model.graph):
-        if model.all_pauli():
-            rec = _grouping_record_symbolic(model, p, search_cap)
-        else:
-            rec = _grouping_record_dense(model, p, rtol, search_cap)
-        records.append(rec)
-        if not rec.commuting:
-            return Classification(NOT_SHIELD_COMMUTING, pair_max, pair_worst,
+        norm = _best_grouping(keyed, p, model.space, tol, search_cap, symbolic)[2]
+        records.append(ShieldRecord(p, norm <= tol, norm))
+        if norm > tol:
+            return Classification(NOT_SHIELD_COMMUTING, pair.max_norm, pair.worst,
                                   tuple(records), p)
-    return Classification(SHIELD_COMMUTING_ONLY, pair_max, pair_worst,
+    return Classification(SHIELD_COMMUTING_ONLY, pair.max_norm, pair.worst,
                           tuple(records), None)
 
 
 # ---------------------------------------------------------------------------
-# interaction algebras and the star decomposition
-
-@dataclass(frozen=True)
-class InteractionAlgebra:
-    """Algebra generated by a family of single-site operators."""
-
-    dim: int
-    basis: tuple[np.ndarray, ...]
-    commutant: tuple[np.ndarray, ...]
-    center: tuple[np.ndarray, ...]
-
-    @property
-    def sizes(self) -> tuple[int, int, int]:
-        return len(self.basis), len(self.commutant), len(self.center)
-
-
-def interaction_algebra(gens: Sequence[np.ndarray], dim: int,
-                        rtol: float = DEFAULT_RTOL) -> InteractionAlgebra:
-    basis = _algebra_closure(list(gens), dim)
-    comm = _commutant_basis(basis, dim, rtol)
-    center = _intersect_spans(basis, comm)
-    return InteractionAlgebra(dim, tuple(basis), tuple(comm), tuple(center))
-
+# the star decomposition: Hermitian commutants solved directly
 
 @dataclass(frozen=True)
 class StarDecomposition:
@@ -495,9 +319,26 @@ class StarDecomposition:
     residual: float
 
 
-def _real_columns(mats: Sequence[np.ndarray]) -> np.ndarray:
-    cols = [np.concatenate([_vec(m).real, _vec(m).imag]) for m in mats]
-    return np.stack(cols, axis=1)
+def _hermitian_commutant(gens: Sequence[np.ndarray], basis: np.ndarray,
+                         rtol: float) -> np.ndarray:
+    """Real-orthonormal coordinates (columns) of the Hermitian commutant.
+
+    X = sum_j x_j B_j over the Hermitian basis ``basis`` (shape (d*d, d, d))
+    with x real; the commutant is the null space of the positive form
+    sum_g ||[X, g]||^2, cut at ``rtol`` times its largest eigenvalue.  A
+    Hermitian X commuting with g also commutes with g^dag, so the commutant
+    of the generators equals that of the *-algebra they generate.  With no
+    generators it is everything.
+    """
+    n = basis.shape[0]
+    if not gens:
+        return np.eye(n)
+    form = np.zeros((n, n))
+    for g in gens:
+        m = (basis @ g - g @ basis).reshape(n, -1)
+        form += (m.conj() @ m.T).real
+    w, v = np.linalg.eigh(form)
+    return v[:, w <= rtol * max(float(w[-1]), 1e-300)]
 
 
 def star_decompose(k_u: SupportedOperator, edge_cumulants: Mapping[int, SupportedOperator],
@@ -506,68 +347,52 @@ def star_decompose(k_u: SupportedOperator, edge_cumulants: Mapping[int, Supporte
     """Split K_u as h_u + sum_v G_u^v compatible with the edge cumulants.
 
     The pull toward edge (u, v) must commute with every other edge term at
-    u, so G_u^v is sought in the commutant of the algebra generated by the
-    site-u Schmidt factors of all edges except (u, v); h_u is forced into
-    the commutant of the joint algebra.  A residual above tolerance rejects
-    the split.  The commutant itself belongs to every pull space, so after
-    the least-squares fit that shared part is stripped from the pulls and
-    folded into h_u, which makes the split canonical.
+    u, so G_u^v is sought in the Hermitian commutant of the site-u Schmidt
+    factors of all edges except (u, v); h_u is forced into the commutant of
+    all of them.  A residual above tolerance rejects the split.  The joint
+    commutant belongs to every pull space, so after the least-squares fit
+    that shared part is stripped from the pulls and folded into h_u, which
+    makes the split canonical.
     """
     if k_u.support != (u,):
         raise UnknownSiteError(f"vertex cumulant must sit on ({u},), got "
                                f"{k_u.support}")
-    d = space.dim(u)
-    factor_gens: dict[int, list[np.ndarray]] = {}
+    factors: dict[int, list[np.ndarray]] = {}
     for v, kuv in edge_cumulants.items():
         if set(kuv.support) != {u, v}:
             raise UnknownSiteError(
                 f"edge cumulant for ({u},{v}) has support {kuv.support}")
-        factor_gens[v] = [f.matrix for f, _, _ in op_schmidt(kuv, space, [u])]
-    algebras = {v: _algebra_closure(g, d) for v, g in factor_gens.items()}
-    joint = _algebra_closure([m for g in algebras.values() for m in g], d)
-    comm = _commutant_basis(joint, d, rtol)
-    herm_comm = _hermitian_span(comm)
-    order = sorted(algebras)
-    pull_spans: dict[int, list[np.ndarray]] = {}
-    for v in order:
-        others = [m for w in order if w != v for m in algebras[w]]
-        pull_spans[v] = _hermitian_span(_commutant_basis(others, d, rtol))
+        factors[v] = [f.matrix for f, _, _ in op_schmidt(kuv, space, [u])]
+    order = sorted(factors)
+    basis = np.stack(hermitian_basis(space.dim(u)))
+    joint = _hermitian_commutant([f for v in order for f in factors[v]], basis, rtol)
+    pull_spans = [_hermitian_commutant(
+        [f for w in order if w != v for f in factors[w]], basis, rtol) for v in order]
 
-    target = np.concatenate([_vec(k_u.matrix).real, _vec(k_u.matrix).imag])
+    def matrix(x: np.ndarray) -> np.ndarray:
+        return np.tensordot(x, basis, axes=1)
+
+    target = (basis.reshape(len(basis), -1).conj() @ k_u.matrix.reshape(-1)).real
+    cols = np.hstack([joint] + pull_spans)
+    coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
+    res = hs_norm(k_u.matrix - matrix(cols @ coef))
     scale = max(hs_norm(k_u.matrix), 1e-300)
-
-    groups = [(None, herm_comm)] + [(v, pull_spans[v]) for v in order]
-    mats = [m for _, g in groups for m in g]
-    a = _real_columns(mats)
-    coef, *_ = np.linalg.lstsq(a, target, rcond=None)
-    fit = sum(c * m for c, m in zip(coef, mats))
-    res = float(hs_norm(k_u.matrix - fit))
     if res > rtol * scale:
         raise DecompositionResidualError(
             f"vertex cumulant at {u} leaves residual {res:.3e} "
             f"(scale {scale:.3e}) outside the ansatz", residual=res)
 
-    parts: dict[int | None, np.ndarray] = {}
-    k = 0
-    for name, g in groups:
-        part = np.zeros((d, d), dtype=complex)
-        for m in g:
-            part = part + coef[k] * m
-            k += 1
-        parts[name] = part
-
-    h_u = parts[None]
-    pulls: dict[int, np.ndarray] = {v: parts[v] for v in order}
-    # the joint commutant sits inside every pull space; that overlap is h_u's
-    for v in order:
-        for b in comm:
-            w = np.vdot(_vec(b), _vec(pulls[v]))
-            pulls[v] = pulls[v] - w * b
-            h_u = h_u + w * b
-    h_u = (h_u + h_u.conj().T) / 2
-    pull_ops = {v: SupportedOperator((u,), (m + m.conj().T) / 2)
-                for v, m in pulls.items()}
-    return StarDecomposition(u, SupportedOperator((u,), h_u), pull_ops, res)
+    ends = np.cumsum([s.shape[1] for s in [joint] + pull_spans])
+    blocks = np.split(coef, ends[:-1])
+    h_u = joint @ blocks[0]
+    pulls: dict[int, SupportedOperator] = {}
+    for v, span, c in zip(order, pull_spans, blocks[1:]):
+        g = span @ c
+        # the joint commutant sits inside every pull space; that overlap is h_u's
+        shared = joint @ (joint.T @ g)
+        h_u = h_u + shared
+        pulls[v] = SupportedOperator((u,), matrix(g - shared))
+    return StarDecomposition(u, SupportedOperator((u,), matrix(h_u)), pulls, res)
 
 
 # ---------------------------------------------------------------------------
@@ -629,18 +454,14 @@ def theorem4_decompose(rho: DensityMatrix, graph: Graph,
     edge_keys = {frozenset(e): e for e in graph.edges}
     edge_cumulants = {edge_keys[k]: exp.entries[k]
                       for k in exp.entries if k in edge_keys}
-    for (e1, op1), (e2, op2) in combinations(edge_cumulants.items(), 2):
-        if not set(e1) & set(e2):
-            continue
-        union = tuple(sorted(set(e1) | set(e2)))
-        sub = space.subspace(union)
-        a, b = embed(op1, sub), embed(op2, sub)
-        scale = max(hs_norm(a) * hs_norm(b), 1e-300)
-        rel = hs_norm(a @ b - b @ a) / scale
-        if rel > support_rtol:
-            raise NotMarkovError(
-                f"edge cumulants on {e1} and {e2} do not commute "
-                f"(relative norm {rel:.3e})")
+    edges = list(edge_cumulants)
+    edge_rep = pairwise_commutation([edge_cumulants[e] for e in edges], space,
+                                    rtol=support_rtol)
+    if not edge_rep.commuting:
+        i, j = edge_rep.worst
+        raise NotMarkovError(
+            f"edge cumulants on {edges[i]} and {edges[j]} do not commute "
+            f"(relative norm {edge_rep.max_norm:.3e})")
 
     n = len(space.sites)
     k0 = float(exp.operator(()).matrix[0, 0].real)

@@ -113,9 +113,6 @@ class Partition:
     def union(self) -> frozenset[int]:
         return self.a | self.b | self.c
 
-    def spans(self, graph: Graph) -> bool:
-        return self.union == graph.vertices
-
     def oriented(self) -> "Partition":
         """Canonical orientation: the side holding the smallest A|C vertex is A."""
         if min(self.a | self.c) in self.a:
@@ -233,28 +230,6 @@ def all_shield_partitions(graph: Graph, cap: int = 10) -> Iterator[Partition]:
         p = Partition(a, b, c)
         if shields(graph, p):
             yield p
-
-
-def expand_to_spanning(graph: Graph, p: Partition) -> Partition:
-    """Grow a non-spanning shielding partition to a spanning one.
-
-    A absorbs every component of the graph minus B that meets A, C absorbs
-    those meeting C, and leftover components go to A.  Shielding guarantees
-    no component meets both, so the result is deterministic, spans the graph
-    and still shields.
-    """
-    if not shields(graph, p):
-        raise ValueError("partition does not shield; nothing to expand")
-    if p.spans(graph):
-        raise ValueError("partition already spans the graph")
-    rest = graph.subgraph(graph.vertices - p.b)
-    new_a, new_c = set(p.a), set(p.c)
-    for comp in rest.components():
-        if comp & p.c:
-            new_c |= comp
-        else:
-            new_a |= comp
-    return Partition(frozenset(new_a), p.b, frozenset(new_c))
 
 
 def coarse_grain(graph: Graph, merge: dict[int, int],

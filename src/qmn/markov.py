@@ -190,22 +190,6 @@ def is_markov_network(rho: DensityMatrix, graph: Graph,
     return MarkovReport(tuple(records), max_cmi, tol, mode)
 
 
-def is_markov_chain(rho: DensityMatrix, ordering: Sequence[int] | None = None,
-                    tol: float = DEFAULT_CMI_TOL) -> MarkovReport:
-    """Check the chain conditions I(1..k-1 : k+1..N | k) for interior k."""
-    order = list(ordering) if ordering is not None else list(rho.space.sites)
-    if sorted(order) != list(rho.space.sites):
-        raise UnknownSiteError(f"ordering {order} must use each site exactly once")
-    cache: dict = {}
-    records = []
-    for k in range(1, len(order) - 1):
-        p = Partition(frozenset(order[:k]), frozenset({order[k]}), frozenset(order[k + 1:]))
-        val = cmi(rho, p.a, p.b, p.c, _cache=cache)
-        records.append(PartitionRecord(p, val, val <= tol))
-    max_cmi = max((r.cmi for r in records), default=0.0)
-    return MarkovReport(tuple(records), max_cmi, tol, "chain")
-
-
 @dataclass(frozen=True)
 class ModelInstance:
     """A Hamiltonian model: site space, interaction graph, clique-local terms.

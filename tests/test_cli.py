@@ -260,6 +260,36 @@ def test_cli_classify_chain_fails(tmp_path, capsys):
     assert rep["witness"] == {"A": [1], "B": [2], "C": [3]}
 
 
+def cell_with(tmp_path, name, term):
+    data = model_to_json(families.cell_model())
+    data["terms"].append(term)
+    return write(tmp_path / f"{name}.json", data)
+
+
+def test_cli_classify_search_cap_when_the_default_commutes(tmp_path, capsys):
+    # Z2 sits inside the shield of ({1}|{2,4,5}|{3}) and commutes with all
+    # terms: the default grouping commutes, so a cap of 1 costs no verdict
+    cell = cell_with(tmp_path, "cell-z2",
+                     {"support": [2], "pauli": "Z", "coeff": 0.5})
+    assert main(["classify", cell, "--search-cap", "1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "ShieldCommutingOnly"
+    assert all(r["commuting"] for r in rep["partitions"])
+
+
+def test_cli_classify_search_cap_when_the_default_fails(tmp_path, capsys):
+    # X2X5 inside the same shield clashes with the C side by default; its
+    # two groupings exceed a cap of 1
+    cell = cell_with(tmp_path, "cell-x2x5",
+                     {"support": [2, 5], "pauli": "X X", "coeff": 1.0})
+    assert main(["classify", cell, "--search-cap", "1"]) == 1
+    assert "EnumerationCapError" in capsys.readouterr().err
+    assert main(["classify", cell]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["partitions"][0]["commuting"]
+    assert rep["witness"] == {"A": [2], "B": [1, 3, 5], "C": [4]}
+
+
 # ---------------------------------------------------------------------------
 # decompose
 

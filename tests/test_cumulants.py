@@ -5,19 +5,17 @@ import numpy as np
 import pytest
 
 from qmn.cumulants import (
-    commutator_support,
     cumulant,
     expand,
     hermitian_basis,
-    is_genuine,
     site_average,
     verify_clique_support,
 )
 from qmn.errors import NonHermitianError, UnknownSiteError
 from qmn.graphs import Graph
 from qmn.markov import DensityMatrix, ModelInstance, gibbs
-from qmn.pauli import PauliSum, PauliTerm, commutator, parse_sum
-from qmn.tensor import SiteSpace, SupportedOperator, embed, hs_norm, logm_pd
+from qmn.pauli import parse_sum
+from qmn.tensor import SiteSpace, SupportedOperator, embed, hs_norm, logm_pd, partial_trace
 
 from helpers import (
     brute_cumulant,
@@ -146,21 +144,15 @@ def test_expansion_entries_are_genuine():
     h = random_hermitian(rng, 12)
     exp = expand(h, space)
     for key, op in exp.entries.items():
-        if key:
-            assert is_genuine(op, space), key
-
-
-def test_is_genuine_cases():
-    space = SiteSpace.qubits(2)
-    zz = SupportedOperator((1, 2), np.kron(np.diag([1, -1]), np.diag([1, -1])).astype(complex))
-    assert is_genuine(zz, space)
-    # identity on site 2 leaves a single-site trace behind
-    z1 = SupportedOperator((1, 2), np.kron(np.diag([1, -1]), np.eye(2)).astype(complex))
-    assert not is_genuine(z1, space)
-    zero = SupportedOperator((1,), np.zeros((2, 2), dtype=complex))
-    assert not is_genuine(zero, space)
-    scalar = SupportedOperator((), np.array([[2.0 + 0j]]))
-    assert not is_genuine(scalar, space)
+        if not key:
+            continue
+        assert op.hs_norm() > 0, key
+        sub = space.subspace(op.support)
+        for s in op.support:
+            keep = [x for x in op.support if x != s]
+            red = partial_trace(op.matrix, sub, keep)
+            bound = 1e-10 * math.sqrt(sub.dim(s)) * op.hs_norm()
+            assert hs_norm(red.matrix) <= bound, (key, s)
 
 
 def test_drop_tolerance():
@@ -239,47 +231,9 @@ def test_verify_clique_support_site_mismatch():
         verify_clique_support(exp, Graph.from_edges([(1, 2)]))
 
 
-def test_commutator_support_zero():
-    space = SiteSpace.qubits(3)
-    cs = commutator_support(parse_sum("1.0 * Z1 Z2"), parse_sum("1.0 * Z2 Z3"), space)
-    assert cs.zero
-    assert cs.support == ()
-    assert cs.inputs_genuine
-    assert cs.masses == {}
-
-
-def test_commutator_support_three_body():
-    space = SiteSpace.qubits(3)
-    cs = commutator_support(parse_sum("1.0 * X1 X2"), parse_sum("1.0 * Z2 Z3"), space)
-    assert not cs.zero
-    assert cs.support == (1, 2, 3)
-    assert cs.inputs_genuine
-    assert set(cs.masses) == {frozenset({1, 2, 3})}
-    # [X1 X2, Z2 Z3] = -2i X1 Y2 Z3, embedded norm 2 sqrt(8)
-    assert cs.masses[frozenset({1, 2, 3})] == pytest.approx(2 * math.sqrt(8), rel=1e-10)
-
-
-def test_commutator_support_splits_over_supports():
-    # a commutator of two genuine two-site operators can carry weight on
-    # several smaller sets at once
-    space = SiteSpace.qubits(2)
-    a = parse_sum("1.0 * X1 X2 + 1.0 * Y1 Y2")
-    b = parse_sum("1.0 * X1 Z2 + 1.0 * Z1 X2")
-    exact = commutator(a, b)
-    want = PauliSum.of(PauliTerm.from_letters(-2j, {1: "Y"}),
-                       PauliTerm.from_letters(-2j, {2: "Y"}))
-    assert (exact - want).is_zero
-    cs = commutator_support(a, b, space)
-    assert not cs.zero
-    assert cs.inputs_genuine
-    assert cs.support == (1, 2)
-    assert set(cs.masses) == {frozenset({1}), frozenset({2})}
-    assert cs.masses[frozenset({1})] == pytest.approx(4.0, rel=1e-10)
-
-
 def test_commutator_mass_stays_on_bridge_sets():
-    # genuine a on A+B and b on B+C: every component keeps all of A and C
-    # and meets B
+    # genuine a on A+B and b on B+C: every cumulant component of the
+    # commutator keeps all of A and C and meets B
     space = SiteSpace.qubits(4)
     a_sites, b_sites = (1, 2, 3), (2, 3, 4)
     set_a, set_b, set_c = {1}, {2, 3}, {4}
@@ -290,13 +244,13 @@ def test_commutator_mass_stays_on_bridge_sets():
         hb = embed(SupportedOperator(b_sites, random_hermitian(rng, 8)), space)
         ka = cumulant(ha, space, a_sites)
         kb = cumulant(hb, space, b_sites)
-        cs = commutator_support(ka, kb, space)
-        assert cs.inputs_genuine
-        if cs.zero:
+        da, db = embed(ka, space), embed(kb, space)
+        comm = da @ db - db @ da
+        if hs_norm(comm) <= 1e-10 * hs_norm(da) * hs_norm(db):
             continue
         checked += 1
-        for key, mass in cs.masses.items():
-            assert mass > 0
+        # i[a, b] is Hermitian and has the same component norms
+        for key in expand(1j * comm, space, drop_rtol=1e-10).entries:
             assert set_a | set_c <= key
             assert key & set_b
     assert checked >= 10
@@ -309,14 +263,8 @@ def test_commutator_masses_account_for_norm():
     hb = embed(SupportedOperator((2, 3), random_hermitian(rng, 4)), space)
     ka = cumulant(ha, space, (1, 2))
     kb = cumulant(hb, space, (2, 3))
-    cs = commutator_support(ka, kb, space)
     da, db = embed(ka, space), embed(kb, space)
-    total = hs_norm(da @ db - db @ da) ** 2
-    assert sum(m ** 2 for m in cs.masses.values()) == pytest.approx(total, rel=1e-8)
-
-
-def test_commutator_support_non_genuine_inputs_flagged():
-    space = SiteSpace.qubits(2)
-    a = SupportedOperator((1, 2), np.kron(np.diag([1, -1]), np.eye(2)).astype(complex))
-    cs = commutator_support(a, parse_sum("1.0 * X1 X2"), space)
-    assert not cs.inputs_genuine
+    comm = da @ db - db @ da
+    exp = expand(1j * comm, space, drop_rtol=1e-10)
+    total = hs_norm(comm) ** 2
+    assert sum(exp.norm_sq(k) for k in exp.entries) == pytest.approx(total, rel=1e-8)

@@ -7,7 +7,7 @@ from helpers import brute_shields, brute_spanning_shield_partitions
 from qmn.errors import EnumerationCapError, UnknownSiteError
 from qmn.graphs import (
     Graph, Partition, all_shield_partitions, cliques, coarse_grain,
-    expand_to_spanning, is_triangle_free, shields, spanning_shield_partitions,
+    is_triangle_free, shields, spanning_shield_partitions,
     to_dot,
 )
 
@@ -147,49 +147,6 @@ def test_all_shield_partitions_includes_non_spanning():
     for p in ps:
         assert shields(g, p)
         assert min(p.a | p.c) in p.a
-
-
-def test_expand_to_spanning_five_chain():
-    g = path(5)
-    p = expand_to_spanning(g, Partition({2}, {3}, {4}))
-    assert (sorted(p.a), sorted(p.b), sorted(p.c)) == ([1, 2], [3], [4, 5])
-
-
-def test_expand_to_spanning_absorbs_islands_into_a():
-    g = Graph.from_edges([(1, 2), (2, 3)], vertices=[1, 2, 3, 9])
-    p = expand_to_spanning(g, Partition({1}, {2}, {3}))
-    assert sorted(p.a) == [1, 9]
-    assert sorted(p.c) == [3]
-
-
-def test_expand_to_spanning_properties_random():
-    rng = np.random.default_rng(61)
-    checked = 0
-    for trial in range(200):
-        n = int(rng.integers(4, 8))
-        g = random_graph(rng, n, 0.3)
-        vs = sorted(g.vertices)
-        labels = rng.integers(0, 4, size=n)
-        a = {v for v, k in zip(vs, labels) if k == 0}
-        b = {v for v, k in zip(vs, labels) if k == 1}
-        c = {v for v, k in zip(vs, labels) if k == 2}
-        if not a or not c or (a | b | c) == set(vs):
-            continue
-        p = Partition(a, b, c)
-        if not shields(g, p):
-            continue
-        q = expand_to_spanning(g, p)
-        assert q.spans(g)
-        assert shields(g, q)
-        assert q.a >= p.a and q.c >= p.c and q.b == p.b
-        checked += 1
-    assert checked >= 10
-
-
-def test_expand_to_spanning_rejects_spanning_input():
-    g = path(3)
-    with pytest.raises(ValueError):
-        expand_to_spanning(g, Partition({1}, {2}, {3}))
 
 
 def test_coarse_grain_cell_merge():

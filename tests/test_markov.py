@@ -17,7 +17,6 @@ from qmn.markov import (
     cmi,
     entropy,
     gibbs,
-    is_markov_chain,
     is_markov_network,
     stabilizer_state,
 )
@@ -158,19 +157,6 @@ def test_w_state_fails_chain():
     val = cmi(rho, [1], [2], [3])
     assert val == pytest.approx(W_STATE_CMI, abs=1e-10)
     assert not is_markov_network(rho, chain_graph(3)).passed
-
-
-def test_markov_chain_conditions():
-    assert not is_markov_chain(ghz()).passed
-    space = SiteSpace.qubits(3)
-    prod = DensityMatrix.maximally_mixed(space)
-    rep = is_markov_chain(prod)
-    assert rep.passed and len(rep.records) == 1
-    # two sites: no interior conditions, vacuous pass
-    rep2 = is_markov_chain(DensityMatrix.maximally_mixed(SiteSpace.qubits(2)))
-    assert rep2.passed and rep2.records == ()
-    with pytest.raises(UnknownSiteError):
-        is_markov_chain(ghz(), ordering=[1, 2, 2])
 
 
 def test_report_json_schema():
