@@ -10,8 +10,9 @@ Model files are JSON with the shape
      "beta": 1.0}
 
 Pauli letters map positionally onto the (sorted) support sites, which must
-all be qubits; matrix terms are row-major with separate real and imaginary
-parts and must be Hermitian after scaling by ``coeff``.
+all be qubits with ids 0 <= id < 2**20; matrix terms are row-major with
+separate real and imaginary parts and must be Hermitian after scaling by
+``coeff``.
 
 Exit codes: 0 when the command's claim holds, 2 when it fails (not Markov,
 not decomposable, off-clique weight, NotShieldCommuting), 1 on usage or
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Any, Sequence
 
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .graphs import Graph, to_dot
 from .markov import ModelInstance, gibbs, is_markov_network
-from .pauli import PauliSum, PauliTerm, as_sum, commutator
+from .pauli import QUBIT_ID_LIMIT, PauliSum, PauliTerm, as_sum, commutator
 from .tensor import SiteSpace, SupportedOperator, logm_pd
 
 EXIT_PASS = 0
@@ -103,6 +103,9 @@ def _term_from_json(entry: Any, idx: int, space: SiteSpace) -> PauliTerm | Suppo
                 raise ModelFormatError(
                     f"{where}: Pauli letters need qubit sites, but site {s} "
                     f"has dim {space.dim(s)}")
+            if not 0 <= s < QUBIT_ID_LIMIT:
+                raise ModelFormatError(
+                    f"{where}: Pauli qubit id {s} is outside 0 <= id < 2**20")
             if up != "I":
                 letters[s] = up
         return PauliTerm.from_letters(coeff.real, letters)
@@ -355,8 +358,7 @@ def _demo_counterexample() -> int:
     lines.append("pairwise commutator norms:")
     for i, a in enumerate(model.terms):
         for j, b in enumerate(model.terms[i + 1:], start=i + 1):
-            c = commutator(as_sum(a), as_sum(b))
-            norm = math.sqrt(sum(abs(t.coeff) ** 2 for t in c.terms))
+            norm = commutator(as_sum(a), as_sum(b)).norm()
             lines.append(f"  [h_{names[i]}, h_{names[j]}] norm {norm:g}")
     c1 = commutator(PauliSum.of(down, right), PauliSum.of(left, up))
     c2 = commutator(PauliSum.of(down, left), PauliSum.of(up, right))
@@ -458,13 +460,7 @@ def _cmd_generate(args) -> int:
     else:
         raise ModelFormatError(f"unknown family {fam!r}")
     _maybe_dot(model, args.dot)
-    data = model_to_json(model)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=1)
-            fh.write("\n")
-    else:
-        print(json.dumps(data, indent=1))
+    _emit(model_to_json(model), args.out)
     return EXIT_PASS
 
 

@@ -80,9 +80,7 @@ def _relative_commutator(a: Operand, b: Operand, space: SiteSpace) -> float:
         c = commutator(a, b)
         if c.is_zero:
             return 0.0
-        norms = [math.sqrt(sum(abs(t.coeff) ** 2 for t in s.terms))
-                 for s in (c, a, b)]
-        return norms[0] / max(norms[1] * norms[2], 1e-300)
+        return c.norm() / max(a.norm() * b.norm(), 1e-300)
     sub = space.subspace(set(a.support) | set(b.support))
     da, db = embed(a, sub), embed(b, sub)
     scale = hs_norm(da) * hs_norm(db)

@@ -113,12 +113,6 @@ class Partition:
     def union(self) -> frozenset[int]:
         return self.a | self.b | self.c
 
-    def oriented(self) -> "Partition":
-        """Canonical orientation: the side holding the smallest A|C vertex is A."""
-        if min(self.a | self.c) in self.a:
-            return self
-        return Partition(self.c, self.b, self.a)
-
     def sort_key(self) -> tuple:
         return (sorted(self.a), sorted(self.b), sorted(self.c))
 

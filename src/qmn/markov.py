@@ -9,7 +9,6 @@ I(A:C|B) <= I(AA':CC'|B).  Entropies are von Neumann, in nats.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -30,10 +29,8 @@ from .tensor import (
     dense_cap,
     embed,
     herm_eig,
-    kron,
     partial_trace,
 )
-from . import pauli as _pauli
 
 EIGENVALUE_FLOOR = -1e-10
 TRACE_ATOL = 1e-10
@@ -253,23 +250,11 @@ class ModelInstance:
             return term
         s = as_sum(term)
         sites = self.term_support(s)
-        if self.site_composition is None:
-            sub = self.space.subspace(sites)
-            return s.to_supported(sub) if sites else \
-                SupportedOperator((), np.array([[sum(t.coeff for t in s.terms
-                                                     if not t.word)]], dtype=complex))
-        # composite sites: build per touched site on its inner qubits
-        comp = self.site_composition
-        d = math.prod(self.space.dim(x) for x in sites) if sites else 1
-        out = np.zeros((d, d), dtype=complex)
-        for t in s.terms:
-            mats = []
-            for site in sites:
-                for q in comp[site]:
-                    letter = t.letters.get(q)
-                    mats.append(_pauli._MATS[letter] if letter else np.eye(2))
-            out += t.coeff * kron(*mats) if mats else t.coeff * np.eye(1)
-        return SupportedOperator(sites, out)
+        comp = self.site_composition or {x: (x,) for x in sites}
+        if any(self.space.dim(x) != 2 ** len(comp[x]) for x in sites):
+            raise DimensionMismatchError(
+                f"Pauli term on sites {list(sites)}: site dims must be 2**qubits")
+        return SupportedOperator(sites, s.matrix([q for x in sites for q in comp[x]]))
 
     def hamiltonian(self) -> np.ndarray:
         """Dense sum of all terms on the full space (without the beta factor)."""
@@ -346,24 +331,12 @@ def stabilizer_state(generators: Sequence[Term], space: SiteSpace) -> DensityMat
                 raise ValueError(
                     f"generators {i} and {j} anticommute: "
                     f"{gens[i]} vs {gens[j]}")
-    # GF(2) independence: pack x|z bits per site
-    pos = {s: k for k, s in enumerate(space.sites)}
-    rows = []
-    for t in gens:
-        bits = 0
-        for site, letter in t.word:
-            if site not in pos:
-                raise UnknownSiteError(f"generator site {site} not in space")
-            k = pos[site]
-            if letter in ("X", "Y"):
-                bits |= 1 << (2 * k)
-            if letter in ("Z", "Y"):
-                bits |= 1 << (2 * k + 1)
-        rows.append(bits)
-    deps = _gf2_eliminate(rows)
+    # GF(2) independence of the symplectic rows x | z
+    shift = max(((t.x | t.z).bit_length() for t in gens), default=0)
+    deps = _gf2_eliminate([t.x | t.z << shift for t in gens])
     if deps:
         subset = sorted(deps[0])
-        prod = PauliTerm.identity(1.0)
+        prod = PauliTerm(1.0)
         for k in subset:
             prod = prod * gens[k]
         if prod.coeff == -1 + 0j:
@@ -376,7 +349,7 @@ def stabilizer_state(generators: Sequence[Term], space: SiteSpace) -> DensityMat
         raise DenseCapError(f"stabilizer state dim {d} exceeds dense cap {dense_cap()}")
     proj = np.eye(d, dtype=complex)
     for t in gens:
-        proj = (proj + proj @ embed(t.to_supported(space), space)) / 2
+        proj = (proj + proj @ PauliSum.of(t).to_dense(space)) / 2
     tr = float(np.trace(proj).real)
     want = d / 2 ** len(gens)
     if abs(tr - want) > 1e-6 * want:

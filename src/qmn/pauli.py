@@ -1,10 +1,16 @@
 """Exact symbolic algebra of multi-qubit Pauli operators.
 
-A :class:`PauliTerm` is a coefficient times a word of single-site letters
-(X, Y, Z; identity letters are simply absent).  Products track the phase as
-an exact power of i, so commutators of integer-coefficient terms cancel
-exactly, with no floating-point phase drift.  A :class:`PauliSum` is a
-canonically ordered, combined list of terms.
+A :class:`PauliTerm` stores its word in symplectic form (Aaronson and
+Gottesman, quant-ph/0406196): two int bitmasks ``x`` and ``z`` over qubit
+ids, the word being i^|x&z| X^x Z^z, so a qubit with both bits set carries
+a Y.  Two words commute iff |(x1&z2) ^ (z1&x2)| is even.  A product XORs
+the masks and multiplies the coefficient by
+i^(|x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3|), an exact power of i, so
+commutators of integer-coefficient terms cancel exactly, with no
+floating-point phase drift.  A :class:`PauliSum` is a canonically ordered,
+combined list of terms; :meth:`PauliSum.matrix` is the one conversion to a
+dense matrix.  Qubit ids satisfy 0 <= id < 2**20 (``QUBIT_ID_LIMIT``),
+checked where words enter from outside.
 
 Text form (used in model files and reports)::
 
@@ -17,28 +23,21 @@ A term with no letter tokens is a multiple of the identity.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ModelFormatError
-from .tensor import SiteSpace, SupportedOperator, embed, kron
+from .tensor import SiteSpace, SupportedOperator, embed
 
-_LETTERS = ("X", "Y", "Z")
-_MATS = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+QUBIT_ID_LIMIT = 2 ** 20
 
-# single-site products a*b -> (resulting letter or None for identity, power of i)
-_PRODUCT = {
-    ("X", "X"): (None, 0), ("Y", "Y"): (None, 0), ("Z", "Z"): (None, 0),
-    ("X", "Y"): ("Z", 1), ("Y", "Z"): ("X", 1), ("Z", "X"): ("Y", 1),
-    ("Y", "X"): ("Z", 3), ("Z", "Y"): ("X", 3), ("X", "Z"): ("Y", 3),
-}
+# letter -> (x bit, z bit)
+_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_LETTER = {bits: letter for letter, bits in _BITS.items()}
 
 
 def _times_i_power(c: complex, k: int) -> complex:
@@ -53,29 +52,48 @@ def _times_i_power(c: complex, k: int) -> complex:
     return complex(c.imag, -c.real)
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class PauliTerm:
-    """A coefficient times a Pauli word; ``word`` is sorted by site id."""
+    """A coefficient times the Pauli word i^|x&z| X^x Z^z."""
 
     coeff: complex
-    word: tuple[tuple[int, str], ...]
+    x: int = 0
+    z: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", complex(self.coeff))
-        word = tuple((int(s), str(l).upper()) for s, l in self.word)
-        if [s for s, _ in word] != sorted({s for s, _ in word}):
-            raise ModelFormatError(f"word sites must be sorted and unique: {word}")
-        if any(l not in _LETTERS for _, l in word):
-            raise ModelFormatError(f"letters must be X/Y/Z: {word}")
-        object.__setattr__(self, "word", word)
 
     @classmethod
     def from_letters(cls, coeff: complex, letters: Mapping[int, str]) -> "PauliTerm":
-        return cls(coeff, tuple(sorted((s, l) for s, l in letters.items())))
+        """Term from a {qubit id: X/Y/Z} map; ids must be in [0, 2**20)."""
+        x = z = 0
+        for q, letter in letters.items():
+            q = int(q)
+            if not 0 <= q < QUBIT_ID_LIMIT:
+                raise ModelFormatError(f"qubit id {q} is outside 0 <= id < 2**20")
+            letter = str(letter).upper()
+            if letter not in _BITS:
+                raise ModelFormatError(f"letters must be X/Y/Z: {dict(letters)}")
+            bx, bz = _BITS[letter]
+            x |= bx << q
+            z |= bz << q
+        return cls(coeff, x, z)
 
-    @classmethod
-    def identity(cls, coeff: complex = 1.0) -> "PauliTerm":
-        return cls(coeff, ())
+    @property
+    def word(self) -> tuple[tuple[int, str], ...]:
+        """The word as (qubit id, letter) pairs sorted by id."""
+        return tuple((q, _LETTER[(self.x >> q) & 1, (self.z >> q) & 1])
+                     for q in _bits(self.x | self.z))
 
     @property
     def letters(self) -> dict[int, str]:
@@ -83,61 +101,33 @@ class PauliTerm:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.word)
+        return _bits(self.x | self.z)
 
     def adjoint(self) -> "PauliTerm":
-        return PauliTerm(self.coeff.conjugate(), self.word)
+        return PauliTerm(self.coeff.conjugate(), self.x, self.z)
 
     def __mul__(self, other: Union["PauliTerm", complex]) -> "PauliTerm":
         if not isinstance(other, PauliTerm):
-            return PauliTerm(self.coeff * complex(other), self.word)
-        phase = 0
-        out: list[tuple[int, str]] = []
-        a, b = self.word, other.word
-        i = j = 0
-        while i < len(a) or j < len(b):
-            if j >= len(b) or (i < len(a) and a[i][0] < b[j][0]):
-                out.append(a[i])
-                i += 1
-            elif i >= len(a) or b[j][0] < a[i][0]:
-                out.append(b[j])
-                j += 1
-            else:
-                site = a[i][0]
-                letter, k = _PRODUCT[(a[i][1], b[j][1])]
-                phase += k
-                if letter is not None:
-                    out.append((site, letter))
-                i += 1
-                j += 1
-        coeff = _times_i_power(self.coeff * other.coeff, phase)
-        return PauliTerm(coeff, tuple(out))
+            return PauliTerm(self.coeff * complex(other), self.x, self.z)
+        x, z = self.x ^ other.x, self.z ^ other.z
+        k = ((self.x & self.z).bit_count() + (other.x & other.z).bit_count()
+             + 2 * (self.z & other.x).bit_count() - (x & z).bit_count())
+        return PauliTerm(_times_i_power(self.coeff * other.coeff, k), x, z)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "PauliTerm":
-        return PauliTerm(-self.coeff, self.word)
+        return PauliTerm(-self.coeff, self.x, self.z)
 
     def __str__(self) -> str:
         body = " ".join(f"{l}{s}" for s, l in self.word)
         c = _format_coeff(self.coeff)
         return f"{c} * {body}" if body else c
 
-    def to_supported(self, space: SiteSpace) -> SupportedOperator:
-        """Dense matrix on the word's own support (sorted site order)."""
-        for s, _ in self.word:
-            if space.dim(s) != 2:
-                raise DimensionMismatchError(
-                    f"Pauli letter on site {s} requires dimension 2, got {space.dim(s)}")
-        mats = [_MATS[l] for _, l in self.word]
-        return SupportedOperator(self.support, self.coeff * kron(*mats))
-
 
 def commutes(a: PauliTerm, b: PauliTerm) -> bool:
-    """True iff the two words commute (even number of differing shared letters)."""
-    la, lb = dict(a.word), dict(b.word)
-    clashes = sum(1 for s in la.keys() & lb.keys() if la[s] != lb[s])
-    return clashes % 2 == 0
+    """True iff the two words commute (even symplectic product)."""
+    return ((a.x & b.z) ^ (a.z & b.x)).bit_count() % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -147,12 +137,12 @@ class PauliSum:
     terms: tuple[PauliTerm, ...]
 
     def __post_init__(self):
-        combined: dict[tuple[tuple[int, str], ...], complex] = {}
+        combined: dict[tuple[int, int], complex] = {}
         for t in self.terms:
-            combined[t.word] = combined.get(t.word, 0j) + t.coeff
-        canon = tuple(PauliTerm(c, w) for w, c in sorted(combined.items())
-                      if c != 0)
-        object.__setattr__(self, "terms", canon)
+            combined[t.x, t.z] = combined.get((t.x, t.z), 0j) + t.coeff
+        canon = sorted((PauliTerm(c, x, z) for (x, z), c in combined.items() if c != 0),
+                       key=lambda t: t.word)
+        object.__setattr__(self, "terms", tuple(canon))
 
     @classmethod
     def of(cls, *terms: PauliTerm) -> "PauliSum":
@@ -168,10 +158,14 @@ class PauliSum:
 
     @property
     def support(self) -> tuple[int, ...]:
-        out: set[int] = set()
+        mask = 0
         for t in self.terms:
-            out.update(t.support)
-        return tuple(sorted(out))
+            mask |= t.x | t.z
+        return _bits(mask)
+
+    def norm(self) -> float:
+        """Dimension-normalized Hilbert-Schmidt norm, sqrt(sum |c|^2)."""
+        return math.sqrt(sum(abs(t.coeff) ** 2 for t in self.terms))
 
     def adjoint(self) -> "PauliSum":
         return PauliSum(tuple(t.adjoint() for t in self.terms))
@@ -205,15 +199,32 @@ class PauliSum:
             return "0"
         return " + ".join(str(t) for t in self.terms)
 
+    def matrix(self, qubits: Sequence[int]) -> np.ndarray:
+        """Dense matrix on ``qubits``, the first one the most significant.
+
+        Each word is a signed permutation, X^x Z^z |j> = (-1)^|j&z| |j^x>,
+        times its phase i^|x&z|.  ``qubits`` must cover the support.
+        """
+        n = len(qubits)
+        pos = {q: n - 1 - k for k, q in enumerate(qubits)}
+        j = np.arange(2 ** n)
+        out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        for t in self.terms:
+            x = sum(1 << pos[q] for q in _bits(t.x))
+            parity = np.zeros_like(j)
+            for q in _bits(t.z):
+                parity ^= (j >> pos[q]) & 1
+            c = _times_i_power(t.coeff, (t.x & t.z).bit_count())
+            out[j ^ x, j] += c * (1 - 2 * parity)
+        return out
+
     def to_supported(self, space: SiteSpace) -> SupportedOperator:
         """Dense matrix on the union support of all terms."""
         sup = self.support
-        sub = space.subspace(sup)
-        d = sub.total_dim
-        out = np.zeros((d, d), dtype=complex)
-        for t in self.terms:
-            out += embed(t.to_supported(sub), sub)
-        return SupportedOperator(sup, out)
+        if any(space.dim(s) != 2 for s in sup):
+            raise DimensionMismatchError(
+                f"Pauli letters on sites {list(sup)} need dimension 2")
+        return SupportedOperator(sup, self.matrix(sup))
 
     def to_dense(self, space: SiteSpace) -> np.ndarray:
         """Dense matrix on the full space."""

@@ -410,3 +410,26 @@ def test_cli_bad_model_is_exit_1(tmp_path, capsys):
         "terms": [{"support": [1, 2], "pauli": "Z"}]})
     assert main(["classify", path]) == 1
     assert "terms[0]" in capsys.readouterr().err
+
+
+def pauli_on(tmp_path, qubit):
+    ids = sorted([0, qubit])
+    return write(tmp_path / f"q{qubit}.json", {
+        "sites": [{"id": q, "dim": 2} for q in ids],
+        "edges": [ids],
+        "terms": [{"support": [qubit], "pauli": "Z", "coeff": 1.0},
+                  {"support": ids, "pauli": "Z Z", "coeff": 0.5}]})
+
+
+@pytest.mark.parametrize("qubit", [-1, 2 ** 20])
+def test_cli_pauli_qubit_id_out_of_range_is_exit_1(tmp_path, capsys, qubit):
+    assert main(["classify", pauli_on(tmp_path, qubit)]) == 1
+    err = capsys.readouterr().err
+    assert "terms[0]" in err and f"qubit id {qubit}" in err
+
+
+def test_cli_pauli_qubit_id_below_the_bound_loads(tmp_path, capsys):
+    path = pauli_on(tmp_path, 2 ** 20 - 1)
+    assert main(["classify", path]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "LocalCommuting"
+    assert main(["verify-markov", path]) == 0

@@ -276,6 +276,14 @@ def test_composite_site_validation():
                       site_composition={1: (10, 11), 2: (20,)})
 
 
+
+def test_pauli_term_on_a_qutrit_site_is_rejected():
+    space = SiteSpace.from_dims({1: 3, 2: 2})
+    model = ModelInstance(space, Graph.from_edges([(1, 2)]),
+                          (parse_sum("1.0 * Z1 Z2"),))
+    with pytest.raises(DimensionMismatchError):
+        model.term_operator(model.terms[0])
+
 def test_dense_cap_guard(monkeypatch):
     monkeypatch.setenv("QMN_DENSE_CAP", "4")
     space = SiteSpace.qubits(3)

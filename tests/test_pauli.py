@@ -1,11 +1,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import dense_pauli_word
+from qmn import families
 from qmn.errors import DimensionMismatchError, ModelFormatError
+from qmn.graphs import Graph
+from qmn.markov import ModelInstance
 from qmn.pauli import (
-    PauliSum, PauliTerm, commutator, commutes, parse_sum, parse_term,
+    QUBIT_ID_LIMIT, PauliSum, PauliTerm, commutator, commutes, parse_sum, parse_term,
 )
 from qmn.tensor import SiteSpace
 
@@ -172,3 +176,79 @@ def test_multiplication_is_associative_exactly():
             ts.append(PauliTerm.from_letters(1.0, letters))
         a, b, c = ts
         assert (a * b) * c == a * (b * c)
+
+
+def test_qubit_ids_outside_range_rejected():
+    with pytest.raises(ModelFormatError):
+        PauliTerm.from_letters(1.0, {-1: "Z"})
+    with pytest.raises(ModelFormatError):
+        PauliTerm.from_letters(1.0, {QUBIT_ID_LIMIT: "Z"})
+    with pytest.raises(ModelFormatError):
+        parse_term(f"1.0 * X0 Z{QUBIT_ID_LIMIT}")
+    top = PauliTerm.from_letters(1.0, {0: "X", QUBIT_ID_LIMIT - 1: "Y"})
+    assert parse_term(str(top)) == top
+    assert top.support == (0, QUBIT_ID_LIMIT - 1)
+
+
+# ---------------------------------------------------------------------------
+# the symplectic core against the Kronecker-product oracle
+
+@st.composite
+def gapped_ids(draw, max_qubits=6):
+    """Ascending qubit ids starting at 0 with gaps of 1 to 4."""
+    ids = [0]
+    for gap in draw(st.lists(st.integers(1, 4), max_size=max_qubits - 1)):
+        ids.append(ids[-1] + gap)
+    return ids
+
+
+@st.composite
+def words(draw, ids):
+    """A term and its oracle matrix on ``ids`` in the given order."""
+    letters = {q: l for q in ids if (l := draw(st.sampled_from("IXYZ"))) != "I"}
+    coeff = draw(st.sampled_from([1.0, -1.0, 2.0, 0.5j, 1 - 2j]))
+    term = PauliTerm.from_letters(coeff, letters)
+    return term, coeff * dense_pauli_word(letters, ids)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_symplectic_core_matches_dense_oracle(data):
+    order = data.draw(gapped_ids().flatmap(st.permutations))
+    (a, da), (b, db) = data.draw(words(order)), data.draw(words(order))
+    assert np.array_equal(PauliSum.of(a).matrix(order), da)
+    assert np.allclose(PauliSum.of(a * b).matrix(order), da @ db, atol=1e-12)
+    dense_comm = da @ db - db @ da
+    assert commutes(a, b) == np.allclose(dense_comm, 0, atol=1e-12)
+    assert np.allclose(commutator(a, b).matrix(order), dense_comm, atol=1e-12)
+
+
+def assert_terms_match_composition_kron(model):
+    comp = model.site_composition
+    for t in model.terms:
+        op = model.term_operator(t)
+        qubits = [q for site in op.support for q in comp[site]]
+        want = sum(u.coeff * dense_pauli_word(u.letters, qubits) for u in t.terms)
+        assert np.allclose(op.matrix, want, atol=1e-12)
+
+
+def test_merged_tiling_term_operators_follow_composition_order():
+    assert_terms_match_composition_kron(families.tiling_model(1, 2, merged=True))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_composite_term_operators_follow_composition_order(data):
+    qubits = data.draw(gapped_ids().flatmap(st.permutations))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(qubits) - 1), max_size=2))
+                  if len(qubits) > 1 else [])
+    chunks = [qubits[i:j] for i, j in zip([0] + cuts, cuts + [len(qubits)])]
+    comp = {10 + k: tuple(chunk) for k, chunk in enumerate(chunks)}
+    sites = sorted(comp)
+    graph = Graph.from_edges([(u, v) for u in sites for v in sites if u < v],
+                             vertices=sites)
+    space = SiteSpace.from_dims({s: 2 ** len(qs) for s, qs in comp.items()})
+    terms = tuple(PauliSum(tuple(data.draw(words(qubits))[0] for _ in range(2)))
+                  for _ in range(3))
+    model = ModelInstance(space, graph, terms, site_composition=comp)
+    assert_terms_match_composition_kron(model)
