@@ -27,6 +27,7 @@ from .markov import (
     entropy,
     gibbs,
     is_markov_network,
+    log_gibbs,
     stabilizer_state,
 )
 from .pauli import PauliSum, PauliTerm, commutator, parse_sum, parse_term
@@ -59,6 +60,7 @@ __all__ = [
     "gibbs",
     "gibbs_factors",
     "is_markov_network",
+    "log_gibbs",
     "parse_sum",
     "parse_term",
     "partial_trace",

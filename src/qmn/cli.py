@@ -14,6 +14,10 @@ all be qubits with ids 0 <= id < 2**20; matrix terms are row-major with
 separate real and imaginary parts and must be Hermitian after scaling by
 ``coeff``.
 
+``decompose`` and ``cumulants --of log-gibbs`` work on log rho = beta H -
+log Z 1, exact and with no positivity floor; ``--of hamiltonian`` (beta H)
+differs from it only in the empty-support (scalar) component.
+
 Exit codes: 0 when the command's claim holds, 2 when it fails (not Markov,
 not decomposable, off-clique weight, NotShieldCommuting), 1 on usage or
 data errors.
@@ -28,7 +32,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import families
+from . import cumulants, decompose, families, markov
 from .cumulants import expand, verify_clique_support
 from .decompose import (
     NOT_SHIELD_COMMUTING,
@@ -44,9 +48,9 @@ from .errors import (
     QmnError,
 )
 from .graphs import Graph, to_dot
-from .markov import ModelInstance, gibbs, is_markov_network
+from .markov import ModelInstance, gibbs, is_markov_network, log_gibbs
 from .pauli import QUBIT_ID_LIMIT, PauliSum, PauliTerm, as_sum, commutator
-from .tensor import SiteSpace, SupportedOperator, logm_pd
+from .tensor import SiteSpace, SupportedOperator
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -265,10 +269,8 @@ def _cmd_verify_markov(args) -> int:
 def _cmd_cumulants(args) -> int:
     model = load_model(args.model)
     _maybe_dot(model, args.dot)
-    if args.of == "log-gibbs":
-        target = logm_pd(gibbs(model).matrix)
-    else:
-        target = model.beta * model.hamiltonian()
+    target = (log_gibbs(model) if args.of == "log-gibbs"
+              else model.beta * model.hamiltonian())
     exp = expand(target, model.space)
     keys = sorted(exp.entries, key=lambda k: (len(k), tuple(sorted(k))))
     listed = [k for k in keys
@@ -318,10 +320,9 @@ def _cmd_classify(args) -> int:
 def _cmd_decompose(args) -> int:
     model = load_model(args.model)
     _maybe_dot(model, args.dot)
-    rho = gibbs(model)
     try:
-        dec = theorem4_decompose(rho, model.graph, rtol=args.tol,
-                                 support_rtol=args.support_rtol)
+        dec = theorem4_decompose(log_gibbs(model), model.space, model.graph,
+                                 rtol=args.tol, support_rtol=args.support_rtol)
     except (NotMarkovError, NotTriangleFreeError,
             DecompositionResidualError) as e:
         _emit({"decomposed": False, "reason": str(e)}, args.report)
@@ -379,7 +380,7 @@ def _demo_counterexample() -> int:
     ok &= _claim(lines, verdict == "ShieldCommutingOnly",
                  f"classification: {verdict}")
     try:
-        theorem4_decompose(gibbs(model), model.graph)
+        theorem4_decompose(log_gibbs(model), model.space, model.graph)
         triangle_ok = False
     except NotTriangleFreeError:
         triangle_ok = True
@@ -488,7 +489,7 @@ def _build_parser() -> _Parser:
     c = add_model_cmd("verify-markov",
                       "check I(A:C|B) over all spanning shielding partitions "
                       "of the Gibbs state")
-    c.add_argument("--tol", type=float, default=1e-8)
+    c.add_argument("--tol", type=float, default=markov.DEFAULT_CMI_TOL)
     c.add_argument("--partitions", choices=("spanning", "all"), default="spanning")
     c.add_argument("--beta", type=float, default=None,
                    help="override the file's inverse-temperature factor")
@@ -501,21 +502,21 @@ def _build_parser() -> _Parser:
                    default="log-gibbs")
     c.add_argument("--max-support", type=int, default=None,
                    help="list supports up to this size only")
-    c.add_argument("--rtol", type=float, default=1e-10)
+    c.add_argument("--rtol", type=float, default=cumulants.DEFAULT_CLIQUE_RTOL)
     c.set_defaults(func=_cmd_cumulants)
 
     c = add_model_cmd("classify",
                       "LocalCommuting / ShieldCommutingOnly / NotShieldCommuting")
-    c.add_argument("--rtol", type=float, default=1e-9)
-    c.add_argument("--search-cap", type=int, default=4096)
+    c.add_argument("--rtol", type=float, default=decompose.DEFAULT_RTOL)
+    c.add_argument("--search-cap", type=int, default=decompose.SPLIT_SEARCH_CAP)
     c.set_defaults(func=_cmd_classify)
 
     c = sub.add_parser("decompose",
                        help="commuting vertex/edge regrouping of log rho on "
                             "a triangle-free graph")
     c.add_argument("model", help="path to a JSON model file")
-    c.add_argument("--tol", type=float, default=1e-9)
-    c.add_argument("--support-rtol", type=float, default=1e-8)
+    c.add_argument("--tol", type=float, default=decompose.DEFAULT_RTOL)
+    c.add_argument("--support-rtol", type=float, default=decompose.DEFAULT_SUPPORT_RTOL)
     c.add_argument("--report", help="write the JSON report here instead of stdout")
     c.add_argument("--out", help="write the decomposition as a re-ingestable model file")
     c.add_argument("--dot", help="also write the interaction graph in DOT format")

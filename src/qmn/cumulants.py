@@ -34,6 +34,7 @@ from .tensor import (
 )
 
 DEFAULT_DROP_RTOL = 1e-12
+DEFAULT_CLIQUE_RTOL = 1e-10
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +216,7 @@ class CliqueSupportReport:
 
 
 def verify_clique_support(expansion: CumulantExpansion, graph: Graph,
-                          rtol: float = 1e-10) -> CliqueSupportReport:
+                          rtol: float = DEFAULT_CLIQUE_RTOL) -> CliqueSupportReport:
     """Check that every non-negligible component sits on a clique of the graph.
 
     The verdict compares the combined off-clique norm against ``rtol`` times

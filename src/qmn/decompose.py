@@ -6,7 +6,9 @@ edge cumulants that commute whenever they share a vertex, and vertex
 cumulants K_u that split as h_u + sum_v G_u^v where G_u^v commutes with the
 site-u Schmidt factors of every other edge at u and h_u commutes with all
 of them.  Regrouping K_uv + G_u^v + G_v^u per edge then yields pairwise
-commuting terms whose sum is log rho.
+commuting terms whose sum is log rho.  log rho is data here, as in
+``theorem4_decompose(log_gibbs(model), model.space, model.graph)``: for a
+model it is beta H - log Z 1 exactly, with no positivity floor.
 
 One commutation engine serves every question.  A single relative
 commutator norm, ||[a, b]|| / (||a|| ||b||), is exact for Pauli sums and
@@ -44,7 +46,7 @@ from .graphs import (
     is_triangle_free,
     spanning_shield_partitions,
 )
-from .markov import DensityMatrix, ModelInstance
+from .markov import ModelInstance
 from .pauli import PauliSum, as_sum, commutator
 from .tensor import (
     SiteSpace,
@@ -52,11 +54,11 @@ from .tensor import (
     embed,
     expm_herm,
     hs_norm,
-    logm_pd,
     op_schmidt,
 )
 
 DEFAULT_RTOL = 1e-9
+DEFAULT_SUPPORT_RTOL = 1e-8
 SPLIT_SEARCH_CAP = 4096
 
 LOCAL_COMMUTING = "LocalCommuting"
@@ -225,16 +227,15 @@ def split_shield(expansion: CumulantExpansion, partition: Partition,
     return ShieldSplit(partition, h_ab, h_bc, norm <= rtol, norm, assignment)
 
 
-def gibbs_factors(rho: DensityMatrix, partition: Partition,
+def gibbs_factors(log_rho: np.ndarray, space: SiteSpace, partition: Partition,
                   rtol: float = DEFAULT_RTOL
                   ) -> tuple[SupportedOperator, SupportedOperator]:
     """Factor a positive state as rho = F_AB F_BC across a shielding partition.
 
-    The factors are exponentials of the two halves of log rho and commute,
-    so their product in either order reproduces the state.
+    The factors are exponentials of the two halves of ``log_rho`` and
+    commute, so their product in either order reproduces the state.
     """
-    split = split_shield(expand(logm_pd(rho.matrix), rho.space), partition,
-                         rtol=rtol)
+    split = split_shield(expand(log_rho, space), partition, rtol=rtol)
     if not split.commuting:
         raise NotMarkovError(
             f"halves of log rho do not commute across "
@@ -423,25 +424,25 @@ class CommutingDecomposition:
         return ModelInstance(self.space, self.graph, self.terms(), beta=1.0)
 
 
-def theorem4_decompose(rho: DensityMatrix, graph: Graph,
+def theorem4_decompose(log_rho: np.ndarray, space: SiteSpace, graph: Graph,
                        rtol: float = DEFAULT_RTOL,
-                       support_rtol: float = 1e-8) -> CommutingDecomposition:
+                       support_rtol: float = DEFAULT_SUPPORT_RTOL) -> CommutingDecomposition:
     """Commuting vertex/edge Hamiltonian for a Markov state on a triangle-free graph.
 
-    Checks, in order: the graph is triangle-free; log rho has cumulants on
-    vertices and edges only (up to ``support_rtol``); edge cumulants sharing
-    a vertex commute.  Then every vertex cumulant is star-decomposed and the
+    ``log_rho`` is ``markov.log_gibbs(model)`` for a model's Gibbs state and
+    ``tensor.logm_pd(rho.matrix)`` for a state from elsewhere.  Checks, in
+    order: the graph is triangle-free; log rho has cumulants on vertices
+    and edges only (up to ``support_rtol``); edge cumulants sharing a
+    vertex commute.  Then every vertex cumulant is star-decomposed and the
     pulls folded into the edge terms.  The result reconstructs log rho and
     its terms commute pairwise; both properties are re-verified before
     returning.
     """
-    if graph.vertices != set(rho.space.sites):
+    if graph.vertices != set(space.sites):
         raise UnknownSiteError("graph vertices must match state sites")
     if not is_triangle_free(graph):
         raise NotTriangleFreeError(
             "decomposition requires a triangle-free interaction graph")
-    space = rho.space
-    log_rho = logm_pd(rho.matrix)
     exp = expand(log_rho, space)
     support_rep = verify_clique_support(exp, graph, rtol=support_rtol)
     if not support_rep.passed:

@@ -28,7 +28,6 @@ from .tensor import (
     check_hermitian,
     dense_cap,
     embed,
-    herm_eig,
     partial_trace,
 )
 
@@ -278,12 +277,19 @@ def gibbs(model: ModelInstance) -> DensityMatrix:
     The sign convention absorbs the customary -1/T into beta, so beta > 0
     weights high-eigenvalue states of H.
     """
-    h = check_hermitian(model.hamiltonian())
-    w, v = herm_eig(model.beta * h)
+    w, v = np.linalg.eigh(model.beta * check_hermitian(model.hamiltonian()))
     w = w - w.max()  # stabilize the exponential; cancels in the normalization
     e = np.exp(w)
     rho = (v * (e / e.sum())) @ v.conj().T
     return DensityMatrix(rho, model.space)
+
+
+def log_gibbs(model: ModelInstance) -> np.ndarray:
+    """log rho = beta H - log Z 1 of the Gibbs state, exactly: no positivity floor."""
+    bh = model.beta * check_hermitian(model.hamiltonian())
+    w = np.linalg.eigvalsh(bh)
+    bh[np.diag_indices_from(bh)] -= w[-1] + np.log(np.sum(np.exp(w - w[-1])))
+    return bh
 
 
 def _gf2_eliminate(rows: list[int]) -> list[set[int]]:

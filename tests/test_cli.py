@@ -321,6 +321,18 @@ def test_cli_decompose_preserves_state(tmp_path):
     assert np.abs(rho.matrix - rho2.matrix).max() < 1e-10
 
 
+def test_cli_cold_model_decomposes_and_cumulants_stay_on_cliques(tmp_path, capsys):
+    # at beta=3 the smallest Gibbs eigenvalue (~1e-17) sits below the
+    # positivity floor of a matrix logarithm; log rho = beta H - log Z 1 has none
+    cold = gen(tmp_path, "ising", "--sites", "6", "--beta", "3")
+    assert main(["decompose", cold]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["residual"] <= 1e-8
+    assert rep["max_commutator"] <= 1e-8
+    assert main(["cumulants", cold, "--of", "log-gibbs"]) == 0
+    assert json.loads(capsys.readouterr().out)["clique"]["pass"]
+
+
 def test_cli_decompose_rejects_triangles(tmp_path, capsys):
     cell = gen(tmp_path, "cell")
     assert main(["decompose", cell]) == 2

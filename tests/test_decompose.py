@@ -27,7 +27,7 @@ from qmn.errors import (
     UnknownSiteError,
 )
 from qmn.graphs import Graph, Partition, cliques
-from qmn.markov import DensityMatrix, ModelInstance, gibbs, is_markov_network
+from qmn.markov import DensityMatrix, ModelInstance, gibbs, is_markov_network, log_gibbs
 from qmn.pauli import PauliSum, PauliTerm, as_sum
 from qmn.tensor import SiteSpace, SupportedOperator, embed, logm_pd
 
@@ -139,8 +139,9 @@ def test_gibbs_factors_product_recovers_state():
     terms = (SupportedOperator((1, 2), np.kron(Z, Z)),
              SupportedOperator((2, 3), 0.6 * np.kron(Z, Z)),
              SupportedOperator((2,), 0.5 * Z))
-    rho = gibbs(ModelInstance(space, graph, terms, beta=0.8))
-    f_ab, f_bc = gibbs_factors(rho, part({1}, {2}, {3}))
+    model = ModelInstance(space, graph, terms, beta=0.8)
+    rho = gibbs(model)
+    f_ab, f_bc = gibbs_factors(log_gibbs(model), space, part({1}, {2}, {3}))
     assert f_ab.support == (1, 2)
     assert f_bc.support == (2, 3)
     left = embed(f_ab, space) @ embed(f_bc, space)
@@ -153,9 +154,9 @@ def test_gibbs_factors_not_markov():
     space = SiteSpace.qubits(3)
     terms = (SupportedOperator((1, 2), np.kron(X, X)),
              SupportedOperator((2, 3), np.kron(Z, Z)))
-    rho = gibbs(ModelInstance(space, chain(3), terms, beta=1.0))
+    model = ModelInstance(space, chain(3), terms, beta=1.0)
     with pytest.raises(NotMarkovError):
-        gibbs_factors(rho, part({1}, {2}, {3}))
+        gibbs_factors(log_gibbs(model), space, part({1}, {2}, {3}))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +354,9 @@ def test_theorem4_diagonal_star_graph():
     space = SiteSpace.qubits(4, first_id=0)
     terms = (pw(1.0, {0: "Z", 1: "Z"}), pw(0.7, {0: "Z", 2: "Z"}),
              pw(-0.5, {0: "Z", 3: "Z"}), pw(0.4, {0: "Z"}))
-    rho = gibbs(ModelInstance(space, graph, terms, beta=0.9))
-    dec = theorem4_decompose(rho, graph)
+    model = ModelInstance(space, graph, terms, beta=0.9)
+    rho = gibbs(model)
+    dec = theorem4_decompose(log_gibbs(model), space, graph)
     assert dec.residual <= 1e-10
     assert dec.max_commutator <= 1e-10
     assert set(dec.edge_terms) == {(0, 1), (0, 2), (0, 3)}
@@ -375,8 +377,9 @@ def test_theorem4_pulls_edge_shred_on_composite_site():
     h12 = SupportedOperator((1, 2), np.kron(X, xa) + np.kron(I2, za))
     h23 = SupportedOperator((2, 3), np.kron(zb, Z))
     beta = 0.7
-    rho = gibbs(ModelInstance(space, graph, (h12, h23), beta=beta))
-    dec = theorem4_decompose(rho, graph)
+    model = ModelInstance(space, graph, (h12, h23), beta=beta)
+    rho = gibbs(model)
+    dec = theorem4_decompose(log_gibbs(model), space, graph)
     assert np.allclose(dec.edge_terms[(1, 2)].matrix, beta * h12.matrix,
                        atol=1e-9)
     assert np.allclose(dec.edge_terms[(2, 3)].matrix, beta * h23.matrix,
@@ -400,8 +403,9 @@ def test_theorem4_conjugated_chain():
             terms.append(SupportedOperator((i, i + 1), w @ local @ w.conj().T))
         w2 = us[2]
         terms.append(SupportedOperator((2,), w2 @ (0.6 * Z) @ w2.conj().T))
-        rho = gibbs(ModelInstance(space, graph, tuple(terms), beta=0.8))
-        dec = theorem4_decompose(rho, graph)
+        model = ModelInstance(space, graph, tuple(terms), beta=0.8)
+        rho = gibbs(model)
+        dec = theorem4_decompose(log_gibbs(model), space, graph)
         assert dec.residual <= 1e-9
         assert dec.max_commutator <= 1e-9
         check_decomposition(dec, rho)
@@ -414,8 +418,9 @@ def test_theorem4_dimer_absorbs_vertex_part():
     graph = Graph.from_edges([(1, 2)])
     h = SupportedOperator((1, 2), np.kron(X, X) + 0.5 * np.kron(Z, I2))
     beta = 0.9
-    rho = gibbs(ModelInstance(space, graph, (h,), beta=beta))
-    dec = theorem4_decompose(rho, graph)
+    model = ModelInstance(space, graph, (h,), beta=beta)
+    rho = gibbs(model)
+    dec = theorem4_decompose(log_gibbs(model), space, graph)
     assert np.allclose(dec.edge_terms[(1, 2)].matrix, beta * h.matrix,
                        atol=1e-9)
     for u in (1, 2):
@@ -432,7 +437,7 @@ def test_theorem4_seeded_models_decompose(seed):
     models = [families.theorem4_model("path4", rng)]
     models += [families.theorem4_model(kind, rng) for kind in families.THEOREM4_KINDS]
     for model in models:
-        dec = theorem4_decompose(gibbs(model), model.graph)
+        dec = theorem4_decompose(log_gibbs(model), model.space, model.graph)
         assert dec.residual <= 1e-8
         assert dec.max_commutator <= 1e-8
 
@@ -442,7 +447,7 @@ def test_theorem4_triangle_raises():
     space = SiteSpace.qubits(3)
     rho = DensityMatrix.maximally_mixed(space)
     with pytest.raises(NotTriangleFreeError):
-        theorem4_decompose(rho, graph)
+        theorem4_decompose(logm_pd(rho.matrix), space, graph)
 
 
 def test_theorem4_off_clique_support_raises():
@@ -451,22 +456,22 @@ def test_theorem4_off_clique_support_raises():
     e = expm_taylor(h)
     rho = DensityMatrix(e / np.trace(e).real, space)
     with pytest.raises(NotMarkovError, match="outside"):
-        theorem4_decompose(rho, chain(3))
+        theorem4_decompose(logm_pd(rho.matrix), space, chain(3))
 
 
 def test_theorem4_noncommuting_edge_cumulants_raise():
     space = SiteSpace.qubits(3)
     terms = (SupportedOperator((1, 2), np.kron(X, X)),
              SupportedOperator((2, 3), np.kron(Z, Z)))
-    rho = gibbs(ModelInstance(space, chain(3), terms, beta=1.0))
+    model = ModelInstance(space, chain(3), terms, beta=1.0)
     with pytest.raises(NotMarkovError, match="commute"):
-        theorem4_decompose(rho, chain(3))
+        theorem4_decompose(log_gibbs(model), space, chain(3))
 
 
 def test_theorem4_vertex_mismatch():
     rho = DensityMatrix.maximally_mixed(SiteSpace.qubits(3))
     with pytest.raises(UnknownSiteError):
-        theorem4_decompose(rho, chain(4))
+        theorem4_decompose(logm_pd(rho.matrix), rho.space, chain(4))
 
 
 # ---------------------------------------------------------------------------

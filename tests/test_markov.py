@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qmn import families
 from qmn.errors import (
     DenseCapError,
     DimensionMismatchError,
@@ -18,10 +20,11 @@ from qmn.markov import (
     entropy,
     gibbs,
     is_markov_network,
+    log_gibbs,
     stabilizer_state,
 )
-from qmn.pauli import parse_sum, parse_term
-from qmn.tensor import SiteSpace, logm_pd
+from qmn.pauli import PauliTerm, parse_sum, parse_term
+from qmn.tensor import SiteSpace, SupportedOperator, expm_herm, logm_pd
 
 from helpers import (
     classical_cmi,
@@ -219,6 +222,52 @@ def test_gibbs_large_beta_is_stable():
     # beta -> inf projects onto the top eigenspace of H: span{|00>, |11>}
     assert rho.matrix[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert rho.matrix[3, 3] == pytest.approx(0.5, abs=1e-12)
+
+
+@st.composite
+def small_models(draw):
+    """Qubit chains of 2-4 sites, each edge a Pauli word or a dense Hermitian.
+
+    Every term has operator norm at most 1.5 and beta <= 1.5, so
+    beta * spread(H) stays below 14 and logm_pd of the Gibbs state keeps
+    enough digits to compare against.
+    """
+    n = draw(st.integers(2, 4))
+    terms = []
+    for i in range(1, n):
+        if draw(st.booleans()):
+            a, b = draw(st.tuples(st.sampled_from("XYZ"), st.sampled_from("XYZ")))
+            terms.append(PauliTerm.from_letters(draw(st.floats(-1.0, 1.0)),
+                                                {i: a, i + 1: b}))
+        else:
+            x = np.array(draw(st.lists(st.floats(-0.125, 0.125),
+                                       min_size=32, max_size=32)))
+            m = (x[:16] + 1j * x[16:]).reshape(4, 4)
+            terms.append(SupportedOperator((i, i + 1), m + m.conj().T))
+    beta = draw(st.floats(0.1, 1.5))
+    return ModelInstance(SiteSpace.qubits(n), chain_graph(n), tuple(terms), beta=beta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_models())
+def test_log_gibbs_matches_the_log_of_the_gibbs_state(model):
+    rho = gibbs(model).matrix
+    got = log_gibbs(model)
+    want = logm_pd(rho)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert np.abs(expm_herm(got) - rho).max() <= 1e-12
+
+
+def test_log_gibbs_has_no_positivity_floor():
+    model = families.ising_chain(6, beta=3.0)
+    rho = gibbs(model).matrix
+    with pytest.raises(PositivityViolationError):
+        logm_pd(rho)
+    got = log_gibbs(model)
+    # log rho - beta H is -log Z times the identity
+    diff = got - model.beta * model.hamiltonian()
+    assert np.abs(diff - diff[0, 0] * np.eye(64)).max() <= 1e-12
+    assert np.abs(expm_herm(got) - rho).max() <= 1e-12
 
 
 def test_model_instance_validation():
