@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Any, Sequence
 
@@ -124,9 +125,7 @@ def _term_from_json(entry: Any, idx: int, space: SiteSpace) -> PauliTerm | Suppo
             m = m + 1j * np.array(block["im"], dtype=float)
     except (TypeError, ValueError):
         raise ModelFormatError(f"{where}.matrix entries must be numeric arrays") from None
-    d = 1
-    for s in support:
-        d *= space.dim(s)
+    d = space.subspace(support).total_dim
     if m.shape != (d, d):
         raise ModelFormatError(
             f"{where}.matrix has shape {m.shape}; support {support} needs "
@@ -245,10 +244,6 @@ def _maybe_dot(model: ModelInstance, path: str | None) -> None:
             fh.write(to_dot(model.graph))
 
 
-def _sites(x) -> list[int]:
-    return sorted(x)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -282,13 +277,13 @@ def _cmd_cumulants(args) -> int:
     report = {
         "of": args.of,
         "total_norm_sq": total,
-        "supports": [{"sites": _sites(k), "norm_sq": exp.norm_sq(k)}
+        "supports": [{"sites": sorted(k), "norm_sq": exp.norm_sq(k)}
                      for k in listed],
         "parseval_gap": gap,
         "clique": {
             "pass": clique.passed,
             "off_clique_norm": clique.off_clique_norm,
-            "worst": _sites(clique.worst[0]) if clique.witnesses else None,
+            "worst": sorted(clique.worst[0]) if clique.witnesses else None,
         },
     }
     _emit(report, args.out)
@@ -300,12 +295,12 @@ def _classification_json(c) -> dict:
         "verdict": c.verdict,
         "pairwise_max": c.pairwise_max,
         "pairwise_worst": list(c.pairwise_worst) if c.pairwise_worst else None,
-        "partitions": [{"A": _sites(r.partition.a), "B": _sites(r.partition.b),
-                        "C": _sites(r.partition.c), "commuting": r.commuting,
+        "partitions": [{"A": sorted(r.partition.a), "B": sorted(r.partition.b),
+                        "C": sorted(r.partition.c), "commuting": r.commuting,
                         "commutator_norm": r.commutator_norm}
                        for r in c.records],
-        "witness": ({"A": _sites(c.witness.a), "B": _sites(c.witness.b),
-                     "C": _sites(c.witness.c)} if c.witness else None),
+        "witness": ({"A": sorted(c.witness.a), "B": sorted(c.witness.b),
+                     "C": sorted(c.witness.c)} if c.witness else None),
     }
 
 
@@ -370,8 +365,8 @@ def _demo_counterexample() -> int:
     ok &= _claim(lines, (pair - want).is_zero,
                  "[h_down, h_left] = -2i Z1 Z3 Z5, norm 2 > 1")
     rep = is_markov_network(gibbs(model), model.graph, tol=1e-9)
-    found = {(tuple(_sites(r.partition.a)), tuple(_sites(r.partition.b)),
-              tuple(_sites(r.partition.c))) for r in rep.records}
+    found = {(tuple(sorted(r.partition.a)), tuple(sorted(r.partition.b)),
+              tuple(sorted(r.partition.c))) for r in rep.records}
     expected = {((1,), (2, 4, 5), (3,)), ((2,), (1, 3, 5), (4,))}
     ok &= _claim(lines, rep.passed and found == expected,
                  f"Gibbs state is Markov over exactly the two spanning "
@@ -395,7 +390,7 @@ def _demo_coarse_grain() -> int:
     merged = coarse_grain_model(model, {5: 1})
     lines: list[str] = []
     ok = True
-    sups = sorted(tuple(_sites(merged.term_support(t))) for t in merged.terms)
+    sups = sorted(tuple(sorted(merged.term_support(t))) for t in merged.terms)
     ok &= _claim(lines, sups == [(1, 2, 3), (1, 3, 4)],
                  f"merging 5 into 1 leaves two grouped terms on {sups}")
     pairs_zero = all(
@@ -411,7 +406,10 @@ def _demo_coarse_grain() -> int:
 
 
 def _demo_tiling(rows: int, cols: int) -> int:
-    model = families.tiling_model(rows, cols, merged=True)
+    try:
+        model = families.tiling_model(rows, cols, merged=True)
+    except ValueError as e:
+        raise ModelFormatError(str(e)) from None
     lines: list[str] = []
     c = classify(model)
     ok = _claim(
@@ -429,37 +427,40 @@ def _cmd_demo(args) -> int:
         return _demo_counterexample()
     if name == "coarse-grain":
         return _demo_coarse_grain()
-    if name.startswith("tiling"):
-        shape = args.shape or (name.split(None, 1)[1] if " " in name else "3x3")
-        try:
-            rows, cols = (int(x) for x in shape.lower().split("x"))
-        except ValueError:
-            raise ModelFormatError(f"tiling shape {shape!r} is not RxC") from None
-        return _demo_tiling(rows, cols)
+    if name == "tiling":
+        return _demo_tiling(*_shape(args.shape or "3x3"))
     raise ModelFormatError(f"unknown demo {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # generators
 
+def _shape(text: str) -> tuple[int, int]:
+    """Rows and columns of a tiling size ``RxC``, both at least 1."""
+    match = re.fullmatch(r"([1-9][0-9]*)x([1-9][0-9]*)", text.lower())
+    if not match:
+        raise ModelFormatError(f"tiling shape {text!r} is not RxC with R, C >= 1")
+    return int(match[1]), int(match[2])
+
+
 def _cmd_generate(args) -> int:
-    rng = np.random.default_rng(args.seed)
     fam = args.family
-    if fam == "cell":
-        model = families.cell_model(beta=args.beta)
-    elif fam == "noncommuting-chain":
-        model = families.noncommuting_chain(beta=args.beta)
-    elif fam == "ising":
-        model = families.ising_chain(args.sites, beta=args.beta)
-    elif fam == "tiling":
-        rows, cols = (int(x) for x in args.shape.lower().split("x"))
-        model = families.tiling_model(rows, cols, beta=args.beta)
-    elif fam == "random-commuting":
-        model = families.random_commuting_model(rng, max_sites=args.sites)
-    elif fam == "theorem4":
-        model = families.theorem4_model(args.kind, rng)
-    else:
-        raise ModelFormatError(f"unknown family {fam!r}")
+    try:
+        rng = np.random.default_rng(args.seed)
+        if fam == "cell":
+            model = families.cell_model(beta=args.beta)
+        elif fam == "noncommuting-chain":
+            model = families.noncommuting_chain(beta=args.beta)
+        elif fam == "ising":
+            model = families.ising_chain(args.sites, beta=args.beta)
+        elif fam == "tiling":
+            model = families.tiling_model(*_shape(args.shape), beta=args.beta)
+        elif fam == "random-commuting":
+            model = families.random_commuting_model(rng, max_sites=args.sites)
+        else:  # theorem4, the last of the parser's choices
+            model = families.theorem4_model(args.kind, rng)
+    except ValueError as e:
+        raise ModelFormatError(str(e)) from None
     _maybe_dot(model, args.dot)
     _emit(model_to_json(model), args.out)
     return EXIT_PASS

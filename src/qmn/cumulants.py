@@ -30,6 +30,7 @@ from .tensor import (
     SupportedOperator,
     check_hermitian,
     embed,
+    embed_sum,
     partial_trace,
 )
 
@@ -134,8 +135,7 @@ class CumulantExpansion:
         key = frozenset(region)
         if key in self.entries:
             return self.entries[key]
-        sub = self.space.subspace(key)
-        d = sub.total_dim
+        d = self.space.subspace(key).total_dim
         return SupportedOperator(tuple(sorted(key)), np.zeros((d, d), dtype=complex))
 
     def norm_sq(self, region: Iterable[int]) -> float:
@@ -154,11 +154,7 @@ class CumulantExpansion:
         return abs(kept - self.total_norm_sq)
 
     def reconstruct(self) -> np.ndarray:
-        d = self.space.total_dim
-        out = np.zeros((d, d), dtype=complex)
-        for op in self.entries.values():
-            out += embed(op, self.space)
-        return out
+        return embed_sum(self.entries.values(), self.space)
 
 
 def expand(matrix: np.ndarray, space: SiteSpace,

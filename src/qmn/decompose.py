@@ -52,6 +52,7 @@ from .tensor import (
     SiteSpace,
     SupportedOperator,
     embed,
+    embed_sum,
     expm_herm,
     hs_norm,
     op_schmidt,
@@ -122,11 +123,7 @@ def _best_grouping(items: Iterable[tuple[frozenset[int], Operand]],
     def half(parts: list[Operand], sites: tuple[int, ...]) -> Operand:
         if symbolic:
             return PauliSum(tuple(t for s in parts for t in s.terms))
-        sub = space.subspace(sites)
-        out = np.zeros((sub.total_dim, sub.total_dim), dtype=complex)
-        for op in parts:
-            out += embed(op, sub)
-        return SupportedOperator(sites, out)
+        return SupportedOperator(sites, embed_sum(parts, space.subspace(sites)))
 
     def grouping(mask: int) -> tuple[Operand, Operand, float]:
         ab, bc = list(side_ab), list(side_bc)
@@ -414,11 +411,7 @@ class CommutingDecomposition:
         return tuple(vs + es)
 
     def reconstruct(self) -> np.ndarray:
-        d = self.space.total_dim
-        out = np.zeros((d, d), dtype=complex)
-        for op in self.terms():
-            out += embed(op, self.space)
-        return out
+        return embed_sum(self.terms(), self.space)
 
     def to_model(self) -> ModelInstance:
         return ModelInstance(self.space, self.graph, self.terms(), beta=1.0)
@@ -465,8 +458,8 @@ def theorem4_decompose(log_rho: np.ndarray, space: SiteSpace, graph: Graph,
     n = len(space.sites)
     k0 = float(exp.operator(()).matrix[0, 0].real)
     vertex_terms: dict[int, SupportedOperator] = {}
-    edge_terms: dict[tuple[int, int], np.ndarray] = {
-        e: op.matrix.copy() for e, op in edge_cumulants.items()}
+    pulls: dict[tuple[int, int], list[SupportedOperator]] = {
+        e: [] for e in edge_cumulants}
     for u in sorted(graph.vertices):
         k_u = exp.operator((u,))
         local = {v: edge_cumulants[e] for e in edge_cumulants
@@ -475,11 +468,11 @@ def theorem4_decompose(log_rho: np.ndarray, space: SiteSpace, graph: Graph,
         shift = (k0 / n) * np.eye(space.dim(u), dtype=complex)
         vertex_terms[u] = SupportedOperator((u,), star.vertex_term.matrix + shift)
         for v, g in star.pulls.items():
-            e = tuple(sorted((u, v)))
-            sub = space.subspace(e)
-            edge_terms[e] = edge_terms[e] + embed(g, sub)
+            pulls[tuple(sorted((u, v)))].append(g)
 
-    final_edges = {e: SupportedOperator(e, m) for e, m in edge_terms.items()}
+    final_edges = {
+        e: SupportedOperator(e, embed_sum([k_uv, *pulls[e]], space.subspace(e)))
+        for e, k_uv in edge_cumulants.items()}
     dec = CommutingDecomposition(space, graph, vertex_terms, final_edges,
                                  0.0, 0.0)
     rep = pairwise_commutation(dec.terms(), space, rtol=support_rtol)

@@ -165,6 +165,8 @@ def random_commuting_model(rng: np.random.Generator, max_sites: int = 7,
     All terms are diagonal after undoing one product unitary, so they
     commute pairwise no matter which cliques were drawn.
     """
+    if max_sites < 4:
+        raise ValueError(f"random commuting models need max_sites >= 4, got {max_sites}")
     n = int(rng.integers(4, max_sites + 1))
     vs = list(range(1, n + 1))
     edges = [(u, v) for k, u in enumerate(vs) for v in vs[k + 1:]

@@ -27,15 +27,31 @@ from .tensor import (
     SupportedOperator,
     check_hermitian,
     dense_cap,
-    embed,
+    embed_sum,
     partial_trace,
 )
 
 EIGENVALUE_FLOOR = -1e-10
 TRACE_ATOL = 1e-10
+ENTROPY_TRACE_ATOL = 1e-8
 DEFAULT_CMI_TOL = 1e-8
 
 Term = Union[PauliSum, PauliTerm, SupportedOperator]
+
+
+def _checked_spectrum(matrix: np.ndarray, trace_atol: float, trace_error: str,
+                      floor_error: str) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrized matrix and ascending eigenvalues after the Hermitian, trace
+    and ``EIGENVALUE_FLOOR`` checks; error texts take ``tr`` and ``w``."""
+    m = check_hermitian(matrix)
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > trace_atol:
+        raise DimensionMismatchError(trace_error.format(tr=tr))
+    w = np.linalg.eigvalsh(m)
+    if w[0] < EIGENVALUE_FLOOR:
+        raise PositivityViolationError(floor_error.format(w=w[0]),
+                                       min_eigenvalue=float(w[0]))
+    return m, w
 
 
 @dataclass(frozen=True)
@@ -46,19 +62,14 @@ class DensityMatrix:
     space: SiteSpace
 
     def __post_init__(self):
-        m = check_hermitian(self.matrix)
+        shape = np.shape(self.matrix)
         d = self.space.total_dim
-        if m.shape != (d, d):
+        if shape != (d, d):
             raise DimensionMismatchError(
-                f"state of shape {m.shape} does not match space dim {d}")
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise DimensionMismatchError(f"state trace {tr!r} is not 1")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < EIGENVALUE_FLOOR:
-            raise PositivityViolationError(
-                f"state has eigenvalue {w[0]:.3e} below floor {EIGENVALUE_FLOOR:.0e}",
-                min_eigenvalue=float(w[0]))
+                f"state of shape {shape} does not match space dim {d}")
+        m, _ = _checked_spectrum(
+            self.matrix, TRACE_ATOL, "state trace {tr!r} is not 1",
+            f"state has eigenvalue {{w:.3e}} below floor {EIGENVALUE_FLOOR:.0e}")
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -77,22 +88,16 @@ class DensityMatrix:
         return DensityMatrix(red.matrix, self.space.subspace(red.support))
 
 
-def entropy(matrix: np.ndarray, trace_atol: float = 1e-8) -> float:
+def entropy(matrix: np.ndarray) -> float:
     """Von Neumann entropy in nats of a unit-trace positive matrix.
 
     Eigenvalues in [-1e-10, 0) are clipped to zero; anything lower, or a
-    trace away from 1 beyond ``trace_atol``, is an error rather than a guess.
+    trace away from 1 beyond ``ENTROPY_TRACE_ATOL``, is an error rather than
+    a guess.
     """
-    m = check_hermitian(matrix)
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > trace_atol:
-        raise DimensionMismatchError(f"entropy input has trace {tr!r}, expected 1")
-    w = np.linalg.eigvalsh(m)
-    if w[0] < EIGENVALUE_FLOOR:
-        raise PositivityViolationError(
-            f"entropy input has eigenvalue {w[0]:.3e} below floor",
-            min_eigenvalue=float(w[0]))
-    w = np.clip(w, 0.0, None)
+    _, w = _checked_spectrum(
+        matrix, ENTROPY_TRACE_ATOL, "entropy input has trace {tr!r}, expected 1",
+        "entropy input has eigenvalue {w:.3e} below floor")
     nz = w[w > 0.0]
     return float(-np.sum(nz * np.log(nz)))
 
@@ -262,10 +267,7 @@ class ModelInstance:
             raise DenseCapError(
                 f"model dimension {d} exceeds dense cap {dense_cap()} "
                 f"(set QMN_DENSE_CAP to override)")
-        h = np.zeros((d, d), dtype=complex)
-        for t in self.terms:
-            h += embed(self.term_operator(t), self.space)
-        return h
+        return embed_sum((self.term_operator(t) for t in self.terms), self.space)
 
     def all_pauli(self) -> bool:
         return all(isinstance(t, (PauliSum, PauliTerm)) for t in self.terms)

@@ -5,6 +5,11 @@ dimensional sites.  A :class:`SupportedOperator` pairs a matrix with the
 sorted tuple of site ids it acts on; everything else (embedding, partial
 trace, spectral calculus, operator Schmidt decomposition) is a plain
 function on numpy arrays.
+
+Embedding and partial trace are adjoint and share one einsum layout of a
+full-space matrix, in which every site outside a chosen set carries one
+label on its row and its column axis: summing those labels traces the sites
+out, keeping them gives the writeable view an embedded operator fills.
 """
 
 from __future__ import annotations
@@ -104,9 +109,6 @@ class SiteSpace:
         chosen = sorted(set(sites))
         return SiteSpace(tuple(chosen), tuple(self.dim(s) for s in chosen))
 
-    def dim_of(self, sites: Iterable[int]) -> int:
-        return math.prod(self.dim(s) for s in set(sites))
-
 
 @dataclass(frozen=True)
 class SupportedOperator:
@@ -147,16 +149,12 @@ def supported(space: SiteSpace, sites: Sequence[int], matrix: np.ndarray) -> Sup
         raise UnknownSiteError("support sites must be distinct")
     dims = [space.dim(s) for s in sites]
     m = np.asarray(matrix, dtype=complex)
-    want = math.prod(dims) if sites else 1
+    want = math.prod(dims)
     if m.shape != (want, want):
         raise DimensionMismatchError(
             f"operator on sites {sites} (dims {dims}) must be {want}x{want}, got {m.shape}")
     order = sorted(range(len(sites)), key=lambda k: sites[k])
-    if order == list(range(len(sites))):
-        return SupportedOperator(sites, m)
-    t = m.reshape(dims + dims)
-    perm = order + [len(sites) + k for k in order]
-    t = t.transpose(perm)
+    t = m.reshape(dims + dims).transpose(order + [len(sites) + k for k in order])
     return SupportedOperator(tuple(sorted(sites)), t.reshape(want, want))
 
 
@@ -170,52 +168,57 @@ def kron(*matrices: np.ndarray) -> np.ndarray:
     return out
 
 
+def _site_labels(space: SiteSpace, sites: Iterable[int]
+                 ) -> tuple[list[int], list[int], list[int]]:
+    """Einsum sublists ``(axes, inner, outer)`` for a matrix shaped ``space.dims * 2``.
+
+    ``axes`` labels the row then the column axes, each site outside ``sites``
+    using its row label on both; ``inner`` holds the row then the column
+    labels of ``sites``, ``outer`` the shared labels of the rest.
+    """
+    n = len(space.sites)
+    ins = [space.axis(s) for s in sorted(set(sites))]
+    outer = [k for k in range(n) if k not in ins]
+    axes = list(range(n)) + [k if k in outer else n + k for k in range(n)]
+    return axes, ins + [n + k for k in ins], outer
+
+
+def embed_sum(ops: Iterable[SupportedOperator], space: SiteSpace) -> np.ndarray:
+    """Sum of operators embedded into the full space (identity on the other sites).
+
+    Each operator is added, in order, into the block-diagonal view of a
+    zero matrix that its support occupies; no full-size temporary is made.
+    """
+    d = space.total_dim
+    out = np.zeros((d, d), dtype=complex)
+    full = out.reshape(space.dims * 2)
+    for op in ops:
+        axes, inner, outer = _site_labels(space, op.support)
+        dims = [space.dim(s) for s in op.support]
+        if op.dim != math.prod(dims):
+            raise DimensionMismatchError(
+                f"operator dim {op.dim} does not match dims of sites {op.support} in space")
+        view = np.einsum(full, axes, outer + inner)
+        view += op.matrix.reshape(dims * 2)
+    return out
+
+
 def embed(op: SupportedOperator, space: SiteSpace) -> np.ndarray:
     """Embed an operator into the full space (identity on the other sites)."""
-    for s in op.support:
-        if s not in space:
-            raise UnknownSiteError(f"support site {s} not in space {space.sites}")
-    want = space.dim_of(op.support) if op.support else 1
-    if op.dim != want:
-        raise DimensionMismatchError(
-            f"operator dim {op.dim} does not match dims of sites {op.support} in space")
-    comp = [s for s in space.sites if s not in op.support]
-    if not comp:
-        return op.matrix.copy()
-    rest = math.prod(space.dim(s) for s in comp)
-    full = np.kron(op.matrix, np.eye(rest, dtype=complex))
-    order = list(op.support) + comp
-    dims_order = [space.dim(s) for s in order]
-    pos = {s: k for k, s in enumerate(order)}
-    perm = [pos[s] for s in space.sites]
-    n = len(order)
-    t = full.reshape(dims_order + dims_order)
-    t = t.transpose(perm + [n + p for p in perm])
-    d = space.total_dim
-    return np.ascontiguousarray(t.reshape(d, d))
+    return embed_sum((op,), space)
 
 
 def partial_trace(matrix: np.ndarray, space: SiteSpace, keep: Iterable[int]) -> SupportedOperator:
     """Trace out every site not in ``keep``; result lives on the kept sites."""
     keep = sorted(set(keep))
-    for s in keep:
-        if s not in space:
-            raise UnknownSiteError(f"keep site {s} not in space {space.sites}")
+    axes, inner, _ = _site_labels(space, keep)
     m = np.asarray(matrix, dtype=complex)
     d = space.total_dim
     if m.shape != (d, d):
         raise DimensionMismatchError(f"matrix shape {m.shape} does not match space dim {d}")
-    n = len(space.sites)
-    t = m.reshape(space.dims + space.dims)
-    remaining = list(range(n))
-    for axis in reversed(range(n)):
-        if space.sites[axis] in keep:
-            continue
-        pos = remaining.index(axis)
-        t = np.trace(t, axis1=pos, axis2=pos + len(remaining))
-        remaining.pop(pos)
-    dk = math.prod(space.dim(s) for s in keep) if keep else 1
-    return SupportedOperator(tuple(keep), np.asarray(t).reshape(dk, dk))
+    dk = math.prod(space.dim(s) for s in keep)
+    red = np.einsum(m.reshape(space.dims * 2), axes, inner)
+    return SupportedOperator(tuple(keep), np.reshape(red, (dk, dk)))
 
 
 def check_hermitian(matrix: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Independent oracle implementations used to cross-check the library.
 
 Everything here deliberately avoids the code paths under test: partial
-traces are explicit index sums, the matrix exponential is a Taylor series
-with scaling and squaring, Pauli words are built by literal Kronecker
-products, and graph shielding is a breadth-first component search.
+traces are explicit index sums, embeddings are Kronecker products with the
+identity followed by an axis permutation, the matrix exponential is a
+Taylor series with scaling and squaring, Pauli words are built by literal
+Kronecker products, and graph shielding is a breadth-first component search.
 """
 
 from __future__ import annotations
@@ -51,6 +52,23 @@ def ptrace_indexsum(m: np.ndarray, dims: list[int], keep_axes: list[int]) -> np.
             out[flat(row_keep, keep_dims), flat(col_keep, keep_dims)] += \
                 m[flat(row, dims), flat(tuple(col), dims)]
     return out
+
+
+def embed_kron(op, space) -> np.ndarray:
+    """Embed ``op`` (support, matrix) into ``space`` (sites, dims) by a
+    Kronecker product with the identity on the other sites, then an axis
+    permutation back to ascending site order."""
+    dim = dict(zip(space.sites, space.dims))
+    comp = [s for s in space.sites if s not in op.support]
+    rest = math.prod(dim[s] for s in comp)
+    full = np.kron(op.matrix, np.eye(rest, dtype=complex))
+    order = list(op.support) + comp
+    dims_order = [dim[s] for s in order]
+    perm = [order.index(s) for s in space.sites]
+    n = len(order)
+    t = full.reshape(dims_order + dims_order).transpose(perm + [n + p for p in perm])
+    d = math.prod(space.dims)
+    return np.ascontiguousarray(t.reshape(d, d))
 
 
 def expm_taylor(m: np.ndarray) -> np.ndarray:

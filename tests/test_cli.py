@@ -424,6 +424,21 @@ def test_cli_bad_model_is_exit_1(tmp_path, capsys):
     assert "terms[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "tiling", "--shape", "foo"],
+    ["generate", "tiling", "--shape", "0x2"],
+    ["generate", "ising", "--sites", "1"],
+    ["generate", "random-commuting", "--sites", "3"],
+    ["demo", "tiling", "0x0"],
+    ["demo", "tilingfoo"],
+])
+def test_cli_bad_family_input_is_exit_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def pauli_on(tmp_path, qubit):
     ids = sorted([0, qubit])
     return write(tmp_path / f"q{qubit}.json", {

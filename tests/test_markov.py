@@ -185,6 +185,36 @@ def test_markov_network_modes_and_validation():
     assert not rep_all.passed
 
 
+@st.composite
+def random_states_on_graphs(draw):
+    """Random graphs on 3-5 vertices with at most n edges, site dims 2-3,
+    random full-rank states mixed with the identity so that CMIs land on
+    both sides of the drawn tolerance."""
+    n = draw(st.integers(3, 5))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n))
+    graph = Graph.from_edges(edges, vertices=range(1, n + 1))
+    space = SiteSpace(tuple(range(1, n + 1)),
+                      tuple(draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))))
+    d = space.total_dim
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    rho = DensityMatrix(p * random_density(rng, d) + (1 - p) * np.eye(d) / d, space)
+    return rho, graph, draw(st.sampled_from([1e-8, 1e-3, 1e-2, 1e-1]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_states_on_graphs())
+def test_spanning_and_all_partitions_agree(case):
+    # "all" also enumerates every spanning partition, and strong
+    # subadditivity bounds each non-spanning CMI by a spanning one
+    rho, graph, tol = case
+    spanning = is_markov_network(rho, graph, tol=tol, mode="spanning")
+    every = is_markov_network(rho, graph, tol=tol, mode="all")
+    assert spanning.passed == every.passed
+    assert abs(spanning.max_cmi - every.max_cmi) <= 1e-12
+
+
 def test_gibbs_matches_taylor_oracle():
     space = SiteSpace.qubits(3)
     model = ModelInstance(space, chain_graph(3),

@@ -1,15 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    X2, Y2, Z2, expm_taylor, ptrace_indexsum, random_density, random_hermitian,
+    X2, Y2, Z2, embed_kron, expm_taylor, ptrace_indexsum, random_density,
+    random_hermitian,
 )
 from qmn.errors import (
     DimensionMismatchError, NonHermitianError, PositivityViolationError, UnknownSiteError,
 )
 from qmn.tensor import (
-    SiteSpace, SupportedOperator, embed, expm_herm, func_herm, herm_eig, hs_inner,
-    hs_norm, kron, logm_pd, op_schmidt, partial_trace, supported,
+    SiteSpace, SupportedOperator, embed, embed_sum, expm_herm, func_herm, herm_eig,
+    hs_inner, hs_norm, kron, logm_pd, op_schmidt, partial_trace, supported,
 )
 
 
@@ -107,6 +111,52 @@ def test_partial_trace_of_embedding_scales_identity():
     red = partial_trace(full, sp, [1, 3])
     assert np.allclose(red.matrix, 2 * np.kron(X2, Y2))
     assert np.allclose(partial_trace(full, sp, [2]).matrix, np.zeros((2, 2)))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A space of 1-5 gapped site ids with dims in {2, 3, 4} (total at most
+    96), one to three random operators on drawn supports, a random
+    full-space matrix and a kept set; supports and kept sets may be empty
+    or the whole space."""
+    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True))
+    dims, total = [], 1
+    for left in reversed(range(len(ids))):
+        d = draw(st.sampled_from([d for d in (2, 3, 4) if total * d * 2 ** left <= 96]))
+        dims.append(d)
+        total *= d
+    space = SiteSpace(tuple(sorted(ids)), tuple(dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def matrix(d):
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    subsets = st.sets(st.sampled_from(space.sites)).map(sorted)
+    ops = []
+    for support in draw(st.lists(subsets, min_size=1, max_size=3)):
+        ops.append(SupportedOperator(
+            tuple(support), matrix(math.prod(space.dim(s) for s in support))))
+    return space, ops, matrix(total), draw(subsets)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kernel_cases())
+def test_embed_and_partial_trace_match_references_and_are_adjoint(case):
+    space, ops, m, keep = case
+    refs = [embed_kron(op, space) for op in ops]
+    assert np.array_equal(embed(ops[0], space), refs[0])
+    assert np.array_equal(embed_sum(ops, space), sum(refs))
+
+    got = partial_trace(m, space, keep)
+    want = ptrace_indexsum(m, list(space.dims), [space.axis(s) for s in keep])
+    assert got.support == tuple(keep)
+    assert np.allclose(got.matrix, want, rtol=0, atol=1e-12 * hs_norm(m))
+
+    # Tr(embed(A) M) = Tr(A partial_trace(M, supp A))
+    a = ops[0]
+    lhs = np.sum(refs[0] * m.T)
+    rhs = np.sum(a.matrix * partial_trace(m, space, a.support).matrix.T)
+    assert abs(lhs - rhs) <= 1e-12 * hs_norm(refs[0]) * hs_norm(m)
 
 
 def test_herm_eig_rejects_non_hermitian():
