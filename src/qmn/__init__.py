@@ -16,6 +16,7 @@ from .decompose import (
     gibbs_factors,
     split_shield,
     theorem4_decompose,
+    verify_gibbs,
 )
 from .errors import QmnError
 from .graphs import Graph, Partition, spanning_shield_partitions
@@ -69,5 +70,6 @@ __all__ = [
     "stabilizer_state",
     "theorem4_decompose",
     "verify_clique_support",
+    "verify_gibbs",
     "__version__",
 ]

@@ -18,9 +18,17 @@ separate real and imaginary parts and must be Hermitian after scaling by
 log Z 1, exact and with no positivity floor; ``--of hamiltonian`` (beta H)
 differs from it only in the empty-support (scalar) component.
 
+``verify-markov`` answers by certificate before it builds any state: an
+all-Pauli model that ``classify`` finds LocalCommuting or
+ShieldCommutingOnly has every CMI exactly 0 (see ``decompose.py``), and
+the report says ``"route": "certificate"``.  Every other model, and
+``--route dense``, takes the dense CMI sweep (``"route": "dense"``).
+
 Exit codes: 0 when the command's claim holds, 2 when it fails (not Markov,
 not decomposable, off-clique weight, NotShieldCommuting), 1 on usage or
-data errors.
+data errors, 3 when a valid input hit a limit and got no verdict (the
+dense cap, the partition or grouping enumeration cap, a state below the
+positivity floor).
 """
 
 from __future__ import annotations
@@ -40,22 +48,27 @@ from .decompose import (
     classify,
     coarse_grain_model,
     theorem4_decompose,
+    verify_gibbs,
 )
 from .errors import (
     DecompositionResidualError,
+    DenseCapError,
+    EnumerationCapError,
     ModelFormatError,
     NotMarkovError,
     NotTriangleFreeError,
+    PositivityViolationError,
     QmnError,
 )
 from .graphs import Graph, to_dot
-from .markov import ModelInstance, gibbs, is_markov_network, log_gibbs
+from .markov import MarkovReport, ModelInstance, gibbs, is_markov_network, log_gibbs
 from .pauli import QUBIT_ID_LIMIT, PauliSum, PauliTerm, as_sum, commutator
 from .tensor import SiteSpace, SupportedOperator
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_FAIL = 2
+EXIT_LIMIT = 3
 
 _LETTERS = frozenset("IXYZ")
 
@@ -254,11 +267,19 @@ def _cmd_verify_markov(args) -> int:
                               beta=args.beta,
                               site_composition=model.site_composition)
     _maybe_dot(model, args.dot)
-    rho = gibbs(model)
-    rep = is_markov_network(rho, model.graph, tol=args.tol,
-                            mode=args.partitions)
-    _emit(rep.to_json_dict(), args.out)
+    rep = verify_gibbs(model, tol=args.tol, mode=args.partitions, route=args.route)
+    _emit(_markov_json(rep), args.out)
     return EXIT_PASS if rep.passed else EXIT_FAIL
+
+
+def _markov_json(rep: MarkovReport) -> dict:
+    """The report's partitions and verdict, with the route, tolerance and
+    mode that produced them, and the certifying classify verdict if any."""
+    doc = rep.to_json_dict() | {"route": rep.route, "tolerance": rep.tolerance,
+                                "mode": rep.mode}
+    if rep.certificate is not None:
+        doc["certificate"] = rep.certificate
+    return doc
 
 
 def _cmd_cumulants(args) -> int:
@@ -492,6 +513,9 @@ def _build_parser() -> _Parser:
                       "of the Gibbs state")
     c.add_argument("--tol", type=float, default=markov.DEFAULT_CMI_TOL)
     c.add_argument("--partitions", choices=("spanning", "all"), default="spanning")
+    c.add_argument("--route", choices=("auto", "dense"), default="auto",
+                   help="auto: a commutation certificate first, the dense CMI "
+                        "sweep otherwise; dense: always the sweep")
     c.add_argument("--beta", type=float, default=None,
                    help="override the file's inverse-temperature factor")
     c.set_defaults(func=_cmd_verify_markov)
@@ -556,6 +580,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ModelFormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    except (DenseCapError, EnumerationCapError, PositivityViolationError) as e:
+        print(f"error: {type(e).__name__}: {e} (a limit, no verdict)", file=sys.stderr)
+        return EXIT_LIMIT
     except QmnError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -19,6 +19,19 @@ inside the shield are searched, default first.  ``split_shield`` runs it on
 the cumulants of an operator, ``classify`` on the terms of a model.  The
 star decomposition solves each Hermitian commutant directly, as the real
 null space of X -> [X, g] in a Hermitian basis of the site.
+
+The same engine answers the Markov question for Gibbs states, which is the
+paper's theorem.  When a commuting grouping H = H_AB + H_BC exists across a
+spanning shielding partition, e^{beta H} factors into commuting halves, B
+splits into blocks B_j^L (x) B_j^R (Bravyi & Vyalyi, quant-ph/0308021),
+and I(A:C|B) = 0 exactly at every beta (Hayden, Jozsa, Petz & Winter,
+quant-ph/0304007).  A ``LocalCommuting`` or ``ShieldCommutingOnly``
+verdict on a Pauli model, whose commutators cancel symbolically, is such a
+grouping on every spanning partition; every shielding partition extends to
+a spanning one, and strong subadditivity gives I(A:C|B) <= I(AA':CC'|B) =
+0, so it certifies ``--partitions all`` too.  ``verify_gibbs`` reports that
+certificate and builds no state; every other model takes the dense CMI
+sweep of ``markov.is_markov_network``.
 """
 
 from __future__ import annotations
@@ -44,9 +57,17 @@ from .graphs import (
     cliques,
     coarse_grain,
     is_triangle_free,
+    shield_partitions,
     spanning_shield_partitions,
 )
-from .markov import ModelInstance
+from .markov import (
+    DEFAULT_CMI_TOL,
+    MarkovReport,
+    ModelInstance,
+    PartitionRecord,
+    gibbs,
+    is_markov_network,
+)
 from .pauli import PauliSum, as_sum, commutator
 from .tensor import (
     SiteSpace,
@@ -269,7 +290,8 @@ class Classification:
 
 
 def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL,
-             search_cap: int = SPLIT_SEARCH_CAP) -> Classification:
+             search_cap: int = SPLIT_SEARCH_CAP,
+             partitions: Iterable[Partition] | None = None) -> Classification:
     """Sort a model into one of three commutation classes.
 
     ``LocalCommuting``: the given terms already commute pairwise.
@@ -282,6 +304,8 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL,
     commutes only when its commutator cancels exactly; dense terms are
     held to ``rtol``.  Only the pairwise stage runs for locally commuting
     models, so those are classified symbolically at any system size.
+    ``partitions`` passes the spanning shielding partitions when the caller
+    has listed them already; their order sets the records' order.
     """
     symbolic = model.all_pauli()
     ops = [as_sum(t) if symbolic else model.term_operator(t) for t in model.terms]
@@ -292,7 +316,9 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL,
              for t, op in zip(model.terms, ops)]
     tol = 0.0 if symbolic else rtol
     records = []
-    for p in spanning_shield_partitions(model.graph):
+    if partitions is None:
+        partitions = spanning_shield_partitions(model.graph)
+    for p in partitions:
         norm = _best_grouping(keyed, p, model.space, tol, search_cap, symbolic)[2]
         records.append(ShieldRecord(p, norm <= tol, norm))
         if norm > tol:
@@ -300,6 +326,36 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL,
                                   tuple(records), p)
     return Classification(SHIELD_COMMUTING_ONLY, pair.max_norm, pair.worst,
                           tuple(records), None)
+
+
+def verify_gibbs(model: ModelInstance, tol: float = DEFAULT_CMI_TOL,
+                 mode: str = "spanning", route: str = "auto",
+                 search_cap: int = SPLIT_SEARCH_CAP) -> MarkovReport:
+    """Markov check of a model's Gibbs state, by certificate when one exists.
+
+    ``route="auto"`` first classifies an all-Pauli model symbolically.  A
+    ``LocalCommuting`` or ``ShieldCommutingOnly`` verdict proves every CMI
+    of the ``mode``'s partitions exactly 0 at every beta (see the module
+    docstring), so the report lists them with CMI 0.0 and builds no state.
+    A model with a dense term, a ``NotShieldCommuting`` verdict (which
+    proves nothing by itself) or a grouping search past ``search_cap``
+    falls through to the dense CMI sweep, which ``route="dense"`` forces.
+    """
+    if route not in ("auto", "dense"):
+        raise ValueError(f"route must be 'auto' or 'dense', got {route!r}")
+    parts = None
+    if route == "auto" and model.all_pauli():
+        parts = shield_partitions(model.graph, mode)
+        spanning = set(model.space.sites)
+        try:
+            verdict = classify(model, search_cap=search_cap, partitions=(
+                p for p in parts if p.union == spanning)).verdict
+        except EnumerationCapError:  # no grouping search, no certificate
+            verdict = None
+        if verdict in (LOCAL_COMMUTING, SHIELD_COMMUTING_ONLY):
+            records = tuple(PartitionRecord(p, 0.0, 0.0 <= tol) for p in parts)
+            return MarkovReport(records, 0.0, tol, mode, "certificate", verdict)
+    return is_markov_network(gibbs(model), model.graph, tol, mode, partitions=parts)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,24 @@ def shields(graph: Graph, p: Partition) -> bool:
     return True
 
 
+def _partitions(vs: list[int], rows: np.ndarray) -> Iterator[Partition]:
+    """Partitions of assignment rows (0=A, 1=B, 2=C, anything else: left out)."""
+    for row in rows.tolist():
+        groups: tuple[list[int], ...] = ([], [], [], [])
+        for v, g in zip(vs, row):
+            groups[g].append(v)
+        yield Partition(*map(frozenset, groups[:3]))
+
+
+def _canonical(digits: np.ndarray) -> np.ndarray:
+    """Mask of the rows with nonempty A and C whose smallest A|C vertex
+    lies in A (deduplicates the A/C swap)."""
+    in_a = digits == 0
+    first = np.argmax(in_a | (digits == 2), axis=1)
+    return (in_a[np.arange(len(digits)), first]
+            & (digits == 2).any(axis=1))
+
+
 def spanning_shield_partitions(graph: Graph, cap: int = ENUMERATION_CAP) -> Iterator[Partition]:
     """Stream all spanning shielding partitions in canonical orientation.
 
@@ -187,43 +205,63 @@ def spanning_shield_partitions(graph: Graph, cap: int = ENUMERATION_CAP) -> Iter
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = (codes[:, None] // powers[None, :]) % 3  # (m, n) in {0=A,1=B,2=C}
-        ok = np.ones(len(codes), dtype=bool)
-        ok &= (digits == 0).any(axis=1)
-        ok &= (digits == 2).any(axis=1)
+        ok = _canonical(digits)
         for iu, iv in edge_idx:
             ok &= ~((digits[:, iu] == 0) & (digits[:, iv] == 2))
             ok &= ~((digits[:, iu] == 2) & (digits[:, iv] == 0))
-        # canonical orientation: smallest vertex not assigned to B lies in A
-        non_b = digits != 1
-        first = np.argmax(non_b, axis=1)
-        ok &= digits[np.arange(len(codes)), first] == 0
-        for row in digits[ok]:
-            a = frozenset(vs[k] for k in range(n) if row[k] == 0)
-            b = frozenset(vs[k] for k in range(n) if row[k] == 1)
-            c = frozenset(vs[k] for k in range(n) if row[k] == 2)
-            yield Partition(a, b, c)
+        yield from _partitions(vs, digits[ok])
 
 
 def all_shield_partitions(graph: Graph, cap: int = 10) -> Iterator[Partition]:
     """Stream all shielding partitions, spanning or not (audit mode).
 
-    Enumerates 4^n assignments (the fourth value leaves a vertex out) and
-    applies the general component-based shielding check.
+    Walks the 4^n assignments (0=A, 1=B, 2=C, 3=left out) in the order of
+    ``itertools.product`` over the sorted vertices (first vertex most
+    significant), in chunks.  Keeps those in canonical orientation (nonempty
+    A and C, smallest A|C vertex in A) from whose A no path avoiding B
+    reaches C: reach spreads from A along edges into vertices outside B
+    until it stops growing, and must then miss C.
     """
     vs = sorted(graph.vertices)
     n = len(vs)
     if n > cap:
         raise EnumerationCapError(
             f"full partition enumeration needs 4^{n} assignments; cap is 4^{cap}")
-    for assign in itertools.product((0, 1, 2, 3), repeat=n):
-        a = frozenset(v for v, k in zip(vs, assign) if k == 0)
-        c = frozenset(v for v, k in zip(vs, assign) if k == 2)
-        if not a or not c or min(a | c) not in a:
-            continue
-        b = frozenset(v for v, k in zip(vs, assign) if k == 1)
-        p = Partition(a, b, c)
-        if shields(graph, p):
-            yield p
+    if n == 0:
+        return
+    pos = {v: k for k, v in enumerate(vs)}
+    edge_idx = [(pos[u], pos[v]) for u, v in sorted(graph.edges)]
+    chunk = 4 ** min(n, 8)
+    total = 4 ** n
+    powers = 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = (codes[:, None] // powers[None, :]) % 4
+        digits = digits[_canonical(digits)]
+        open_ = digits != 1
+        reach = digits == 0
+        while True:
+            size = int(reach.sum())
+            for iu, iv in edge_idx:
+                reach[:, iv] |= reach[:, iu] & open_[:, iv]
+                reach[:, iu] |= reach[:, iv] & open_[:, iu]
+            if int(reach.sum()) == size:
+                break
+        yield from _partitions(vs, digits[~(reach & (digits == 2)).any(axis=1)])
+
+
+def shield_partitions(graph: Graph, mode: str = "spanning") -> list[Partition]:
+    """The partitions a Markov check covers, in enumeration order.
+
+    ``mode="spanning"`` lists the spanning shielding partitions, which
+    suffice by strong subadditivity; ``mode="all"`` lists every shielding
+    partition, for an audit.
+    """
+    if mode == "spanning":
+        return list(spanning_shield_partitions(graph))
+    if mode == "all":
+        return list(all_shield_partitions(graph))
+    raise ValueError(f"mode must be 'spanning' or 'all', got {mode!r}")
 
 
 def coarse_grain(graph: Graph, merge: dict[int, int],

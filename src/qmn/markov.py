@@ -5,6 +5,17 @@ every partition in which B shields A from C.  Checking only the spanning
 shielding partitions suffices: a non-spanning partition embeds into a
 spanning one by expanding A and C, and strong subadditivity makes
 I(A:C|B) <= I(AA':CC'|B).  Entropies are von Neumann, in nats.
+
+For a Gibbs state the CMIs often need no state at all.  If across a
+spanning shielding partition H = H_AB + H_BC with [H_AB, H_BC] = 0, then
+rho = e^{beta H_AB} e^{beta H_BC} / Z, and the two commuting factors split
+B into blocks B_j^L (x) B_j^R (Bravyi & Vyalyi, quant-ph/0308021), which is
+the zero-CMI form of Hayden, Jozsa, Petz & Winter (quant-ph/0304007): the
+CMI is exactly 0 at every beta.  A split on every spanning partition
+covers every shielding partition too, since each extends to a spanning one
+and strong subadditivity bounds its CMI by that partition's 0.
+``decompose.verify_gibbs`` takes that route when ``classify`` finds such
+splits, and this module's dense sweep otherwise.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from .errors import (
     PositivityViolationError,
     UnknownSiteError,
 )
-from .graphs import Graph, Partition, all_shield_partitions, spanning_shield_partitions
+from .graphs import Graph, Partition, shield_partitions
 from .pauli import PauliSum, PauliTerm, as_sum, commutes
 from .tensor import (
     SiteSpace,
@@ -130,12 +141,19 @@ class PartitionRecord:
 
 @dataclass(frozen=True)
 class MarkovReport:
-    """Per-partition conditional mutual informations and the overall verdict."""
+    """Per-partition conditional mutual informations and the overall verdict.
+
+    ``route`` names how the CMIs were obtained: ``"dense"`` computes them
+    from the state, ``"certificate"`` takes the exact 0.0 that a
+    commutation certificate (``certificate``, the classify verdict) proves.
+    """
 
     records: tuple[PartitionRecord, ...]
     max_cmi: float
     tolerance: float
     mode: str
+    route: str = "dense"
+    certificate: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -166,22 +184,20 @@ class MarkovReport:
 
 def is_markov_network(rho: DensityMatrix, graph: Graph,
                       tol: float = DEFAULT_CMI_TOL, mode: str = "spanning",
+                      partitions: Sequence[Partition] | None = None,
                       ) -> MarkovReport:
     """Check I(A:C|B) <= tol over shielding partitions of the graph.
 
     ``mode="spanning"`` checks the spanning partitions (sufficient by strong
     subadditivity); ``mode="all"`` audits every shielding partition.
+    ``partitions`` passes ``shield_partitions(graph, mode)`` when the caller
+    has listed them already.
     """
     if graph.vertices != set(rho.space.sites):
         raise UnknownSiteError(
             f"graph vertices {sorted(graph.vertices)} do not match "
             f"state sites {list(rho.space.sites)}")
-    if mode == "spanning":
-        parts = spanning_shield_partitions(graph)
-    elif mode == "all":
-        parts = all_shield_partitions(graph)
-    else:
-        raise ValueError(f"mode must be 'spanning' or 'all', got {mode!r}")
+    parts = shield_partitions(graph, mode) if partitions is None else partitions
     cache: dict = {}
     records = []
     for p in parts:

@@ -163,6 +163,23 @@ def brute_spanning_shield_partitions(vertices: list[int], edges: set[tuple[int, 
     return sorted(out, key=lambda p: (sorted(p[0]), sorted(p[1])))
 
 
+def brute_all_shield_partitions(vertices: list[int], edges: set[tuple[int, int]]):
+    """Every shielding (A, B, C), spanning or not, in canonical orientation,
+    in ``itertools.product`` order over the sorted vertices (0=A, 1=B, 2=C,
+    3=left out)."""
+    vs = sorted(vertices)
+    out = []
+    for assign in itertools.product((0, 1, 2, 3), repeat=len(vs)):
+        a = {v for v, k in zip(vs, assign) if k == 0}
+        b = {v for v, k in zip(vs, assign) if k == 1}
+        c = {v for v, k in zip(vs, assign) if k == 2}
+        if not a or not c or min(a | c) not in a:
+            continue
+        if brute_shields(set(vs), edges, a, b, c):
+            out.append((frozenset(a), frozenset(b), frozenset(c)))
+    return out
+
+
 def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return scale * (a + a.conj().T) / 2

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from qmn import families
+from qmn import families, markov
 from qmn.cli import main, model_from_json, model_to_json, load_model
 from qmn.errors import ModelFormatError
-from qmn.markov import gibbs
+from qmn.markov import gibbs, is_markov_network
 from qmn.pauli import PauliTerm
 
 
@@ -178,6 +178,59 @@ def test_cli_verify_markov_all_partitions(tmp_path):
     assert read(out)["verdict"] == "pass"
 
 
+def test_cli_verify_markov_report_echoes_route_tolerance_and_mode(tmp_path):
+    cell = gen(tmp_path, "cell")
+    chain = gen(tmp_path, "noncommuting-chain")
+    out = str(tmp_path / "rep.json")
+    assert main(["verify-markov", cell, "--tol", "1e-9", "--partitions", "all",
+                 "--out", out]) == 0
+    rep = read(out)
+    assert {k: rep[k] for k in ("route", "tolerance", "mode", "certificate",
+                                "max_cmi", "verdict")} == {
+        "route": "certificate", "tolerance": 1e-9, "mode": "all",
+        "certificate": "ShieldCommutingOnly", "max_cmi": 0.0, "verdict": "pass"}
+    assert all(p["cmi"] == 0.0 and p["pass"] for p in rep["partitions"])
+    # NotShieldCommuting proves nothing: the dense sweep gives the verdict
+    assert main(["verify-markov", chain, "--out", out]) == 2
+    rep = read(out)
+    assert (rep["route"], rep["mode"], rep["tolerance"]) == ("dense", "spanning", 1e-8)
+    assert "certificate" not in rep
+
+
+def test_cli_verify_markov_unmerged_tiling_by_certificate(tmp_path):
+    tiling = gen(tmp_path, "tiling", "--shape", "1x3")
+    out = str(tmp_path / "rep.json")
+    assert main(["verify-markov", tiling, "--out", out]) == 0
+    rep = read(out)
+    assert (rep["route"], rep["certificate"]) == ("certificate", "ShieldCommutingOnly")
+    assert len(rep["partitions"]) == 1364
+
+
+def test_cli_verify_markov_past_the_dense_cap(tmp_path):
+    chain = gen(tmp_path, "ising", "--sites", "13")  # dimension 8192
+    out = str(tmp_path / "rep.json")
+    assert main(["verify-markov", chain, "--out", out]) == 0
+    rep = read(out)
+    assert (rep["route"], rep["verdict"], rep["max_cmi"]) == ("certificate", "pass", 0.0)
+    assert main(["verify-markov", chain, "--route", "dense", "--out", out]) == 3
+
+
+def test_cli_verify_markov_dense_route_keeps_the_sweep(tmp_path):
+    cell = gen(tmp_path, "cell")
+    out = str(tmp_path / "rep.json")
+    assert main(["verify-markov", cell, "--route", "dense", "--out", out]) == 0
+    rep = read(out)
+    assert rep["route"] == "dense" and "certificate" not in rep
+    model = load_model(cell)
+    sweep = is_markov_network(gibbs(model), model.graph).to_json_dict()
+    assert rep["partitions"] == sweep["partitions"]
+    # the per-partition CMIs of the sweep before the certificate route existed
+    assert [(p["A"], p["B"], p["C"]) for p in rep["partitions"]] == [
+        ([1], [2, 4, 5], [3]), ([2], [1, 3, 5], [4])]
+    for p in rep["partitions"]:
+        assert abs(p["cmi"] - 1.3322676295501878e-15) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # cumulants
 
@@ -279,10 +332,10 @@ def test_cli_classify_search_cap_when_the_default_commutes(tmp_path, capsys):
 
 def test_cli_classify_search_cap_when_the_default_fails(tmp_path, capsys):
     # X2X5 inside the same shield clashes with the C side by default; its
-    # two groupings exceed a cap of 1
+    # two groupings exceed a cap of 1: a limit, no verdict
     cell = cell_with(tmp_path, "cell-x2x5",
                      {"support": [2, 5], "pauli": "X X", "coeff": 1.0})
-    assert main(["classify", cell, "--search-cap", "1"]) == 1
+    assert main(["classify", cell, "--search-cap", "1"]) == 3
     assert "EnumerationCapError" in capsys.readouterr().err
     assert main(["classify", cell]) == 2
     rep = json.loads(capsys.readouterr().out)
@@ -413,6 +466,31 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["verify-markov", str(tmp_path / "missing.json")]) == 1
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def test_cli_dense_cap_is_exit_3(tmp_path, capsys, monkeypatch):
+    chain = gen(tmp_path, "noncommuting-chain")  # dimension 8, dense route
+    monkeypatch.setenv("QMN_DENSE_CAP", "4")
+    assert main(["verify-markov", chain]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "DenseCapError" in captured.err
+
+
+def test_cli_enumeration_cap_is_exit_3(tmp_path, capsys):
+    chain = gen(tmp_path, "ising", "--sites", "11")  # 4^11 > the 4^10 cap
+    assert main(["verify-markov", chain, "--partitions", "all"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "EnumerationCapError" in captured.err
+
+
+def test_cli_positivity_floor_is_exit_3(tmp_path, capsys, monkeypatch):
+    cell = gen(tmp_path, "cell")
+    # a floor above every eigenvalue of the state: the dense route's
+    # validation of the Gibbs state rejects it
+    monkeypatch.setattr(markov, "EIGENVALUE_FLOOR", 0.5)
+    assert main(["verify-markov", cell, "--route", "dense"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "PositivityViolationError" in captured.err
 
 
 def test_cli_bad_model_is_exit_1(tmp_path, capsys):

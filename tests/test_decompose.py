@@ -17,6 +17,7 @@ from qmn.decompose import (
     split_shield,
     star_decompose,
     theorem4_decompose,
+    verify_gibbs,
 )
 from qmn.errors import (
     CrossCumulantError,
@@ -253,9 +254,10 @@ def test_classify_dense_terms_agree_with_symbolic():
 
 
 @st.composite
-def pauli_models(draw):
-    """Up to five qubits, a random graph, signed integer Pauli words on cliques."""
-    n = draw(st.integers(2, 5))
+def pauli_models(draw, max_qubits=5):
+    """A random graph on 2 to ``max_qubits`` qubits, signed integer Pauli
+    words on its cliques."""
+    n = draw(st.integers(2, max_qubits))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
     graph = Graph.from_edges(edges, vertices=range(1, n + 1))
@@ -278,6 +280,53 @@ def test_classify_symbolic_and_dense_agree(model):
     assert sym.verdict == den.verdict
     assert ([(r.partition, r.commuting) for r in sym.records]
             == [(r.partition, r.commuting) for r in den.records])
+
+
+# ---------------------------------------------------------------------------
+# verify_gibbs: the certificate route and the dense sweep
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pauli_models(max_qubits=6), st.sampled_from([0.3, 1.0, 1.5]))
+def test_certificates_agree_with_the_dense_sweep(model, beta):
+    model = ModelInstance(model.space, model.graph, model.terms, beta=beta)
+    for mode in ("spanning", "all"):
+        auto = verify_gibbs(model, tol=1e-9, mode=mode)
+        dense = verify_gibbs(model, tol=1e-9, mode=mode, route="dense")
+        assert (auto.mode, dense.mode, dense.route) == (mode, mode, "dense")
+        assert auto.passed == dense.passed
+        if auto.route == "certificate":
+            assert auto.certificate == classify(model).verdict != NOT_SHIELD_COMMUTING
+            assert dense.max_cmi <= 1e-12
+            assert ([r.partition for r in auto.records]
+                    == [r.partition for r in dense.records])
+            assert all(r.cmi == 0.0 and r.passed for r in auto.records)
+        else:
+            assert auto == dense
+
+
+def test_verify_gibbs_falls_through_past_the_search_cap():
+    # vertex 2 is isolated; across ({2}|{1}|{3}) the default grouping puts
+    # Z1 with A and fails, and the grouping that commutes is the second
+    terms = (pw(1.0, {1: "Z", 3: "X"}), pw(1.0, {1: "Z"}), pw(1.0, {3: "Z"}),
+             pw(1.0, {1: "Y", 3: "Z"}))
+    graph = Graph.from_edges([(1, 3)], vertices=[1, 2, 3])
+    model = ModelInstance(SiteSpace.qubits(3), graph, terms, beta=1.0)
+    with pytest.raises(EnumerationCapError):
+        classify(model, search_cap=1)
+    capped = verify_gibbs(model, tol=1e-9, search_cap=1)
+    assert capped.route == "dense" and capped.certificate is None
+    assert capped == is_markov_network(gibbs(model), graph, tol=1e-9)
+    assert capped.passed
+    full = verify_gibbs(model, tol=1e-9)
+    assert (full.route, full.certificate) == ("certificate", SHIELD_COMMUTING_ONLY)
+
+
+def test_verify_gibbs_validates_route_and_mode():
+    model = cell_model()
+    with pytest.raises(ValueError):
+        verify_gibbs(model, route="local")
+    with pytest.raises(ValueError):
+        verify_gibbs(model, mode="everything")
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import brute_shields, brute_spanning_shield_partitions
+from helpers import (
+    brute_all_shield_partitions,
+    brute_shields,
+    brute_spanning_shield_partitions,
+)
 from qmn.errors import EnumerationCapError, UnknownSiteError
 from qmn.graphs import (
     Graph, Partition, all_shield_partitions, cliques, coarse_grain,
@@ -147,6 +152,24 @@ def test_all_shield_partitions_includes_non_spanning():
     for p in ps:
         assert shields(g, p)
         assert min(p.a | p.c) in p.a
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to seven vertices with arbitrary ids; any edge set, so isolated
+    vertices and edgeless graphs occur."""
+    n = draw(st.integers(0, 7))
+    vs = draw(st.lists(st.integers(0, 30), unique=True, min_size=n, max_size=n))
+    pairs = list(itertools.combinations(sorted(vs), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(edges, vertices=vs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_graphs())
+def test_all_shield_partitions_match_the_product_oracle(g):
+    got = [(p.a, p.b, p.c) for p in all_shield_partitions(g)]
+    assert got == brute_all_shield_partitions(sorted(g.vertices), set(g.edges))
 
 
 def test_coarse_grain_cell_merge():
