@@ -7,7 +7,13 @@ classes, and regroups Markov states on triangle-free graphs into pairwise
 commuting vertex and edge Hamiltonians.
 """
 
-from .cumulants import CumulantExpansion, cumulant, expand, verify_clique_support
+from .cumulants import (
+    CumulantExpansion,
+    cumulant,
+    expand,
+    model_cumulants,
+    verify_clique_support,
+)
 from .decompose import (
     Classification,
     CommutingDecomposition,
@@ -28,7 +34,6 @@ from .markov import (
     entropy,
     gibbs,
     is_markov_network,
-    log_gibbs,
     stabilizer_state,
 )
 from .pauli import PauliSum, PauliTerm, commutator, parse_sum, parse_term
@@ -61,7 +66,7 @@ __all__ = [
     "gibbs",
     "gibbs_factors",
     "is_markov_network",
-    "log_gibbs",
+    "model_cumulants",
     "parse_sum",
     "parse_term",
     "partial_trace",

@@ -14,9 +14,19 @@ all be qubits with ids 0 <= id < 2**20; matrix terms are row-major with
 separate real and imaginary parts and must be Hermitian after scaling by
 ``coeff``.
 
-``decompose`` and ``cumulants --of log-gibbs`` work on log rho = beta H -
-log Z 1, exact and with no positivity floor; ``--of hamiltonian`` (beta H)
-differs from it only in the empty-support (scalar) component.
+``decompose`` and ``cumulants`` take the local route (``"route":
+"local"`` in the report): the cumulants of log rho = beta H - log Z 1, or
+of beta H with ``--of hamiltonian``, are built from the model's terms on
+their own supports, exact and with no positivity floor, at any system
+size.  The two differ only in the empty-support (scalar) component.  Of
+log rho only that scalar, -log Z, needs the spectrum of the dense H, so it
+is computed inside the dense cap only; past the cap the ``cumulants``
+report says ``"scalar_computed": false`` and ``decompose`` gives vertex
+terms without the -log Z / n shift, which the Gibbs state does not see.
+Reports echo the tolerances they used: ``classify`` its ``rtol``,
+``search_cap`` and ``route`` (``symbolic`` for Pauli terms, else
+``dense``), ``decompose`` its ``tolerance`` and ``support_rtol``,
+``cumulants`` its ``rtol``.
 
 ``verify-markov`` answers by certificate before it builds any state: an
 all-Pauli model that ``classify`` finds LocalCommuting or
@@ -42,7 +52,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import cumulants, decompose, families, markov
-from .cumulants import expand, verify_clique_support
+from .cumulants import model_cumulants, verify_clique_support
 from .decompose import (
     NOT_SHIELD_COMMUTING,
     classify,
@@ -61,7 +71,7 @@ from .errors import (
     QmnError,
 )
 from .graphs import Graph, to_dot
-from .markov import MarkovReport, ModelInstance, gibbs, is_markov_network, log_gibbs
+from .markov import MarkovReport, ModelInstance, gibbs, is_markov_network
 from .pauli import QUBIT_ID_LIMIT, PauliSum, PauliTerm, as_sum, commutator
 from .tensor import SiteSpace, SupportedOperator
 
@@ -285,9 +295,7 @@ def _markov_json(rep: MarkovReport) -> dict:
 def _cmd_cumulants(args) -> int:
     model = load_model(args.model)
     _maybe_dot(model, args.dot)
-    target = (log_gibbs(model) if args.of == "log-gibbs"
-              else model.beta * model.hamiltonian())
-    exp = expand(target, model.space)
+    exp = model_cumulants(model, args.of)
     keys = sorted(exp.entries, key=lambda k: (len(k), tuple(sorted(k))))
     listed = [k for k in keys
               if args.max_support is None or len(k) <= args.max_support]
@@ -297,6 +305,9 @@ def _cmd_cumulants(args) -> int:
     clique = verify_clique_support(exp, model.graph, rtol=args.rtol)
     report = {
         "of": args.of,
+        "route": "local",
+        "rtol": args.rtol,
+        "scalar_computed": exp.scalar_known,
         "total_norm_sq": total,
         "supports": [{"sites": sorted(k), "norm_sq": exp.norm_sq(k)}
                      for k in listed],
@@ -311,9 +322,12 @@ def _cmd_cumulants(args) -> int:
     return EXIT_PASS if clique.passed else EXIT_FAIL
 
 
-def _classification_json(c) -> dict:
+def _classification_json(c, rtol: float, search_cap: int) -> dict:
     return {
         "verdict": c.verdict,
+        "route": c.route,
+        "rtol": rtol,
+        "search_cap": search_cap,
         "pairwise_max": c.pairwise_max,
         "pairwise_worst": list(c.pairwise_worst) if c.pairwise_worst else None,
         "partitions": [{"A": sorted(r.partition.a), "B": sorted(r.partition.b),
@@ -329,19 +343,21 @@ def _cmd_classify(args) -> int:
     model = load_model(args.model)
     _maybe_dot(model, args.dot)
     c = classify(model, rtol=args.rtol, search_cap=args.search_cap)
-    _emit(_classification_json(c), args.out)
+    _emit(_classification_json(c, args.rtol, args.search_cap), args.out)
     return EXIT_FAIL if c.verdict == NOT_SHIELD_COMMUTING else EXIT_PASS
 
 
 def _cmd_decompose(args) -> int:
     model = load_model(args.model)
     _maybe_dot(model, args.dot)
+    echo = {"route": "local", "tolerance": args.tol,
+            "support_rtol": args.support_rtol}
     try:
-        dec = theorem4_decompose(log_gibbs(model), model.space, model.graph,
+        dec = theorem4_decompose(model_cumulants(model), model.graph,
                                  rtol=args.tol, support_rtol=args.support_rtol)
     except (NotMarkovError, NotTriangleFreeError,
             DecompositionResidualError) as e:
-        _emit({"decomposed": False, "reason": str(e)}, args.report)
+        _emit({"decomposed": False, "reason": str(e)} | echo, args.report)
         return EXIT_FAIL
     report = {
         "decomposed": True,
@@ -351,7 +367,7 @@ def _cmd_decompose(args) -> int:
                          for u in sorted(dec.vertex_terms)],
         "edge_terms": [{"edge": list(e), "norm": dec.edge_terms[e].hs_norm()}
                        for e in sorted(dec.edge_terms)],
-    }
+    } | echo
     _emit(report, args.report)
     if args.out:
         save_model(dec.to_model(), args.out)
@@ -396,7 +412,7 @@ def _demo_counterexample() -> int:
     ok &= _claim(lines, verdict == "ShieldCommutingOnly",
                  f"classification: {verdict}")
     try:
-        theorem4_decompose(log_gibbs(model), model.space, model.graph)
+        theorem4_decompose(model_cumulants(model), model.graph)
         triangle_ok = False
     except NotTriangleFreeError:
         triangle_ok = True
@@ -523,7 +539,7 @@ def _build_parser() -> _Parser:
     c = add_model_cmd("cumulants",
                       "cumulant decomposition with per-support masses, "
                       "Parseval gap and a clique-support check")
-    c.add_argument("--of", choices=("log-gibbs", "hamiltonian"),
+    c.add_argument("--of", choices=cumulants.CUMULANT_TARGETS,
                    default="log-gibbs")
     c.add_argument("--max-support", type=int, default=None,
                    help="list supports up to this size only")

@@ -7,10 +7,19 @@ E_a, where E_a replaces site a by its normalized partial trace.  The
 components are pairwise orthogonal in the Hilbert-Schmidt inner product, so
 sum_X ||K_X||^2 = ||H||^2 with K_X embedded in the full space.
 
-Two routes are implemented: ``cumulant`` reduces to the region and applies
-the single-site projectors directly, and ``expand`` computes every component
-at once by transforming into a per-site orthonormal Hermitian basis and
-grouping coefficients by which sites carry a non-identity element.
+Two routes work on a full-space matrix: ``cumulant`` reduces to the region
+and applies the single-site projectors directly, and ``expand`` computes
+every component at once by transforming into a per-site orthonormal
+Hermitian basis and grouping coefficients by which sites carry a
+non-identity element.
+
+A sum of local operators needs no full-space matrix.  The projectors act
+site by site, so each operator splits on its own support and the parts add
+per support (``local_expansion``).  ``model_cumulants`` builds the
+expansion of a model's beta H, or of its log rho = beta H - log Z 1, that
+way; of log rho only the scalar -log Z needs the spectrum (Leifer & Poulin,
+arXiv:0708.1337, and Brown & Poulin, arXiv:1206.0755, work with these
+cumulants).
 """
 
 from __future__ import annotations
@@ -19,16 +28,19 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import UnknownSiteError
 from .graphs import Graph
+from .markov import ModelInstance, log_partition
+from .pauli import PauliSum, PauliTerm, as_sum
 from .tensor import (
     SiteSpace,
     SupportedOperator,
     check_hermitian,
+    dense_cap,
     embed,
     embed_sum,
     partial_trace,
@@ -119,13 +131,27 @@ def _dense_from_block(block: np.ndarray, dims: list[int]) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(perm).reshape(big, big))
 
 
+def _embedded_norm_sq(space: SiteSpace, support: Iterable[int],
+                      matrix: np.ndarray) -> float:
+    """Squared Hilbert-Schmidt norm of an operator on ``support`` once
+    embedded in the full space (identity on the other sites)."""
+    comp = space.total_dim // math.prod(space.dim(s) for s in support)
+    return float(np.vdot(matrix, matrix).real) * comp
+
+
 @dataclass(frozen=True)
 class CumulantExpansion:
-    """All cumulant components of one operator, keyed by support."""
+    """All cumulant components of one operator, keyed by support.
+
+    ``scalar_known`` is False when the empty-support component was not
+    computed (log rho past the dense cap, where -log Z needs the
+    spectrum); it is then absent from ``entries`` and ``total_norm_sq``.
+    """
 
     space: SiteSpace
     entries: dict[frozenset[int], SupportedOperator]
     total_norm_sq: float
+    scalar_known: bool = True
 
     def supports(self) -> list[tuple[int, ...]]:
         return sorted((tuple(sorted(x)) for x in self.entries),
@@ -144,9 +170,19 @@ class CumulantExpansion:
         if key not in self.entries:
             return 0.0
         op = self.entries[key]
-        comp = math.prod(self.space.dim(s) for s in self.space.sites
-                         if s not in key)
-        return op.hs_norm() ** 2 * comp
+        return _embedded_norm_sq(self.space, op.support, op.matrix)
+
+    def distance(self, other: "CumulantExpansion") -> float:
+        """Hilbert-Schmidt distance of the two operators, support by support.
+
+        Exact by Parseval, since the components are orthogonal; no
+        full-space matrix is formed.
+        """
+        sq = 0.0
+        for key in self.entries.keys() | other.entries.keys():
+            diff = self.operator(key).matrix - other.operator(key).matrix
+            sq += _embedded_norm_sq(self.space, key, diff)
+        return math.sqrt(sq)
 
     @property
     def parseval_residual(self) -> float:
@@ -195,6 +231,105 @@ def expand(matrix: np.ndarray, space: SiteSpace,
             dense = (dense + dense.conj().T) / 2
             entries[frozenset(region)] = SupportedOperator(region, dense)
     return CumulantExpansion(space, entries, total)
+
+
+def _local_components(support: tuple[int, ...], matrix: np.ndarray,
+                      space: SiteSpace) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Cumulant components of one operator, split on its own support.
+
+    One- and two-site operators subtract normalized partial traces; larger
+    supports go through ``expand`` on the support's subspace.
+    """
+    if len(support) > 2:
+        sub = space.subspace(support)
+        return [(op.support, op.matrix)
+                for op in expand(matrix, sub, drop_rtol=0.0).entries.values()]
+    d = matrix.shape[0]
+    c = np.trace(matrix) / d
+    out = [((), np.array([[c]]))]
+    if len(support) == 1:
+        return out + [(support, matrix - c * np.eye(d))]
+    (u, v), (du, dv) = support, (space.dim(s) for s in support)
+    t = matrix.reshape(du, dv, du, dv)
+    eu, ev = np.eye(du), np.eye(dv)
+    ru = np.einsum("ijkj->ik", t) / dv  # Tr_v / d_v
+    rv = np.einsum("ijil->jl", t) / du  # Tr_u / d_u
+    # K_uv = T - (ru - c) x 1 - 1 x (rv - c) - c 1
+    k = (t - np.einsum("ik,jl->ijkl", ru, ev) - np.einsum("ik,jl->ijkl", eu, rv)
+         + c * np.einsum("ik,jl->ijkl", eu, ev))
+    return out + [((u,), ru - c * eu), ((v,), rv - c * ev), (support, k.reshape(d, d))]
+
+
+def _add(parts: dict[tuple[int, ...], np.ndarray], support: tuple[int, ...],
+         matrix: np.ndarray) -> None:
+    parts[support] = parts[support] + matrix if support in parts else matrix
+
+
+def _collect(parts: Mapping[tuple[int, ...], np.ndarray], space: SiteSpace,
+             drop_rtol: float, scalar_known: bool = True) -> CumulantExpansion:
+    """Expansion of support-keyed components, dropped as ``expand`` drops
+    them and in ``expand``'s order (by size, then by sites)."""
+    norms = {k: _embedded_norm_sq(space, k, m) for k, m in parts.items()}
+    total = sum(norms.values())
+    cutoff_sq = (drop_rtol ** 2) * total
+    entries = {frozenset(k): SupportedOperator(k, parts[k])
+               for k in sorted(parts, key=lambda k: (len(k), k))
+               if norms[k] > cutoff_sq}
+    return CumulantExpansion(space, entries, total, scalar_known)
+
+
+def local_expansion(ops: Iterable[SupportedOperator], space: SiteSpace
+                    ) -> CumulantExpansion:
+    """Every nonzero cumulant component of a sum of local operators, with
+    no full-space matrix: each operator is split on its own support and the
+    parts are summed per support."""
+    parts: dict[tuple[int, ...], np.ndarray] = {}
+    for op in ops:
+        for key, m in _local_components(op.support, op.matrix, space):
+            _add(parts, key, m)
+    return _collect(parts, space, drop_rtol=0.0)
+
+
+CUMULANT_TARGETS = ("log-gibbs", "hamiltonian")
+
+
+def model_cumulants(model: ModelInstance, of: str = "log-gibbs") -> CumulantExpansion:
+    """Cumulants of a model's log rho = beta H - log Z 1 (``"log-gibbs"``)
+    or of beta H (``"hamiltonian"``), built from its terms.
+
+    A non-identity Pauli word is traceless on every site it touches, plain
+    or composite, so it is a component already: words are grouped by site
+    support into one dense matrix per group (qubits in
+    ``site_composition`` order).  Dense terms are split on their own
+    supports.  Every term must be Hermitian (``check_hermitian``).  Only
+    the scalar -log Z needs the spectrum; ``log_partition`` supplies it
+    inside the dense cap, and past the cap a log-gibbs expansion has no
+    scalar entry and ``scalar_known`` is False.  Components are dropped as
+    in ``expand`` (``DEFAULT_DROP_RTOL``), relative to the norm of what was
+    computed.
+    """
+    if of not in CUMULANT_TARGETS:
+        raise ValueError(f"of must be one of {CUMULANT_TARGETS}, got {of!r}")
+    space = model.space
+    parts: dict[tuple[int, ...], np.ndarray] = {}
+    words: dict[tuple[int, ...], list[PauliTerm]] = {}
+    for t in model.terms:
+        if isinstance(t, SupportedOperator):
+            for key, m in _local_components(t.support, check_hermitian(t.matrix), space):
+                _add(parts, key, m)
+        else:
+            for w in as_sum(t).terms:
+                words.setdefault(model.term_support(w), []).append(w)
+    for group in words.values():
+        op = model.term_operator(PauliSum(tuple(group)))
+        _add(parts, op.support, check_hermitian(op.matrix))
+    parts = {k: model.beta * m for k, m in parts.items()}
+    scalar_known = of == "hamiltonian" or space.total_dim <= dense_cap()
+    if of == "log-gibbs":
+        scalar = parts.pop((), np.zeros((1, 1), dtype=complex))
+        if scalar_known:
+            parts[()] = scalar - log_partition(model)
+    return _collect(parts, space, DEFAULT_DROP_RTOL, scalar_known)
 
 
 @dataclass(frozen=True)

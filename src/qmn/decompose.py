@@ -6,9 +6,16 @@ edge cumulants that commute whenever they share a vertex, and vertex
 cumulants K_u that split as h_u + sum_v G_u^v where G_u^v commutes with the
 site-u Schmidt factors of every other edge at u and h_u commutes with all
 of them.  Regrouping K_uv + G_u^v + G_v^u per edge then yields pairwise
-commuting terms whose sum is log rho.  log rho is data here, as in
-``theorem4_decompose(log_gibbs(model), model.space, model.graph)``: for a
-model it is beta H - log Z 1 exactly, with no positivity floor.
+commuting terms whose sum is log rho.  log rho enters as its cumulants,
+as in ``theorem4_decompose(model_cumulants(model), model.graph)``: for a
+model they are those of beta H - log Z 1, built term by term on each
+term's own support, with no positivity floor and no full-space matrix.
+Only the scalar -log Z needs the spectrum.  Past the dense cap it is not
+computed, so the vertex terms then carry no -log Z / n shift; the Gibbs
+state does not see that shift, since a multiple of the identity cancels
+in the normalization.  Every check runs on supports of at most three
+sites, and the final residual compares the returned terms' cumulants with
+the expansion support by support, which is exact by Parseval.
 
 One commutation engine serves every question.  A single relative
 commutator norm, ||[a, b]|| / (||a|| ||b||), is exact for Pauli sums and
@@ -42,7 +49,12 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .cumulants import CumulantExpansion, expand, hermitian_basis, verify_clique_support
+from .cumulants import (
+    CumulantExpansion,
+    hermitian_basis,
+    local_expansion,
+    verify_clique_support,
+)
 from .errors import (
     CrossCumulantError,
     DecompositionResidualError,
@@ -245,15 +257,16 @@ def split_shield(expansion: CumulantExpansion, partition: Partition,
     return ShieldSplit(partition, h_ab, h_bc, norm <= rtol, norm, assignment)
 
 
-def gibbs_factors(log_rho: np.ndarray, space: SiteSpace, partition: Partition,
+def gibbs_factors(expansion: CumulantExpansion, partition: Partition,
                   rtol: float = DEFAULT_RTOL
                   ) -> tuple[SupportedOperator, SupportedOperator]:
     """Factor a positive state as rho = F_AB F_BC across a shielding partition.
 
-    The factors are exponentials of the two halves of ``log_rho`` and
-    commute, so their product in either order reproduces the state.
+    ``expansion`` holds the cumulants of log rho.  The factors are
+    exponentials of its two halves and commute, so their product in either
+    order reproduces the state.
     """
-    split = split_shield(expand(log_rho, space), partition, rtol=rtol)
+    split = split_shield(expansion, partition, rtol=rtol)
     if not split.commuting:
         raise NotMarkovError(
             f"halves of log rho do not commute across "
@@ -276,13 +289,18 @@ class ShieldRecord:
 
 @dataclass(frozen=True)
 class Classification:
-    """Three-way commutation structure of a model."""
+    """Three-way commutation structure of a model.
+
+    ``route`` is ``"symbolic"`` when the terms were commuted as Pauli sums,
+    ``"dense"`` when as matrices.
+    """
 
     verdict: str
     pairwise_max: float
     pairwise_worst: tuple[int, int] | None
     records: tuple[ShieldRecord, ...]
     witness: Partition | None
+    route: str
 
     @property
     def locally_commuting(self) -> bool:
@@ -308,10 +326,12 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL,
     has listed them already; their order sets the records' order.
     """
     symbolic = model.all_pauli()
+    route = "symbolic" if symbolic else "dense"
     ops = [as_sum(t) if symbolic else model.term_operator(t) for t in model.terms]
     pair = pairwise_commutation(ops, model.space, rtol)
     if pair.commuting:
-        return Classification(LOCAL_COMMUTING, pair.max_norm, pair.worst, (), None)
+        return Classification(LOCAL_COMMUTING, pair.max_norm, pair.worst, (), None,
+                              route)
     keyed = [(frozenset(model.term_support(t)), op)
              for t, op in zip(model.terms, ops)]
     tol = 0.0 if symbolic else rtol
@@ -323,9 +343,9 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL,
         records.append(ShieldRecord(p, norm <= tol, norm))
         if norm > tol:
             return Classification(NOT_SHIELD_COMMUTING, pair.max_norm, pair.worst,
-                                  tuple(records), p)
+                                  tuple(records), p, route)
     return Classification(SHIELD_COMMUTING_ONLY, pair.max_norm, pair.worst,
-                          tuple(records), None)
+                          tuple(records), None, route)
 
 
 def verify_gibbs(model: ModelInstance, tol: float = DEFAULT_CMI_TOL,
@@ -473,35 +493,38 @@ class CommutingDecomposition:
         return ModelInstance(self.space, self.graph, self.terms(), beta=1.0)
 
 
-def theorem4_decompose(log_rho: np.ndarray, space: SiteSpace, graph: Graph,
+def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
                        rtol: float = DEFAULT_RTOL,
                        support_rtol: float = DEFAULT_SUPPORT_RTOL) -> CommutingDecomposition:
     """Commuting vertex/edge Hamiltonian for a Markov state on a triangle-free graph.
 
-    ``log_rho`` is ``markov.log_gibbs(model)`` for a model's Gibbs state and
-    ``tensor.logm_pd(rho.matrix)`` for a state from elsewhere.  Checks, in
-    order: the graph is triangle-free; log rho has cumulants on vertices
-    and edges only (up to ``support_rtol``); edge cumulants sharing a
-    vertex commute.  Then every vertex cumulant is star-decomposed and the
-    pulls folded into the edge terms.  The result reconstructs log rho and
-    its terms commute pairwise; both properties are re-verified before
+    ``expansion`` holds the cumulants of log rho: ``model_cumulants(model)``
+    for a model's Gibbs state, ``expand(logm_pd(rho.matrix), space)`` for a
+    state from elsewhere.  Checks, in order: the graph is triangle-free;
+    log rho has cumulants on vertices and edges only (up to
+    ``support_rtol``); edge cumulants sharing a vertex commute.  Then every
+    vertex cumulant is star-decomposed and the pulls folded into the edge
+    terms; the scalar cumulant, when known, is shared evenly among the
+    vertex terms.  The terms must commute pairwise and their cumulants
+    must match the expansion's, support by support, within
+    ``support_rtol`` relative to its norm; both are re-verified before
     returning.
     """
+    space = expansion.space
     if graph.vertices != set(space.sites):
         raise UnknownSiteError("graph vertices must match state sites")
     if not is_triangle_free(graph):
         raise NotTriangleFreeError(
             "decomposition requires a triangle-free interaction graph")
-    exp = expand(log_rho, space)
-    support_rep = verify_clique_support(exp, graph, rtol=support_rtol)
+    support_rep = verify_clique_support(expansion, graph, rtol=support_rtol)
     if not support_rep.passed:
         raise NotMarkovError(
             f"log rho carries weight {support_rep.off_clique_norm:.3e} outside "
             f"the graph cliques, worst on {support_rep.worst[0]}")
 
     edge_keys = {frozenset(e): e for e in graph.edges}
-    edge_cumulants = {edge_keys[k]: exp.entries[k]
-                      for k in exp.entries if k in edge_keys}
+    edge_cumulants = {edge_keys[k]: expansion.entries[k]
+                      for k in expansion.entries if k in edge_keys}
     edges = list(edge_cumulants)
     edge_rep = pairwise_commutation([edge_cumulants[e] for e in edges], space,
                                     rtol=support_rtol)
@@ -512,12 +535,12 @@ def theorem4_decompose(log_rho: np.ndarray, space: SiteSpace, graph: Graph,
             f"(relative norm {edge_rep.max_norm:.3e})")
 
     n = len(space.sites)
-    k0 = float(exp.operator(()).matrix[0, 0].real)
+    k0 = float(expansion.operator(()).matrix[0, 0].real)
     vertex_terms: dict[int, SupportedOperator] = {}
     pulls: dict[tuple[int, int], list[SupportedOperator]] = {
         e: [] for e in edge_cumulants}
     for u in sorted(graph.vertices):
-        k_u = exp.operator((u,))
+        k_u = expansion.operator((u,))
         local = {v: edge_cumulants[e] for e in edge_cumulants
                  for v in e if u in e and v != u}
         star = star_decompose(k_u, local, u, space, rtol=rtol)
@@ -532,8 +555,9 @@ def theorem4_decompose(log_rho: np.ndarray, space: SiteSpace, graph: Graph,
     dec = CommutingDecomposition(space, graph, vertex_terms, final_edges,
                                  0.0, 0.0)
     rep = pairwise_commutation(dec.terms(), space, rtol=support_rtol)
-    scale = max(hs_norm(log_rho), 1e-300)
-    residual = hs_norm(dec.reconstruct() - log_rho) / scale
+    rebuilt = local_expansion(dec.terms(), space)
+    scale = max(math.sqrt(expansion.total_norm_sq), 1e-300)
+    residual = rebuilt.distance(expansion) / scale
     if not rep.commuting:
         raise DecompositionResidualError(
             f"regrouped terms fail to commute (relative norm {rep.max_norm:.3e})",

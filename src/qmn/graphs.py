@@ -63,33 +63,6 @@ class Graph:
             return False
         return all(self.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
 
-    def subgraph(self, keep: Iterable[int]) -> "Graph":
-        keep = frozenset(keep)
-        return Graph(keep, frozenset(e for e in self.edges if e[0] in keep and e[1] in keep))
-
-    def components(self) -> list[frozenset[int]]:
-        """Connected components, each sorted, in order of smallest member."""
-        adj = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen: set[int] = set()
-        out = []
-        for v in sorted(self.vertices):
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            out.append(frozenset(comp))
-        return out
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -147,19 +120,6 @@ def is_triangle_free(graph: Graph) -> bool:
     """True iff no edge's endpoints share a neighbor."""
     for u, v in graph.edges:
         if graph.neighbors(u) & graph.neighbors(v):
-            return False
-    return True
-
-
-def shields(graph: Graph, p: Partition) -> bool:
-    """True iff B blocks every A-to-C path (component check on graph minus B)."""
-    for group in (p.a, p.b, p.c):
-        for v in group:
-            if v not in graph.vertices:
-                raise UnknownSiteError(f"partition vertex {v} not in graph")
-    rest = graph.subgraph(graph.vertices - p.b)
-    for comp in rest.components():
-        if comp & p.a and comp & p.c:
             return False
     return True
 

@@ -302,12 +302,18 @@ def gibbs(model: ModelInstance) -> DensityMatrix:
     return DensityMatrix(rho, model.space)
 
 
-def log_gibbs(model: ModelInstance) -> np.ndarray:
-    """log rho = beta H - log Z 1 of the Gibbs state, exactly: no positivity floor."""
-    bh = model.beta * check_hermitian(model.hamiltonian())
-    w = np.linalg.eigvalsh(bh)
-    bh[np.diag_indices_from(bh)] -= w[-1] + np.log(np.sum(np.exp(w - w[-1])))
-    return bh
+def log_partition(model: ModelInstance) -> float:
+    """log Z = log Tr e^{beta H}, a log-sum-exp over one ``eigvalsh`` of beta H.
+
+    H is checked by ``check_hermitian``.  When its imaginary part is exactly
+    zero, the real symmetric matrix is diagonalized instead: the spectrum
+    is the same, and a real ``eigvalsh`` costs a fraction of a complex one.
+    """
+    h = check_hermitian(model.hamiltonian())
+    if not h.imag.any():
+        h = h.real
+    w = np.linalg.eigvalsh(model.beta * h)
+    return float(w[-1] + np.log(np.sum(np.exp(w - w[-1]))))
 
 
 def _gf2_eliminate(rows: list[int]) -> list[set[int]]:

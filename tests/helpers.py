@@ -4,7 +4,10 @@ Everything here deliberately avoids the code paths under test: partial
 traces are explicit index sums, embeddings are Kronecker products with the
 identity followed by an axis permutation, the matrix exponential is a
 Taylor series with scaling and squaring, Pauli words are built by literal
-Kronecker products, and graph shielding is a breadth-first component search.
+Kronecker products, graph shielding is a breadth-first component search,
+and log rho of a Gibbs state is taken from the dense beta H and its full
+spectrum (the route the term-by-term cumulants of ``model_cumulants`` are
+checked against).
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import itertools
 import math
 
 import numpy as np
+
+from qmn.tensor import check_hermitian
 
 I2 = np.array([[1, 0], [0, 1]], dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -225,3 +230,12 @@ def brute_cumulant(h: np.ndarray, dims: list[int], region_axes: list[int]) -> np
                 m = site_avg_dense(m, dims, a)
             out += (-1) ** r * m
     return out
+
+
+def log_gibbs(model) -> np.ndarray:
+    """log rho = beta H - log Z 1 of a model's Gibbs state, dense and exact:
+    log Z is a log-sum-exp over one complex ``eigvalsh`` of beta H."""
+    bh = model.beta * check_hermitian(model.hamiltonian())
+    w = np.linalg.eigvalsh(bh)
+    bh[np.diag_indices_from(bh)] -= w[-1] + np.log(np.sum(np.exp(w - w[-1])))
+    return bh

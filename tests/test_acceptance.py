@@ -17,7 +17,7 @@ import pytest
 from helpers import classical_cmi, dense_pauli_word
 from qmn import families
 from qmn.cli import model_from_json, model_to_json
-from qmn.cumulants import cumulant, expand, verify_clique_support
+from qmn.cumulants import cumulant, expand, model_cumulants, verify_clique_support
 from qmn.decompose import classify, coarse_grain_model, theorem4_decompose
 from qmn.errors import NotTriangleFreeError
 from qmn.markov import (
@@ -26,7 +26,6 @@ from qmn.markov import (
     entropy,
     gibbs,
     is_markov_network,
-    log_gibbs,
     stabilizer_state,
 )
 from qmn.pauli import PauliSum, as_sum, commutator
@@ -84,7 +83,7 @@ def test_acceptance_1_counterexample_cell(capsys):
     assert found == {((1,), (2, 4, 5), (3,)), ((2,), (1, 3, 5), (4,))}
     assert classify(model).verdict == "ShieldCommutingOnly"
     with pytest.raises(NotTriangleFreeError):
-        theorem4_decompose(log_gibbs(model), model.space, model.graph)
+        theorem4_decompose(model_cumulants(model), model.graph)
     _done(capsys, "counterexample cell", t0, 1.0,
           f"max CMI {rep.max_cmi:.1e}, pair commutator norm "
           f"{np.linalg.norm(comm):.2f}")
@@ -134,7 +133,7 @@ def test_acceptance_4_triangle_free_decomposition(capsys):
     worst_res, worst_comm = 0.0, 0.0
     for kind in families.THEOREM4_KINDS:
         model = families.theorem4_model(kind, rng)
-        dec = theorem4_decompose(log_gibbs(model), model.space, model.graph)
+        dec = theorem4_decompose(model_cumulants(model), model.graph)
         assert dec.residual <= 1e-8, (kind, dec.residual)
         assert dec.max_commutator <= 1e-8, (kind, dec.max_commutator)
         # round trip through the file format, then reclassify

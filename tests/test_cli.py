@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qmn import families, markov
+from qmn import cumulants, decompose, families, markov
 from qmn.cli import main, model_from_json, model_to_json, load_model
 from qmn.errors import ModelFormatError
 from qmn.markov import gibbs, is_markov_network
@@ -282,6 +282,32 @@ def test_cli_cumulants_max_support_gap(tmp_path, capsys):
     assert all(len(s["sites"]) <= 1 for s in rep["supports"])
 
 
+def test_cli_cumulants_past_the_dense_cap(tmp_path, capsys):
+    # dim 2^100: every cumulant comes from the terms; of log rho only the
+    # scalar -log Z needs the spectrum, so it alone is missing
+    chain = gen(tmp_path, "ising", "--sites", "100")
+    assert main(["cumulants", chain, "--of", "log-gibbs"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["route"] == "local"
+    assert rep["scalar_computed"] is False
+    sups = [tuple(s["sites"]) for s in rep["supports"]]
+    assert () not in sups and len(sups) == 100 + 99
+    assert rep["clique"]["pass"] and rep["parseval_gap"] < 1e-12
+    assert main(["cumulants", chain, "--of", "hamiltonian"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["scalar_computed"] is True
+    assert rep["clique"]["pass"]
+
+
+def test_cli_cumulants_inside_the_cap_reports_the_scalar(tmp_path, capsys):
+    chain = gen(tmp_path, "ising", "--sites", "4")
+    assert main(["cumulants", chain]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["route"] == "local" and rep["scalar_computed"] is True
+    assert rep["rtol"] == cumulants.DEFAULT_CLIQUE_RTOL
+    assert rep["supports"][0]["sites"] == []
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -303,6 +329,19 @@ def test_cli_classify_ising_local_commuting(tmp_path, capsys):
     assert rep["verdict"] == "LocalCommuting"
     assert rep["pairwise_max"] == 0.0
     assert rep["partitions"] == []
+
+
+def test_cli_classify_report_echoes_rtol_search_cap_and_route(tmp_path, capsys):
+    cell = gen(tmp_path, "cell")
+    assert main(["classify", cell, "--rtol", "1e-7", "--search-cap", "64"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["route"], rep["rtol"], rep["search_cap"]) == ("symbolic", 1e-7, 64)
+    dense = gen(tmp_path, "theorem4", "--kind", "path4")
+    assert main(["classify", dense]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["route"] == "dense"
+    assert rep["rtol"] == decompose.DEFAULT_RTOL
+    assert rep["search_cap"] == decompose.SPLIT_SEARCH_CAP
 
 
 def test_cli_classify_chain_fails(tmp_path, capsys):
@@ -384,6 +423,61 @@ def test_cli_cold_model_decomposes_and_cumulants_stay_on_cliques(tmp_path, capsy
     assert rep["max_commutator"] <= 1e-8
     assert main(["cumulants", cold, "--of", "log-gibbs"]) == 0
     assert json.loads(capsys.readouterr().out)["clique"]["pass"]
+
+
+def test_cli_decompose_report_echoes_route_and_tolerances(tmp_path, capsys):
+    model = gen(tmp_path, "theorem4", "--kind", "star", "--seed", "2")
+    assert main(["decompose", model, "--tol", "1e-8", "--support-rtol", "1e-7"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["route"], rep["tolerance"], rep["support_rtol"]) == ("local", 1e-8, 1e-7)
+    cell = gen(tmp_path, "cell")
+    assert main(["decompose", cell]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert not rep["decomposed"]
+    assert (rep["route"], rep["tolerance"], rep["support_rtol"]) == (
+        "local", decompose.DEFAULT_RTOL, decompose.DEFAULT_SUPPORT_RTOL)
+
+
+def test_cli_decompose_past_the_dense_cap(tmp_path, capsys):
+    chain = gen(tmp_path, "ising", "--sites", "100")
+    dec = str(tmp_path / "dec.json")
+    assert main(["decompose", chain, "--out", dec]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["decomposed"] and rep["route"] == "local"
+    assert rep["residual"] <= 1e-8
+    assert rep["max_commutator"] <= 1e-8
+    assert len(rep["vertex_terms"]) == 100 and len(rep["edge_terms"]) == 99
+    assert len(read(dec)["terms"]) == 199
+
+
+def grid(rows, cols, x_every=0):
+    """ZZ couplings and Z fields on a rows x cols grid of qubits, plus an X
+    field on every ``x_every``-th site when it is nonzero."""
+    ids = {(r, c): r * cols + c + 1 for r in range(rows) for c in range(cols)}
+    edges = [[ids[r, c], ids[r2, c2]] for (r, c) in ids
+             for (r2, c2) in ((r, c + 1), (r + 1, c)) if (r2, c2) in ids]
+    terms = [{"support": e, "pauli": "Z Z", "coeff": 0.8} for e in edges]
+    terms += [{"support": [v], "pauli": "Z", "coeff": 0.3} for v in ids.values()]
+    if x_every:
+        terms += [{"support": [v], "pauli": "X", "coeff": 0.5}
+                  for v in ids.values() if v % x_every == 0]
+    return {"sites": [{"id": v, "dim": 2} for v in ids.values()],
+            "edges": edges, "terms": terms, "beta": 1.0}
+
+
+def test_cli_decompose_and_cumulants_on_a_10x10_grid(tmp_path, capsys):
+    model = write(tmp_path / "grid.json", grid(10, 10))
+    assert main(["decompose", model]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["residual"] <= 1e-8 and rep["max_commutator"] <= 1e-8
+    assert main(["cumulants", model, "--of", "hamiltonian"]) == 0
+    assert json.loads(capsys.readouterr().out)["clique"]["pass"]
+    # an X field on every 7th site does not commute with the ZZ couplings
+    # there: rejected, not a limit
+    fielded = write(tmp_path / "grid-x.json", grid(10, 10, x_every=7))
+    assert main(["decompose", fielded]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert not rep["decomposed"] and "residual" in rep["reason"]
 
 
 def test_cli_decompose_rejects_triangles(tmp_path, capsys):

@@ -3,23 +3,28 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qmn import families
 from qmn.cumulants import (
+    CUMULANT_TARGETS,
     cumulant,
     expand,
     hermitian_basis,
+    model_cumulants,
     site_average,
     verify_clique_support,
 )
 from qmn.errors import NonHermitianError, UnknownSiteError
-from qmn.graphs import Graph
+from qmn.graphs import Graph, cliques
 from qmn.markov import DensityMatrix, ModelInstance, gibbs
-from qmn.pauli import parse_sum
+from qmn.pauli import PauliTerm, parse_sum
 from qmn.tensor import SiteSpace, SupportedOperator, embed, hs_norm, logm_pd, partial_trace
 
 from helpers import (
     brute_cumulant,
     dense_pauli_word,
+    log_gibbs,
     random_hermitian,
 )
 
@@ -268,3 +273,78 @@ def test_commutator_masses_account_for_norm():
     exp = expand(1j * comm, space, drop_rtol=1e-10)
     total = hs_norm(comm) ** 2
     assert sum(exp.norm_sq(k) for k in exp.entries) == pytest.approx(total, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# cumulants of a model from its terms, against the dense route
+
+COEFFS = (-1.5, -1.0, -0.7, -0.4, 0.3, 0.6, 0.9, 1.2)
+
+
+@st.composite
+def local_models(draw):
+    """Models inside the dense cap: Pauli words (the identity word too) and
+    dense terms on cliques of a random graph, some sites composite (two
+    qubits, asymmetric words on them), beta in [0.3, 3]."""
+    n = draw(st.integers(2, 4))
+    sites = list(range(1, n + 1))
+    graph = Graph.from_edges([e for e in combinations(sites, 2) if draw(st.booleans())],
+                             vertices=sites)
+    two = [s for s in sites if draw(st.booleans())][:2]
+    comp = {s: (2 * s, 2 * s + 1) if s in two else (2 * s,) for s in sites}
+    space = SiteSpace.from_dims({s: 2 ** len(comp[s]) for s in sites})
+    pool = [c for c in cliques(graph, max_size=3) if c]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("pauli", "pauli", "dense", "identity")))
+        sup = draw(st.sampled_from(pool))
+        coeff = draw(st.sampled_from(COEFFS))
+        if kind == "identity":
+            terms.append(PauliTerm(coeff))
+        elif kind == "pauli":
+            letters = {q: draw(st.sampled_from("IXYZ")) for s in sup for q in comp[s]}
+            terms.append(PauliTerm.from_letters(
+                coeff, {q: a for q, a in letters.items() if a != "I"}))
+        else:
+            d = space.subspace(sup).total_dim
+            terms.append(SupportedOperator(sup, random_hermitian(rng, d, coeff)))
+    beta = draw(st.floats(0.3, 3.0))
+    return ModelInstance(space, graph, tuple(terms), beta=beta, site_composition=comp)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(local_models(), st.sampled_from(CUMULANT_TARGETS))
+def test_model_cumulants_match_the_dense_expansion(model, of):
+    got = model_cumulants(model, of)
+    dense = log_gibbs(model) if of == "log-gibbs" else model.beta * model.hamiltonian()
+    want = expand(dense, model.space)
+    assert got.scalar_known
+    assert list(got.entries) == list(want.entries)
+    assert got.total_norm_sq == pytest.approx(want.total_norm_sq, rel=1e-12)
+    for key, op in want.entries.items():
+        err = hs_norm(got.entries[key].matrix - op.matrix)
+        assert err <= 1e-12 * op.hs_norm(), (sorted(key), err)
+
+
+def test_model_cumulants_past_the_dense_cap(monkeypatch):
+    model = families.theorem4_model("path4", np.random.default_rng(3))
+    inside = model_cumulants(model)
+    monkeypatch.setenv("QMN_DENSE_CAP", "4")
+    past = model_cumulants(model)
+    assert not past.scalar_known
+    assert set(past.entries) == set(inside.entries) - {frozenset()}
+    assert past.total_norm_sq == pytest.approx(
+        inside.total_norm_sq - inside.norm_sq(()), rel=1e-12)
+    assert model_cumulants(model, "hamiltonian").scalar_known
+
+
+def test_model_cumulants_validation():
+    space = SiteSpace.qubits(2)
+    skew = SupportedOperator((1,), np.array([[0, 1], [0, 0]], dtype=complex))
+    model = ModelInstance(space, chain(2), (skew,))
+    for of in CUMULANT_TARGETS:
+        with pytest.raises(NonHermitianError):
+            model_cumulants(model, of)
+    with pytest.raises(ValueError, match="of must be"):
+        model_cumulants(model, "rho")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmn import families
-from qmn.cumulants import expand
+from qmn.cumulants import expand, model_cumulants
 from qmn.decompose import (
     LOCAL_COMMUTING,
     NOT_SHIELD_COMMUTING,
@@ -28,11 +28,11 @@ from qmn.errors import (
     UnknownSiteError,
 )
 from qmn.graphs import Graph, Partition, cliques
-from qmn.markov import DensityMatrix, ModelInstance, gibbs, is_markov_network, log_gibbs
+from qmn.markov import DensityMatrix, ModelInstance, gibbs, is_markov_network
 from qmn.pauli import PauliSum, PauliTerm, as_sum
 from qmn.tensor import SiteSpace, SupportedOperator, embed, logm_pd
 
-from helpers import dense_pauli_word, expm_taylor, haar_unitary
+from helpers import dense_pauli_word, expm_taylor, haar_unitary, log_gibbs
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -142,7 +142,7 @@ def test_gibbs_factors_product_recovers_state():
              SupportedOperator((2,), 0.5 * Z))
     model = ModelInstance(space, graph, terms, beta=0.8)
     rho = gibbs(model)
-    f_ab, f_bc = gibbs_factors(log_gibbs(model), space, part({1}, {2}, {3}))
+    f_ab, f_bc = gibbs_factors(model_cumulants(model), part({1}, {2}, {3}))
     assert f_ab.support == (1, 2)
     assert f_bc.support == (2, 3)
     left = embed(f_ab, space) @ embed(f_bc, space)
@@ -157,7 +157,7 @@ def test_gibbs_factors_not_markov():
              SupportedOperator((2, 3), np.kron(Z, Z)))
     model = ModelInstance(space, chain(3), terms, beta=1.0)
     with pytest.raises(NotMarkovError):
-        gibbs_factors(log_gibbs(model), space, part({1}, {2}, {3}))
+        gibbs_factors(model_cumulants(model), part({1}, {2}, {3}))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +405,7 @@ def test_theorem4_diagonal_star_graph():
              pw(-0.5, {0: "Z", 3: "Z"}), pw(0.4, {0: "Z"}))
     model = ModelInstance(space, graph, terms, beta=0.9)
     rho = gibbs(model)
-    dec = theorem4_decompose(log_gibbs(model), space, graph)
+    dec = theorem4_decompose(model_cumulants(model), graph)
     assert dec.residual <= 1e-10
     assert dec.max_commutator <= 1e-10
     assert set(dec.edge_terms) == {(0, 1), (0, 2), (0, 3)}
@@ -428,7 +428,7 @@ def test_theorem4_pulls_edge_shred_on_composite_site():
     beta = 0.7
     model = ModelInstance(space, graph, (h12, h23), beta=beta)
     rho = gibbs(model)
-    dec = theorem4_decompose(log_gibbs(model), space, graph)
+    dec = theorem4_decompose(model_cumulants(model), graph)
     assert np.allclose(dec.edge_terms[(1, 2)].matrix, beta * h12.matrix,
                        atol=1e-9)
     assert np.allclose(dec.edge_terms[(2, 3)].matrix, beta * h23.matrix,
@@ -454,7 +454,7 @@ def test_theorem4_conjugated_chain():
         terms.append(SupportedOperator((2,), w2 @ (0.6 * Z) @ w2.conj().T))
         model = ModelInstance(space, graph, tuple(terms), beta=0.8)
         rho = gibbs(model)
-        dec = theorem4_decompose(log_gibbs(model), space, graph)
+        dec = theorem4_decompose(model_cumulants(model), graph)
         assert dec.residual <= 1e-9
         assert dec.max_commutator <= 1e-9
         check_decomposition(dec, rho)
@@ -469,7 +469,7 @@ def test_theorem4_dimer_absorbs_vertex_part():
     beta = 0.9
     model = ModelInstance(space, graph, (h,), beta=beta)
     rho = gibbs(model)
-    dec = theorem4_decompose(log_gibbs(model), space, graph)
+    dec = theorem4_decompose(model_cumulants(model), graph)
     assert np.allclose(dec.edge_terms[(1, 2)].matrix, beta * h.matrix,
                        atol=1e-9)
     for u in (1, 2):
@@ -486,9 +486,29 @@ def test_theorem4_seeded_models_decompose(seed):
     models = [families.theorem4_model("path4", rng)]
     models += [families.theorem4_model(kind, rng) for kind in families.THEOREM4_KINDS]
     for model in models:
-        dec = theorem4_decompose(log_gibbs(model), model.space, model.graph)
+        dec = theorem4_decompose(model_cumulants(model), model.graph)
         assert dec.residual <= 1e-8
         assert dec.max_commutator <= 1e-8
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(families.THEOREM4_KINDS), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.3, 3.0))
+def test_local_and_dense_decompositions_agree(kind, seed, beta):
+    # the local route (cumulants from the terms) against the dense one
+    # (expand of the full log rho): the same terms within 1e-12
+    model = families.theorem4_model(kind, np.random.default_rng(seed), beta=beta)
+    got = theorem4_decompose(model_cumulants(model), model.graph)
+    want = theorem4_decompose(expand(log_gibbs(model), model.space), model.graph)
+    assert set(got.vertex_terms) == set(want.vertex_terms)
+    assert set(got.edge_terms) == set(want.edge_terms)
+    pairs = [(got.vertex_terms[u], want.vertex_terms[u]) for u in want.vertex_terms]
+    pairs += [(got.edge_terms[e], want.edge_terms[e]) for e in want.edge_terms]
+    for a, b in pairs:
+        assert a.support == b.support
+        assert np.linalg.norm(a.matrix - b.matrix) <= 1e-12 * max(b.hs_norm(), 1.0)
+    assert abs(got.residual - want.residual) <= 1e-12
+    assert abs(got.max_commutator - want.max_commutator) <= 1e-12
 
 
 def test_theorem4_triangle_raises():
@@ -496,7 +516,7 @@ def test_theorem4_triangle_raises():
     space = SiteSpace.qubits(3)
     rho = DensityMatrix.maximally_mixed(space)
     with pytest.raises(NotTriangleFreeError):
-        theorem4_decompose(logm_pd(rho.matrix), space, graph)
+        theorem4_decompose(expand(logm_pd(rho.matrix), space), graph)
 
 
 def test_theorem4_off_clique_support_raises():
@@ -505,7 +525,7 @@ def test_theorem4_off_clique_support_raises():
     e = expm_taylor(h)
     rho = DensityMatrix(e / np.trace(e).real, space)
     with pytest.raises(NotMarkovError, match="outside"):
-        theorem4_decompose(logm_pd(rho.matrix), space, chain(3))
+        theorem4_decompose(expand(logm_pd(rho.matrix), space), chain(3))
 
 
 def test_theorem4_noncommuting_edge_cumulants_raise():
@@ -514,13 +534,13 @@ def test_theorem4_noncommuting_edge_cumulants_raise():
              SupportedOperator((2, 3), np.kron(Z, Z)))
     model = ModelInstance(space, chain(3), terms, beta=1.0)
     with pytest.raises(NotMarkovError, match="commute"):
-        theorem4_decompose(log_gibbs(model), space, chain(3))
+        theorem4_decompose(model_cumulants(model), chain(3))
 
 
 def test_theorem4_vertex_mismatch():
     rho = DensityMatrix.maximally_mixed(SiteSpace.qubits(3))
     with pytest.raises(UnknownSiteError):
-        theorem4_decompose(logm_pd(rho.matrix), rho.space, chain(4))
+        theorem4_decompose(expand(logm_pd(rho.matrix), rho.space), chain(4))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from qmn.markov import (
     entropy,
     gibbs,
     is_markov_network,
-    log_gibbs,
     stabilizer_state,
 )
 from qmn.pauli import PauliTerm, parse_sum, parse_term
@@ -30,6 +29,7 @@ from helpers import (
     classical_cmi,
     dense_pauli_word,
     expm_taylor,
+    log_gibbs,
     ptrace_indexsum,
     random_density,
 )
