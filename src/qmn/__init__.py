@@ -9,7 +9,6 @@ commuting vertex and edge Hamiltonians.
 
 from .cumulants import (
     CumulantExpansion,
-    cumulant,
     expand,
     model_cumulants,
     verify_clique_support,
@@ -19,8 +18,6 @@ from .decompose import (
     CommutingDecomposition,
     classify,
     coarse_grain_model,
-    gibbs_factors,
-    split_shield,
     theorem4_decompose,
     verify_gibbs,
 )
@@ -59,19 +56,16 @@ __all__ = [
     "cmi",
     "coarse_grain_model",
     "commutator",
-    "cumulant",
     "embed",
     "entropy",
     "expand",
     "gibbs",
-    "gibbs_factors",
     "is_markov_network",
     "model_cumulants",
     "parse_sum",
     "parse_term",
     "partial_trace",
     "spanning_shield_partitions",
-    "split_shield",
     "stabilizer_state",
     "theorem4_decompose",
     "verify_clique_support",

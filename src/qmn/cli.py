@@ -44,6 +44,7 @@ positivity floor).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -296,8 +297,7 @@ def _cmd_cumulants(args) -> int:
     model = load_model(args.model)
     _maybe_dot(model, args.dot)
     exp = model_cumulants(model, args.of)
-    keys = sorted(exp.entries, key=lambda k: (len(k), tuple(sorted(k))))
-    listed = [k for k in keys
+    listed = [k for k in exp.supports()
               if args.max_support is None or len(k) <= args.max_support]
     listed_mass = sum(exp.norm_sq(k) for k in listed)
     total = exp.total_norm_sq
@@ -309,7 +309,7 @@ def _cmd_cumulants(args) -> int:
         "rtol": args.rtol,
         "scalar_computed": exp.scalar_known,
         "total_norm_sq": total,
-        "supports": [{"sites": sorted(k), "norm_sq": exp.norm_sq(k)}
+        "supports": [{"sites": list(k), "norm_sq": exp.norm_sq(k)}
                      for k in listed],
         "parseval_gap": gap,
         "clique": {
@@ -511,7 +511,10 @@ class _Parser(argparse.ArgumentParser):
         raise ModelFormatError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once; each ``parse_args`` call returns a
+    fresh namespace."""
     p = _Parser(prog="qmn",
                 description="Verify, classify and decompose quantum Markov "
                             "networks from JSON model files.")

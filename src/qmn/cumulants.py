@@ -7,11 +7,9 @@ E_a, where E_a replaces site a by its normalized partial trace.  The
 components are pairwise orthogonal in the Hilbert-Schmidt inner product, so
 sum_X ||K_X||^2 = ||H||^2 with K_X embedded in the full space.
 
-Two routes work on a full-space matrix: ``cumulant`` reduces to the region
-and applies the single-site projectors directly, and ``expand`` computes
-every component at once by transforming into a per-site orthonormal
-Hermitian basis and grouping coefficients by which sites carry a
-non-identity element.
+On a full-space matrix, ``expand`` computes every component at once by
+transforming into a per-site orthonormal Hermitian basis and grouping
+coefficients by which sites carry a non-identity element.
 
 A sum of local operators needs no full-space matrix.  The projectors act
 site by site, so each operator splits on its own support and the parts add
@@ -36,15 +34,7 @@ from .errors import UnknownSiteError
 from .graphs import Graph
 from .markov import ModelInstance, log_partition
 from .pauli import PauliSum, PauliTerm, as_sum
-from .tensor import (
-    SiteSpace,
-    SupportedOperator,
-    check_hermitian,
-    dense_cap,
-    embed,
-    embed_sum,
-    partial_trace,
-)
+from .tensor import SiteSpace, SupportedOperator, check_hermitian, dense_cap
 
 DEFAULT_DROP_RTOL = 1e-12
 DEFAULT_CLIQUE_RTOL = 1e-10
@@ -76,33 +66,6 @@ def hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
     for m in mats:
         m.setflags(write=False)
     return tuple(mats)
-
-
-def site_average(matrix: np.ndarray, space: SiteSpace, site: int) -> np.ndarray:
-    """E_site: replace one site by identity times its normalized partial trace."""
-    keep = [s for s in space.sites if s != site]
-    red = partial_trace(matrix, space, keep)
-    return embed(SupportedOperator(red.support, red.matrix / space.dim(site)), space)
-
-
-def cumulant(matrix: np.ndarray, space: SiteSpace, region: Iterable[int]
-             ) -> SupportedOperator:
-    """K_X for one region, by reduction and per-site projection.
-
-    Returns the operator on the region itself; embedding tensors identity on
-    the complement.
-    """
-    region = tuple(sorted(set(region)))
-    for s in region:
-        if s not in space:
-            raise UnknownSiteError(f"region site {s} not in space {space.sites}")
-    comp_dim = math.prod(space.dim(s) for s in space.sites if s not in region)
-    red = partial_trace(matrix, space, region)
-    sub = space.subspace(region)
-    m = red.matrix / comp_dim
-    for a in region:
-        m = m - site_average(m, sub, a)
-    return SupportedOperator(region, m)
 
 
 def _coeff_tensor(matrix: np.ndarray, space: SiteSpace) -> np.ndarray:
@@ -184,21 +147,13 @@ class CumulantExpansion:
             sq += _embedded_norm_sq(self.space, key, diff)
         return math.sqrt(sq)
 
-    @property
-    def parseval_residual(self) -> float:
-        kept = sum(self.norm_sq(x) for x in self.entries)
-        return abs(kept - self.total_norm_sq)
-
-    def reconstruct(self) -> np.ndarray:
-        return embed_sum(self.entries.values(), self.space)
-
 
 def expand(matrix: np.ndarray, space: SiteSpace,
            drop_rtol: float = DEFAULT_DROP_RTOL) -> CumulantExpansion:
     """Every cumulant component of a Hermitian operator at once.
 
     Components whose embedded norm is below ``drop_rtol`` times the operator
-    norm are dropped; they reappear only in ``parseval_residual``.
+    norm are dropped; ``total_norm_sq`` still counts them.
     """
     m = check_hermitian(matrix)
     if m.shape != (space.total_dim, space.total_dim):

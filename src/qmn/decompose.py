@@ -1,4 +1,4 @@
-"""Shield splits, commutation classification and commuting decompositions.
+"""Commutation classification and commuting decompositions.
 
 The pipeline realized here: a positive state that is a Markov network on a
 triangle-free graph has log rho with cumulants on vertices and edges only,
@@ -18,14 +18,16 @@ sites, and the final residual compares the returned terms' cumulants with
 the expansion support by support, which is exact by Parseval.
 
 One commutation engine serves every question.  A single relative
-commutator norm, ||[a, b]|| / (||a|| ||b||), is exact for Pauli sums and
-taken on the union support for dense operators.  A single grouping search
-regroups operators across a shielding partition: operators meeting A go to
+commutator norm, ||[a, b]|| / (||a|| ||b||) in the dimension-normalized
+Hilbert-Schmidt norm ||X|| / sqrt(dim X), is exact for Pauli sums and
+taken on the union support for dense operators; the normalization makes the
+two agree and leaves the value independent of the space an operator is
+embedded in.  A single grouping search, run by ``classify`` on the terms of
+a model, regroups them across a shielding partition: terms meeting A go to
 the A side, those meeting C to the C side, and the assignments of those
-inside the shield are searched, default first.  ``split_shield`` runs it on
-the cumulants of an operator, ``classify`` on the terms of a model.  The
-star decomposition solves each Hermitian commutant directly, as the real
-null space of X -> [X, g] in a Hermitian basis of the site.
+inside the shield are searched, default first.  The star decomposition
+solves each Hermitian commutant directly, as the real null space of
+X -> [X, g] in a Hermitian basis of the site.
 
 The same engine answers the Markov question for Gibbs states, which is the
 paper's theorem.  When a commuting grouping H = H_AB + H_BC exists across a
@@ -56,7 +58,6 @@ from .cumulants import (
     verify_clique_support,
 )
 from .errors import (
-    CrossCumulantError,
     DecompositionResidualError,
     EnumerationCapError,
     NotMarkovError,
@@ -86,7 +87,6 @@ from .tensor import (
     SupportedOperator,
     embed,
     embed_sum,
-    expm_herm,
     hs_norm,
     op_schmidt,
 )
@@ -110,7 +110,9 @@ def _relative_commutator(a: Operand, b: Operand, space: SiteSpace) -> float:
 
     Pauli sums are commuted exactly, so the result is 0.0 exactly when the
     commutator cancels; their norms are the dimension-normalized ones,
-    sqrt(sum |c|^2).  Dense operators are compared on their union support.
+    sqrt(sum |c|^2).  Dense operators are compared on their union support
+    in the same normalized norm, ||X|| / sqrt(dim), which multiplies the
+    ratio of plain Hilbert-Schmidt norms by sqrt(dim).
     """
     if isinstance(a, PauliSum) and isinstance(b, PauliSum):
         c = commutator(a, b)
@@ -122,51 +124,49 @@ def _relative_commutator(a: Operand, b: Operand, space: SiteSpace) -> float:
     scale = hs_norm(da) * hs_norm(db)
     if scale == 0.0:
         return 0.0
-    return hs_norm(da @ db - db @ da) / scale
+    return hs_norm(da @ db - db @ da) / scale * math.sqrt(sub.total_dim)
 
 
-def _best_grouping(items: Iterable[tuple[frozenset[int], Operand]],
+def _best_grouping(items: Sequence[tuple[frozenset[int], Operand]],
                    p: Partition, space: SiteSpace, rtol: float,
-                   search_cap: int, symbolic: bool
-                   ) -> tuple[Operand, Operand, float, dict[frozenset[int], str]]:
-    """Regroup support-keyed operators into two halves across a partition.
+                   search_cap: int) -> float:
+    """Smallest relative commutator norm of the two halves into which
+    support-keyed operators regroup across a partition.
 
     Operators meeting A go to the AB half, the rest meeting C to the BC
-    half, and the scalar part stays on the AB half.  The k operators inside
-    B default to the AB half; when that grouping's relative commutator norm
-    exceeds ``rtol``, every assignment is tried in mask order (bit i sends
-    inner operator i to the BC half) until one commutes, which needs
-    2^k <= ``search_cap``.  Pauli sums (``symbolic``) are summed exactly,
-    dense operators on the sites of their half.  Returns the halves with
-    the smallest norm, that norm and the assignment of the inner supports.
+    half, and a scalar stays on the AB half.  The k operators inside B
+    default to the AB half; when that grouping's norm exceeds ``rtol``,
+    every assignment is tried in mask order (bit i sends inner operator i
+    to the BC half) until one commutes, which needs 2^k <= ``search_cap``.
+    Pauli sums are summed exactly, dense operators on the sites of their
+    half.
     """
+    symbolic = all(isinstance(op, PauliSum) for _, op in items)
     ab_sites = tuple(sorted(p.a | p.b))
     bc_sites = tuple(sorted(p.b | p.c))
     side_ab: list[Operand] = []
     side_bc: list[Operand] = []
-    inner: list[tuple[frozenset[int], Operand]] = []
+    inner: list[Operand] = []
     for key, op in items:
         if key & p.a or not key:
             side_ab.append(op)
         elif key & p.c:
             side_bc.append(op)
         else:
-            inner.append((key, op))
+            inner.append(op)
 
     def half(parts: list[Operand], sites: tuple[int, ...]) -> Operand:
         if symbolic:
             return PauliSum(tuple(t for s in parts for t in s.terms))
         return SupportedOperator(sites, embed_sum(parts, space.subspace(sites)))
 
-    def grouping(mask: int) -> tuple[Operand, Operand, float]:
+    def grouping(mask: int) -> float:
         ab, bc = list(side_ab), list(side_bc)
-        for i, (_, op) in enumerate(inner):
+        for i, op in enumerate(inner):
             (bc if mask >> i & 1 else ab).append(op)
-        h_ab, h_bc = half(ab, ab_sites), half(bc, bc_sites)
-        return h_ab, h_bc, _relative_commutator(h_ab, h_bc, space)
+        return _relative_commutator(half(ab, ab_sites), half(bc, bc_sites), space)
 
-    best_mask = 0
-    h_ab, h_bc, best = grouping(0)
+    best = grouping(0)
     if best > rtol:
         trials = 1 << len(inner)
         if trials > search_cap:
@@ -174,14 +174,10 @@ def _best_grouping(items: Iterable[tuple[frozenset[int], Operand]],
                 f"{len(inner)} shield-internal components need {trials} "
                 f"groupings, above the cap {search_cap}")
         for mask in range(1, trials):
-            cand = grouping(mask)
-            if cand[2] < best:
-                best_mask, (h_ab, h_bc, best) = mask, cand
-                if best <= rtol:
-                    break
-    assignment = {key: ("BC" if best_mask >> i & 1 else "AB")
-                  for i, (key, _) in enumerate(inner)}
-    return h_ab, h_bc, best, assignment
+            best = min(best, grouping(mask))
+            if best <= rtol:
+                break
+    return best
 
 
 @dataclass(frozen=True)
@@ -213,71 +209,6 @@ def pairwise_commutation(ops: Sequence[Operand], space: SiteSpace,
 
 
 # ---------------------------------------------------------------------------
-# shield splits of an expansion
-
-@dataclass(frozen=True)
-class ShieldSplit:
-    """One expansion regrouped across a shielding partition."""
-
-    partition: Partition
-    h_ab: SupportedOperator
-    h_bc: SupportedOperator
-    commuting: bool
-    commutator_norm: float
-    assignment: dict[frozenset[int], str]
-
-
-def split_shield(expansion: CumulantExpansion, partition: Partition,
-                 rtol: float = DEFAULT_RTOL,
-                 search_cap: int = SPLIT_SEARCH_CAP) -> ShieldSplit:
-    """Split an expansion into commuting halves across a shielding partition.
-
-    Components meeting A go to the A side, components meeting C to the C
-    side; a component meeting both is a contradiction with shielding and
-    raises.  Components inside B default to the A side; if the default
-    grouping fails to commute, all 2^k reassignments are searched (capped)
-    and the best grouping is returned with ``commuting`` reporting whether
-    the relative commutator norm vanished within tolerance.
-    """
-    space = expansion.space
-    if partition.union != set(space.sites):
-        raise UnknownSiteError(
-            f"partition {sorted(partition.union)} must cover all sites "
-            f"{list(space.sites)}")
-    for key in expansion.entries:
-        if key & partition.a and key & partition.c:
-            norm = math.sqrt(expansion.norm_sq(key))
-            raise CrossCumulantError(
-                f"cumulant on {sorted(key)} meets both A {sorted(partition.a)} "
-                f"and C {sorted(partition.c)} (norm {norm:.3e})",
-                support=key, norm=norm)
-    h_ab, h_bc, norm, assignment = _best_grouping(
-        expansion.entries.items(), partition, space, rtol, search_cap,
-        symbolic=False)
-    return ShieldSplit(partition, h_ab, h_bc, norm <= rtol, norm, assignment)
-
-
-def gibbs_factors(expansion: CumulantExpansion, partition: Partition,
-                  rtol: float = DEFAULT_RTOL
-                  ) -> tuple[SupportedOperator, SupportedOperator]:
-    """Factor a positive state as rho = F_AB F_BC across a shielding partition.
-
-    ``expansion`` holds the cumulants of log rho.  The factors are
-    exponentials of its two halves and commute, so their product in either
-    order reproduces the state.
-    """
-    split = split_shield(expansion, partition, rtol=rtol)
-    if not split.commuting:
-        raise NotMarkovError(
-            f"halves of log rho do not commute across "
-            f"({sorted(partition.a)}|{sorted(partition.b)}|{sorted(partition.c)}): "
-            f"relative residual {split.commutator_norm:.3e}")
-    f_ab = SupportedOperator(split.h_ab.support, expm_herm(split.h_ab.matrix))
-    f_bc = SupportedOperator(split.h_bc.support, expm_herm(split.h_bc.matrix))
-    return f_ab, f_bc
-
-
-# ---------------------------------------------------------------------------
 # classification
 
 @dataclass(frozen=True)
@@ -301,10 +232,6 @@ class Classification:
     records: tuple[ShieldRecord, ...]
     witness: Partition | None
     route: str
-
-    @property
-    def locally_commuting(self) -> bool:
-        return self.verdict == LOCAL_COMMUTING
 
 
 def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL,
@@ -339,7 +266,7 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL,
     if partitions is None:
         partitions = spanning_shield_partitions(model.graph)
     for p in partitions:
-        norm = _best_grouping(keyed, p, model.space, tol, search_cap, symbolic)[2]
+        norm = _best_grouping(keyed, p, model.space, tol, search_cap)
         records.append(ShieldRecord(p, norm <= tol, norm))
         if norm > tol:
             return Classification(NOT_SHIELD_COMMUTING, pair.max_norm, pair.worst,
@@ -486,9 +413,6 @@ class CommutingDecomposition:
         es = [self.edge_terms[e] for e in sorted(self.edge_terms)]
         return tuple(vs + es)
 
-    def reconstruct(self) -> np.ndarray:
-        return embed_sum(self.terms(), self.space)
-
     def to_model(self) -> ModelInstance:
         return ModelInstance(self.space, self.graph, self.terms(), beta=1.0)
 
@@ -583,8 +507,7 @@ def _maximal_cliques(graph: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def coarse_grain_model(model: ModelInstance, merge: dict[int, int],
-                       require_adjacent: bool = True) -> ModelInstance:
+def coarse_grain_model(model: ModelInstance, merge: dict[int, int]) -> ModelInstance:
     """Merge sites of a Pauli model, regrouping terms by quotient clique.
 
     Terms whose merged supports land in the same maximal clique of the
@@ -596,7 +519,7 @@ def coarse_grain_model(model: ModelInstance, merge: dict[int, int],
     if not model.all_pauli():
         raise ValueError("coarse graining regroups symbolic terms; "
                          "all model terms must be Pauli sums")
-    qgraph, site_map = coarse_grain(model.graph, merge, require_adjacent)
+    qgraph, site_map = coarse_grain(model.graph, merge)
     old_comp = model.site_composition or {s: (s,) for s in model.space.sites}
     for s in model.space.sites:
         if model.space.dim(s) != 2 ** len(old_comp[s]):

@@ -39,16 +39,6 @@ class ModelFormatError(QmnError):
     """A model file failed validation; message carries field-level diagnostics."""
 
 
-class CrossCumulantError(QmnError):
-    """A cumulant straddles both sides of a shielding partition."""
-
-    def __init__(self, message: str, support: frozenset[int] | None = None,
-                 norm: float | None = None):
-        super().__init__(message)
-        self.support = support
-        self.norm = norm
-
-
 class NotTriangleFreeError(QmnError):
     """The decomposition pipeline requires a triangle-free graph."""
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import EnumerationCapError, UnknownSiteError
 
 ENUMERATION_CAP = 14
+ALL_ENUMERATION_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,6 @@ class Partition:
     def union(self) -> frozenset[int]:
         return self.a | self.b | self.c
 
-    def sort_key(self) -> tuple:
-        return (sorted(self.a), sorted(self.b), sorted(self.c))
-
 
 def cliques(graph: Graph, max_size: int | None = None) -> list[tuple[int, ...]]:
     """All cliques (complete vertex subsets) up to ``max_size``, deterministic.
@@ -142,19 +140,21 @@ def _canonical(digits: np.ndarray) -> np.ndarray:
             & (digits == 2).any(axis=1))
 
 
-def spanning_shield_partitions(graph: Graph, cap: int = ENUMERATION_CAP) -> Iterator[Partition]:
+def spanning_shield_partitions(graph: Graph) -> Iterator[Partition]:
     """Stream all spanning shielding partitions in canonical orientation.
 
     Enumerates the 3^n assignments in base-3 counting order (vertices sorted,
     first vertex least significant); keeps assignments with nonempty A and C,
     no direct A-C edge (equivalent to shielding for spanning partitions), and
-    the smallest A|C vertex in A (deduplicates the A/C swap).
+    the smallest A|C vertex in A (deduplicates the A/C swap).  More than
+    ``ENUMERATION_CAP`` vertices raise ``EnumerationCapError``.
     """
     vs = sorted(graph.vertices)
     n = len(vs)
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"spanning partition enumeration needs 3^{n} assignments; cap is 3^{cap}")
+            f"spanning partition enumeration needs 3^{n} assignments; "
+            f"cap is 3^{ENUMERATION_CAP}")
     if n == 0:
         return
     pos = {v: k for k, v in enumerate(vs)}
@@ -172,7 +172,7 @@ def spanning_shield_partitions(graph: Graph, cap: int = ENUMERATION_CAP) -> Iter
         yield from _partitions(vs, digits[ok])
 
 
-def all_shield_partitions(graph: Graph, cap: int = 10) -> Iterator[Partition]:
+def all_shield_partitions(graph: Graph) -> Iterator[Partition]:
     """Stream all shielding partitions, spanning or not (audit mode).
 
     Walks the 4^n assignments (0=A, 1=B, 2=C, 3=left out) in the order of
@@ -180,13 +180,15 @@ def all_shield_partitions(graph: Graph, cap: int = 10) -> Iterator[Partition]:
     significant), in chunks.  Keeps those in canonical orientation (nonempty
     A and C, smallest A|C vertex in A) from whose A no path avoiding B
     reaches C: reach spreads from A along edges into vertices outside B
-    until it stops growing, and must then miss C.
+    until it stops growing, and must then miss C.  More than
+    ``ALL_ENUMERATION_CAP`` vertices raise ``EnumerationCapError``.
     """
     vs = sorted(graph.vertices)
     n = len(vs)
-    if n > cap:
+    if n > ALL_ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"full partition enumeration needs 4^{n} assignments; cap is 4^{cap}")
+            f"full partition enumeration needs 4^{n} assignments; "
+            f"cap is 4^{ALL_ENUMERATION_CAP}")
     if n == 0:
         return
     pos = {v: k for k, v in enumerate(vs)}
@@ -224,14 +226,12 @@ def shield_partitions(graph: Graph, mode: str = "spanning") -> list[Partition]:
     raise ValueError(f"mode must be 'spanning' or 'all', got {mode!r}")
 
 
-def coarse_grain(graph: Graph, merge: dict[int, int],
-                 require_adjacent: bool = True) -> tuple[Graph, dict[int, int]]:
+def coarse_grain(graph: Graph, merge: dict[int, int]) -> tuple[Graph, dict[int, int]]:
     """Quotient graph under a merge map, plus the full vertex map.
 
     ``merge`` sends merged vertices to their targets; vertices not listed map
     to themselves.  The map must be idempotent (targets are not themselves
-    merged away) and, unless ``require_adjacent=False``, each merged vertex
-    must be adjacent to its target.
+    merged away), and each merged vertex must be adjacent to its target.
     """
     site_map = {v: v for v in graph.vertices}
     for src, dst in merge.items():
@@ -244,7 +244,7 @@ def coarse_grain(graph: Graph, merge: dict[int, int],
         if site_map[dst] != dst:
             raise UnknownSiteError(
                 f"merge is not idempotent: {src}->{dst} but {dst}->{site_map[dst]}")
-        if require_adjacent and not graph.has_edge(src, dst):
+        if not graph.has_edge(src, dst):
             raise UnknownSiteError(f"merged vertices {src},{dst} are not adjacent")
     new_vertices = frozenset(site_map.values())
     new_edges = set()
@@ -255,23 +255,10 @@ def coarse_grain(graph: Graph, merge: dict[int, int],
     return Graph(new_vertices, frozenset(new_edges)), site_map
 
 
-def to_dot(graph: Graph, partition: Partition | None = None) -> str:
-    """Graphviz DOT text; partition groups get fill colors A=green, B=gray, C=blue."""
+def to_dot(graph: Graph) -> str:
+    """Graphviz DOT text of the graph."""
     lines = ["graph G {"]
-    colors = {}
-    if partition is not None:
-        for v in partition.a:
-            colors[v] = "palegreen"
-        for v in partition.b:
-            colors[v] = "lightgray"
-        for v in partition.c:
-            colors[v] = "lightblue"
-    for v in sorted(graph.vertices):
-        if v in colors:
-            lines.append(f'  {v} [style=filled, fillcolor={colors[v]}];')
-        else:
-            lines.append(f"  {v};")
-    for u, v in sorted(graph.edges):
-        lines.append(f"  {u} -- {v};")
+    lines += [f"  {v};" for v in sorted(graph.vertices)]
+    lines += [f"  {u} -- {v};" for u, v in sorted(graph.edges)]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -38,6 +38,7 @@ from .tensor import (
     SupportedOperator,
     check_hermitian,
     dense_cap,
+    embed,
     embed_sum,
     partial_trace,
 )
@@ -82,21 +83,6 @@ class DensityMatrix:
             self.matrix, TRACE_ATOL, "state trace {tr!r} is not 1",
             f"state has eigenvalue {{w:.3e}} below floor {EIGENVALUE_FLOOR:.0e}")
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, space: SiteSpace) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex).ravel()
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()), space)
-
-    @classmethod
-    def maximally_mixed(cls, space: SiteSpace) -> "DensityMatrix":
-        d = space.total_dim
-        return cls(np.eye(d, dtype=complex) / d, space)
-
-    def marginal(self, keep: Iterable[int]) -> "DensityMatrix":
-        red = partial_trace(self.matrix, self.space, keep)
-        return DensityMatrix(red.matrix, self.space.subspace(red.support))
 
 
 def entropy(matrix: np.ndarray) -> float:
@@ -342,9 +328,9 @@ def _gf2_eliminate(rows: list[int]) -> list[set[int]]:
 def stabilizer_state(generators: Sequence[Term], space: SiteSpace) -> DensityMatrix:
     """Uniform mixture over the joint +1 eigenspace of commuting Pauli words.
 
-    Generators must be Hermitian Pauli words with coefficient +1 or -1,
-    pairwise commuting and independent; the state is the normalized
-    projector prod_k (1 + g_k)/2.
+    Generators must be Hermitian Pauli words with coefficient +1 or -1 on
+    qubit sites, pairwise commuting and independent; the state is the
+    normalized projector prod_k (1 + g_k)/2.
     """
     gens: list[PauliTerm] = []
     for g in generators:
@@ -379,7 +365,12 @@ def stabilizer_state(generators: Sequence[Term], space: SiteSpace) -> DensityMat
         raise DenseCapError(f"stabilizer state dim {d} exceeds dense cap {dense_cap()}")
     proj = np.eye(d, dtype=complex)
     for t in gens:
-        proj = (proj + proj @ PauliSum.of(t).to_dense(space)) / 2
+        sup = t.support
+        if any(space.dim(s) != 2 for s in sup):
+            raise DimensionMismatchError(
+                f"Pauli letters on sites {list(sup)} need dimension 2")
+        word = SupportedOperator(sup, PauliSum.of(t).matrix(sup))
+        proj = (proj + proj @ embed(word, space)) / 2
     tr = float(np.trace(proj).real)
     want = d / 2 ** len(gens)
     if abs(tr - want) > 1e-6 * want:

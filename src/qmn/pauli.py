@@ -12,7 +12,7 @@ combined list of terms; :meth:`PauliSum.matrix` is the one conversion to a
 dense matrix.  Qubit ids satisfy 0 <= id < 2**20 (``QUBIT_ID_LIMIT``),
 checked where words enter from outside.
 
-Text form (used in model files and reports)::
+Text form (read by ``parse_term`` / ``parse_sum``, written by ``str``)::
 
     term  := [coeff "*"] letter-token*   e.g.  "1.0 * Z1 Z2 Y5"
     sum   := term (" + " term)*
@@ -30,8 +30,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ModelFormatError
-from .tensor import SiteSpace, SupportedOperator, embed
+from .errors import ModelFormatError
 
 QUBIT_ID_LIMIT = 2 ** 20
 
@@ -103,9 +102,6 @@ class PauliTerm:
     def support(self) -> tuple[int, ...]:
         return _bits(self.x | self.z)
 
-    def adjoint(self) -> "PauliTerm":
-        return PauliTerm(self.coeff.conjugate(), self.x, self.z)
-
     def __mul__(self, other: Union["PauliTerm", complex]) -> "PauliTerm":
         if not isinstance(other, PauliTerm):
             return PauliTerm(self.coeff * complex(other), self.x, self.z)
@@ -167,13 +163,6 @@ class PauliSum:
         """Dimension-normalized Hilbert-Schmidt norm, sqrt(sum |c|^2)."""
         return math.sqrt(sum(abs(t.coeff) ** 2 for t in self.terms))
 
-    def adjoint(self) -> "PauliSum":
-        return PauliSum(tuple(t.adjoint() for t in self.terms))
-
-    @property
-    def is_hermitian(self) -> bool:
-        return self.adjoint() == self
-
     def __add__(self, other: Union["PauliSum", PauliTerm]) -> "PauliSum":
         other_terms = other.terms if isinstance(other, PauliSum) else (other,)
         return PauliSum(self.terms + tuple(other_terms))
@@ -217,18 +206,6 @@ class PauliSum:
             c = _times_i_power(t.coeff, (t.x & t.z).bit_count())
             out[j ^ x, j] += c * (1 - 2 * parity)
         return out
-
-    def to_supported(self, space: SiteSpace) -> SupportedOperator:
-        """Dense matrix on the union support of all terms."""
-        sup = self.support
-        if any(space.dim(s) != 2 for s in sup):
-            raise DimensionMismatchError(
-                f"Pauli letters on sites {list(sup)} need dimension 2")
-        return SupportedOperator(sup, self.matrix(sup))
-
-    def to_dense(self, space: SiteSpace) -> np.ndarray:
-        """Dense matrix on the full space."""
-        return embed(self.to_supported(space), space)
 
 
 def as_sum(obj: Union[PauliSum, PauliTerm]) -> PauliSum:

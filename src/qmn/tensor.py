@@ -3,7 +3,7 @@
 Operators live on a :class:`SiteSpace`, an ordered collection of finite-
 dimensional sites.  A :class:`SupportedOperator` pairs a matrix with the
 sorted tuple of site ids it acts on; everything else (embedding, partial
-trace, spectral calculus, operator Schmidt decomposition) is a plain
+trace, matrix logarithm, operator Schmidt decomposition) is a plain
 function on numpy arrays.
 
 Embedding and partial trace are adjoint and share one einsum layout of a
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -25,11 +25,13 @@ from .errors import (
     DimensionMismatchError,
     NonHermitianError,
     PositivityViolationError,
+    QmnError,
     UnknownSiteError,
 )
 
 HERMITIAN_RTOL = 1e-12
 SCHMIDT_RTOL = 1e-11
+LOG_FLOOR_RTOL = 1e-12
 DEFAULT_DENSE_CAP = 4096
 
 
@@ -38,9 +40,12 @@ def dense_cap() -> int:
     raw = os.environ.get("QMN_DENSE_CAP")
     if raw is None:
         return DEFAULT_DENSE_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
-        raise ValueError(f"QMN_DENSE_CAP must be positive, got {cap}")
+        raise QmnError(f"QMN_DENSE_CAP must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -138,26 +143,6 @@ class SupportedOperator:
         return float(np.linalg.norm(self.matrix))
 
 
-def supported(space: SiteSpace, sites: Sequence[int], matrix: np.ndarray) -> SupportedOperator:
-    """Build a :class:`SupportedOperator`, reordering axes if ``sites`` is unsorted.
-
-    ``matrix`` axes are taken to follow the order in which ``sites`` are
-    listed; the result is re-expressed on the sorted support.
-    """
-    sites = tuple(sites)
-    if len(set(sites)) != len(sites):
-        raise UnknownSiteError("support sites must be distinct")
-    dims = [space.dim(s) for s in sites]
-    m = np.asarray(matrix, dtype=complex)
-    want = math.prod(dims)
-    if m.shape != (want, want):
-        raise DimensionMismatchError(
-            f"operator on sites {sites} (dims {dims}) must be {want}x{want}, got {m.shape}")
-    order = sorted(range(len(sites)), key=lambda k: sites[k])
-    t = m.reshape(dims + dims).transpose(order + [len(sites) + k for k in order])
-    return SupportedOperator(tuple(sorted(sites)), t.reshape(want, want))
-
-
 def kron(*matrices: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more matrices, left to right."""
     if not matrices:
@@ -221,50 +206,35 @@ def partial_trace(matrix: np.ndarray, space: SiteSpace, keep: Iterable[int]) -> 
     return SupportedOperator(tuple(keep), np.reshape(red, (dk, dk)))
 
 
-def check_hermitian(matrix: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """Validate Hermiticity within ``rtol`` (relative to the max entry) and symmetrize."""
+def check_hermitian(matrix: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity within ``HERMITIAN_RTOL`` (relative to the max
+    entry) and symmetrize."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     scale = float(np.max(np.abs(m))) if m.size else 0.0
     defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if defect > rtol * scale:
+    if defect > HERMITIAN_RTOL * scale:
         raise NonHermitianError(
             f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e} "
-            f"exceeds {rtol:.1e} * max|M| = {rtol * scale:.3e}")
+            f"exceeds {HERMITIAN_RTOL:.1e} * max|M| = {HERMITIAN_RTOL * scale:.3e}")
     return (m + m.conj().T) / 2
 
 
-def herm_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
-    m = check_hermitian(matrix)
-    return np.linalg.eigh(m)
-
-
-def func_herm(matrix: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its eigenvalues."""
-    w, v = herm_eig(matrix)
-    return (v * f(w)) @ v.conj().T
-
-
-def expm_herm(matrix: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a Hermitian matrix (spectral calculus)."""
-    return func_herm(matrix, np.exp)
-
-
-def logm_pd(matrix: np.ndarray, floor_rtol: float = 1e-12) -> np.ndarray:
+def logm_pd(matrix: np.ndarray) -> np.ndarray:
     """Matrix logarithm of a positive definite Hermitian matrix.
 
-    Eigenvalues at or below ``floor_rtol`` times the largest eigenvalue are
-    treated as a positivity violation, not clipped.
+    The matrix must pass ``check_hermitian``.  Eigenvalues at or below
+    ``LOG_FLOOR_RTOL`` times the largest eigenvalue are treated as a
+    positivity violation, not clipped.
     """
-    w, v = herm_eig(matrix)
+    w, v = np.linalg.eigh(check_hermitian(matrix))
     top = float(w[-1])
     if top <= 0.0:
         raise PositivityViolationError(
             f"matrix is not positive definite: max eigenvalue {top:.3e}",
             min_eigenvalue=float(w[0]))
-    floor = floor_rtol * top
+    floor = LOG_FLOOR_RTOL * top
     if w[0] <= floor:
         raise PositivityViolationError(
             f"matrix is numerically singular: min eigenvalue {w[0]:.3e} "
@@ -272,25 +242,19 @@ def logm_pd(matrix: np.ndarray, floor_rtol: float = 1e-12) -> np.ndarray:
     return (v * np.log(w)) @ v.conj().T
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(a^dag b)."""
-    return complex(np.vdot(a, b))
-
-
 def hs_norm(a: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(a))
 
 
-def op_schmidt(op: SupportedOperator, space: SiteSpace, left: Iterable[int],
-               rtol: float = SCHMIDT_RTOL,
+def op_schmidt(op: SupportedOperator, space: SiteSpace, left: Iterable[int]
                ) -> list[tuple[SupportedOperator, SupportedOperator, float]]:
     """Operator Schmidt decomposition across a bipartition of the support.
 
     Returns triples ``(F, G, w)`` with ``op = sum_k w_k F_k (x) G_k``, the
     ``F_k`` / ``G_k`` Hilbert-Schmidt orthonormal on the left / right sites
-    and weights descending.  Weights below ``rtol`` times the largest are
-    dropped.
+    and weights descending.  Weights below ``SCHMIDT_RTOL`` times the
+    largest are dropped.
     """
     left = sorted(set(left))
     right = [s for s in op.support if s not in left]
@@ -311,7 +275,7 @@ def op_schmidt(op: SupportedOperator, space: SiteSpace, left: Iterable[int],
     out: list[tuple[SupportedOperator, SupportedOperator, float]] = []
     if s.size == 0:
         return out
-    cutoff = rtol * float(s[0])
+    cutoff = SCHMIDT_RTOL * float(s[0])
     for k in range(s.size):
         if s[k] <= cutoff:
             break

@@ -7,7 +7,9 @@ Taylor series with scaling and squaring, Pauli words are built by literal
 Kronecker products, graph shielding is a breadth-first component search,
 and log rho of a Gibbs state is taken from the dense beta H and its full
 spectrum (the route the term-by-term cumulants of ``model_cumulants`` are
-checked against).
+checked against).  ``expm_herm`` is the spectral exponential that the
+round-trip tests feed to ``logm_pd``; it is itself checked against the
+Taylor series.
 """
 
 from __future__ import annotations
@@ -92,6 +94,12 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     for _ in range(s):
         out = out @ out
     return out
+
+
+def expm_herm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a Hermitian matrix through its eigenvalues."""
+    w, v = np.linalg.eigh(check_hermitian(m))
+    return (v * np.exp(w)) @ v.conj().T
 
 
 def shannon_entropy(p: np.ndarray) -> float:

@@ -344,6 +344,14 @@ def test_cli_classify_report_echoes_rtol_search_cap_and_route(tmp_path, capsys):
     assert rep["search_cap"] == decompose.SPLIT_SEARCH_CAP
 
 
+def test_cli_options_of_one_call_do_not_leak_into_the_next(tmp_path, capsys):
+    cell = gen(tmp_path, "cell")
+    assert main(["classify", cell, "--rtol", "1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["rtol"] == 1e-3
+    assert main(["classify", cell]) == 0
+    assert json.loads(capsys.readouterr().out)["rtol"] == decompose.DEFAULT_RTOL
+
+
 def test_cli_classify_chain_fails(tmp_path, capsys):
     chain = gen(tmp_path, "noncommuting-chain")
     assert main(["classify", chain]) == 2
@@ -568,6 +576,16 @@ def test_cli_dense_cap_is_exit_3(tmp_path, capsys, monkeypatch):
     assert main(["verify-markov", chain]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "DenseCapError" in captured.err
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-3"])
+def test_cli_bad_dense_cap_setting_is_exit_1(tmp_path, capsys, monkeypatch, cap):
+    chain = gen(tmp_path, "noncommuting-chain")
+    monkeypatch.setenv("QMN_DENSE_CAP", cap)
+    assert main(["verify-markov", chain, "--route", "dense"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "QMN_DENSE_CAP" in captured.err
 
 
 def test_cli_enumeration_cap_is_exit_3(tmp_path, capsys):

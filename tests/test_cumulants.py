@@ -8,18 +8,19 @@ from hypothesis import given, settings, strategies as st
 from qmn import families
 from qmn.cumulants import (
     CUMULANT_TARGETS,
-    cumulant,
     expand,
     hermitian_basis,
+    local_expansion,
     model_cumulants,
-    site_average,
     verify_clique_support,
 )
 from qmn.errors import NonHermitianError, UnknownSiteError
 from qmn.graphs import Graph, cliques
 from qmn.markov import DensityMatrix, ModelInstance, gibbs
 from qmn.pauli import PauliTerm, parse_sum
-from qmn.tensor import SiteSpace, SupportedOperator, embed, hs_norm, logm_pd, partial_trace
+from qmn.tensor import (
+    SiteSpace, SupportedOperator, embed, embed_sum, hs_norm, logm_pd, partial_trace,
+)
 
 from helpers import (
     brute_cumulant,
@@ -62,30 +63,18 @@ def test_hermitian_basis_qubit_is_pauli():
     assert np.allclose(basis[3], z)
 
 
-def test_site_average_basics():
-    space = SiteSpace.qubits(2)
-    z1 = dense_pauli_word({1: "Z"}, [1, 2])
-    z2 = dense_pauli_word({2: "Z"}, [1, 2])
-    assert np.allclose(site_average(z1, space, 1), 0.0)
-    assert np.allclose(site_average(z1, space, 2), z1)
-    assert np.allclose(site_average(z2, space, 1), z2)
-    rng = np.random.default_rng(3)
-    h = random_hermitian(rng, 4)
-    e1 = site_average(h, space, 1)
-    assert np.allclose(site_average(e1, space, 1), e1)  # idempotent
-    ab = site_average(site_average(h, space, 1), space, 2)
-    ba = site_average(site_average(h, space, 2), space, 1)
-    assert np.allclose(ab, ba, atol=1e-13)
-    assert np.trace(e1) == pytest.approx(np.trace(h), abs=1e-12)
-
-
 def test_cumulant_matches_brute_oracle_mixed_dims():
+    # the trace-based split of one- and two-site operators in
+    # ``local_expansion``, against inclusion-exclusion on the full matrix
     space = SiteSpace.from_dims({1: 2, 2: 3, 3: 2})
     dims = [2, 3, 2]
     rng = np.random.default_rng(5)
-    h = random_hermitian(rng, 12)
+    ops = [SupportedOperator(sup, random_hermitian(rng, space.subspace(sup).total_dim))
+           for sup in [(1,), (2,), (1, 2), (2, 3), (1, 3)]]
+    h = embed_sum(ops, space)
+    exp = local_expansion(ops, space)
     for region in all_regions((1, 2, 3)):
-        got = embed(cumulant(h, space, region), space)
+        got = embed(exp.operator(region), space)
         axes = [s - 1 for s in region]
         want = brute_cumulant(h, dims, axes)
         assert np.allclose(got, want, atol=1e-12), region
@@ -97,8 +86,8 @@ def test_expand_matches_cumulant_route():
     h = random_hermitian(rng, 12)
     exp = expand(h, space)
     for region in all_regions((1, 2, 3)):
-        direct = cumulant(h, space, region)
-        assert np.allclose(exp.operator(region).matrix, direct.matrix,
+        direct = brute_cumulant(h, [2, 3, 2], [s - 1 for s in region])
+        assert np.allclose(embed(exp.operator(region), space), direct,
                            atol=1e-11), region
 
 
@@ -108,8 +97,8 @@ def test_expand_matches_cumulant_route_qubits():
     h = random_hermitian(rng, 16)
     exp = expand(h, space)
     for region in [(1,), (2, 4), (1, 2, 3), (1, 2, 3, 4), ()]:
-        direct = cumulant(h, space, region)
-        assert np.allclose(exp.operator(region).matrix, direct.matrix, atol=1e-11)
+        direct = brute_cumulant(h, [2] * 4, [s - 1 for s in region])
+        assert np.allclose(embed(exp.operator(region), space), direct, atol=1e-11)
 
 
 def test_expand_known_components():
@@ -135,8 +124,9 @@ def test_parseval_orthogonality_reconstruction():
         total = hs_norm(h) ** 2
         assert sum(exp.norm_sq(x) for x in exp.entries) == \
             pytest.approx(total, rel=1e-12)
-        assert exp.parseval_residual <= 1e-10 * total
-        assert np.allclose(exp.reconstruct(), h, atol=1e-11)
+        kept = sum(exp.norm_sq(x) for x in exp.entries)
+        assert abs(kept - exp.total_norm_sq) <= 1e-10 * total
+        assert np.allclose(embed_sum(exp.entries.values(), space), h, atol=1e-11)
         embedded = [embed(op, space) for op in exp.entries.values()]
         for i in range(len(embedded)):
             for j in range(i + 1, len(embedded)):
@@ -167,7 +157,8 @@ def test_drop_tolerance():
     exp = expand(h, space)
     assert frozenset({3}) not in exp.entries
     # residual is float noise plus the dropped weight, both far below 1e-12
-    assert exp.parseval_residual <= 1e-12 * exp.total_norm_sq
+    kept_sq = sum(exp.norm_sq(x) for x in exp.entries)
+    assert abs(kept_sq - exp.total_norm_sq) <= 1e-12 * exp.total_norm_sq
     kept = expand(h, space, drop_rtol=0.0)
     assert frozenset({3}) in kept.entries
 
@@ -178,8 +169,6 @@ def test_expand_input_validation():
         expand(np.array([[0, 1], [0, 0]], dtype=complex), SiteSpace.qubits(1))
     with pytest.raises(UnknownSiteError):
         expand(np.eye(2, dtype=complex), space)
-    with pytest.raises(UnknownSiteError):
-        cumulant(np.eye(4, dtype=complex), space, (7,))
 
 
 def test_gibbs_log_is_clique_local_for_clique_hamiltonian():
@@ -247,9 +236,8 @@ def test_commutator_mass_stays_on_bridge_sets():
     for _ in range(12):
         ha = embed(SupportedOperator(a_sites, random_hermitian(rng, 8)), space)
         hb = embed(SupportedOperator(b_sites, random_hermitian(rng, 8)), space)
-        ka = cumulant(ha, space, a_sites)
-        kb = cumulant(hb, space, b_sites)
-        da, db = embed(ka, space), embed(kb, space)
+        da = brute_cumulant(ha, [2] * 4, [s - 1 for s in a_sites])
+        db = brute_cumulant(hb, [2] * 4, [s - 1 for s in b_sites])
         comm = da @ db - db @ da
         if hs_norm(comm) <= 1e-10 * hs_norm(da) * hs_norm(db):
             continue
@@ -266,9 +254,8 @@ def test_commutator_masses_account_for_norm():
     rng = np.random.default_rng(41)
     ha = embed(SupportedOperator((1, 2), random_hermitian(rng, 4)), space)
     hb = embed(SupportedOperator((2, 3), random_hermitian(rng, 4)), space)
-    ka = cumulant(ha, space, (1, 2))
-    kb = cumulant(hb, space, (2, 3))
-    da, db = embed(ka, space), embed(kb, space)
+    da = brute_cumulant(ha, [2] * 3, [0, 1])
+    db = brute_cumulant(hb, [2] * 3, [1, 2])
     comm = da @ db - db @ da
     exp = expand(1j * comm, space, drop_rtol=1e-10)
     total = hs_norm(comm) ** 2

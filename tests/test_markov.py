@@ -23,11 +23,12 @@ from qmn.markov import (
     stabilizer_state,
 )
 from qmn.pauli import PauliTerm, parse_sum, parse_term
-from qmn.tensor import SiteSpace, SupportedOperator, expm_herm, logm_pd
+from qmn.tensor import SiteSpace, SupportedOperator, logm_pd, partial_trace
 
 from helpers import (
     classical_cmi,
     dense_pauli_word,
+    expm_herm,
     expm_taylor,
     log_gibbs,
     ptrace_indexsum,
@@ -39,11 +40,16 @@ NEG_CONTROL_CMI = 0.052051695401092335  # I(1:3|2) of e^H/Z, H = X1 X2 + Z2 Z3
 W_STATE_CMI = 0.636514168294813         # I(1:3|2) of the three-qubit W state
 
 
+def pure(v, space):
+    v = np.asarray(v, dtype=complex) / np.linalg.norm(v)
+    return DensityMatrix(np.outer(v, v.conj()), space)
+
+
 def ghz(n=3):
     space = SiteSpace.qubits(n)
     v = np.zeros(2 ** n, dtype=complex)
     v[0] = v[-1] = 1.0
-    return DensityMatrix.from_vector(v, space)
+    return pure(v, space)
 
 
 def chain_graph(n):
@@ -59,14 +65,14 @@ def test_density_matrix_validation():
     bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(PositivityViolationError):
         DensityMatrix(bad, space)
-    mm = DensityMatrix.maximally_mixed(space)
+    mm = DensityMatrix(np.eye(4, dtype=complex) / 4, space)
     assert math.isclose(entropy(mm.matrix), math.log(4), rel_tol=1e-12)
 
 
 def test_entropy_pure_mixed_product():
     space = SiteSpace.qubits(1)
-    pure = DensityMatrix.from_vector(np.array([1.0, 1.0]), space)
-    assert entropy(pure.matrix) == pytest.approx(0.0, abs=1e-12)
+    plus = pure(np.array([1.0, 1.0]), space)
+    assert entropy(plus.matrix) == pytest.approx(0.0, abs=1e-12)
     rng = np.random.default_rng(7)
     p = rng.random(4)
     p /= p.sum()
@@ -156,7 +162,7 @@ def test_w_state_fails_chain():
     space = SiteSpace.qubits(3)
     v = np.zeros(8, dtype=complex)
     v[0b001] = v[0b010] = v[0b100] = 1.0
-    rho = DensityMatrix.from_vector(v, space)
+    rho = pure(v, space)
     val = cmi(rho, [1], [2], [3])
     assert val == pytest.approx(W_STATE_CMI, abs=1e-10)
     assert not is_markov_network(rho, chain_graph(3)).passed
@@ -394,6 +400,12 @@ def test_stabilizer_ring_mixture_is_markov():
     assert len(rep.records) == 2
 
 
+def test_stabilizer_state_needs_qubit_sites():
+    space = SiteSpace.from_dims({1: 3, 2: 2})
+    with pytest.raises(DimensionMismatchError):
+        stabilizer_state([parse_term("1.0 * Z1 Z2")], space)
+
+
 def test_stabilizer_negative_sign_generator():
     space = SiteSpace.qubits(2)
     rho = stabilizer_state([parse_term("-1.0 * Z1 Z2")], space)
@@ -423,7 +435,8 @@ def test_marginal_matches_oracle():
     space = SiteSpace.qubits(3)
     rng = np.random.default_rng(31)
     rho = DensityMatrix(random_density(rng, 8, rank=4), space)
-    red = rho.marginal([1, 3])
+    red = partial_trace(rho.matrix, space, [1, 3])
     want = ptrace_indexsum(rho.matrix, [2, 2, 2], [0, 2])
     assert np.allclose(red.matrix, want, atol=1e-12)
-    assert red.space.sites == (1, 3)
+    assert red.support == (1, 3)
+    DensityMatrix(red.matrix, space.subspace(red.support))  # a valid state

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import dense_pauli_word
 from qmn import families
-from qmn.errors import DimensionMismatchError, ModelFormatError
+from qmn.errors import ModelFormatError
 from qmn.graphs import Graph
 from qmn.markov import ModelInstance
 from qmn.pauli import (
@@ -43,14 +43,13 @@ def test_product_phases_are_exact_powers_of_i():
 def test_products_match_dense_oracle_on_five_qubits():
     rng = np.random.default_rng(41)
     sites = [1, 2, 3, 4, 5]
-    space = SiteSpace.qubits(5)
     for _ in range(30):
         la = {s: "IXYZ"[rng.integers(4)] for s in sites}
         lb = {s: "IXYZ"[rng.integers(4)] for s in sites}
         la = {s: l for s, l in la.items() if l != "I"}
         lb = {s: l for s, l in lb.items() if l != "I"}
         a, b = PauliTerm.from_letters(1.0, la), PauliTerm.from_letters(1.0, lb)
-        got = PauliSum.of(a * b).to_dense(space)
+        got = PauliSum.of(a * b).matrix(sites)
         want = dense_pauli_word(la, sites) @ dense_pauli_word(lb, sites)
         assert np.allclose(got, want), (la, lb)
 
@@ -58,7 +57,6 @@ def test_products_match_dense_oracle_on_five_qubits():
 def test_commutes_iff_dense_commutator_vanishes():
     rng = np.random.default_rng(43)
     sites = [1, 2, 3, 4]
-    space = SiteSpace.qubits(4)
     for _ in range(40):
         la = {s: l for s in sites if (l := "IXYZ"[rng.integers(4)]) != "I"}
         lb = {s: l for s in sites if (l := "IXYZ"[rng.integers(4)]) != "I"}
@@ -66,8 +64,7 @@ def test_commutes_iff_dense_commutator_vanishes():
         da, db = dense_pauli_word(la, sites), dense_pauli_word(lb, sites)
         dense_comm = da @ db - db @ da
         assert commutes(a, b) == np.allclose(dense_comm, 0)
-        got = commutator(a, b).to_dense(space) if not commutator(a, b).is_zero \
-            else np.zeros_like(dense_comm)
+        got = commutator(a, b).matrix(sites)
         assert np.allclose(got, dense_comm)
 
 
@@ -109,27 +106,8 @@ def test_sum_arithmetic_and_support():
     assert (s - s).is_zero
     sq = s * s
     # (XX + ZZ)^2 = 2 + XX ZZ + ZZ XX = 2 - 2 X1 Y2 Z3 ... checked densely
-    space = SiteSpace.qubits(3)
-    assert np.allclose(sq.to_dense(space), s.to_dense(space) @ s.to_dense(space))
-
-
-def test_adjoint_and_hermitian():
-    assert T(1.0, "Z1 X2").adjoint() == T(1.0, "Z1 X2")
-    assert PauliSum.of(T(2.0, "Y1")).is_hermitian
-    assert not PauliSum.of(T(2j, "Y1")).is_hermitian
-    c = commutator(T(1.0, "X1"), T(1.0, "Z1"))
-    assert not c.is_hermitian  # commutator of Hermitians is anti-Hermitian
-    assert (c * 1j).is_hermitian
-
-
-def test_to_supported_and_dense():
-    space = SiteSpace.qubits(3)
-    s = parse_sum("0.5 * Z1 Z3")
-    sup = s.to_supported(space)
-    assert sup.support == (1, 3)
-    assert np.allclose(sup.matrix, 0.5 * np.diag([1, -1, -1, 1]))
-    with pytest.raises(DimensionMismatchError):
-        s.to_supported(SiteSpace.from_dims({1: 2, 3: 3}))
+    q = [1, 2, 3]
+    assert np.allclose(sq.matrix(q), s.matrix(q) @ s.matrix(q))
 
 
 def test_parse_format_roundtrip():

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    X2, Y2, Z2, embed_kron, expm_taylor, ptrace_indexsum, random_density,
+    X2, Y2, Z2, embed_kron, expm_herm, expm_taylor, ptrace_indexsum, random_density,
     random_hermitian,
 )
 from qmn.errors import (
     DimensionMismatchError, NonHermitianError, PositivityViolationError, UnknownSiteError,
 )
 from qmn.tensor import (
-    SiteSpace, SupportedOperator, embed, embed_sum, expm_herm, func_herm, herm_eig,
-    hs_inner, hs_norm, kron, logm_pd, op_schmidt, partial_trace, supported,
+    SiteSpace, SupportedOperator, embed, embed_sum, hs_norm, kron, logm_pd, op_schmidt,
+    partial_trace,
 )
 
 
@@ -55,26 +55,24 @@ def test_embed_middle_site():
     assert np.allclose(m, np.kron(np.kron(np.eye(2), Z2), np.eye(2)))
 
 
-def test_embed_unsorted_support_reorders():
-    # operator given on sites (3, 1): axes listed in that order must be
-    # re-expressed on the sorted support before embedding
+def test_embed_gapped_support_and_unsorted_rejected():
+    # a support must be listed sorted; one with a gap embeds with identity
+    # on the skipped site
     sp = SiteSpace.qubits(3)
-    op_31 = supported(sp, (3, 1), np.kron(X2, Z2))
-    op_13 = supported(sp, (1, 3), np.kron(Z2, X2))
-    assert op_31.support == (1, 3)
-    assert np.allclose(op_31.matrix, op_13.matrix)
-    assert np.allclose(embed(op_31, sp), np.kron(np.kron(Z2, np.eye(2)), X2))
+    with pytest.raises(UnknownSiteError):
+        SupportedOperator((3, 1), np.kron(X2, Z2))
+    op_13 = SupportedOperator((1, 3), np.kron(Z2, X2))
+    assert np.allclose(embed(op_13, sp), np.kron(np.kron(Z2, np.eye(2)), X2))
 
 
 def test_embed_mixed_dims_against_indexsum():
     rng = np.random.default_rng(3)
     sp = SiteSpace.from_dims({1: 2, 2: 3, 3: 2})
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    full = embed(supported(sp, (2, 1), m.reshape(6, 6)), sp)
+    full = embed(SupportedOperator((1, 2), m), sp)
     # embedding then tracing the identity site recovers the operator (times dim)
     back = partial_trace(full, sp, [1, 2])
-    ref = supported(sp, (2, 1), m).matrix
-    assert np.allclose(back.matrix, 2 * ref)
+    assert np.allclose(back.matrix, 2 * m)
 
 
 def test_embed_empty_support_is_scaled_identity():
@@ -159,17 +157,9 @@ def test_embed_and_partial_trace_match_references_and_are_adjoint(case):
     assert abs(lhs - rhs) <= 1e-12 * hs_norm(refs[0]) * hs_norm(m)
 
 
-def test_herm_eig_rejects_non_hermitian():
+def test_logm_pd_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
-        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_herm_eig_ascending_and_reconstructs():
-    rng = np.random.default_rng(5)
-    h = random_hermitian(rng, 16)
-    w, v = herm_eig(h)
-    assert np.all(np.diff(w) >= 0)
-    assert np.allclose((v * w) @ v.conj().T, h, atol=1e-10)
+        logm_pd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_expm_matches_taylor_oracle():
@@ -201,20 +191,6 @@ def test_log_positivity_floor():
         logm_pd(rho)
 
 
-def test_func_herm_polynomial():
-    rng = np.random.default_rng(29)
-    h = random_hermitian(rng, 6)
-    assert np.allclose(func_herm(h, lambda w: w ** 2), h @ h, atol=1e-12)
-
-
-def test_hs_inner_is_trace_inner_product():
-    rng = np.random.default_rng(31)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.isclose(hs_inner(a, b), np.trace(a.conj().T @ b))
-    assert np.isclose(hs_norm(a) ** 2, hs_inner(a, a).real)
-
-
 def test_op_schmidt_single_term():
     # sigma_z (x) sigma_z across the cut: one weight, normalized factors
     sp = SiteSpace.qubits(2)
@@ -223,8 +199,8 @@ def test_op_schmidt_single_term():
     assert len(terms) == 1
     f, g, w = terms[0]
     assert np.isclose(w, 2.0)
-    assert np.isclose(abs(hs_inner(f.matrix, Z2 / np.sqrt(2))), 1.0)
-    assert np.isclose(abs(hs_inner(g.matrix, Z2 / np.sqrt(2))), 1.0)
+    assert np.isclose(abs(np.vdot(f.matrix, Z2 / np.sqrt(2))), 1.0)
+    assert np.isclose(abs(np.vdot(g.matrix, Z2 / np.sqrt(2))), 1.0)
 
 
 def test_op_schmidt_two_terms():
@@ -251,8 +227,8 @@ def test_op_schmidt_reconstructs_and_is_orthonormal():
     for i, (f1, g1, _) in enumerate(terms):
         for j, (f2, g2, _) in enumerate(terms):
             want = 1.0 if i == j else 0.0
-            assert np.isclose(hs_inner(f1.matrix, f2.matrix), want, atol=1e-10)
-            assert np.isclose(hs_inner(g1.matrix, g2.matrix), want, atol=1e-10)
+            assert np.isclose(np.vdot(f1.matrix, f2.matrix), want, atol=1e-10)
+            assert np.isclose(np.vdot(g1.matrix, g2.matrix), want, atol=1e-10)
 
 
 def test_op_schmidt_drops_tiny_weights():
