@@ -12,7 +12,9 @@ Model files are JSON with the shape
 Pauli letters map positionally onto the (sorted) support sites, which must
 all be qubits with ids 0 <= id < 2**20; matrix terms are row-major with
 separate real and imaginary parts and must be Hermitian after scaling by
-``coeff``.
+``coeff``, within ``check_hermitian``'s 1e-12 of the largest entry.  Every
+number in a model file (coefficients, matrix entries, ``beta``) must be
+finite.
 
 ``decompose`` and ``cumulants`` take the local route (``"route":
 "local"`` in the report): the cumulants of log rho = beta H - log Z 1, or
@@ -46,6 +48,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from typing import Any, Sequence
@@ -66,6 +69,7 @@ from .errors import (
     DenseCapError,
     EnumerationCapError,
     ModelFormatError,
+    NonHermitianError,
     NotMarkovError,
     NotTriangleFreeError,
     PositivityViolationError,
@@ -74,7 +78,7 @@ from .errors import (
 from .graphs import Graph, to_dot
 from .markov import MarkovReport, ModelInstance, gibbs, is_markov_network
 from .pauli import QUBIT_ID_LIMIT, PauliSum, PauliTerm, as_sum, commutator
-from .tensor import SiteSpace, SupportedOperator
+from .tensor import SiteSpace, SupportedOperator, check_hermitian
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -87,13 +91,19 @@ _LETTERS = frozenset("IXYZ")
 # ---------------------------------------------------------------------------
 # model file serialization
 
+def _is_finite_number(x: Any) -> bool:
+    try:
+        return isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
 def _coeff_from_json(raw: Any, where: str) -> complex:
-    if isinstance(raw, (int, float)):
-        return complex(raw)
-    if (isinstance(raw, list) and len(raw) == 2
-            and all(isinstance(x, (int, float)) for x in raw)):
-        return complex(raw[0], raw[1])
-    raise ModelFormatError(f"{where}.coeff must be a real number or [re, im]")
+    parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw]
+    if not all(_is_finite_number(x) for x in parts):
+        raise ModelFormatError(
+            f"{where}.coeff must be a finite real number or [re, im]")
+    return complex(*parts)
 
 
 def _term_from_json(entry: Any, idx: int, space: SiteSpace) -> PauliTerm | SupportedOperator:
@@ -147,17 +157,19 @@ def _term_from_json(entry: Any, idx: int, space: SiteSpace) -> PauliTerm | Suppo
         m = np.array(block["re"], dtype=float).astype(complex)
         if "im" in block:
             m = m + 1j * np.array(block["im"], dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ModelFormatError(f"{where}.matrix entries must be numeric arrays") from None
+    if not np.all(np.isfinite(m)):
+        raise ModelFormatError(f"{where}.matrix entries must be finite")
     d = space.subspace(support).total_dim
     if m.shape != (d, d):
         raise ModelFormatError(
             f"{where}.matrix has shape {m.shape}; support {support} needs "
             f"({d}, {d})")
-    m = coeff * m
-    scale = max(float(np.abs(m).max()), 1.0)
-    if np.abs(m - m.conj().T).max() > 1e-10 * scale:
-        raise ModelFormatError(f"{where}.matrix is not Hermitian after coeff")
+    try:
+        m = check_hermitian(coeff * m)
+    except NonHermitianError as e:
+        raise ModelFormatError(f"{where}.matrix after coeff: {e}") from None
     return SupportedOperator(tuple(support), m)
 
 
@@ -196,8 +208,8 @@ def model_from_json(data: Any) -> ModelInstance:
         raise ModelFormatError("terms must be a non-empty list")
     terms = tuple(_term_from_json(t, k, space) for k, t in enumerate(raw_terms))
     beta = data.get("beta", 1.0)
-    if not isinstance(beta, (int, float)):
-        raise ModelFormatError("beta must be a number")
+    if not _is_finite_number(beta):
+        raise ModelFormatError("beta must be a finite number")
     try:
         return ModelInstance(space, graph, terms, beta=float(beta))
     except QmnError as e:
@@ -506,6 +518,14 @@ def _cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _finite_float(text: str) -> float:
+    """argparse type of a finite float option."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ModelFormatError(message)
@@ -535,7 +555,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--route", choices=("auto", "dense"), default="auto",
                    help="auto: a commutation certificate first, the dense CMI "
                         "sweep otherwise; dense: always the sweep")
-    c.add_argument("--beta", type=float, default=None,
+    c.add_argument("--beta", type=_finite_float, default=None,
                    help="override the file's inverse-temperature factor")
     c.set_defaults(func=_cmd_verify_markov)
 
@@ -580,7 +600,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--shape", default="2x2", help="RxC size for tiling")
     c.add_argument("--kind", choices=families.THEOREM4_KINDS, default="path4",
                    help="graph family for theorem4")
-    c.add_argument("--beta", type=float, default=1.0)
+    c.add_argument("--beta", type=_finite_float, default=1.0)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", help="output path (default stdout)")
     c.add_argument("--dot", help="also write the interaction graph in DOT format")

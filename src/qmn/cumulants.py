@@ -7,13 +7,13 @@ E_a, where E_a replaces site a by its normalized partial trace.  The
 components are pairwise orthogonal in the Hilbert-Schmidt inner product, so
 sum_X ||K_X||^2 = ||H||^2 with K_X embedded in the full space.
 
-On a full-space matrix, ``expand`` computes every component at once by
-transforming into a per-site orthonormal Hermitian basis and grouping
-coefficients by which sites carry a non-identity element.
-
-A sum of local operators needs no full-space matrix.  The projectors act
-site by site, so each operator splits on its own support and the parts add
-per support (``local_expansion``).  ``model_cumulants`` builds the
+Since the projectors are products of per-site maps, one split computes
+every component: for each site a in turn, every part splits into E_a of it,
+which no longer acts on a, and the rest, which is traceless on a.  After
+the last site each part is the component on the sites it kept.  ``expand``
+runs that split on a full-space matrix.  A sum of local operators needs no
+full-space matrix: each operator splits on its own support and the parts
+add per support (``local_expansion``).  ``model_cumulants`` builds the
 expansion of a model's beta H, or of its log rho = beta H - log Z 1, that
 way; of log rho only the scalar -log Z needs the spectrum (Leifer & Poulin,
 arXiv:0708.1337, and Brown & Poulin, arXiv:1206.0755, work with these
@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -33,65 +31,10 @@ import numpy as np
 from .errors import UnknownSiteError
 from .graphs import Graph
 from .markov import ModelInstance, log_partition
-from .pauli import PauliSum, PauliTerm, as_sum
 from .tensor import SiteSpace, SupportedOperator, check_hermitian, dense_cap
 
 DEFAULT_DROP_RTOL = 1e-12
 DEFAULT_CLIQUE_RTOL = 1e-10
-
-
-@lru_cache(maxsize=None)
-def hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
-    """Orthonormal Hermitian basis of d x d matrices, identity first.
-
-    Element 0 is I/sqrt(d); the rest are traceless.  For d = 2 these are the
-    Pauli matrices over sqrt(2) (in the order X, Y, Z).
-    """
-    mats = [np.eye(d, dtype=complex) / math.sqrt(d)]
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = inv_sqrt2
-            mats.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j * inv_sqrt2
-            m[k, j] = 1j * inv_sqrt2
-            mats.append(m)
-    for l in range(1, d):
-        diag = np.zeros(d)
-        diag[:l] = 1.0
-        diag[l] = -l
-        mats.append(np.diag(diag).astype(complex) / math.sqrt(l * (l + 1)))
-    for m in mats:
-        m.setflags(write=False)
-    return tuple(mats)
-
-
-def _coeff_tensor(matrix: np.ndarray, space: SiteSpace) -> np.ndarray:
-    """Coefficient tensor of the operator in the per-site Hermitian bases."""
-    dims = list(space.dims)
-    n = len(dims)
-    t = matrix.reshape(dims + dims)
-    perm = [x for k in range(n) for x in (k, n + k)]
-    t = t.transpose(perm).reshape([d * d for d in dims])
-    for k, d in enumerate(dims):
-        u = np.stack([b.conj().reshape(d * d) for b in hermitian_basis(d)])
-        t = np.moveaxis(np.tensordot(u, t, axes=([1], [k])), 0, k)
-    return t
-
-
-def _dense_from_block(block: np.ndarray, dims: list[int]) -> np.ndarray:
-    """Rebuild a dense operator from traceless-basis coefficients."""
-    t = block
-    for d in dims:
-        v = np.stack([b.reshape(d * d) for b in hermitian_basis(d)[1:]])
-        t = np.tensordot(t, v, axes=([0], [0]))
-    n = len(dims)
-    t = t.reshape([x for d in dims for x in (d, d)])
-    perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    big = math.prod(dims)
-    return np.ascontiguousarray(t.transpose(perm).reshape(big, big))
 
 
 def _embedded_norm_sq(space: SiteSpace, support: Iterable[int],
@@ -159,71 +102,50 @@ def expand(matrix: np.ndarray, space: SiteSpace,
     if m.shape != (space.total_dim, space.total_dim):
         raise UnknownSiteError(
             f"operator shape {m.shape} does not match space dim {space.total_dim}")
-    c = _coeff_tensor(m, space)
-    total = float(np.sum(np.abs(c) ** 2))
-    cutoff_sq = (drop_rtol ** 2) * total
-    sites = space.sites
-    n = len(sites)
-    entries: dict[frozenset[int], SupportedOperator] = {}
-    for r in range(n + 1):
-        for chosen in combinations(range(n), r):
-            mask = [k in chosen for k in range(n)]
-            sl = tuple(slice(1, None) if inx else 0 for inx in mask)
-            block = c[sl]
-            mass = float(np.sum(np.abs(block) ** 2))
-            if mass <= cutoff_sq:
-                continue
-            region = tuple(sites[k] for k in chosen)
-            dims = [space.dim(s) for s in region]
-            comp_scale = math.prod(
-                1.0 / math.sqrt(space.dim(sites[k]))
-                for k in range(n) if k not in chosen)
-            if region:
-                dense = _dense_from_block(np.ascontiguousarray(block), dims)
-            else:
-                dense = np.array([[complex(block)]])
-            dense = dense * comp_scale
-            dense = (dense + dense.conj().T) / 2
-            entries[frozenset(region)] = SupportedOperator(region, dense)
-    return CumulantExpansion(space, entries, total)
+    return _collect(_local_components(space.sites, m, space), space, drop_rtol)
 
 
 def _local_components(support: tuple[int, ...], matrix: np.ndarray,
-                      space: SiteSpace) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """Cumulant components of one operator, split on its own support.
+                      space: SiteSpace) -> dict[tuple[int, ...], np.ndarray]:
+    """Every cumulant component of one operator, split on its own support.
 
-    One- and two-site operators subtract normalized partial traces; larger
-    supports go through ``expand`` on the support's subspace.
+    For each site a of the support in turn, every part splits into its
+    normalized partial trace over a and the rest, which is traceless on a.
     """
-    if len(support) > 2:
-        sub = space.subspace(support)
-        return [(op.support, op.matrix)
-                for op in expand(matrix, sub, drop_rtol=0.0).entries.values()]
-    d = matrix.shape[0]
-    c = np.trace(matrix) / d
-    out = [((), np.array([[c]]))]
-    if len(support) == 1:
-        return out + [(support, matrix - c * np.eye(d))]
-    (u, v), (du, dv) = support, (space.dim(s) for s in support)
-    t = matrix.reshape(du, dv, du, dv)
-    eu, ev = np.eye(du), np.eye(dv)
-    ru = np.einsum("ijkj->ik", t) / dv  # Tr_v / d_v
-    rv = np.einsum("ijil->jl", t) / du  # Tr_u / d_u
-    # K_uv = T - (ru - c) x 1 - 1 x (rv - c) - c 1
-    k = (t - np.einsum("ik,jl->ijkl", ru, ev) - np.einsum("ik,jl->ijkl", eu, rv)
-         + c * np.einsum("ik,jl->ijkl", eu, ev))
-    return out + [((u,), ru - c * eu), ((v,), rv - c * ev), (support, k.reshape(d, d))]
+    dims = {s: space.dim(s) for s in support}
+    parts = {tuple(support): matrix}
+    for a in support:
+        d, eye = dims[a], np.eye(dims[a])
+        split: dict[tuple[int, ...], np.ndarray] = {}
+        for key, m in parts.items():
+            n, i = len(key), key.index(a)
+            shape = [dims[s] for s in key] * 2
+            t = m.reshape(shape)
+            trace = np.trace(t, axis1=i, axis2=n + i) / d
+            split[key[:i] + key[i + 1:]] = trace.reshape(m.shape[0] // d, -1)
+            # the trace embedded back: identity on site a's row and column axes
+            shape[i] = shape[n + i] = 1
+            eye_shape = [d if x in (i, n + i) else 1 for x in range(2 * n)]
+            split[key] = (t - trace.reshape(shape) * eye.reshape(eye_shape)).reshape(m.shape)
+        parts = split
+    return parts
 
 
-def _add(parts: dict[tuple[int, ...], np.ndarray], support: tuple[int, ...],
-         matrix: np.ndarray) -> None:
-    parts[support] = parts[support] + matrix if support in parts else matrix
+def _split_sum(terms: Iterable[tuple[tuple[int, ...], np.ndarray]],
+               space: SiteSpace) -> dict[tuple[int, ...], np.ndarray]:
+    """Components of a sum of (support, matrix) terms, added per support."""
+    parts: dict[tuple[int, ...], np.ndarray] = {}
+    for support, matrix in terms:
+        for key, m in _local_components(support, matrix, space).items():
+            parts[key] = parts[key] + m if key in parts else m
+    return parts
 
 
 def _collect(parts: Mapping[tuple[int, ...], np.ndarray], space: SiteSpace,
              drop_rtol: float, scalar_known: bool = True) -> CumulantExpansion:
-    """Expansion of support-keyed components, dropped as ``expand`` drops
-    them and in ``expand``'s order (by size, then by sites)."""
+    """Expansion of support-keyed components, in order of size, then of
+    sites; those whose embedded norm is below ``drop_rtol`` times the
+    total are dropped, and the total still counts them."""
     norms = {k: _embedded_norm_sq(space, k, m) for k, m in parts.items()}
     total = sum(norms.values())
     cutoff_sq = (drop_rtol ** 2) * total
@@ -238,10 +160,7 @@ def local_expansion(ops: Iterable[SupportedOperator], space: SiteSpace
     """Every nonzero cumulant component of a sum of local operators, with
     no full-space matrix: each operator is split on its own support and the
     parts are summed per support."""
-    parts: dict[tuple[int, ...], np.ndarray] = {}
-    for op in ops:
-        for key, m in _local_components(op.support, op.matrix, space):
-            _add(parts, key, m)
+    parts = _split_sum(((op.support, op.matrix) for op in ops), space)
     return _collect(parts, space, drop_rtol=0.0)
 
 
@@ -252,32 +171,20 @@ def model_cumulants(model: ModelInstance, of: str = "log-gibbs") -> CumulantExpa
     """Cumulants of a model's log rho = beta H - log Z 1 (``"log-gibbs"``)
     or of beta H (``"hamiltonian"``), built from its terms.
 
-    A non-identity Pauli word is traceless on every site it touches, plain
-    or composite, so it is a component already: words are grouped by site
-    support into one dense matrix per group (qubits in
-    ``site_composition`` order).  Dense terms are split on their own
-    supports.  Every term must be Hermitian (``check_hermitian``).  Only
-    the scalar -log Z needs the spectrum; ``log_partition`` supplies it
-    inside the dense cap, and past the cap a log-gibbs expansion has no
-    scalar entry and ``scalar_known`` is False.  Components are dropped as
-    in ``expand`` (``DEFAULT_DROP_RTOL``), relative to the norm of what was
+    Every term, Pauli or dense, is split on its own support (Pauli words
+    as a dense matrix on their sites, qubits in ``site_composition``
+    order) and must be Hermitian (``check_hermitian``).  Only the scalar
+    -log Z needs the spectrum; ``log_partition`` supplies it inside the
+    dense cap, and past the cap a log-gibbs expansion has no scalar entry
+    and ``scalar_known`` is False.  Components are dropped as in
+    ``expand`` (``DEFAULT_DROP_RTOL``), relative to the norm of what was
     computed.
     """
     if of not in CUMULANT_TARGETS:
         raise ValueError(f"of must be one of {CUMULANT_TARGETS}, got {of!r}")
     space = model.space
-    parts: dict[tuple[int, ...], np.ndarray] = {}
-    words: dict[tuple[int, ...], list[PauliTerm]] = {}
-    for t in model.terms:
-        if isinstance(t, SupportedOperator):
-            for key, m in _local_components(t.support, check_hermitian(t.matrix), space):
-                _add(parts, key, m)
-        else:
-            for w in as_sum(t).terms:
-                words.setdefault(model.term_support(w), []).append(w)
-    for group in words.values():
-        op = model.term_operator(PauliSum(tuple(group)))
-        _add(parts, op.support, check_hermitian(op.matrix))
+    ops = map(model.term_operator, model.terms)
+    parts = _split_sum(((op.support, check_hermitian(op.matrix)) for op in ops), space)
     parts = {k: model.beta * m for k, m in parts.items()}
     scalar_known = of == "hamiltonian" or space.total_dim <= dense_cap()
     if of == "log-gibbs":

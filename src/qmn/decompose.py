@@ -47,16 +47,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .cumulants import (
-    CumulantExpansion,
-    hermitian_basis,
-    local_expansion,
-    verify_clique_support,
-)
+from .cumulants import CumulantExpansion, local_expansion, verify_clique_support
 from .errors import (
     DecompositionResidualError,
     EnumerationCapError,
@@ -182,7 +178,8 @@ def _best_grouping(items: Sequence[tuple[frozenset[int], Operand]],
 
 @dataclass(frozen=True)
 class PairwiseCommutation:
-    """Largest relative commutator norm over pairs of operators."""
+    """Largest relative commutator norm over pairs of operators, and the
+    pair that attains it when it exceeds the tolerance."""
 
     commuting: bool
     max_norm: float
@@ -205,7 +202,8 @@ def pairwise_commutation(ops: Sequence[Operand], space: SiteSpace,
             rel = _relative_commutator(ops[i], ops[j], space)
             if rel > max_norm:
                 max_norm, worst = rel, (i, j)
-    return PairwiseCommutation(max_norm <= rtol, max_norm, worst)
+    commuting = max_norm <= rtol
+    return PairwiseCommutation(commuting, max_norm, None if commuting else worst)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,9 @@ class Classification:
     """Three-way commutation structure of a model.
 
     ``route`` is ``"symbolic"`` when the terms were commuted as Pauli sums,
-    ``"dense"`` when as matrices.
+    ``"dense"`` when as matrices.  ``pairwise_worst`` names the pair of
+    terms at ``pairwise_max`` when that exceeds the tolerance, and is None
+    for a ``LocalCommuting`` verdict.
     """
 
     verdict: str
@@ -276,8 +276,7 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL,
 
 
 def verify_gibbs(model: ModelInstance, tol: float = DEFAULT_CMI_TOL,
-                 mode: str = "spanning", route: str = "auto",
-                 search_cap: int = SPLIT_SEARCH_CAP) -> MarkovReport:
+                 mode: str = "spanning", route: str = "auto") -> MarkovReport:
     """Markov check of a model's Gibbs state, by certificate when one exists.
 
     ``route="auto"`` first classifies an all-Pauli model symbolically.  A
@@ -285,8 +284,9 @@ def verify_gibbs(model: ModelInstance, tol: float = DEFAULT_CMI_TOL,
     of the ``mode``'s partitions exactly 0 at every beta (see the module
     docstring), so the report lists them with CMI 0.0 and builds no state.
     A model with a dense term, a ``NotShieldCommuting`` verdict (which
-    proves nothing by itself) or a grouping search past ``search_cap``
-    falls through to the dense CMI sweep, which ``route="dense"`` forces.
+    proves nothing by itself) or a grouping search past
+    ``SPLIT_SEARCH_CAP`` falls through to the dense CMI sweep, which
+    ``route="dense"`` forces.
     """
     if route not in ("auto", "dense"):
         raise ValueError(f"route must be 'auto' or 'dense', got {route!r}")
@@ -295,7 +295,7 @@ def verify_gibbs(model: ModelInstance, tol: float = DEFAULT_CMI_TOL,
         parts = shield_partitions(model.graph, mode)
         spanning = set(model.space.sites)
         try:
-            verdict = classify(model, search_cap=search_cap, partitions=(
+            verdict = classify(model, search_cap=SPLIT_SEARCH_CAP, partitions=(
                 p for p in parts if p.union == spanning)).verdict
         except EnumerationCapError:  # no grouping search, no certificate
             verdict = None
@@ -316,6 +316,34 @@ class StarDecomposition:
     vertex_term: SupportedOperator
     pulls: dict[int, SupportedOperator]
     residual: float
+
+
+@lru_cache(maxsize=None)
+def hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
+    """Orthonormal Hermitian basis of d x d matrices, identity first.
+
+    Element 0 is I/sqrt(d); the rest are traceless.  For d = 2 these are the
+    Pauli matrices over sqrt(2) (in the order X, Y, Z).
+    """
+    mats = [np.eye(d, dtype=complex) / math.sqrt(d)]
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = m[k, j] = inv_sqrt2
+            mats.append(m)
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1j * inv_sqrt2
+            m[k, j] = 1j * inv_sqrt2
+            mats.append(m)
+    for l in range(1, d):
+        diag = np.zeros(d)
+        diag[:l] = 1.0
+        diag[l] = -l
+        mats.append(np.diag(diag).astype(complex) / math.sqrt(l * (l + 1)))
+    for m in mats:
+        m.setflags(write=False)
+    return tuple(mats)
 
 
 def _hermitian_commutant(gens: Sequence[np.ndarray], basis: np.ndarray,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +120,22 @@ BAD_MODELS = [
       "terms": [{"support": [1, 3], "pauli": "Z Z"}]}, "clique"),
     ({"sites": [{"id": 1, "dim": 2}], "edges": [],
       "terms": [{"support": [1], "pauli": "Z"}], "beta": "hot"}, "beta"),
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "pauli": "Z", "coeff": float("nan")}]},
+     "terms[0].coeff must be a finite"),
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "matrix": {"re": [[1, 0], [0, float("nan")]]}}]},
+     "terms[0].matrix entries must be finite"),
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "pauli": "Z"}], "beta": float("inf")},
+     "beta must be a finite"),
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "pauli": "Z"}], "beta": 10 ** 400},
+     "beta must be a finite"),
+    # a defect of 1e-11 relative to the largest entry, above HERMITIAN_RTOL
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "matrix": {"re": [[1, 1], [1 + 1e-11, 1]]}}]},
+     "terms[0].matrix after coeff: matrix is not Hermitian"),
 ]
 
 
@@ -552,7 +569,7 @@ def test_cli_dot_export(tmp_path):
     dot = str(tmp_path / "g.dot")
     assert main(["classify", cell, "--dot", dot,
                  "--out", str(tmp_path / "r.json")]) == 0
-    text = open(dot, encoding="utf-8").read()
+    text = Path(dot).read_text(encoding="utf-8")
     assert text.startswith("graph G {")
     assert "1 -- 2" in text or "2 -- 1" in text
 
@@ -612,6 +629,21 @@ def test_cli_bad_model_is_exit_1(tmp_path, capsys):
         "terms": [{"support": [1, 2], "pauli": "Z"}]})
     assert main(["classify", path]) == 1
     assert "terms[0]" in capsys.readouterr().err
+
+
+def test_cli_non_finite_input_is_exit_1(tmp_path, capsys):
+    # json writes and reads NaN; a NaN coefficient must not reach a verdict
+    path = write(tmp_path / "nan.json", {
+        "sites": [{"id": 1, "dim": 2}, {"id": 2, "dim": 2}],
+        "edges": [[1, 2]],
+        "terms": [{"support": [1, 2], "pauli": "Z Z", "coeff": float("nan")}]})
+    assert main(["verify-markov", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "terms[0].coeff" in captured.err
+    cell = gen(tmp_path, "cell")
+    assert main(["verify-markov", cell, "--beta", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--beta" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

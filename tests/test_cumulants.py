@@ -9,11 +9,11 @@ from qmn import families
 from qmn.cumulants import (
     CUMULANT_TARGETS,
     expand,
-    hermitian_basis,
     local_expansion,
     model_cumulants,
     verify_clique_support,
 )
+from qmn.decompose import hermitian_basis
 from qmn.errors import NonHermitianError, UnknownSiteError
 from qmn.graphs import Graph, cliques
 from qmn.markov import DensityMatrix, ModelInstance, gibbs
@@ -64,13 +64,13 @@ def test_hermitian_basis_qubit_is_pauli():
 
 
 def test_cumulant_matches_brute_oracle_mixed_dims():
-    # the trace-based split of one- and two-site operators in
-    # ``local_expansion``, against inclusion-exclusion on the full matrix
+    # the site-by-site split in ``local_expansion`` of operators on one,
+    # two and three sites, against inclusion-exclusion on the full matrix
     space = SiteSpace.from_dims({1: 2, 2: 3, 3: 2})
     dims = [2, 3, 2]
     rng = np.random.default_rng(5)
     ops = [SupportedOperator(sup, random_hermitian(rng, space.subspace(sup).total_dim))
-           for sup in [(1,), (2,), (1, 2), (2, 3), (1, 3)]]
+           for sup in [(1,), (2,), (1, 2), (2, 3), (1, 3), (1, 2, 3)]]
     h = embed_sum(ops, space)
     exp = local_expansion(ops, space)
     for region in all_regions((1, 2, 3)):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmn import families
+from qmn import decompose, families
 from qmn.cumulants import expand, model_cumulants
 from qmn.decompose import (
     LOCAL_COMMUTING,
@@ -79,6 +79,16 @@ def test_pairwise_commutation_finds_worst_pair():
     assert not rep.commuting
     assert rep.worst == (0, 1)
     # [X1 X2, Z2 Z3] = 2 X1 (X Z)2 Z3, of normalized norm 2 as the symbolic one
+    assert rep.max_norm == pytest.approx(2.0, rel=1e-12)
+
+
+def test_pairwise_commutation_names_no_pair_within_rtol():
+    # a norm within the tolerance is reported, but no pair is to blame
+    space = SiteSpace.qubits(3)
+    ops = [SupportedOperator((1, 2), np.kron(X, X)),
+           SupportedOperator((2, 3), np.kron(Z, Z))]
+    rep = pairwise_commutation(ops, space, rtol=3.0)
+    assert rep.commuting and rep.worst is None
     assert rep.max_norm == pytest.approx(2.0, rel=1e-12)
 
 
@@ -198,6 +208,8 @@ def test_classify_symbolic_and_dense_agree(model):
         return abs(dense_norm - exact) <= 1e-12 * exact
 
     assert agree(sym.pairwise_max, den.pairwise_max)
+    if sym.verdict == LOCAL_COMMUTING:
+        assert sym.pairwise_worst is None and den.pairwise_worst is None
     for a, b in zip(sym.records, den.records):
         assert agree(a.commutator_norm, b.commutator_norm), a.partition
 
@@ -224,7 +236,7 @@ def test_certificates_agree_with_the_dense_sweep(model, beta):
             assert auto == dense
 
 
-def test_verify_gibbs_falls_through_past_the_search_cap():
+def test_verify_gibbs_falls_through_past_the_search_cap(monkeypatch):
     # vertex 2 is isolated; across ({2}|{1}|{3}) the default grouping puts
     # Z1 with A and fails, and the grouping that commutes is the second
     terms = (pw(1.0, {1: "Z", 3: "X"}), pw(1.0, {1: "Z"}), pw(1.0, {3: "Z"}),
@@ -233,12 +245,13 @@ def test_verify_gibbs_falls_through_past_the_search_cap():
     model = ModelInstance(SiteSpace.qubits(3), graph, terms, beta=1.0)
     with pytest.raises(EnumerationCapError):
         classify(model, search_cap=1)
-    capped = verify_gibbs(model, tol=1e-9, search_cap=1)
+    full = verify_gibbs(model, tol=1e-9)
+    assert (full.route, full.certificate) == ("certificate", SHIELD_COMMUTING_ONLY)
+    monkeypatch.setattr(decompose, "SPLIT_SEARCH_CAP", 1)
+    capped = verify_gibbs(model, tol=1e-9)
     assert capped.route == "dense" and capped.certificate is None
     assert capped == is_markov_network(gibbs(model), graph, tol=1e-9)
     assert capped.passed
-    full = verify_gibbs(model, tol=1e-9)
-    assert (full.route, full.certificate) == ("certificate", SHIELD_COMMUTING_ONLY)
 
 
 def test_verify_gibbs_validates_route_and_mode():
