@@ -32,9 +32,15 @@ Reports echo the tolerances they used: ``classify`` its ``rtol``,
 
 ``verify-markov`` answers by certificate before it builds any state: an
 all-Pauli model that ``classify`` finds LocalCommuting or
-ShieldCommutingOnly has every CMI exactly 0 (see ``decompose.py``), and
-the report says ``"route": "certificate"``.  Every other model, and
-``--route dense``, takes the dense CMI sweep (``"route": "dense"``).
+ShieldCommutingOnly has every CMI exactly 0 on every shielding partition
+at once (see ``decompose.py``), and the report says ``"route":
+"certificate"``.  It lists, with CMI 0.0, the spanning partitions that
+``classify`` regrouped, and none for a LocalCommuting model, whatever
+``--partitions`` says; so it answers past the partition enumeration caps
+too.  Every other model, and ``--route dense``, takes the dense CMI sweep
+over the ``--partitions`` mode's partitions (``"route": "dense"``).
+Tolerance options (``--tol``, ``--rtol``, ``--support-rtol``) take finite
+numbers above zero.
 
 Exit codes: 0 when the command's claim holds, 2 when it fails (not Markov,
 not decomposable, off-clique weight, NotShieldCommuting), 1 on usage or
@@ -526,6 +532,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a tolerance: a finite float above zero."""
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be above zero, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ModelFormatError(message)
@@ -550,7 +564,7 @@ def _build_parser() -> _Parser:
     c = add_model_cmd("verify-markov",
                       "check I(A:C|B) over all spanning shielding partitions "
                       "of the Gibbs state")
-    c.add_argument("--tol", type=float, default=markov.DEFAULT_CMI_TOL)
+    c.add_argument("--tol", type=_positive_float, default=markov.DEFAULT_CMI_TOL)
     c.add_argument("--partitions", choices=("spanning", "all"), default="spanning")
     c.add_argument("--route", choices=("auto", "dense"), default="auto",
                    help="auto: a commutation certificate first, the dense CMI "
@@ -566,12 +580,13 @@ def _build_parser() -> _Parser:
                    default="log-gibbs")
     c.add_argument("--max-support", type=int, default=None,
                    help="list supports up to this size only")
-    c.add_argument("--rtol", type=float, default=cumulants.DEFAULT_CLIQUE_RTOL)
+    c.add_argument("--rtol", type=_positive_float,
+                   default=cumulants.DEFAULT_CLIQUE_RTOL)
     c.set_defaults(func=_cmd_cumulants)
 
     c = add_model_cmd("classify",
                       "LocalCommuting / ShieldCommutingOnly / NotShieldCommuting")
-    c.add_argument("--rtol", type=float, default=decompose.DEFAULT_RTOL)
+    c.add_argument("--rtol", type=_positive_float, default=decompose.DEFAULT_RTOL)
     c.add_argument("--search-cap", type=int, default=decompose.SPLIT_SEARCH_CAP)
     c.set_defaults(func=_cmd_classify)
 
@@ -579,8 +594,9 @@ def _build_parser() -> _Parser:
                        help="commuting vertex/edge regrouping of log rho on "
                             "a triangle-free graph")
     c.add_argument("model", help="path to a JSON model file")
-    c.add_argument("--tol", type=float, default=decompose.DEFAULT_RTOL)
-    c.add_argument("--support-rtol", type=float, default=decompose.DEFAULT_SUPPORT_RTOL)
+    c.add_argument("--tol", type=_positive_float, default=decompose.DEFAULT_RTOL)
+    c.add_argument("--support-rtol", type=_positive_float,
+                   default=decompose.DEFAULT_SUPPORT_RTOL)
     c.add_argument("--report", help="write the JSON report here instead of stdout")
     c.add_argument("--out", help="write the decomposition as a re-ingestable model file")
     c.add_argument("--dot", help="also write the interaction graph in DOT format")

@@ -39,8 +39,9 @@ verdict on a Pauli model, whose commutators cancel symbolically, is such a
 grouping on every spanning partition; every shielding partition extends to
 a spanning one, and strong subadditivity gives I(A:C|B) <= I(AA':CC'|B) =
 0, so it certifies ``--partitions all`` too.  ``verify_gibbs`` reports that
-certificate and builds no state; every other model takes the dense CMI
-sweep of ``markov.is_markov_network``.
+certificate, listing only the partitions ``classify`` regrouped, and builds
+no state; every other model takes the dense CMI sweep of
+``markov.is_markov_network``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -66,7 +67,6 @@ from .graphs import (
     cliques,
     coarse_grain,
     is_triangle_free,
-    shield_partitions,
     spanning_shield_partitions,
 )
 from .markov import (
@@ -85,6 +85,7 @@ from .tensor import (
     embed_sum,
     hs_norm,
     op_schmidt,
+    require_dense,
 )
 
 DEFAULT_RTOL = 1e-9
@@ -235,22 +236,23 @@ class Classification:
 
 
 def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL,
-             search_cap: int = SPLIT_SEARCH_CAP,
-             partitions: Iterable[Partition] | None = None) -> Classification:
+             search_cap: int = SPLIT_SEARCH_CAP) -> Classification:
     """Sort a model into one of three commutation classes.
 
     ``LocalCommuting``: the given terms already commute pairwise.
     ``ShieldCommutingOnly``: they do not, but across every spanning
     shielding partition some grouping of the terms into the two sides
     commutes.  ``NotShieldCommuting``: some partition admits no commuting
-    grouping; that partition is the witness.
+    grouping; that partition is the witness.  The records list the spanning
+    partitions searched, in enumeration order, up to the witness; a
+    ``LocalCommuting`` verdict has none.
 
     Pauli models are checked symbolically, and a grouping of theirs
     commutes only when its commutator cancels exactly; dense terms are
     held to ``rtol``.  Only the pairwise stage runs for locally commuting
-    models, so those are classified symbolically at any system size.
-    ``partitions`` passes the spanning shielding partitions when the caller
-    has listed them already; their order sets the records' order.
+    models, so those are classified symbolically at any system size.  The
+    dense grouping search takes its commutators on the full space, so a
+    dense model past the dense cap that needs it raises ``DenseCapError``.
     """
     symbolic = model.all_pauli()
     route = "symbolic" if symbolic else "dense"
@@ -259,13 +261,13 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL,
     if pair.commuting:
         return Classification(LOCAL_COMMUTING, pair.max_norm, pair.worst, (), None,
                               route)
+    if not symbolic:
+        require_dense(model.space.total_dim, "the dense grouping search")
     keyed = [(frozenset(model.term_support(t)), op)
              for t, op in zip(model.terms, ops)]
     tol = 0.0 if symbolic else rtol
     records = []
-    if partitions is None:
-        partitions = spanning_shield_partitions(model.graph)
-    for p in partitions:
+    for p in spanning_shield_partitions(model.graph):
         norm = _best_grouping(keyed, p, model.space, tol, search_cap)
         records.append(ShieldRecord(p, norm <= tol, norm))
         if norm > tol:
@@ -281,28 +283,29 @@ def verify_gibbs(model: ModelInstance, tol: float = DEFAULT_CMI_TOL,
 
     ``route="auto"`` first classifies an all-Pauli model symbolically.  A
     ``LocalCommuting`` or ``ShieldCommutingOnly`` verdict proves every CMI
-    of the ``mode``'s partitions exactly 0 at every beta (see the module
-    docstring), so the report lists them with CMI 0.0 and builds no state.
-    A model with a dense term, a ``NotShieldCommuting`` verdict (which
-    proves nothing by itself) or a grouping search past
-    ``SPLIT_SEARCH_CAP`` falls through to the dense CMI sweep, which
-    ``route="dense"`` forces.
+    exactly 0 at every beta, on every shielding partition at once (see the
+    module docstring), so the report builds no state and lists, with CMI
+    0.0, what ``classify`` checked: the spanning partitions it regrouped,
+    or none when the terms commute pairwise.  A model with a dense term, a
+    ``NotShieldCommuting`` verdict (which proves nothing by itself) or a
+    grouping search past ``SPLIT_SEARCH_CAP`` falls through to the dense
+    sweep of ``markov.is_markov_network`` over the ``mode``'s partitions,
+    which ``route="dense"`` forces.
     """
     if route not in ("auto", "dense"):
         raise ValueError(f"route must be 'auto' or 'dense', got {route!r}")
-    parts = None
+    if mode not in ("spanning", "all"):
+        raise ValueError(f"mode must be 'spanning' or 'all', got {mode!r}")
     if route == "auto" and model.all_pauli():
-        parts = shield_partitions(model.graph, mode)
-        spanning = set(model.space.sites)
         try:
-            verdict = classify(model, search_cap=SPLIT_SEARCH_CAP, partitions=(
-                p for p in parts if p.union == spanning)).verdict
+            c = classify(model, search_cap=SPLIT_SEARCH_CAP)
         except EnumerationCapError:  # no grouping search, no certificate
-            verdict = None
-        if verdict in (LOCAL_COMMUTING, SHIELD_COMMUTING_ONLY):
-            records = tuple(PartitionRecord(p, 0.0, 0.0 <= tol) for p in parts)
-            return MarkovReport(records, 0.0, tol, mode, "certificate", verdict)
-    return is_markov_network(gibbs(model), model.graph, tol, mode, partitions=parts)
+            c = None
+        if c is not None and c.verdict != NOT_SHIELD_COMMUTING:
+            records = tuple(PartitionRecord(r.partition, 0.0, 0.0 <= tol)
+                            for r in c.records)
+            return MarkovReport(records, 0.0, tol, mode, "certificate", c.verdict)
+    return is_markov_network(gibbs(model), model.graph, tol, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import (
-    DenseCapError,
     DimensionMismatchError,
     PositivityViolationError,
     UnknownSiteError,
@@ -37,10 +36,10 @@ from .tensor import (
     SiteSpace,
     SupportedOperator,
     check_hermitian,
-    dense_cap,
     embed,
     embed_sum,
     partial_trace,
+    require_dense,
 )
 
 EIGENVALUE_FLOOR = -1e-10
@@ -169,24 +168,20 @@ class MarkovReport:
 
 
 def is_markov_network(rho: DensityMatrix, graph: Graph,
-                      tol: float = DEFAULT_CMI_TOL, mode: str = "spanning",
-                      partitions: Sequence[Partition] | None = None,
-                      ) -> MarkovReport:
+                      tol: float = DEFAULT_CMI_TOL,
+                      mode: str = "spanning") -> MarkovReport:
     """Check I(A:C|B) <= tol over shielding partitions of the graph.
 
     ``mode="spanning"`` checks the spanning partitions (sufficient by strong
     subadditivity); ``mode="all"`` audits every shielding partition.
-    ``partitions`` passes ``shield_partitions(graph, mode)`` when the caller
-    has listed them already.
     """
     if graph.vertices != set(rho.space.sites):
         raise UnknownSiteError(
             f"graph vertices {sorted(graph.vertices)} do not match "
             f"state sites {list(rho.space.sites)}")
-    parts = shield_partitions(graph, mode) if partitions is None else partitions
     cache: dict = {}
     records = []
-    for p in parts:
+    for p in shield_partitions(graph, mode):
         val = cmi(rho, p.a, p.b, p.c, _cache=cache)
         records.append(PartitionRecord(p, val, val <= tol))
     max_cmi = max((r.cmi for r in records), default=0.0)
@@ -264,11 +259,7 @@ class ModelInstance:
 
     def hamiltonian(self) -> np.ndarray:
         """Dense sum of all terms on the full space (without the beta factor)."""
-        d = self.space.total_dim
-        if d > dense_cap():
-            raise DenseCapError(
-                f"model dimension {d} exceeds dense cap {dense_cap()} "
-                f"(set QMN_DENSE_CAP to override)")
+        require_dense(self.space.total_dim, "the model's Hamiltonian")
         return embed_sum((self.term_operator(t) for t in self.terms), self.space)
 
     def all_pauli(self) -> bool:
@@ -361,8 +352,7 @@ def stabilizer_state(generators: Sequence[Term], space: SiteSpace) -> DensityMat
                 f"{subset} is -identity")
         raise ValueError(f"dependent generators: product of {subset} is identity")
     d = space.total_dim
-    if d > dense_cap():
-        raise DenseCapError(f"stabilizer state dim {d} exceeds dense cap {dense_cap()}")
+    require_dense(d, "the stabilizer state")
     proj = np.eye(d, dtype=complex)
     for t in gens:
         sup = t.support

@@ -22,6 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (
+    DenseCapError,
     DimensionMismatchError,
     NonHermitianError,
     PositivityViolationError,
@@ -47,6 +48,15 @@ def dense_cap() -> int:
     if cap < 1:
         raise QmnError(f"QMN_DENSE_CAP must be a positive integer, got {raw!r}")
     return cap
+
+
+def require_dense(dim: int, what: str) -> None:
+    """Raise ``DenseCapError`` when ``what`` needs a dense matrix of dimension
+    ``dim`` past ``dense_cap()``."""
+    cap = dense_cap()
+    if dim > cap:
+        raise DenseCapError(f"{what} needs dimension {dim}, past the dense cap "
+                            f"{cap} (set QMN_DENSE_CAP to override)")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 from qmn import cumulants, decompose, families, markov
 from qmn.cli import main, model_from_json, model_to_json, load_model
 from qmn.errors import ModelFormatError
-from qmn.markov import gibbs, is_markov_network
+from qmn.markov import ModelInstance, gibbs, is_markov_network
 from qmn.pauli import PauliTerm
 
 
@@ -230,6 +230,46 @@ def test_cli_verify_markov_past_the_dense_cap(tmp_path):
     rep = read(out)
     assert (rep["route"], rep["verdict"], rep["max_cmi"]) == ("certificate", "pass", 0.0)
     assert main(["verify-markov", chain, "--route", "dense", "--out", out]) == 3
+
+
+@pytest.mark.parametrize("mode", ["spanning", "all"])
+def test_cli_verify_markov_certifies_local_commuting_past_the_caps(tmp_path, mode):
+    # 100 sites: past the dense cap and both partition enumeration caps
+    models = [write(tmp_path / "grid.json", grid(10, 10)),
+              gen(tmp_path, "ising", "--sites", "100")]
+    out = str(tmp_path / "rep.json")
+    for model in models:
+        assert main(["verify-markov", model, "--partitions", mode,
+                     "--out", out]) == 0
+        rep = read(out)
+        assert {k: rep[k] for k in ("route", "certificate", "mode", "partitions",
+                                    "max_cmi", "verdict")} == {
+            "route": "certificate", "certificate": "LocalCommuting",
+            "mode": mode, "partitions": [], "max_cmi": 0.0, "verdict": "pass"}
+
+
+@pytest.mark.parametrize("mode", ["spanning", "all"])
+def test_cli_verify_markov_uncertified_grid_is_a_limit(tmp_path, capsys, mode):
+    # the X fields break pairwise commutation; the grouping search cannot
+    # list the partitions of 100 sites, and the dense sweep cannot build the
+    # state
+    fielded = write(tmp_path / "grid-x.json", grid(10, 10, x_every=7))
+    assert main(["verify-markov", fielded, "--partitions", mode]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_verify_markov_all_mode_certificate_lists_classify_records(tmp_path):
+    tiling = gen(tmp_path, "tiling", "--shape", "1x3")  # 11 sites: 4^11 > 4^10
+    out = str(tmp_path / "rep.json")
+    assert main(["verify-markov", tiling, "--partitions", "all", "--out", out]) == 0
+    rep = read(out)
+    assert (rep["route"], rep["mode"], rep["certificate"]) == (
+        "certificate", "all", "ShieldCommutingOnly")
+    assert len(rep["partitions"]) == 1364
+    assert all(sorted(p["A"] + p["B"] + p["C"]) == list(range(1, 12))
+               for p in rep["partitions"])
+    assert main(["verify-markov", tiling, "--out", out]) == 0
+    assert read(out)["partitions"] == rep["partitions"]
 
 
 def test_cli_verify_markov_dense_route_keeps_the_sweep(tmp_path):
@@ -595,6 +635,22 @@ def test_cli_dense_cap_is_exit_3(tmp_path, capsys, monkeypatch):
     assert captured.out == "" and "DenseCapError" in captured.err
 
 
+def test_cli_dense_grouping_search_respects_the_dense_cap(tmp_path, capsys,
+                                                         monkeypatch):
+    tiling = families.tiling_model(1, 2)
+    dense = ModelInstance(tiling.space, tiling.graph,
+                          tuple(tiling.term_operator(t) for t in tiling.terms))
+    path = write(tmp_path / "tiling-dense.json", model_to_json(dense))
+    path4 = gen(tmp_path, "theorem4", "--kind", "path4")
+    monkeypatch.setenv("QMN_DENSE_CAP", "64")
+    # the grouping halves of the 1x2 tiling span its 256 dimensions
+    assert main(["classify", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "DenseCapError" in captured.err
+    # path4's terms commute pairwise, on unions of at most 32 dimensions
+    assert main(["classify", path4]) == 0
+
+
 @pytest.mark.parametrize("cap", ["abc", "0", "-3"])
 def test_cli_bad_dense_cap_setting_is_exit_1(tmp_path, capsys, monkeypatch, cap):
     chain = gen(tmp_path, "noncommuting-chain")
@@ -606,8 +662,8 @@ def test_cli_bad_dense_cap_setting_is_exit_1(tmp_path, capsys, monkeypatch, cap)
 
 
 def test_cli_enumeration_cap_is_exit_3(tmp_path, capsys):
-    chain = gen(tmp_path, "ising", "--sites", "11")  # 4^11 > the 4^10 cap
-    assert main(["verify-markov", chain, "--partitions", "all"]) == 3
+    tiling = gen(tmp_path, "tiling", "--shape", "2x3")  # 3^18 > the 3^14 cap
+    assert main(["classify", tiling]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "EnumerationCapError" in captured.err
 
@@ -644,6 +700,18 @@ def test_cli_non_finite_input_is_exit_1(tmp_path, capsys):
     assert main(["verify-markov", cell, "--beta", "nan"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "--beta" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("command,option", [
+    ("verify-markov", "--tol"), ("cumulants", "--rtol"), ("classify", "--rtol"),
+    ("decompose", "--tol"), ("decompose", "--support-rtol")])
+def test_cli_tolerances_must_be_finite_and_positive(tmp_path, capsys, command,
+                                                     option, value):
+    chain = gen(tmp_path, "ising", "--sites", "4")
+    assert main([command, chain, f"{option}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and option in captured.err
 
 
 @pytest.mark.parametrize("argv", [
