@@ -26,9 +26,13 @@ is computed inside the dense cap only; past the cap the ``cumulants``
 report says ``"scalar_computed": false`` and ``decompose`` gives vertex
 terms without the -log Z / n shift, which the Gibbs state does not see.
 Reports echo the tolerances they used: ``classify`` its ``rtol``,
-``search_cap`` and ``route`` (``symbolic`` for Pauli terms, else
-``dense``), ``decompose`` its ``tolerance`` and ``support_rtol``,
-``cumulants`` its ``rtol``.
+``search_cap`` (``decompose.SPLIT_SEARCH_CAP``) and ``route``
+(``symbolic`` for Pauli terms, else ``dense``), ``decompose`` its
+``tolerance`` and ``support_rtol``, ``cumulants`` its ``rtol``.
+``classify`` searches groupings per noncommutation component, on the
+spanning partitions of the component's own region (the union of its term
+supports), so the partition enumeration cap and the dense cap bound a
+region, not the whole model.
 
 ``verify-markov`` answers by certificate before it builds any state: an
 all-Pauli model that ``classify`` finds LocalCommuting or
@@ -37,21 +41,24 @@ at once (see ``decompose.py``), and the report says ``"route":
 "certificate"``.  It lists, with CMI 0.0, the spanning partitions that
 ``classify`` regrouped, and none for a LocalCommuting model, whatever
 ``--partitions`` says; so it answers past the partition enumeration caps
-too.  Every other model, and ``--route dense``, takes the dense CMI sweep
-over the ``--partitions`` mode's partitions (``"route": "dense"``).
+too, as long as no component region passes them.  Every other model, and
+``--route dense``, takes the dense CMI sweep over the ``--partitions``
+mode's partitions (``"route": "dense"``).
 Tolerance options (``--tol``, ``--rtol``, ``--support-rtol``) take finite
-numbers above zero.
+numbers above zero, and ``--max-support`` an integer >= 0.  Reports are
+compact JSON.
 
 Exit codes: 0 when the command's claim holds, 2 when it fails (not Markov,
 not decomposable, off-clique weight, NotShieldCommuting), 1 on usage or
 data errors, 3 when a valid input hit a limit and got no verdict (the
-dense cap, the partition or grouping enumeration cap, a state below the
-positivity floor).
+dense cap, the partition enumeration cap on a component region, the
+grouping enumeration cap, a state below the positivity floor).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -272,7 +279,7 @@ def save_model(model: ModelInstance, path: str) -> None:
 # report plumbing
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=1)
+    text = json.dumps(report)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -292,9 +299,7 @@ def _maybe_dot(model: ModelInstance, path: str | None) -> None:
 def _cmd_verify_markov(args) -> int:
     model = load_model(args.model)
     if args.beta is not None:
-        model = ModelInstance(model.space, model.graph, model.terms,
-                              beta=args.beta,
-                              site_composition=model.site_composition)
+        model = dataclasses.replace(model, beta=args.beta)
     _maybe_dot(model, args.dot)
     rep = verify_gibbs(model, tol=args.tol, mode=args.partitions, route=args.route)
     _emit(_markov_json(rep), args.out)
@@ -340,12 +345,12 @@ def _cmd_cumulants(args) -> int:
     return EXIT_PASS if clique.passed else EXIT_FAIL
 
 
-def _classification_json(c, rtol: float, search_cap: int) -> dict:
+def _classification_json(c, rtol: float) -> dict:
     return {
         "verdict": c.verdict,
         "route": c.route,
         "rtol": rtol,
-        "search_cap": search_cap,
+        "search_cap": decompose.SPLIT_SEARCH_CAP,
         "pairwise_max": c.pairwise_max,
         "pairwise_worst": list(c.pairwise_worst) if c.pairwise_worst else None,
         "partitions": [{"A": sorted(r.partition.a), "B": sorted(r.partition.b),
@@ -360,8 +365,8 @@ def _classification_json(c, rtol: float, search_cap: int) -> dict:
 def _cmd_classify(args) -> int:
     model = load_model(args.model)
     _maybe_dot(model, args.dot)
-    c = classify(model, rtol=args.rtol, search_cap=args.search_cap)
-    _emit(_classification_json(c, args.rtol, args.search_cap), args.out)
+    c = classify(model, rtol=args.rtol)
+    _emit(_classification_json(c, args.rtol), args.out)
     return EXIT_FAIL if c.verdict == NOT_SHIELD_COMMUTING else EXIT_PASS
 
 
@@ -524,20 +529,24 @@ def _cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _finite_float(text: str) -> float:
-    """argparse type of a finite float option."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+def _checked(convert, ok, rule: str):
+    """argparse type that converts an option's text and requires ``ok`` of
+    the value; argparse reports a failed conversion under ``convert``'s name."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of a tolerance: a finite float above zero."""
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be above zero, got {text!r}")
-    return value
+_finite_float = _checked(float, math.isfinite, "a finite number")
+# a tolerance
+_positive_float = _checked(float, lambda x: math.isfinite(x) and x > 0.0,
+                           "a finite number above zero")
+# a size limit
+_nonnegative_int = _checked(int, lambda n: n >= 0, "an integer >= 0")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -578,7 +587,7 @@ def _build_parser() -> _Parser:
                       "Parseval gap and a clique-support check")
     c.add_argument("--of", choices=cumulants.CUMULANT_TARGETS,
                    default="log-gibbs")
-    c.add_argument("--max-support", type=int, default=None,
+    c.add_argument("--max-support", type=_nonnegative_int, default=None,
                    help="list supports up to this size only")
     c.add_argument("--rtol", type=_positive_float,
                    default=cumulants.DEFAULT_CLIQUE_RTOL)
@@ -587,7 +596,6 @@ def _build_parser() -> _Parser:
     c = add_model_cmd("classify",
                       "LocalCommuting / ShieldCommutingOnly / NotShieldCommuting")
     c.add_argument("--rtol", type=_positive_float, default=decompose.DEFAULT_RTOL)
-    c.add_argument("--search-cap", type=int, default=decompose.SPLIT_SEARCH_CAP)
     c.set_defaults(func=_cmd_classify)
 
     c = sub.add_parser("decompose",

@@ -42,10 +42,32 @@ a spanning one, and strong subadditivity gives I(A:C|B) <= I(AA':CC'|B) =
 certificate, listing only the partitions ``classify`` regrouped, and builds
 no state; every other model takes the dense CMI sweep of
 ``markov.is_markov_network``.
+
+``classify`` never walks the spanning partitions of the whole graph.  Join
+two terms when their supports overlap and they fail to commute; each
+connected component K of that graph has a region U_K, the union of its
+term supports, and is checked on the spanning partitions of the graph
+induced on U_K alone.  That check is exact.  Terms in different components
+commute, so any grouping across a spanning partition splits as [H_AB,
+H_BC] = sum_K [H_AB^K, H_BC^K], and K's share depends only on the
+partition restricted to U_K: with A or C empty there, sending all of K's
+shield terms to one side clears it; otherwise the restriction is, up to
+swapping A and C, one of U_K's own spanning shielding partitions.
+Conversely, if the sum vanishes, each share equals minus a sum of the
+other components' shares, all of which commute with the *-algebra A_K
+generated by K's terms.  So the share is a commutator in A_K that is
+central in A_K.  In a finite-dimensional *-algebra such a commutator is
+zero: being central, it is a scalar on each of the algebra's matrix
+blocks, and being a commutator, its trace on each block vanishes.  No
+share can cancel against another, so a partition of U_K on which K's terms
+admit no commuting grouping, with every other vertex put in B, is a
+spanning partition on which the whole model admits none.  Dense terms
+commute only up to ``rtol``, and the argument holds to that tolerance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -125,8 +147,7 @@ def _relative_commutator(a: Operand, b: Operand, space: SiteSpace) -> float:
 
 
 def _best_grouping(items: Sequence[tuple[frozenset[int], Operand]],
-                   p: Partition, space: SiteSpace, rtol: float,
-                   search_cap: int) -> float:
+                   p: Partition, space: SiteSpace, rtol: float) -> float:
     """Smallest relative commutator norm of the two halves into which
     support-keyed operators regroup across a partition.
 
@@ -134,13 +155,14 @@ def _best_grouping(items: Sequence[tuple[frozenset[int], Operand]],
     half, and a scalar stays on the AB half.  The k operators inside B
     default to the AB half; when that grouping's norm exceeds ``rtol``,
     every assignment is tried in mask order (bit i sends inner operator i
-    to the BC half) until one commutes, which needs 2^k <= ``search_cap``.
-    Pauli sums are summed exactly, dense operators on the sites of their
-    half.
+    to the BC half) until one commutes, which needs 2^k <=
+    ``SPLIT_SEARCH_CAP``.  Pauli sums are summed exactly, dense operators on
+    the sites of their half, which the dense cap bounds by the sites of
+    ``p``.
     """
     symbolic = all(isinstance(op, PauliSum) for _, op in items)
-    ab_sites = tuple(sorted(p.a | p.b))
-    bc_sites = tuple(sorted(p.b | p.c))
+    if not symbolic:
+        require_dense(space.subspace(p.union).total_dim, "the dense grouping search")
     side_ab: list[Operand] = []
     side_bc: list[Operand] = []
     inner: list[Operand] = []
@@ -152,24 +174,25 @@ def _best_grouping(items: Sequence[tuple[frozenset[int], Operand]],
         else:
             inner.append(op)
 
-    def half(parts: list[Operand], sites: tuple[int, ...]) -> Operand:
+    def half(parts: list[Operand], sites: frozenset[int]) -> Operand:
         if symbolic:
             return PauliSum(tuple(t for s in parts for t in s.terms))
-        return SupportedOperator(sites, embed_sum(parts, space.subspace(sites)))
+        sub = space.subspace(sites)
+        return SupportedOperator(sub.sites, embed_sum(parts, sub))
 
     def grouping(mask: int) -> float:
         ab, bc = list(side_ab), list(side_bc)
         for i, op in enumerate(inner):
             (bc if mask >> i & 1 else ab).append(op)
-        return _relative_commutator(half(ab, ab_sites), half(bc, bc_sites), space)
+        return _relative_commutator(half(ab, p.a | p.b), half(bc, p.b | p.c), space)
 
     best = grouping(0)
     if best > rtol:
         trials = 1 << len(inner)
-        if trials > search_cap:
+        if trials > SPLIT_SEARCH_CAP:
             raise EnumerationCapError(
                 f"{len(inner)} shield-internal components need {trials} "
-                f"groupings, above the cap {search_cap}")
+                f"groupings, above the cap {SPLIT_SEARCH_CAP}")
         for mask in range(1, trials):
             best = min(best, grouping(mask))
             if best <= rtol:
@@ -179,12 +202,14 @@ def _best_grouping(items: Sequence[tuple[frozenset[int], Operand]],
 
 @dataclass(frozen=True)
 class PairwiseCommutation:
-    """Largest relative commutator norm over pairs of operators, and the
-    pair that attains it when it exceeds the tolerance."""
+    """Largest relative commutator norm over pairs of operators, the pair
+    that attains it when it exceeds the tolerance, and the norm of every
+    pair with overlapping supports."""
 
     commuting: bool
     max_norm: float
     worst: tuple[int, int] | None
+    norms: Mapping[tuple[int, int], float]
 
 
 def pairwise_commutation(ops: Sequence[Operand], space: SiteSpace,
@@ -194,17 +219,14 @@ def pairwise_commutation(ops: Sequence[Operand], space: SiteSpace,
     Operands are dense operators or, compared exactly, Pauli sums.
     """
     supports = [set(op.support) for op in ops]
-    worst: tuple[int, int] | None = None
-    max_norm = 0.0
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not supports[i] & supports[j]:
-                continue
-            rel = _relative_commutator(ops[i], ops[j], space)
-            if rel > max_norm:
-                max_norm, worst = rel, (i, j)
+    norms = {(i, j): _relative_commutator(ops[i], ops[j], space)
+             for i, j in itertools.combinations(range(len(ops)), 2)
+             if supports[i] & supports[j]}
+    worst = max(norms, key=norms.__getitem__, default=None)
+    max_norm = norms.get(worst, 0.0)
     commuting = max_norm <= rtol
-    return PairwiseCommutation(commuting, max_norm, None if commuting else worst)
+    return PairwiseCommutation(commuting, max_norm, None if commuting else worst,
+                               norms)
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +257,34 @@ class Classification:
     route: str
 
 
-def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL,
-             search_cap: int = SPLIT_SEARCH_CAP) -> Classification:
+def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL) -> Classification:
     """Sort a model into one of three commutation classes.
 
     ``LocalCommuting``: the given terms already commute pairwise.
     ``ShieldCommutingOnly``: they do not, but across every spanning
     shielding partition some grouping of the terms into the two sides
     commutes.  ``NotShieldCommuting``: some partition admits no commuting
-    grouping; that partition is the witness.  The records list the spanning
-    partitions searched, in enumeration order, up to the witness; a
-    ``LocalCommuting`` verdict has none.
+    grouping; that partition is the witness.
+
+    The groupings are searched per noncommutation component, which is exact
+    (see the module docstring): terms are joined when their supports overlap
+    and they fail to commute, and each component's terms are regrouped
+    across the spanning shielding partitions of the graph induced on its
+    region, the union of their supports.  The records list those partitions
+    with every vertex outside the region added to B, so each is a spanning
+    shielding partition of the model's graph; they come component by
+    component in order of first term, each in enumeration order, up to the
+    witness.  A component whose region is a clique has no partition to
+    check, and a ``LocalCommuting`` verdict has no records.  A region past
+    ``graphs.ENUMERATION_CAP`` sites, or a partition that needs more than
+    ``SPLIT_SEARCH_CAP`` groupings, raises ``EnumerationCapError``.
 
     Pauli models are checked symbolically, and a grouping of theirs
     commutes only when its commutator cancels exactly; dense terms are
-    held to ``rtol``.  Only the pairwise stage runs for locally commuting
-    models, so those are classified symbolically at any system size.  The
-    dense grouping search takes its commutators on the full space, so a
-    dense model past the dense cap that needs it raises ``DenseCapError``.
+    held to ``rtol``, and their grouping search, taken on a region's sites,
+    raises ``DenseCapError`` past the dense cap.  Only the pairwise stage
+    runs for locally commuting models, so those are classified at any
+    system size.
     """
     symbolic = model.all_pauli()
     route = "symbolic" if symbolic else "dense"
@@ -261,18 +293,27 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL,
     if pair.commuting:
         return Classification(LOCAL_COMMUTING, pair.max_norm, pair.worst, (), None,
                               route)
-    if not symbolic:
-        require_dense(model.space.total_dim, "the dense grouping search")
-    keyed = [(frozenset(model.term_support(t)), op)
-             for t, op in zip(model.terms, ops)]
     tol = 0.0 if symbolic else rtol
+    component = [{i} for i in range(len(ops))]  # shared sets, one per component
+    for (i, j), norm in pair.norms.items():
+        if norm > tol and component[j] is not component[i]:
+            component[i] |= component[j]
+            for k in component[j]:
+                component[k] = component[i]
+    keys = [frozenset(model.term_support(t)) for t in model.terms]
     records = []
-    for p in spanning_shield_partitions(model.graph):
-        norm = _best_grouping(keyed, p, model.space, tol, search_cap)
-        records.append(ShieldRecord(p, norm <= tol, norm))
-        if norm > tol:
-            return Classification(NOT_SHIELD_COMMUTING, pair.max_norm, pair.worst,
-                                  tuple(records), p, route)
+    for members in [sorted(c) for i, c in enumerate(component) if min(c) == i]:
+        region = frozenset().union(*(keys[i] for i in members))
+        induced = Graph(region, frozenset(e for e in itertools.combinations(
+            sorted(region), 2) if e in model.graph.edges))
+        items = [(keys[i], ops[i]) for i in members]
+        for p in spanning_shield_partitions(induced):
+            norm = _best_grouping(items, p, model.space, tol)
+            whole = Partition(p.a, model.graph.vertices - p.a - p.c, p.c)
+            records.append(ShieldRecord(whole, norm <= tol, norm))
+            if norm > tol:
+                return Classification(NOT_SHIELD_COMMUTING, pair.max_norm,
+                                      pair.worst, tuple(records), whole, route)
     return Classification(SHIELD_COMMUTING_ONLY, pair.max_norm, pair.worst,
                           tuple(records), None, route)
 
@@ -285,12 +326,14 @@ def verify_gibbs(model: ModelInstance, tol: float = DEFAULT_CMI_TOL,
     ``LocalCommuting`` or ``ShieldCommutingOnly`` verdict proves every CMI
     exactly 0 at every beta, on every shielding partition at once (see the
     module docstring), so the report builds no state and lists, with CMI
-    0.0, what ``classify`` checked: the spanning partitions it regrouped,
-    or none when the terms commute pairwise.  A model with a dense term, a
-    ``NotShieldCommuting`` verdict (which proves nothing by itself) or a
-    grouping search past ``SPLIT_SEARCH_CAP`` falls through to the dense
-    sweep of ``markov.is_markov_network`` over the ``mode``'s partitions,
-    which ``route="dense"`` forces.
+    0.0, what ``classify`` checked: the partitions of each noncommutation
+    component's region it regrouped, widened to spanning ones by putting
+    every other site in B, or none when the terms commute pairwise.  A
+    model with a dense term, a ``NotShieldCommuting`` verdict (which proves
+    nothing by itself), a component region past the partition enumeration
+    cap or a grouping search past ``SPLIT_SEARCH_CAP`` falls through to the
+    dense sweep of ``markov.is_markov_network`` over the ``mode``'s
+    partitions, which ``route="dense"`` forces.
     """
     if route not in ("auto", "dense"):
         raise ValueError(f"route must be 'auto' or 'dense', got {route!r}")
@@ -298,7 +341,7 @@ def verify_gibbs(model: ModelInstance, tol: float = DEFAULT_CMI_TOL,
         raise ValueError(f"mode must be 'spanning' or 'all', got {mode!r}")
     if route == "auto" and model.all_pauli():
         try:
-            c = classify(model, search_cap=SPLIT_SEARCH_CAP)
+            c = classify(model)
         except EnumerationCapError:  # no grouping search, no certificate
             c = None
         if c is not None and c.verdict != NOT_SHIELD_COMMUTING:
@@ -528,16 +571,6 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
 # ---------------------------------------------------------------------------
 # coarse-graining of models
 
-def _maximal_cliques(graph: Graph) -> list[tuple[int, ...]]:
-    all_cliques = cliques(graph)
-    out = []
-    sets = [set(c) for c in all_cliques]
-    for i, c in enumerate(all_cliques):
-        if not any(sets[i] < sets[j] for j in range(len(sets))):
-            out.append(c)
-    return out
-
-
 def coarse_grain_model(model: ModelInstance, merge: dict[int, int]) -> ModelInstance:
     """Merge sites of a Pauli model, regrouping terms by quotient clique.
 
@@ -559,17 +592,17 @@ def coarse_grain_model(model: ModelInstance, merge: dict[int, int]) -> ModelInst
                 f"be composed of qubits")
     new_comp: dict[int, tuple[int, ...]] = {}
     for old, new in site_map.items():
-        new_comp.setdefault(new, ())
-        new_comp[new] = tuple(sorted(new_comp[new] + old_comp[old]))
+        new_comp[new] = tuple(sorted(new_comp.get(new, ()) + old_comp[old]))
     dims = {s: 2 ** len(qs) for s, qs in new_comp.items()}
     new_space = SiteSpace.from_dims(dims)
-    maximal = _maximal_cliques(qgraph)
+    found = cliques(qgraph)
+    sets = [set(c) for c in found]
+    maximal = [(c, s) for c, s in zip(found, sets) if not any(s < t for t in sets)]
     grouped: dict[tuple[int, ...], PauliSum] = {}
     for t in model.terms:
         sup = {site_map[s] for s in model.term_support(t)}
-        home = next(c for c in maximal if sup <= set(c))
-        grouped.setdefault(home, PauliSum.zero())
-        grouped[home] = grouped[home] + as_sum(t)
+        home = next(c for c, s in maximal if sup <= s)
+        grouped[home] = grouped.get(home, PauliSum.zero()) + as_sum(t)
     terms = tuple(grouped[c] for c in sorted(grouped, key=lambda c: (len(c), c)))
     return ModelInstance(new_space, qgraph, terms, beta=model.beta,
                          site_composition=new_comp)

@@ -9,7 +9,9 @@ and log rho of a Gibbs state is taken from the dense beta H and its full
 spectrum (the route the term-by-term cumulants of ``model_cumulants`` are
 checked against).  ``expm_herm`` is the spectral exponential that the
 round-trip tests feed to ``logm_pd``; it is itself checked against the
-Taylor series.
+Taylor series.  ``walk_oracle`` is the one exception: it reuses the
+library's grouping search, because what it checks in ``classify`` is the
+split into noncommutation components, not the search.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ import math
 
 import numpy as np
 
+from qmn.decompose import _best_grouping
+from qmn.graphs import Partition
+from qmn.pauli import as_sum
 from qmn.tensor import check_hermitian
 
 I2 = np.array([[1, 0], [0, 1]], dtype=complex)
@@ -174,6 +179,26 @@ def brute_spanning_shield_partitions(vertices: list[int], edges: set[tuple[int, 
         if brute_shields(set(vs), edges, a, b, c):
             out.append((frozenset(a), frozenset(b), frozenset(c)))
     return sorted(out, key=lambda p: (sorted(p[0]), sorted(p[1])))
+
+
+def walk_oracle(model, rtol: float = 1e-9) -> dict:
+    """Whether the model's terms regroup into commuting halves across each
+    spanning shielding partition of its whole graph, keyed by partition.
+
+    The partitions come from ``brute_spanning_shield_partitions``, and each
+    runs the grouping search over all the terms at once: Pauli models are
+    held to an exact zero, dense ones to ``rtol``.
+    """
+    symbolic = model.all_pauli()
+    keyed = [(frozenset(model.term_support(t)),
+              as_sum(t) if symbolic else model.term_operator(t)) for t in model.terms]
+    tol = 0.0 if symbolic else rtol
+    out = {}
+    for a, b, c in brute_spanning_shield_partitions(sorted(model.graph.vertices),
+                                                    set(model.graph.edges)):
+        p = Partition(a, b, c)
+        out[p] = _best_grouping(keyed, p, model.space, tol) <= tol
+    return out
 
 
 def brute_all_shield_partitions(vertices: list[int], edges: set[tuple[int, int]]):

@@ -6,7 +6,9 @@ import pytest
 
 from qmn import cumulants, decompose, families, markov
 from qmn.cli import main, model_from_json, model_to_json, load_model
+from qmn.decompose import classify
 from qmn.errors import ModelFormatError
+from qmn.graphs import shield_partitions
 from qmn.markov import ModelInstance, gibbs, is_markov_network
 from qmn.pauli import PauliTerm
 
@@ -220,7 +222,16 @@ def test_cli_verify_markov_unmerged_tiling_by_certificate(tmp_path):
     assert main(["verify-markov", tiling, "--out", out]) == 0
     rep = read(out)
     assert (rep["route"], rep["certificate"]) == ("certificate", "ShieldCommutingOnly")
-    assert len(rep["partitions"]) == 1364
+    # each cell is a noncommutation component with two partitions of its own
+    # five sites, widened by the other sites in B
+    assert len(rep["partitions"]) == 6
+    model = load_model(tiling)
+    listed = [(p["A"], p["B"], p["C"]) for p in rep["partitions"]]
+    assert listed == [(sorted(r.partition.a), sorted(r.partition.b),
+                       sorted(r.partition.c)) for r in classify(model).records]
+    spanning = {(tuple(sorted(p.a)), tuple(sorted(p.b)), tuple(sorted(p.c)))
+                for p in shield_partitions(model.graph)}
+    assert all(tuple(map(tuple, p)) in spanning for p in listed)
 
 
 def test_cli_verify_markov_past_the_dense_cap(tmp_path):
@@ -250,9 +261,9 @@ def test_cli_verify_markov_certifies_local_commuting_past_the_caps(tmp_path, mod
 
 @pytest.mark.parametrize("mode", ["spanning", "all"])
 def test_cli_verify_markov_uncertified_grid_is_a_limit(tmp_path, capsys, mode):
-    # the X fields break pairwise commutation; the grouping search cannot
-    # list the partitions of 100 sites, and the dense sweep cannot build the
-    # state
+    # the X fields break pairwise commutation, and no grouping around a
+    # fielded site commutes: NotShieldCommuting proves nothing, and the
+    # dense sweep cannot build the state of 100 sites
     fielded = write(tmp_path / "grid-x.json", grid(10, 10, x_every=7))
     assert main(["verify-markov", fielded, "--partitions", mode]) == 3
     assert capsys.readouterr().out == ""
@@ -265,7 +276,7 @@ def test_cli_verify_markov_all_mode_certificate_lists_classify_records(tmp_path)
     rep = read(out)
     assert (rep["route"], rep["mode"], rep["certificate"]) == (
         "certificate", "all", "ShieldCommutingOnly")
-    assert len(rep["partitions"]) == 1364
+    assert len(rep["partitions"]) == 6  # two per cell
     assert all(sorted(p["A"] + p["B"] + p["C"]) == list(range(1, 12))
                for p in rep["partitions"])
     assert main(["verify-markov", tiling, "--out", out]) == 0
@@ -388,9 +399,12 @@ def test_cli_classify_ising_local_commuting(tmp_path, capsys):
     assert rep["partitions"] == []
 
 
-def test_cli_classify_report_echoes_rtol_search_cap_and_route(tmp_path, capsys):
+def test_cli_classify_report_echoes_rtol_search_cap_and_route(tmp_path, capsys,
+                                                             monkeypatch):
     cell = gen(tmp_path, "cell")
-    assert main(["classify", cell, "--rtol", "1e-7", "--search-cap", "64"]) == 0
+    with monkeypatch.context() as m:
+        m.setattr(decompose, "SPLIT_SEARCH_CAP", 64)
+        assert main(["classify", cell, "--rtol", "1e-7"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert (rep["route"], rep["rtol"], rep["search_cap"]) == ("symbolic", 1e-7, 64)
     dense = gen(tmp_path, "theorem4", "--kind", "path4")
@@ -423,23 +437,28 @@ def cell_with(tmp_path, name, term):
     return write(tmp_path / f"{name}.json", data)
 
 
-def test_cli_classify_search_cap_when_the_default_commutes(tmp_path, capsys):
+def test_cli_classify_search_cap_when_the_default_commutes(tmp_path, capsys,
+                                                          monkeypatch):
     # Z2 sits inside the shield of ({1}|{2,4,5}|{3}) and commutes with all
     # terms: the default grouping commutes, so a cap of 1 costs no verdict
     cell = cell_with(tmp_path, "cell-z2",
                      {"support": [2], "pauli": "Z", "coeff": 0.5})
-    assert main(["classify", cell, "--search-cap", "1"]) == 0
+    monkeypatch.setattr(decompose, "SPLIT_SEARCH_CAP", 1)
+    assert main(["classify", cell]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["verdict"] == "ShieldCommutingOnly"
     assert all(r["commuting"] for r in rep["partitions"])
 
 
-def test_cli_classify_search_cap_when_the_default_fails(tmp_path, capsys):
+def test_cli_classify_search_cap_when_the_default_fails(tmp_path, capsys,
+                                                       monkeypatch):
     # X2X5 inside the same shield clashes with the C side by default; its
     # two groupings exceed a cap of 1: a limit, no verdict
     cell = cell_with(tmp_path, "cell-x2x5",
                      {"support": [2, 5], "pauli": "X X", "coeff": 1.0})
-    assert main(["classify", cell, "--search-cap", "1"]) == 3
+    with monkeypatch.context() as m:
+        m.setattr(decompose, "SPLIT_SEARCH_CAP", 1)
+        assert main(["classify", cell]) == 3
     assert "EnumerationCapError" in capsys.readouterr().err
     assert main(["classify", cell]) == 2
     rep = json.loads(capsys.readouterr().out)
@@ -642,8 +661,9 @@ def test_cli_dense_grouping_search_respects_the_dense_cap(tmp_path, capsys,
                           tuple(tiling.term_operator(t) for t in tiling.terms))
     path = write(tmp_path / "tiling-dense.json", model_to_json(dense))
     path4 = gen(tmp_path, "theorem4", "--kind", "path4")
-    monkeypatch.setenv("QMN_DENSE_CAP", "64")
-    # the grouping halves of the 1x2 tiling span its 256 dimensions
+    monkeypatch.setenv("QMN_DENSE_CAP", "16")
+    # each cell of the 1x2 tiling is a component, whose grouping halves span
+    # its region of five qubits, 32 dimensions
     assert main(["classify", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "DenseCapError" in captured.err
@@ -662,10 +682,20 @@ def test_cli_bad_dense_cap_setting_is_exit_1(tmp_path, capsys, monkeypatch, cap)
 
 
 def test_cli_enumeration_cap_is_exit_3(tmp_path, capsys):
-    tiling = gen(tmp_path, "tiling", "--shape", "2x3")  # 3^18 > the 3^14 cap
-    assert main(["classify", tiling]) == 3
+    # an X field on every site of a 15-site ZZ chain joins all its terms into
+    # one noncommutation component, whose region needs 3^15 > 3^14 assignments
+    edges = [[v, v + 1] for v in range(1, 15)]
+    chain = write(tmp_path / "fielded-chain.json", {
+        "sites": [{"id": v, "dim": 2} for v in range(1, 16)], "edges": edges,
+        "terms": [{"support": e, "pauli": "Z Z", "coeff": 1.0} for e in edges]
+                 + [{"support": [v], "pauli": "X", "coeff": 0.5} for v in range(1, 16)]})
+    assert main(["classify", chain]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "EnumerationCapError" in captured.err
+    # the 2x3 tiling has 18 sites, but each cell's region only five
+    tiling = gen(tmp_path, "tiling", "--shape", "2x3")
+    assert main(["classify", tiling]) == 0
+    assert main(["verify-markov", tiling]) == 0
 
 
 def test_cli_positivity_floor_is_exit_3(tmp_path, capsys, monkeypatch):
@@ -705,7 +735,8 @@ def test_cli_non_finite_input_is_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 @pytest.mark.parametrize("command,option", [
     ("verify-markov", "--tol"), ("cumulants", "--rtol"), ("classify", "--rtol"),
-    ("decompose", "--tol"), ("decompose", "--support-rtol")])
+    ("decompose", "--tol"), ("decompose", "--support-rtol"),
+    ("cumulants", "--max-support")])  # a size, not a tolerance: an integer >= 0
 def test_cli_tolerances_must_be_finite_and_positive(tmp_path, capsys, command,
                                                      option, value):
     chain = gen(tmp_path, "ising", "--sites", "4")

@@ -27,7 +27,7 @@ from qmn.markov import DensityMatrix, ModelInstance, gibbs, is_markov_network
 from qmn.pauli import PauliSum, PauliTerm, as_sum
 from qmn.tensor import SiteSpace, SupportedOperator, embed_sum, logm_pd
 
-from helpers import dense_pauli_word, expm_taylor, haar_unitary, log_gibbs
+from helpers import dense_pauli_word, expm_taylor, haar_unitary, log_gibbs, walk_oracle
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -174,21 +174,35 @@ def test_classify_dense_terms_agree_with_symbolic():
     assert classify(bad).verdict == NOT_SHIELD_COMMUTING
 
 
+COEFFS = [-2.0, -1.0, 1.0, 2.0]
+
+
+def draw_graph(draw, min_qubits: int, max_qubits: int) -> Graph:
+    n = draw(st.integers(min_qubits, max_qubits))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return Graph.from_edges(edges, vertices=range(1, n + 1))
+
+
+def draw_words(draw, graph: Graph, count: int) -> list[PauliTerm]:
+    """``count`` signed integer Pauli words on cliques of ``graph``."""
+    words = cliques(graph)
+    terms = []
+    for _ in range(count):
+        sites = draw(st.sampled_from(words))
+        letters = {q: draw(st.sampled_from("XYZ")) for q in sites}
+        terms.append(pw(draw(st.sampled_from(COEFFS)), letters))
+    return terms
+
+
 @st.composite
 def pauli_models(draw, max_qubits=5):
     """A random graph on 2 to ``max_qubits`` qubits, signed integer Pauli
     words on its cliques."""
-    n = draw(st.integers(2, max_qubits))
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
-    graph = Graph.from_edges(edges, vertices=range(1, n + 1))
-    words = cliques(graph)
-    terms = []
-    for _ in range(draw(st.integers(1, 6))):
-        sites = draw(st.sampled_from(words))
-        letters = {q: draw(st.sampled_from("XYZ")) for q in sites}
-        terms.append(pw(draw(st.sampled_from([-2.0, -1.0, 1.0, 2.0])), letters))
-    return ModelInstance(SiteSpace.qubits(n), graph, tuple(terms), beta=1.0)
+    graph = draw_graph(draw, 2, max_qubits)
+    terms = draw_words(draw, graph, draw(st.integers(1, 6)))
+    return ModelInstance(SiteSpace.qubits(len(graph.vertices)), graph, tuple(terms),
+                         beta=1.0)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -212,6 +226,70 @@ def test_classify_symbolic_and_dense_agree(model):
         assert sym.pairwise_worst is None and den.pairwise_worst is None
     for a, b in zip(sym.records, den.records):
         assert agree(a.commutator_norm, b.commutator_norm), a.partition
+
+
+def chain_gadget(draw, u: int, v: int, w: int) -> list[PauliTerm | PauliSum]:
+    """P_u Q_v, r R_v and -r R_v + s Q_v T_w, with R anticommuting with Q:
+    one noncommutation component on the path u-v-w, whose only commuting
+    grouping across ({u}|{v}|{w}) sends r R_v to the C side."""
+    p, q, t = (draw(st.sampled_from("XYZ")) for _ in range(3))
+    r_letter = draw(st.sampled_from(sorted(set("XYZ") - {q})))
+    a, r, s = (draw(st.sampled_from(COEFFS)) for _ in range(3))
+    return [pw(a, {u: p, v: q}), pw(r, {v: r_letter}),
+            PauliSum.of(pw(-r, {v: r_letter}), pw(s, {v: q, w: t}))]
+
+
+@st.composite
+def component_models(draw):
+    """Pauli models for the component check.  Drawn words alone mostly form
+    components on cliques, which have no partition to check, so two more
+    kinds add structure: the cell's four terms, or a chain gadget on a
+    path forced into a drawn graph; either may get one more gadget on an
+    induced path and a drawn word.  Up to two disjoint edges are then
+    contracted by ``coarse_grain_model``, whose terms are multi-word Pauli
+    sums on four-dimensional sites."""
+    kind = draw(st.sampled_from(["words", "cell", "gadget"]))
+    if kind == "words":
+        model = draw(pauli_models())
+    else:
+        if kind == "cell":
+            graph, terms = cell_model().graph, list(cell_model().terms)
+        else:
+            graph = draw_graph(draw, 3, 5)
+            u, v, w = draw(st.permutations(sorted(graph.vertices)))[:3]
+            edges = set(graph.edges) | {(min(u, v), max(u, v)), (min(v, w), max(v, w))}
+            graph = Graph.from_edges(edges - {(min(u, w), max(u, w))},
+                                     vertices=graph.vertices)
+            terms = chain_gadget(draw, u, v, w)
+        paths = [(u, v, w) for v in sorted(graph.vertices)
+                 for u in sorted(graph.neighbors(v)) for w in sorted(graph.neighbors(v))
+                 if u < w and not graph.has_edge(u, w)]
+        for path in draw(st.lists(st.sampled_from(paths), max_size=1)):
+            terms += chain_gadget(draw, *path)
+        terms += draw_words(draw, graph, draw(st.integers(0, 1)))
+        model = ModelInstance(SiteSpace.qubits(len(graph.vertices)), graph,
+                              tuple(terms), beta=1.0)
+    merge: dict[int, int] = {}
+    for u, v in draw(st.lists(st.sampled_from(sorted(model.graph.edges)), max_size=2)):
+        if not {u, v} & (set(merge) | set(merge.values())):
+            merge[u] = v
+    return coarse_grain_model(model, merge) if merge else model
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(component_models())
+def test_component_check_agrees_with_the_whole_graph_walk(model):
+    dense = ModelInstance(model.space, model.graph,
+                          tuple(model.term_operator(t) for t in model.terms),
+                          beta=model.beta)
+    for m in (model, dense):
+        c = classify(m)
+        walk = walk_oracle(m)
+        assert (c.verdict == NOT_SHIELD_COMMUTING) == (not all(walk.values()))
+        if c.witness is not None:
+            assert not walk[c.witness]
+        # every record is a spanning shielding partition of the model's graph
+        assert all(r.partition in walk for r in c.records)
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +319,18 @@ def test_certificates_agree_with_the_dense_sweep(model, beta):
 
 
 def test_verify_gibbs_falls_through_past_the_search_cap(monkeypatch):
-    # vertex 2 is isolated; across ({2}|{1}|{3}) the default grouping puts
-    # Z1 with A and fails, and the grouping that commutes is the second
-    terms = (pw(1.0, {1: "Z", 3: "X"}), pw(1.0, {1: "Z"}), pw(1.0, {3: "Z"}),
-             pw(1.0, {1: "Y", 3: "Z"}))
-    graph = Graph.from_edges([(1, 3)], vertices=[1, 2, 3])
+    # the three terms form one noncommutation component on the path 1-2-3;
+    # across ({1}|{2}|{3}) the default grouping puts Z2 with A and fails,
+    # and the grouping that commutes is the second: X1X2 | X2Z3
+    terms = (pw(1.0, {1: "X", 2: "X"}), pw(1.0, {2: "Z"}),
+             PauliSum.of(pw(-1.0, {2: "Z"}), pw(1.0, {2: "X", 3: "Z"})))
+    graph = chain(3)
     model = ModelInstance(SiteSpace.qubits(3), graph, terms, beta=1.0)
-    with pytest.raises(EnumerationCapError):
-        classify(model, search_cap=1)
     full = verify_gibbs(model, tol=1e-9)
     assert (full.route, full.certificate) == ("certificate", SHIELD_COMMUTING_ONLY)
     monkeypatch.setattr(decompose, "SPLIT_SEARCH_CAP", 1)
+    with pytest.raises(EnumerationCapError):
+        classify(model)
     capped = verify_gibbs(model, tol=1e-9)
     assert capped.route == "dense" and capped.certificate is None
     assert capped == is_markov_network(gibbs(model), graph, tol=1e-9)
