@@ -216,12 +216,17 @@ def pairwise_commutation(ops: Sequence[Operand], space: SiteSpace,
                          rtol: float = DEFAULT_RTOL) -> PairwiseCommutation:
     """Check all overlapping pairs; norms are relative to the operand norms.
 
-    Operands are dense operators or, compared exactly, Pauli sums.
+    Operands are dense operators or, compared exactly, Pauli sums.  The
+    pairs come from a site-to-operands index, in (i, j) order.
     """
-    supports = [set(op.support) for op in ops]
+    supports = [op.support for op in ops]
+    by_site: dict[int, list[int]] = {}
+    for i, sup in enumerate(supports):
+        for s in sup:
+            by_site.setdefault(s, []).append(i)
     norms = {(i, j): _relative_commutator(ops[i], ops[j], space)
-             for i, j in itertools.combinations(range(len(ops)), 2)
-             if supports[i] & supports[j]}
+             for i, sup in enumerate(supports)
+             for j in sorted({j for s in sup for j in by_site[s] if j > i})}
     worst = max(norms, key=norms.__getitem__, default=None)
     max_norm = norms.get(worst, 0.0)
     commuting = max_norm <= rtol

@@ -230,10 +230,13 @@ class ModelInstance:
 
     @property
     def qubit_owner(self) -> dict[int, int]:
-        """Map from qubit id to the site that contains it."""
-        if self.site_composition is None:
-            return {s: s for s in self.space.sites}
-        return {q: s for s, qs in self.site_composition.items() for q in qs}
+        """Map from qubit id to the site that contains it (built once)."""
+        owner = self.__dict__.get("_owner_cache")
+        if owner is None:
+            comp = self.site_composition or {s: (s,) for s in self.space.sites}
+            owner = {q: s for s, qs in comp.items() for q in qs}
+            self.__dict__["_owner_cache"] = owner
+        return owner
 
     def term_support(self, term: Term) -> tuple[int, ...]:
         """Site ids a term touches (qubit ids mapped through their owners)."""
@@ -258,9 +261,16 @@ class ModelInstance:
         return SupportedOperator(sites, s.matrix([q for x in sites for q in comp[x]]))
 
     def hamiltonian(self) -> np.ndarray:
-        """Dense sum of all terms on the full space (without the beta factor)."""
+        """Dense sum of all terms on the full space (without the beta factor).
+
+        Each term is checked by ``check_hermitian`` on its own support and
+        added symmetrized; ``embed_sum`` adds conjugate entries in the same
+        order, so the sum is exactly Hermitian.
+        """
         require_dense(self.space.total_dim, "the model's Hamiltonian")
-        return embed_sum((self.term_operator(t) for t in self.terms), self.space)
+        ops = map(self.term_operator, self.terms)
+        return embed_sum((SupportedOperator(op.support, check_hermitian(op.matrix))
+                          for op in ops), self.space)
 
     def all_pauli(self) -> bool:
         return all(isinstance(t, (PauliSum, PauliTerm)) for t in self.terms)
@@ -270,9 +280,10 @@ def gibbs(model: ModelInstance) -> DensityMatrix:
     """Gibbs state rho = exp(beta H) / Tr exp(beta H).
 
     The sign convention absorbs the customary -1/T into beta, so beta > 0
-    weights high-eigenvalue states of H.
+    weights high-eigenvalue states of H.  H is Hermitian by construction
+    (``ModelInstance.hamiltonian`` checks each term).
     """
-    w, v = np.linalg.eigh(model.beta * check_hermitian(model.hamiltonian()))
+    w, v = np.linalg.eigh(model.beta * model.hamiltonian())
     w = w - w.max()  # stabilize the exponential; cancels in the normalization
     e = np.exp(w)
     rho = (v * (e / e.sum())) @ v.conj().T
@@ -280,16 +291,24 @@ def gibbs(model: ModelInstance) -> DensityMatrix:
 
 
 def log_partition(model: ModelInstance) -> float:
-    """log Z = log Tr e^{beta H}, a log-sum-exp over one ``eigvalsh`` of beta H.
+    """log Z = log Tr e^{beta H}, a log-sum-exp over the spectrum of beta H.
 
-    H is checked by ``check_hermitian``.  When its imaginary part is exactly
-    zero, the real symmetric matrix is diagonalized instead: the spectrum
-    is the same, and a real ``eigvalsh`` costs a fraction of a complex one.
+    H is exactly Hermitian (``ModelInstance.hamiltonian`` checks each
+    term).  When it has no nonzero entry off the diagonal, as for classical
+    models such as an Ising chain, the spectrum is its diagonal, sorted as
+    ``eigvalsh`` returns it, and no eigensolve runs.  Otherwise one
+    ``eigvalsh`` gives it, on the real symmetric matrix when the imaginary
+    part is exactly zero: the spectrum is the same, and a real ``eigvalsh``
+    costs a fraction of a complex one.
     """
-    h = check_hermitian(model.hamiltonian())
-    if not h.imag.any():
-        h = h.real
-    w = np.linalg.eigvalsh(model.beta * h)
+    h = model.hamiltonian()
+    diag = h.diagonal()
+    if np.count_nonzero(h) == np.count_nonzero(diag):
+        w = np.sort(model.beta * diag.real)
+    else:
+        if not h.imag.any():
+            h = h.real
+        w = np.linalg.eigvalsh(model.beta * h)
     return float(w[-1] + np.log(np.sum(np.exp(w - w[-1]))))
 
 

@@ -5,13 +5,14 @@ traces are explicit index sums, embeddings are Kronecker products with the
 identity followed by an axis permutation, the matrix exponential is a
 Taylor series with scaling and squaring, Pauli words are built by literal
 Kronecker products, graph shielding is a breadth-first component search,
-and log rho of a Gibbs state is taken from the dense beta H and its full
-spectrum (the route the term-by-term cumulants of ``model_cumulants`` are
-checked against).  ``expm_herm`` is the spectral exponential that the
-round-trip tests feed to ``logm_pd``; it is itself checked against the
-Taylor series.  ``walk_oracle`` is the one exception: it reuses the
-library's grouping search, because what it checks in ``classify`` is the
-split into noncommutation components, not the search.
+and log Z and log rho of a Gibbs state are taken from the dense beta H and
+its full spectrum (the routes that ``log_partition`` and the term-by-term
+cumulants of ``model_cumulants`` are checked against).  ``expm_herm`` is
+the spectral exponential that the round-trip tests feed to ``logm_pd``; it
+is itself checked against the Taylor series.  ``walk_oracle`` is the one
+exception: it reuses the library's grouping search, because what it checks
+in ``classify`` is the split into noncommutation components, not the
+search.
 """
 
 from __future__ import annotations
@@ -265,10 +266,21 @@ def brute_cumulant(h: np.ndarray, dims: list[int], region_axes: list[int]) -> np
     return out
 
 
+def dense_log_partition(model) -> float:
+    """log Z = log Tr e^{beta H} as a log-sum-exp over one complex
+    ``eigvalsh`` of beta H, with H the Kronecker embeddings of the model's
+    terms summed and checked as a whole."""
+    d = model.space.total_dim
+    h = np.zeros((d, d), dtype=complex)
+    for t in model.terms:
+        h += embed_kron(model.term_operator(t), model.space)
+    w = np.linalg.eigvalsh(model.beta * check_hermitian(h))
+    return float(w[-1] + np.log(np.sum(np.exp(w - w[-1]))))
+
+
 def log_gibbs(model) -> np.ndarray:
-    """log rho = beta H - log Z 1 of a model's Gibbs state, dense and exact:
-    log Z is a log-sum-exp over one complex ``eigvalsh`` of beta H."""
-    bh = model.beta * check_hermitian(model.hamiltonian())
-    w = np.linalg.eigvalsh(bh)
-    bh[np.diag_indices_from(bh)] -= w[-1] + np.log(np.sum(np.exp(w - w[-1])))
+    """log rho = beta H - log Z 1 of a model's Gibbs state, dense and exact,
+    with log Z from ``dense_log_partition``."""
+    bh = model.beta * model.hamiltonian()
+    bh[np.diag_indices_from(bh)] -= dense_log_partition(model)
     return bh

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,6 +205,15 @@ def pauli_models(draw, max_qubits=5):
     terms = draw_words(draw, graph, draw(st.integers(1, 6)))
     return ModelInstance(SiteSpace.qubits(len(graph.vertices)), graph, tuple(terms),
                          beta=1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pauli_models(max_qubits=6))
+def test_pairwise_commutation_visits_every_overlapping_pair_in_order(model):
+    ops = [as_sum(t) for t in model.terms]
+    want = [(i, j) for i, j in itertools.combinations(range(len(ops)), 2)
+            if set(ops[i].support) & set(ops[j].support)]
+    assert list(pairwise_commutation(ops, model.space).norms) == want
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

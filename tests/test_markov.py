@@ -9,6 +9,7 @@ from qmn import families
 from qmn.errors import (
     DenseCapError,
     DimensionMismatchError,
+    NonHermitianError,
     PositivityViolationError,
     UnknownSiteError,
 )
@@ -20,6 +21,7 @@ from qmn.markov import (
     entropy,
     gibbs,
     is_markov_network,
+    log_partition,
     stabilizer_state,
 )
 from qmn.pauli import PauliTerm, parse_sum, parse_term
@@ -27,6 +29,7 @@ from qmn.tensor import SiteSpace, SupportedOperator, logm_pd, partial_trace
 
 from helpers import (
     classical_cmi,
+    dense_log_partition,
     dense_pauli_word,
     expm_herm,
     expm_taylor,
@@ -304,6 +307,104 @@ def test_log_gibbs_has_no_positivity_floor():
     diff = got - model.beta * model.hamiltonian()
     assert np.abs(diff - diff[0, 0] * np.eye(64)).max() <= 1e-12
     assert np.abs(expm_herm(got) - rho).max() <= 1e-12
+
+
+@st.composite
+def log_z_models(draw):
+    """Chains of 2-4 qubit and qutrit sites with a term on every site and
+    edge: Z words where all its sites are qubits, else a real diagonal
+    matrix.  Non-diagonal draws add an X or Y field or, on a qutrit, a dense
+    Hermitian term with a 0.5 hop.  Returns the model and whether its H is
+    diagonal."""
+    n = draw(st.integers(2, 4))
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))
+    space = SiteSpace(tuple(range(1, n + 1)), tuple(dims))
+    coeff = st.floats(-1.0, 1.0)
+    terms = []
+    for sup in [(i,) for i in range(1, n + 1)] + [(i, i + 1) for i in range(1, n)]:
+        if all(space.dim(s) == 2 for s in sup) and draw(st.booleans()):
+            terms.append(PauliTerm.from_letters(draw(coeff), dict.fromkeys(sup, "Z")))
+        else:
+            d = math.prod(space.dim(s) for s in sup)
+            terms.append(SupportedOperator(
+                sup, np.diag(draw(st.lists(coeff, min_size=d, max_size=d)))))
+    diagonal = draw(st.booleans())
+    if not diagonal:
+        site = draw(st.integers(1, n))
+        if space.dim(site) == 2:
+            letter = draw(st.sampled_from("XY"))
+            terms.append(PauliTerm.from_letters(draw(st.floats(0.1, 1.0)), {site: letter}))
+        else:
+            hop = np.diag(draw(st.lists(coeff, min_size=3, max_size=3))).astype(complex)
+            hop[0, 2] = hop[2, 0] = 0.5
+            terms.append(SupportedOperator((site,), hop))
+    beta = draw(st.one_of(st.just(3.0), st.floats(0.1, 3.0)))
+    return ModelInstance(space, chain_graph(n), tuple(terms), beta=beta), diagonal
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log_z_models())
+def test_log_partition_matches_a_dense_eigensolve(case):
+    model, diagonal = case
+    h = model.hamiltonian()
+    assert (np.count_nonzero(h - np.diag(h.diagonal())) == 0) == diagonal
+    want = dense_log_partition(model)
+    assert abs(log_partition(model) - want) <= 1e-12 * abs(want)
+
+
+class _Eigensolve(Exception):
+    pass
+
+
+def test_log_partition_of_a_diagonal_model_needs_no_eigensolve(monkeypatch):
+    ising = families.ising_chain(8, beta=3.0)
+    noncommuting = ModelInstance(SiteSpace.qubits(3), chain_graph(3),
+                                 (parse_sum("1.0 * X1 X2"), parse_sum("1.0 * Z2 Z3")))
+    want = dense_log_partition(ising)
+
+    def refuse(*args, **kwargs):
+        raise _Eigensolve
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert abs(log_partition(ising) - want) <= 1e-12 * abs(want)
+    with pytest.raises(_Eigensolve):
+        log_partition(noncommuting)
+
+
+def test_non_hermitian_term_is_rejected_where_the_hamiltonian_is_summed():
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]])
+    model = ModelInstance(SiteSpace.qubits(2), chain_graph(2),
+                          (parse_sum("1.0 * Z1 Z2"), SupportedOperator((2,), raising)))
+    for call in (ModelInstance.hamiltonian, gibbs, log_partition):
+        with pytest.raises(NonHermitianError):
+            call(model)
+
+
+@st.composite
+def nearly_hermitian_models(draw):
+    """Qubit chains of 2-4 sites whose dense edge terms carry a
+    non-Hermitian defect of about 1e-14, within ``check_hermitian``'s
+    tolerance, next to Pauli words."""
+    n = draw(st.integers(2, 4))
+    terms = []
+    for i in range(1, n):
+        if draw(st.booleans()):
+            a, b = draw(st.tuples(st.sampled_from("XYZ"), st.sampled_from("XYZ")))
+            terms.append(PauliTerm.from_letters(draw(st.floats(-1.0, 1.0)),
+                                                {i: a, i + 1: b}))
+        x = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=32, max_size=32)))
+        e = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16)))
+        m = (x[:16] + 1j * x[16:]).reshape(4, 4)
+        m = 2 * np.eye(4) + m + m.conj().T + 1e-14 * (1 + 1j) * e.reshape(4, 4)
+        terms.append(SupportedOperator((i, i + 1), m))
+    return ModelInstance(SiteSpace.qubits(n), chain_graph(n), tuple(terms))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(nearly_hermitian_models())
+def test_hamiltonian_is_exactly_hermitian(model):
+    h = model.hamiltonian()
+    assert np.array_equal(h, h.conj().T)
 
 
 def test_model_instance_validation():
