@@ -21,14 +21,16 @@ finite.
 of beta H with ``--of hamiltonian``, are built from the model's terms on
 their own supports, exact and with no positivity floor, at any system
 size.  The two differ only in the empty-support (scalar) component.  Of
-log rho only that scalar, -log Z, needs the spectrum of the dense H: its
-diagonal when H has no nonzero entry off the diagonal (as for the Ising
-chain), else one ``eigvalsh``.  H sums terms that were each checked for
-Hermiticity on their own support, within the same 1e-12 of the term's
-largest entry.  The scalar is computed inside the dense cap only; past the
-cap the ``cumulants`` report says ``"scalar_computed": false`` and
-``decompose`` gives vertex terms without the -log Z / n shift, which the
-Gibbs state does not see.
+log rho only that scalar, -log Z, needs the spectrum of H: when every term
+is diagonal on its own support (as for the Ising chain), the sum of the
+terms' diagonals as a length-d vector, else one ``eigvalsh`` of the dense
+H.  Every term is checked for Hermiticity once, on its own support, within
+the same 1e-12 of the term's largest entry.  The scalar is computed inside
+the dense cap only; past the cap the ``cumulants`` report says
+``"scalar_computed": false`` and ``decompose`` gives vertex terms without
+the -log Z / n shift, which the Gibbs state does not see.  Model files
+that ``generate`` and ``decompose --out`` write are compact JSON on one
+line, as reports are.
 Reports echo the tolerances they used: ``classify`` its ``rtol``,
 ``search_cap`` (``decompose.SPLIT_SEARCH_CAP``) and ``route``
 (``symbolic`` for Pauli terms, else ``dense``), ``decompose`` its
@@ -274,9 +276,7 @@ def load_model(path: str) -> ModelInstance:
 
 
 def save_model(model: ModelInstance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model), fh, indent=1)
-        fh.write("\n")
+    _emit(model_to_json(model), path)
 
 
 # ---------------------------------------------------------------------------

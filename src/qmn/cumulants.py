@@ -171,20 +171,19 @@ def model_cumulants(model: ModelInstance, of: str = "log-gibbs") -> CumulantExpa
     """Cumulants of a model's log rho = beta H - log Z 1 (``"log-gibbs"``)
     or of beta H (``"hamiltonian"``), built from its terms.
 
-    Every term, Pauli or dense, is split on its own support (Pauli words
-    as a dense matrix on their sites, qubits in ``site_composition``
-    order) and must be Hermitian (``check_hermitian``).  Only the scalar
-    -log Z needs the spectrum; ``log_partition`` supplies it inside the
-    dense cap, and past the cap a log-gibbs expansion has no scalar entry
-    and ``scalar_known`` is False.  Components are dropped as in
-    ``expand`` (``DEFAULT_DROP_RTOL``), relative to the norm of what was
-    computed.
+    Every term, Pauli or dense, is split on its own support as one of the
+    model's ``checked_terms`` (Pauli words as a dense matrix on their
+    sites, qubits in ``site_composition`` order, each checked by
+    ``check_hermitian``).  Only the scalar -log Z needs the spectrum;
+    ``log_partition`` supplies it inside the dense cap, and past the cap a
+    log-gibbs expansion has no scalar entry and ``scalar_known`` is False.
+    Components are dropped as in ``expand`` (``DEFAULT_DROP_RTOL``),
+    relative to the norm of what was computed.
     """
     if of not in CUMULANT_TARGETS:
         raise ValueError(f"of must be one of {CUMULANT_TARGETS}, got {of!r}")
     space = model.space
-    ops = map(model.term_operator, model.terms)
-    parts = _split_sum(((op.support, check_hermitian(op.matrix)) for op in ops), space)
+    parts = _split_sum(((op.support, op.matrix) for op in model.checked_terms), space)
     parts = {k: model.beta * m for k, m in parts.items()}
     scalar_known = of == "hamiltonian" or space.total_dim <= dense_cap()
     if of == "log-gibbs":

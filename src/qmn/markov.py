@@ -260,17 +260,28 @@ class ModelInstance:
                 f"Pauli term on sites {list(sites)}: site dims must be 2**qubits")
         return SupportedOperator(sites, s.matrix([q for x in sites for q in comp[x]]))
 
+    @property
+    def checked_terms(self) -> tuple[SupportedOperator, ...]:
+        """Every term as a dense operator on its own support, in term order,
+        checked by ``check_hermitian`` and symmetrized (built once; the
+        matrices are read-only)."""
+        ops = self.__dict__.get("_checked_cache")
+        if ops is None:
+            ops = tuple(SupportedOperator(op.support, check_hermitian(op.matrix))
+                        for op in map(self.term_operator, self.terms))
+            for op in ops:
+                op.matrix.flags.writeable = False
+            self.__dict__["_checked_cache"] = ops
+        return ops
+
     def hamiltonian(self) -> np.ndarray:
         """Dense sum of all terms on the full space (without the beta factor).
 
-        Each term is checked by ``check_hermitian`` on its own support and
-        added symmetrized; ``embed_sum`` adds conjugate entries in the same
-        order, so the sum is exactly Hermitian.
+        It sums ``checked_terms``; ``embed_sum`` adds conjugate entries in
+        the same order, so the sum is exactly Hermitian.
         """
         require_dense(self.space.total_dim, "the model's Hamiltonian")
-        ops = map(self.term_operator, self.terms)
-        return embed_sum((SupportedOperator(op.support, check_hermitian(op.matrix))
-                          for op in ops), self.space)
+        return embed_sum(self.checked_terms, self.space)
 
     def all_pauli(self) -> bool:
         return all(isinstance(t, (PauliSum, PauliTerm)) for t in self.terms)
@@ -293,19 +304,30 @@ def gibbs(model: ModelInstance) -> DensityMatrix:
 def log_partition(model: ModelInstance) -> float:
     """log Z = log Tr e^{beta H}, a log-sum-exp over the spectrum of beta H.
 
-    H is exactly Hermitian (``ModelInstance.hamiltonian`` checks each
-    term).  When it has no nonzero entry off the diagonal, as for classical
-    models such as an Ising chain, the spectrum is its diagonal, sorted as
-    ``eigvalsh`` returns it, and no eigensolve runs.  Otherwise one
-    ``eigvalsh`` gives it, on the real symmetric matrix when the imaginary
-    part is exactly zero: the spectrum is the same, and a real ``eigvalsh``
-    costs a fraction of a complex one.
+    When every one of ``checked_terms`` is diagonal on its own support, as
+    for classical models such as an Ising chain, the spectrum is the
+    diagonal of H: each term's diagonal is added, in term order, into a
+    length-d vector shaped like the space, so no d x d matrix is built and
+    no eigensolve runs.  The entries are added in the order ``embed_sum``
+    adds them and sorted as ``eigvalsh`` returns them.  Any other model,
+    including one whose off-diagonal parts cancel only across terms, sums
+    H and takes one ``eigvalsh``, on the real symmetric matrix when the
+    imaginary part is exactly zero: the spectrum is the same, and a real
+    ``eigvalsh`` costs a fraction of a complex one.
     """
-    h = model.hamiltonian()
-    diag = h.diagonal()
-    if np.count_nonzero(h) == np.count_nonzero(diag):
-        w = np.sort(model.beta * diag.real)
+    space = model.space
+    require_dense(space.total_dim, "the model's Hamiltonian")
+    ops = model.checked_terms
+    if all(np.count_nonzero(op.matrix) == np.count_nonzero(op.matrix.diagonal())
+           for op in ops):
+        diag = np.zeros(space.dims)
+        for op in ops:
+            axes = {space.axis(s) for s in op.support}
+            diag += op.matrix.diagonal().real.reshape(
+                [d if k in axes else 1 for k, d in enumerate(space.dims)])
+        w = np.sort(model.beta * diag.ravel())
     else:
+        h = model.hamiltonian()
         if not h.imag.any():
             h = h.real
         w = np.linalg.eigvalsh(model.beta * h)

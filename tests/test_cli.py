@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qmn import cumulants, decompose, families, markov
-from qmn.cli import main, model_from_json, model_to_json, load_model
+from qmn.cli import main, model_from_json, model_to_json, load_model, save_model
 from qmn.decompose import classify
 from qmn.errors import ModelFormatError
 from qmn.graphs import shield_partitions
@@ -89,6 +89,22 @@ def test_merged_model_serializes_dense_and_reloads():
         oa, ob = model.term_operator(a), back.term_operator(b)
         assert oa.support == ob.support
         assert np.allclose(oa.matrix, ob.matrix, atol=1e-12)
+
+
+def test_saved_model_is_one_line_and_reloads_bit_identical(tmp_path):
+    rng = np.random.default_rng(5)
+    models = [families.cell_model(beta=0.7), families.tiling_model(2, 2, merged=True),
+              families.random_commuting_model(rng, max_sites=5)]
+    for k, model in enumerate(models):
+        path = str(tmp_path / f"model-{k}.json")
+        save_model(model, path)
+        text = Path(path).read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        back = load_model(path)
+        assert back.beta == model.beta and back.space == model.space
+        for a, b in zip(model.checked_terms, back.checked_terms, strict=True):
+            assert a.support == b.support
+            assert np.array_equal(a.matrix, b.matrix)
 
 
 BAD_MODELS = [

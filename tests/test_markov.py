@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmn import families
+from qmn import cumulants, families, markov, tensor
+from qmn.cumulants import model_cumulants
 from qmn.errors import (
     DenseCapError,
     DimensionMismatchError,
@@ -310,12 +312,12 @@ def test_log_gibbs_has_no_positivity_floor():
 
 
 @st.composite
-def log_z_models(draw):
+def log_z_models(draw, diagonals=st.booleans()):
     """Chains of 2-4 qubit and qutrit sites with a term on every site and
     edge: Z words where all its sites are qubits, else a real diagonal
-    matrix.  Non-diagonal draws add an X or Y field or, on a qutrit, a dense
-    Hermitian term with a 0.5 hop.  Returns the model and whether its H is
-    diagonal."""
+    matrix.  Non-diagonal draws (``diagonals`` draws whether H is diagonal)
+    add an X or Y field or, on a qutrit, a dense Hermitian term with a 0.5
+    hop.  Returns the model and whether its H is diagonal."""
     n = draw(st.integers(2, 4))
     dims = draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))
     space = SiteSpace(tuple(range(1, n + 1)), tuple(dims))
@@ -328,7 +330,7 @@ def log_z_models(draw):
             d = math.prod(space.dim(s) for s in sup)
             terms.append(SupportedOperator(
                 sup, np.diag(draw(st.lists(coeff, min_size=d, max_size=d)))))
-    diagonal = draw(st.booleans())
+    diagonal = draw(diagonals)
     if not diagonal:
         site = draw(st.integers(1, n))
         if space.dim(site) == 2:
@@ -369,6 +371,87 @@ def test_log_partition_of_a_diagonal_model_needs_no_eigensolve(monkeypatch):
     assert abs(log_partition(ising) - want) <= 1e-12 * abs(want)
     with pytest.raises(_Eigensolve):
         log_partition(noncommuting)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("log Z of a diagonal model built a full-space matrix")
+
+
+def test_log_partition_of_a_diagonal_model_builds_no_full_space_matrix(monkeypatch):
+    model = families.ising_chain(12, beta=3.0)
+    # transfer matrix over spins s = +-1 (the Z eigenvalues), fields on the right
+    spins = np.array([1.0, -1.0])
+    field = np.exp(model.beta * 0.5 * spins)
+    step = np.exp(model.beta * np.outer(spins, spins)) * field
+    want = math.log(field @ np.linalg.matrix_power(step, 11) @ np.ones(2))
+    monkeypatch.setattr(ModelInstance, "hamiltonian", _refuse)
+    monkeypatch.setattr(tensor, "embed_sum", _refuse)
+    monkeypatch.setattr(markov, "embed_sum", _refuse)
+    tracemalloc.start()
+    try:
+        got = log_partition(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert peak < 2 ** 20
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(log_z_models(diagonals=st.just(True)))
+def test_log_partition_of_a_diagonal_model_is_bit_equal_to_the_dense_diagonal(case):
+    model, _ = case
+    w = np.sort(model.beta * model.hamiltonian().diagonal().real)
+    assert log_partition(model) == float(w[-1] + np.log(np.sum(np.exp(w - w[-1]))))
+
+
+def test_off_diagonal_parts_that_cancel_across_terms_take_the_eigensolve(monkeypatch):
+    model = ModelInstance(SiteSpace.qubits(2), chain_graph(2),
+                          (parse_sum("1.0 * Z1 Z2"), parse_sum("0.7 * X1"),
+                           parse_sum("-0.7 * X1")), beta=2.0)
+    h = model.hamiltonian()
+    assert np.count_nonzero(h - np.diag(h.diagonal())) == 0
+    want = dense_log_partition(model)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert abs(log_partition(model) - want) <= 1e-12 * abs(want)
+    assert calls == [(4, 4)]
+
+
+def test_each_term_is_converted_and_checked_once(monkeypatch):
+    model = ModelInstance(SiteSpace.qubits(2), chain_graph(2),
+                          (parse_sum("1.0 * Z1 Z2"), parse_sum("0.5 * X1"),
+                           SupportedOperator((2,), np.array([[0.0, 1.0], [1.0, 0.0]]))))
+    converted, checked = [], []
+    term_operator = ModelInstance.term_operator
+
+    def convert(self, term):
+        converted.append(term)
+        return term_operator(self, term)
+
+    def check(matrix):
+        checked.append(matrix.shape)
+        return tensor.check_hermitian(matrix)
+
+    monkeypatch.setattr(ModelInstance, "term_operator", convert)
+    monkeypatch.setattr(markov, "check_hermitian", check)
+    monkeypatch.setattr(cumulants, "check_hermitian", check)
+    model_cumulants(model)
+    model.hamiltonian()
+    log_partition(model)
+    assert converted == list(model.terms)
+    assert checked == [(4, 4), (2, 2), (2, 2)]
+    ops = model.checked_terms
+    assert [op.support for op in ops] == [(1, 2), (1,), (2,)]
+    for op in ops:
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 1.0
 
 
 def test_non_hermitian_term_is_rejected_where_the_hamiltonian_is_summed():
