@@ -23,10 +23,13 @@ their own supports, exact and with no positivity floor, at any system
 size.  The two differ only in the empty-support (scalar) component.  Of
 log rho only that scalar, -log Z, needs the spectrum of H: when every term
 is diagonal on its own support (as for the Ising chain), the sum of the
-terms' diagonals as a length-d vector, else one ``eigvalsh`` of the dense
-H.  Every term is checked for Hermiticity once, on its own support, within
-the same 1e-12 of the term's largest entry.  The scalar is computed inside
-the dense cap only; past the cap the ``cumulants`` report says
+terms' diagonals as a length-d vector; when the terms commute, the
+eigenvalues of the sector blocks of H in the eigenbases of terms on
+disjoint supports (``markov.log_partition``); else one ``eigvalsh`` of the
+dense H.  Every term is checked for Hermiticity once, on its own support,
+within the same 1e-12 of the term's largest entry.  The scalar is computed
+inside the dense cap, and for a diagonal model up to the cap squared;
+past that the ``cumulants`` and ``decompose`` reports say
 ``"scalar_computed": false`` and ``decompose`` gives vertex terms without
 the -log Z / n shift, which the Gibbs state does not see.  Model files
 that ``generate`` and ``decompose --out`` write are compact JSON on one
@@ -377,10 +380,11 @@ def _cmd_classify(args) -> int:
 def _cmd_decompose(args) -> int:
     model = load_model(args.model)
     _maybe_dot(model, args.dot)
+    exp = model_cumulants(model)
     echo = {"route": "local", "tolerance": args.tol,
-            "support_rtol": args.support_rtol}
+            "support_rtol": args.support_rtol, "scalar_computed": exp.scalar_known}
     try:
-        dec = theorem4_decompose(model_cumulants(model), model.graph,
+        dec = theorem4_decompose(exp, model.graph,
                                  rtol=args.tol, support_rtol=args.support_rtol)
     except (NotMarkovError, NotTriangleFreeError,
             DecompositionResidualError) as e:

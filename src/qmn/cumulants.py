@@ -28,10 +28,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import UnknownSiteError
+from .errors import DenseCapError, UnknownSiteError
 from .graphs import Graph
 from .markov import ModelInstance, log_partition
-from .tensor import SiteSpace, SupportedOperator, check_hermitian, dense_cap
+from .tensor import SiteSpace, SupportedOperator, check_hermitian
 
 DEFAULT_DROP_RTOL = 1e-12
 DEFAULT_CLIQUE_RTOL = 1e-10
@@ -175,7 +175,8 @@ def model_cumulants(model: ModelInstance, of: str = "log-gibbs") -> CumulantExpa
     model's ``checked_terms`` (Pauli words as a dense matrix on their
     sites, qubits in ``site_composition`` order, each checked by
     ``check_hermitian``).  Only the scalar -log Z needs the spectrum;
-    ``log_partition`` supplies it inside the dense cap, and past the cap a
+    ``log_partition`` supplies it, and where it raises ``DenseCapError``
+    (past the dense cap, or past its square for a diagonal model) a
     log-gibbs expansion has no scalar entry and ``scalar_known`` is False.
     Components are dropped as in ``expand`` (``DEFAULT_DROP_RTOL``),
     relative to the norm of what was computed.
@@ -185,11 +186,13 @@ def model_cumulants(model: ModelInstance, of: str = "log-gibbs") -> CumulantExpa
     space = model.space
     parts = _split_sum(((op.support, op.matrix) for op in model.checked_terms), space)
     parts = {k: model.beta * m for k, m in parts.items()}
-    scalar_known = of == "hamiltonian" or space.total_dim <= dense_cap()
+    scalar_known = True
     if of == "log-gibbs":
         scalar = parts.pop((), np.zeros((1, 1), dtype=complex))
-        if scalar_known:
+        try:
             parts[()] = scalar - log_partition(model)
+        except DenseCapError:
+            scalar_known = False
     return _collect(parts, space, DEFAULT_DROP_RTOL, scalar_known)
 
 

@@ -20,12 +20,14 @@ splits, and this module's dense sweep otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .errors import (
+    DenseCapError,
     DimensionMismatchError,
     PositivityViolationError,
     UnknownSiteError,
@@ -36,6 +38,7 @@ from .tensor import (
     SiteSpace,
     SupportedOperator,
     check_hermitian,
+    dense_cap,
     embed,
     embed_sum,
     partial_trace,
@@ -46,6 +49,13 @@ EIGENVALUE_FLOOR = -1e-10
 TRACE_ATOL = 1e-10
 ENTROPY_TRACE_ATOL = 1e-8
 DEFAULT_CMI_TOL = 1e-8
+SECTOR_RTOL = 1e-12
+"""Tolerance of the sector route of ``log_partition``, relative to term
+norms.  A pivot term's eigenvalues split into sectors at gaps wider than
+SECTOR_RTOL times its largest |eigenvalue|; the route is taken when the
+terms' Frobenius weight outside the sectors, summed, is at most SECTOR_RTOL
+times the sum of the terms' Frobenius norms, sum_j ||h_j||.  log Z is then
+off by at most beta * SECTOR_RTOL * sum_j ||h_j||."""
 
 Term = Union[PauliSum, PauliTerm, SupportedOperator]
 
@@ -301,36 +311,162 @@ def gibbs(model: ModelInstance) -> DensityMatrix:
     return DensityMatrix(rho, model.space)
 
 
+def _sector_spectrum(model: ModelInstance) -> np.ndarray | None:
+    """Spectrum of H from its sector blocks, unsorted, or None when no term
+    splits into sectors or the terms leave the sectors by more than
+    ``SECTOR_RTOL`` allows (the sector route of ``log_partition``)."""
+    space = model.space
+    # each pivot becomes one coarse site, named by its first site, with its
+    # spectrum, the adjoint of its eigenbasis and its sector labels times a
+    # mixed-radix stride
+    members: dict[int, tuple[int, ...]] = {}
+    frames: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    rest = []
+    stride = 1
+    for op in model.checked_terms:
+        if op.support and members.keys().isdisjoint(op.support):
+            w, v = np.linalg.eigh(op.matrix)
+            ws = w.tolist()
+            tol = SECTOR_RTOL * max(-ws[0], ws[-1])
+            labels = np.cumsum([0] + [y - x > tol for x, y in zip(ws, ws[1:])])
+            if labels[-1]:
+                frames[op.support[0]] = (w, v.conj().T, stride * labels)
+                members.update(dict.fromkeys(op.support, op.support))
+                stride *= int(labels[-1]) + 1
+                continue
+        rest.append(op)
+    if not frames:
+        return None
+    dim = dict(zip(space.sites, space.dims))
+    owner = {s: members[s][0] if s in members else s for s in space.sites}
+    cdim = {c: math.prod(dim[s] for s in members.get(c, (c,)))
+            for c in sorted(set(owner.values()))}
+    # every other term in the pivots' frames, U^dag h U, on its support
+    # widened by the pivots it touches and ordered coarse site by coarse
+    # site; lab is the sector of each row
+    budget = SECTOR_RTOL * sum(math.sqrt(np.vdot(op.matrix, op.matrix).real)
+                               for op in model.checked_terms)
+    off = 0.0
+    rotated = []
+    for op in rest:
+        sup = sorted({owner[s] for s in op.support})
+        m = op.matrix
+        fine = [s for c in sup for s in members.get(c, (c,))]
+        if fine != list(op.support):
+            own = [s for s in fine if s in op.support]
+            if own != list(op.support):
+                axes = [op.support.index(s) for s in own]
+                m = m.reshape([dim[s] for s in op.support] * 2).transpose(
+                    axes + [len(axes) + a for a in axes]).reshape(m.shape)
+            # the identity on the pivots' other sites, in place among the term's
+            wide = [dim[s] if s in op.support else 1 for s in fine]
+            eye = [1 if s in op.support else dim[s] for s in fine]
+            n = math.prod(dim[s] for s in fine)
+            m = (m.reshape(wide * 2) * np.eye(n // len(m)).reshape(eye * 2)).reshape(n, n)
+        pre, steps, lab = 1, [], np.zeros(1, dtype=np.intp)
+        for c in sup:
+            if c in frames:
+                steps.append((pre, cdim[c], frames[c][1]))
+                lab = (lab[:, None] + frames[c][2]).ravel()
+            else:
+                lab = np.repeat(lab, cdim[c])
+            pre *= cdim[c]
+        for _ in range(2):  # U^dag m, then U^dag (U^dag m)^dag = U^dag m U
+            for before, d, vh in steps:
+                m = (vh @ m.reshape(before, d, -1)).reshape(m.shape)
+            m = m.conj().T
+        leak = m[lab[:, None] != lab]
+        off += math.sqrt(np.vdot(leak, leak).real)
+        if off > budget:
+            return None
+        rotated.append(SupportedOperator(tuple(sup), m))
+    # a pivot is diagonal in its own frame: its spectrum adds to the
+    # diagonal, built like the sector of each state over the coarse sites
+    h = embed_sum(rotated, SiteSpace(tuple(cdim), tuple(cdim.values())))
+    diag, sector = np.zeros(1), np.zeros(1, dtype=np.intp)
+    for c, d in cdim.items():
+        if c in frames:
+            diag = (diag[:, None] + frames[c][0]).ravel()
+            sector = (sector[:, None] + frames[c][2]).ravel()
+        else:
+            diag, sector = np.repeat(diag, d), np.repeat(sector, d)
+    h.ravel()[::len(h) + 1] += diag
+    order = np.argsort(sector, kind="stable")
+    sizes = np.bincount(sector)
+    starts = np.cumsum(sizes) - sizes
+    w = []
+    for size in np.unique(sizes):
+        rows = order[starts[sizes == size, None] + np.arange(size)]
+        w.append(np.linalg.eigvalsh(h[rows[:, :, None], rows[:, None, :]]).ravel())
+    return np.concatenate(w)
+
+
 def log_partition(model: ModelInstance) -> float:
     """log Z = log Tr e^{beta H}, a log-sum-exp over the spectrum of beta H.
 
-    When every one of ``checked_terms`` is diagonal on its own support, as
-    for classical models such as an Ising chain, the spectrum is the
-    diagonal of H: each term's diagonal is added, in term order, into a
-    length-d vector shaped like the space, so no d x d matrix is built and
-    no eigensolve runs.  The entries are added in the order ``embed_sum``
-    adds them and sorted as ``eigvalsh`` returns them.  Any other model,
-    including one whose off-diagonal parts cancel only across terms, sums
-    H and takes one ``eigvalsh``, on the real symmetric matrix when the
-    imaginary part is exactly zero: the spectrum is the same, and a real
-    ``eigvalsh`` costs a fraction of a complex one.
+    Three routes, tried in order:
+
+    * **Diagonal.** When every one of ``checked_terms`` is diagonal on its
+      own support, as for classical models such as an Ising chain, the
+      spectrum is the diagonal of H: each term's diagonal is added, in term
+      order, into a length-d vector shaped like the space, so no d x d
+      matrix is built and no eigensolve runs.  The entries are added in the
+      order ``embed_sum`` adds them and sorted as ``eigvalsh`` returns
+      them.  The vector takes at most the memory of a cap x cap matrix: d
+      up to ``dense_cap()`` squared.
+    * **Sectors.** H commutes with each term when the terms commute, so it
+      is block diagonal in the eigenbases of terms on disjoint supports
+      (Bravyi & Vyalyi, quant-ph/0308021).  Walking the terms in order,
+      each one disjoint from the pivots already taken whose spectrum (one
+      ``eigh`` on its support) has two or more sectors becomes a pivot; a
+      sector is a run of eigenvalues with gaps at most ``SECTOR_RTOL``
+      times the largest |eigenvalue|.  A pivot is diagonal in its own
+      frame.  Every other term is rotated into the frames of the pivots it
+      touches, on its support widened by them, and its Frobenius weight
+      outside the sectors, ||off_j||, is measured.  When sum_j ||off_j||
+      <= ``SECTOR_RTOL`` * sum_j ||h_j|| (all terms), the rotated terms
+      and the pivots' spectra are summed and each sector block takes its
+      own ``eigvalsh``, one batched call per block size.  Dropping the
+      off-sector part moves every eigenvalue by at most sum_j ||off_j||
+      (Weyl), so log Z, a 1-Lipschitz log-sum-exp, moves by at most
+      beta * ``SECTOR_RTOL`` * sum_j ||h_j||.  A single term that leaves
+      the sectors sends the model to the dense route, even when another
+      term cancels it.
+    * **Dense.** Any other model, including one whose off-diagonal parts
+      cancel only across terms, sums H and takes one ``eigvalsh``, on the
+      real symmetric matrix when the imaginary part is exactly zero: the
+      spectrum is the same, and a real ``eigvalsh`` costs a fraction of a
+      complex one.
+
+    The sector and dense routes need d within ``dense_cap()``; past a cap
+    ``DenseCapError`` is raised.
     """
     space = model.space
-    require_dense(space.total_dim, "the model's Hamiltonian")
     ops = model.checked_terms
+    d = space.total_dim
     if all(np.count_nonzero(op.matrix) == np.count_nonzero(op.matrix.diagonal())
            for op in ops):
+        cap = dense_cap()
+        if d > cap * cap:
+            raise DenseCapError(
+                f"the diagonal of the model's Hamiltonian needs {d} entries, past "
+                f"the dense cap {cap} squared (set QMN_DENSE_CAP to override)")
         diag = np.zeros(space.dims)
         for op in ops:
             axes = {space.axis(s) for s in op.support}
             diag += op.matrix.diagonal().real.reshape(
-                [d if k in axes else 1 for k, d in enumerate(space.dims)])
+                [n if k in axes else 1 for k, n in enumerate(space.dims)])
         w = np.sort(model.beta * diag.ravel())
     else:
-        h = model.hamiltonian()
-        if not h.imag.any():
-            h = h.real
-        w = np.linalg.eigvalsh(model.beta * h)
+        require_dense(d, "the model's Hamiltonian")
+        w = _sector_spectrum(model)
+        if w is not None:
+            w = np.sort(model.beta * w)
+        else:
+            h = model.hamiltonian()
+            if not h.imag.any():
+                h = h.real
+            w = np.linalg.eigvalsh(model.beta * h)
     return float(w[-1] + np.log(np.sum(np.exp(w - w[-1]))))
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -548,6 +549,32 @@ def test_cli_decompose_past_the_dense_cap(tmp_path, capsys):
     assert rep["max_commutator"] <= 1e-8
     assert len(rep["vertex_terms"]) == 100 and len(rep["edge_terms"]) == 99
     assert len(read(dec)["terms"]) == 199
+
+
+def test_cli_decompose_report_says_whether_the_scalar_went_in(tmp_path, capsys):
+    for sites, computed in (("4", True), ("100", False)):
+        assert main(["decompose", gen(tmp_path, "ising", "--sites", sites)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["decomposed"] and rep["scalar_computed"] is computed
+    assert main(["decompose", gen(tmp_path, "cell")]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert not rep["decomposed"] and rep["scalar_computed"] is True
+
+
+def test_cli_cumulants_of_a_diagonal_model_past_the_dense_cap_have_the_scalar(
+        tmp_path, capsys):
+    # d = 8192: log Z of the 13-site chain needs only its length-d diagonal
+    chain = gen(tmp_path, "ising", "--sites", "13")
+    assert main(["cumulants", chain]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["scalar_computed"] is True
+    # transfer matrix over spins s = +-1 (coupling 1, field 0.5, beta 1)
+    spins = np.array([1.0, -1.0])
+    field = np.exp(0.5 * spins)
+    log_z = math.log(field @ np.linalg.matrix_power(
+        np.exp(np.outer(spins, spins)) * field, 12) @ np.ones(2))
+    assert rep["supports"][0]["sites"] == []
+    assert rep["supports"][0]["norm_sq"] == pytest.approx(log_z ** 2 * 2 ** 13, rel=1e-12)
 
 
 def grid(rows, cols, x_every=0):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -26,8 +27,8 @@ from qmn.markov import (
     log_partition,
     stabilizer_state,
 )
-from qmn.pauli import PauliTerm, parse_sum, parse_term
-from qmn.tensor import SiteSpace, SupportedOperator, logm_pd, partial_trace
+from qmn.pauli import PauliTerm, commutes, parse_sum, parse_term
+from qmn.tensor import SiteSpace, SupportedOperator, kron, logm_pd, partial_trace
 
 from helpers import (
     classical_cmi,
@@ -452,6 +453,120 @@ def test_each_term_is_converted_and_checked_once(monkeypatch):
     for op in ops:
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 1.0
+
+
+def _framed(seed, space, support, entries):
+    """A term with the given eigenvalues, diagonal in a product of random
+    per-site frames (site s drawn from seed + s)."""
+    u = kron(*[families.random_unitary(np.random.default_rng(seed + s), space.dim(s))
+               for s in support])
+    return SupportedOperator(support, u @ np.diag(entries) @ u.conj().T)
+
+
+@st.composite
+def commuting_models(draw):
+    """Models whose terms commute without being diagonal: diagonal terms on
+    the sites and edges of a qubit and qutrit chain in a random per-site
+    frame, a theorem4 model, or Pauli words on the sites and edges of a
+    qubit chain, each kept when it commutes with the words kept before.
+    Diagonal entries lie on a grid of step 1/4 with the first one apart,
+    so every framed term has two or more well separated sectors."""
+    kind = draw(st.sampled_from(("frame", "theorem4", "pauli")))
+    beta = draw(st.floats(0.1, 3.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if kind == "theorem4":
+        model = families.theorem4_model(
+            draw(st.sampled_from(families.THEOREM4_KINDS)), np.random.default_rng(seed))
+        return dataclasses.replace(model, beta=beta)
+    n = draw(st.integers(2, 5))
+    supports = [(i, i + 1) for i in range(1, n)] + [(i,) for i in range(1, n + 1)]
+    if kind == "pauli":
+        words: list[PauliTerm] = []
+        for sup in supports:
+            word = PauliTerm.from_letters(
+                draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.1, 1.0)),
+                {q: draw(st.sampled_from("XYZ")) for q in sup})
+            if all(commutes(word, other) for other in words):
+                words.append(word)
+        return ModelInstance(SiteSpace.qubits(n), chain_graph(n), tuple(words), beta=beta)
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))
+    space = SiteSpace(tuple(range(1, n + 1)), tuple(dims))
+    terms = []
+    for sup in supports:
+        d = math.prod(space.dim(s) for s in sup)
+        grid = draw(st.lists(st.integers(-4, 4), min_size=d - 1, max_size=d - 1))
+        terms.append(_framed(seed, space, sup, [2.0] + [g / 4 for g in grid]))
+    return ModelInstance(space, chain_graph(n), tuple(terms), beta=beta)
+
+
+def _eigensolve_shapes(mp, names=("eigh", "eigvalsh")):
+    """Record the shape of every input to the ``np.linalg`` solvers named."""
+    shapes = []
+    for name in names:
+        solve = getattr(np.linalg, name)
+
+        def recorded(a, *args, _solve=solve, **kwargs):
+            shapes.append(np.shape(a))
+            return _solve(a, *args, **kwargs)
+
+        mp.setattr(np.linalg, name, recorded)
+    return shapes
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(commuting_models())
+def test_log_partition_of_a_commuting_model_solves_no_full_space_matrix(model):
+    want = dense_log_partition(model)
+    with pytest.MonkeyPatch.context() as mp:
+        shapes = _eigensolve_shapes(mp, ("eigvalsh",))
+        got = log_partition(model)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert all(shape[-1] < model.space.total_dim for shape in shapes)
+
+
+def test_terms_that_commute_only_to_about_1e_6_take_one_full_eigensolve(monkeypatch):
+    model = families.theorem4_model("cycle4", np.random.default_rng(5))
+    ops = list(model.checked_terms)
+    a = np.random.default_rng(6).normal(size=(8, 8, 2)) @ np.array([1.0, 1j])
+    kick = (a + a.conj().T) / np.linalg.norm(a + a.conj().T)
+    ops[-1] = SupportedOperator(ops[-1].support, ops[-1].matrix + 1e-6 * kick)
+    near = ModelInstance(model.space, model.graph, tuple(ops), beta=model.beta)
+    want = dense_log_partition(near)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert abs(log_partition(near) - want) <= 1e-12 * abs(want)
+    assert calls == [(64, 64)]
+
+
+def test_log_partition_of_a_1024_dim_commuting_model_solves_sectors_only(monkeypatch):
+    # non-degenerate pivots on (2,3) .. (8,9) cover all sites but 1 and 10,
+    # so a sector is one joint eigenvector of the pivots times those two
+    # qubits: 4 states
+    rng = np.random.default_rng(11)
+    space = SiteSpace.qubits(10)
+    supports = [(2, 3), (4, 5), (6, 7), (8, 9), (1, 2), (3, 4), (5, 6), (7, 8), (9, 10)]
+    terms = tuple(_framed(17, space, sup, rng.permutation([-0.9, -0.3, 0.2, 0.8])
+                          + rng.uniform(-0.05, 0.05, 4)) for sup in supports)
+    model = ModelInstance(space, chain_graph(10), terms, beta=0.7)
+    want = dense_log_partition(model)
+    shapes = _eigensolve_shapes(monkeypatch)
+    assert abs(log_partition(model) - want) <= 1e-12 * abs(want)
+    assert shapes and max(shape[-1] for shape in shapes) == 4
+
+
+def test_log_partition_of_a_diagonal_model_is_capped_at_the_cap_squared(monkeypatch):
+    monkeypatch.setenv("QMN_DENSE_CAP", "4")
+    inside = families.ising_chain(4, beta=3.0)
+    want = dense_log_partition(inside)
+    assert abs(log_partition(inside) - want) <= 1e-12 * abs(want)
+    with pytest.raises(DenseCapError):
+        log_partition(families.ising_chain(5))
 
 
 def test_non_hermitian_term_is_rejected_where_the_hamiltonian_is_summed():
