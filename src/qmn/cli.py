@@ -113,9 +113,15 @@ _LETTERS = frozenset("IXYZ")
 # ---------------------------------------------------------------------------
 # model file serialization
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as bools, which Python
+    counts as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_finite_number(x: Any) -> bool:
     try:
-        return isinstance(x, (int, float)) and math.isfinite(x)
+        return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
     except OverflowError:  # an integer past the float range
         return False
 
@@ -134,7 +140,7 @@ def _term_from_json(entry: Any, idx: int, space: SiteSpace) -> PauliTerm | Suppo
         raise ModelFormatError(f"{where} must be an object")
     support = entry.get("support")
     if (not isinstance(support, list) or not support
-            or any(not isinstance(s, int) for s in support)):
+            or any(not _is_int(s) for s in support)):
         raise ModelFormatError(f"{where}.support must be a non-empty list of site ids")
     if sorted(set(support)) != support:
         raise ModelFormatError(f"{where}.support must be sorted and without repeats")
@@ -204,10 +210,10 @@ def model_from_json(data: Any) -> ModelInstance:
         raise ModelFormatError("sites must be a non-empty list of {id, dim}")
     dims: dict[int, int] = {}
     for k, s in enumerate(raw_sites):
-        if not isinstance(s, dict) or not isinstance(s.get("id"), int):
+        if not isinstance(s, dict) or not _is_int(s.get("id")):
             raise ModelFormatError(f"sites[{k}] must be an object with an integer id")
         d = s.get("dim", 2)
-        if not isinstance(d, int) or d < 2:
+        if not _is_int(d) or d < 2:
             raise ModelFormatError(f"sites[{k}].dim must be an integer >= 2")
         if s["id"] in dims:
             raise ModelFormatError(f"sites[{k}]: id {s['id']} repeats")
@@ -219,7 +225,7 @@ def model_from_json(data: Any) -> ModelInstance:
     edges = []
     for k, e in enumerate(raw_edges):
         if (not isinstance(e, list) or len(e) != 2
-                or any(not isinstance(x, int) for x in e)):
+                or any(not _is_int(x) for x in e)):
             raise ModelFormatError(f"edges[{k}] must be a pair of site ids")
         if e[0] not in dims or e[1] not in dims:
             raise ModelFormatError(f"edges[{k}] references an unknown site")

@@ -2,9 +2,9 @@
 
 A partition (A, B, C) of a vertex subset *shields* A from C when every path
 from an A-vertex to a C-vertex passes through B; equivalently no connected
-component of the graph with B removed meets both A and C.  For spanning
-partitions (A+B+C = all vertices) this reduces to the absence of a direct
-A-C edge, which is what the enumerator exploits.
+component of the graph with B removed meets both A and C.  One chunked walk
+enumerates the spanning partitions (A+B+C = all vertices) and, for an audit,
+those that leave vertices out.
 """
 
 from __future__ import annotations
@@ -140,76 +140,62 @@ def _canonical(digits: np.ndarray) -> np.ndarray:
             & (digits == 2).any(axis=1))
 
 
-def spanning_shield_partitions(graph: Graph) -> Iterator[Partition]:
-    """Stream all spanning shielding partitions in canonical orientation.
+def _shield_walk(graph: Graph, base: int, cap: int) -> Iterator[Partition]:
+    """Shielding partitions among the ``base**n`` assignments (0=A, 1=B,
+    2=C, 3=left out) in ``itertools.product`` order over the sorted vertices,
+    walked in chunks; more than ``cap`` vertices raise ``EnumerationCapError``.
 
-    Enumerates the 3^n assignments in base-3 counting order (vertices sorted,
-    first vertex least significant); keeps assignments with nonempty A and C,
-    no direct A-C edge (equivalent to shielding for spanning partitions), and
-    the smallest A|C vertex in A (deduplicates the A/C swap).  More than
-    ``ENUMERATION_CAP`` vertices raise ``EnumerationCapError``.
+    Keeps the rows in canonical orientation whose B shields A from C: no C
+    vertex is adjacent to the reach of A, which is A plus the left-out
+    vertices joined to it through left-out vertices.  A spanning row's reach
+    is A, so the reach fixpoint runs only on chunks that leave vertices out.
     """
     vs = sorted(graph.vertices)
     n = len(vs)
-    if n > ENUMERATION_CAP:
+    if n > cap:
         raise EnumerationCapError(
-            f"spanning partition enumeration needs 3^{n} assignments; "
-            f"cap is 3^{ENUMERATION_CAP}")
+            f"shielding partition enumeration needs {base}^{n} assignments; "
+            f"cap is {base}^{cap}")
     if n == 0:
         return
     pos = {v: k for k, v in enumerate(vs)}
     edge_idx = [(pos[u], pos[v]) for u, v in sorted(graph.edges)]
-    chunk = 3 ** min(n, 9)
-    total = 3 ** n
-    powers = 3 ** np.arange(n, dtype=np.int64)
+    eu, ev = np.array(edge_idx, dtype=np.intp).reshape(-1, 2).T
+    chunk = base ** min(n, 8)
+    total = base ** n
+    powers = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (codes[:, None] // powers[None, :]) % 3  # (m, n) in {0=A,1=B,2=C}
-        ok = _canonical(digits)
-        for iu, iv in edge_idx:
-            ok &= ~((digits[:, iu] == 0) & (digits[:, iv] == 2))
-            ok &= ~((digits[:, iu] == 2) & (digits[:, iv] == 0))
-        yield from _partitions(vs, digits[ok])
+        digits = (codes[:, None] // powers[None, :]) % base
+        digits = digits[_canonical(digits)]
+        reach, in_c, out = digits == 0, digits == 2, digits == 3
+        grow = out.any()  # a spanning chunk's reach is its A
+        while grow:
+            size = int(reach.sum())
+            for iu, iv in edge_idx:
+                reach[:, iv] |= reach[:, iu] & out[:, iv]
+                reach[:, iu] |= reach[:, iv] & out[:, iu]
+            grow = int(reach.sum()) > size
+        touch = (reach[:, eu] & in_c[:, ev]) | (reach[:, ev] & in_c[:, eu])
+        yield from _partitions(vs, digits[~touch.any(axis=1)])
+
+
+def spanning_shield_partitions(graph: Graph) -> Iterator[Partition]:
+    """Stream the spanning shielding partitions in canonical orientation
+    (smallest A|C vertex in A), walking 3^n assignments in product order;
+    B shields exactly when no edge joins A and C.  More than
+    ``ENUMERATION_CAP`` vertices raise ``EnumerationCapError``.
+    """
+    yield from _shield_walk(graph, 3, ENUMERATION_CAP)
 
 
 def all_shield_partitions(graph: Graph) -> Iterator[Partition]:
-    """Stream all shielding partitions, spanning or not (audit mode).
-
-    Walks the 4^n assignments (0=A, 1=B, 2=C, 3=left out) in the order of
-    ``itertools.product`` over the sorted vertices (first vertex most
-    significant), in chunks.  Keeps those in canonical orientation (nonempty
-    A and C, smallest A|C vertex in A) from whose A no path avoiding B
-    reaches C: reach spreads from A along edges into vertices outside B
-    until it stops growing, and must then miss C.  More than
-    ``ALL_ENUMERATION_CAP`` vertices raise ``EnumerationCapError``.
+    """Stream every shielding partition, spanning or not (audit mode),
+    walking 4^n assignments in product order, so the spanning ones come in
+    ``spanning_shield_partitions`` order.  More than ``ALL_ENUMERATION_CAP``
+    vertices raise ``EnumerationCapError``.
     """
-    vs = sorted(graph.vertices)
-    n = len(vs)
-    if n > ALL_ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"full partition enumeration needs 4^{n} assignments; "
-            f"cap is 4^{ALL_ENUMERATION_CAP}")
-    if n == 0:
-        return
-    pos = {v: k for k, v in enumerate(vs)}
-    edge_idx = [(pos[u], pos[v]) for u, v in sorted(graph.edges)]
-    chunk = 4 ** min(n, 8)
-    total = 4 ** n
-    powers = 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (codes[:, None] // powers[None, :]) % 4
-        digits = digits[_canonical(digits)]
-        open_ = digits != 1
-        reach = digits == 0
-        while True:
-            size = int(reach.sum())
-            for iu, iv in edge_idx:
-                reach[:, iv] |= reach[:, iu] & open_[:, iv]
-                reach[:, iu] |= reach[:, iv] & open_[:, iu]
-            if int(reach.sum()) == size:
-                break
-        yield from _partitions(vs, digits[~(reach & (digits == 2)).any(axis=1)])
+    yield from _shield_walk(graph, 4, ALL_ENUMERATION_CAP)
 
 
 def shield_partitions(graph: Graph, mode: str = "spanning") -> list[Partition]:

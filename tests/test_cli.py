@@ -824,3 +824,42 @@ def test_cli_pauli_qubit_id_below_the_bound_loads(tmp_path, capsys):
     assert main(["classify", path]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "LocalCommuting"
     assert main(["verify-markov", path]) == 0
+
+
+def bool_model(field):
+    """Two qubits with one ZZ term, and one field set to ``true``."""
+    data = {"sites": [{"id": 1, "dim": 2}, {"id": 2, "dim": 2}],
+            "edges": [[1, 2]],
+            "terms": [{"support": [1, 2], "pauli": "Z Z", "coeff": 1.0}],
+            "beta": 1.0}
+    if field == "site id":
+        data["sites"][0]["id"] = True
+    elif field == "edge endpoint":
+        data["edges"][0][0] = True
+    elif field == "support entry":
+        data["terms"][0]["support"][0] = True
+    elif field == "coeff":
+        data["terms"][0]["coeff"] = True
+    elif field == "coeff imaginary part":
+        data["terms"][0]["coeff"] = [1.0, False]
+    else:
+        data[field] = True
+    return data
+
+
+# JSON true loads as Python True, which passes isinstance(x, int)
+@pytest.mark.parametrize("field,fragment", [
+    ("site id", "sites[0] must be an object with an integer id"),
+    ("edge endpoint", "edges[0] must be a pair of site ids"),
+    ("support entry", "terms[0].support must be a non-empty list of site ids"),
+    ("coeff", "terms[0].coeff must be a finite real number"),
+    ("coeff imaginary part", "terms[0].coeff must be a finite real number"),
+    ("beta", "beta must be a finite number"),
+])
+def test_cli_json_booleans_in_ids_and_numbers_are_exit_1(tmp_path, capsys,
+                                                         field, fragment):
+    path = write(tmp_path / "bool.json", bool_model(field))
+    for command in ("classify", "verify-markov"):
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and fragment in captured.err

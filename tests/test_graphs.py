@@ -148,6 +148,15 @@ def test_all_shield_partitions_match_the_product_oracle(g):
     assert got == brute_all_shield_partitions(sorted(g.vertices), set(g.edges))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_graphs())
+def test_spanning_walk_is_the_spanning_part_of_the_audit_walk_in_order(g):
+    spanning = [(p.a, p.b, p.c) for p in spanning_shield_partitions(g)]
+    audit = [(p.a, p.b, p.c) for p in all_shield_partitions(g)
+             if p.union == g.vertices]
+    assert spanning == audit
+
+
 def test_coarse_grain_cell_merge():
     g, site_map = coarse_grain(fig_cell(), {5: 1})
     assert g.vertices == frozenset({1, 2, 3, 4})

@@ -16,7 +16,7 @@ from qmn.errors import (
     PositivityViolationError,
     UnknownSiteError,
 )
-from qmn.graphs import Graph
+from qmn.graphs import Graph, all_shield_partitions
 from qmn.markov import (
     DensityMatrix,
     ModelInstance,
@@ -225,6 +225,34 @@ def test_spanning_and_all_partitions_agree(case):
     every = is_markov_network(rho, graph, tol=tol, mode="all")
     assert spanning.passed == every.passed
     assert abs(spanning.max_cmi - every.max_cmi) <= 1e-12
+
+
+@st.composite
+def qubit_states_on_graphs(draw):
+    """Random graphs on 3-5 qubits with any edge set, and random states of
+    full rank, of rank one or of a rank in between."""
+    n = draw(st.integers(3, 5))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    graph = Graph.from_edges(edges, vertices=range(1, n + 1))
+    d = 2 ** n
+    rank = draw(st.sampled_from([None, 1, 2, d // 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return DensityMatrix(random_density(rng, d, rank=rank), SiteSpace.qubits(n)), graph
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(qubit_states_on_graphs())
+def test_strong_subadditivity_on_every_shielding_partition(case):
+    # I(A:C|B) >= 0, and the chain rule I(AL:C|B) = I(A:C|B) + I(L:C|AB)
+    # bounds a partition that leaves L out by the spanning one that puts L
+    # in A, which is why a Markov check can stop at spanning partitions
+    rho, graph = case
+    for p in all_shield_partitions(graph):
+        left_out = graph.vertices - p.union
+        value = cmi(rho, p.a, p.b, p.c)
+        assert value >= -1e-10
+        assert value <= cmi(rho, p.a | left_out, p.b, p.c) + 1e-10
 
 
 def test_gibbs_matches_taylor_oracle():
