@@ -31,7 +31,6 @@ from .markov import (
     entropy,
     gibbs,
     is_markov_network,
-    stabilizer_state,
 )
 from .pauli import PauliSum, PauliTerm, commutator, parse_sum, parse_term
 from .tensor import SiteSpace, SupportedOperator, embed, partial_trace
@@ -66,7 +65,6 @@ __all__ = [
     "parse_term",
     "partial_trace",
     "spanning_shield_partitions",
-    "stabilizer_state",
     "theorem4_decompose",
     "verify_clique_support",
     "verify_gibbs",

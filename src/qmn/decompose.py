@@ -13,21 +13,33 @@ term's own support, with no positivity floor and no full-space matrix.
 Only the scalar -log Z needs the spectrum.  Past the dense cap it is not
 computed, so the vertex terms then carry no -log Z / n shift; the Gibbs
 state does not see that shift, since a multiple of the identity cancels
-in the normalization.  Every check runs on supports of at most three
-sites, and the final residual compares the returned terms' cumulants with
-the expansion support by support, which is exact by Parseval.
+in the normalization.  The final residual compares the returned terms'
+cumulants with the expansion support by support, which is exact by
+Parseval.
+
+Every commutator the decomposition judges is taken on one site.  On a
+triangle-free graph two terms meet in at most one vertex u, and the
+commuting terms that meet there split it into blocks (Bravyi & Vyalyi,
+quant-ph/0308021), so every question can be asked of their site-u factors.
+Write a = sum_i w_i F_i (x) A_i and b = sum_j w'_j F'_j (x) B_j, their
+operator Schmidt splits at u, with orthonormal A_i and B_j on sites the
+other does not touch.  Then [a, b] = sum_ij w_i w'_j [F_i, F'_j] (x) A_i
+(x) B_j with orthonormal partners, and ||[a, b]||^2 = sum_ij w_i^2 w'_j^2
+||[F_i, F'_j]||^2 exactly, with no embedding.  One Schmidt split per edge
+cumulant serves the edge check, the star commutants and the final check.
 
 One commutation engine serves every question.  A single relative
 commutator norm, ||[a, b]|| / (||a|| ||b||) in the dimension-normalized
 Hilbert-Schmidt norm ||X|| / sqrt(dim X), is exact for Pauli sums and
-taken on the union support for dense operators; the normalization makes the
-two agree and leaves the value independent of the space an operator is
-embedded in.  A single grouping search, run by ``classify`` on the terms of
-a model, regroups them across a shielding partition: terms meeting A go to
-the A side, those meeting C to the C side, and the assignments of those
-inside the shield are searched, default first.  The star decomposition
-solves each Hermitian commutant directly, as the real null space of
-X -> [X, g] in a Hermitian basis of the site.
+taken on the union support for dense operators, or from their factors on
+the one site they share (above); the normalization makes the three agree
+and leaves the value independent of the space an operator is embedded in.
+A single grouping search, run by ``classify`` on the terms of a model,
+regroups them across a shielding partition: terms meeting A go to the A
+side, those meeting C to the C side, and the assignments of those inside
+the shield are searched, default first.  The star decomposition solves
+each Hermitian commutant directly, as the real null space of X -> [X, g]
+in a Hermitian basis of the site.
 
 The same engine answers the Markov question for Gibbs states, which is the
 paper's theorem.  When a commuting grouping H = H_AB + H_BC exists across a
@@ -101,6 +113,7 @@ from .markov import (
 )
 from .pauli import PauliSum, as_sum, commutator
 from .tensor import (
+    Schmidt,
     SiteSpace,
     SupportedOperator,
     embed,
@@ -131,7 +144,9 @@ def _relative_commutator(a: Operand, b: Operand, space: SiteSpace) -> float:
     commutator cancels; their norms are the dimension-normalized ones,
     sqrt(sum |c|^2).  Dense operators are compared on their union support
     in the same normalized norm, ||X|| / sqrt(dim), which multiplies the
-    ratio of plain Hilbert-Schmidt norms by sqrt(dim).
+    ratio of plain Hilbert-Schmidt norms by sqrt(dim).  For two dense
+    operators that meet in one site, ``theorem4_decompose`` computes the
+    same quantity from their site factors (``_shared_site_norms``).
     """
     if isinstance(a, PauliSum) and isinstance(b, PauliSum):
         c = commutator(a, b)
@@ -370,11 +385,12 @@ class StarDecomposition:
 
 
 @lru_cache(maxsize=None)
-def hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
+def hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal Hermitian basis of d x d matrices, identity first.
 
-    Element 0 is I/sqrt(d); the rest are traceless.  For d = 2 these are the
-    Pauli matrices over sqrt(2) (in the order X, Y, Z).
+    A read-only stack of shape (d*d, d, d).  Element 0 is I/sqrt(d); the
+    rest are traceless.  For d = 2 these are the Pauli matrices over
+    sqrt(2) (in the order X, Y, Z).
     """
     mats = [np.eye(d, dtype=complex) / math.sqrt(d)]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -392,66 +408,120 @@ def hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
         diag[:l] = 1.0
         diag[l] = -l
         mats.append(np.diag(diag).astype(complex) / math.sqrt(l * (l + 1)))
-    for m in mats:
-        m.setflags(write=False)
-    return tuple(mats)
+    basis = np.stack(mats)
+    basis.setflags(write=False)
+    return basis
 
 
-def _hermitian_commutant(gens: Sequence[np.ndarray], basis: np.ndarray,
-                         rtol: float) -> np.ndarray:
-    """Real-orthonormal coordinates (columns) of the Hermitian commutant.
+def _edge_ends(edge_cumulants: Mapping[tuple[int, int], SupportedOperator],
+               space: SiteSpace) -> dict[tuple[int, int], Schmidt]:
+    """The operator Schmidt split of every edge cumulant, seen from each end.
 
-    X = sum_j x_j B_j over the Hermitian basis ``basis`` (shape (d*d, d, d))
-    with x real; the commutant is the null space of the positive form
-    sum_g ||[X, g]||^2, cut at ``rtol`` times its largest eigenvalue.  A
-    Hermitian X commuting with g also commutes with g^dag, so the commutant
-    of the generators equals that of the *-algebra they generate.  With no
-    generators it is everything.
+    ``(u, v)`` keys the split of the cumulant on the edge {u, v} whose left
+    factors act on u.  One SVD serves both ends of an edge, and edges of
+    one site-dimension shape share one batched SVD.
     """
-    n = basis.shape[0]
+    for (u, v), k in edge_cumulants.items():
+        if set(k.support) != {u, v}:
+            raise UnknownSiteError(
+                f"edge cumulant for ({u},{v}) has support {k.support}")
+    splits = op_schmidt([(k, [u]) for (u, _), k in edge_cumulants.items()], space)
+    ends: dict[tuple[int, int], Schmidt] = {}
+    for (u, v), split in zip(edge_cumulants, splits):
+        ends[u, v] = split
+        ends[v, u] = Schmidt(split.weights, split.right, split.left)
+    return ends
+
+
+def _runs(sizes: Sequence[int]) -> np.ndarray:
+    """0/1 matrix whose row i sums the i-th of consecutive runs of ``sizes``
+    items (an empty run sums to zero)."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return (owner == np.arange(len(sizes))[:, None]).astype(float)
+
+
+def _weighted(split: Schmidt) -> np.ndarray:
+    """The left factors of a split, each times its weight."""
+    return split.weights[:, None, None] * split.left
+
+
+def _shared_site_norms(groups: Sequence[np.ndarray], norms: Sequence[float],
+                       d: int) -> np.ndarray:
+    """Relative commutator norms, as ``_relative_commutator``'s, of operators
+    meeting at one site of dimension ``d``.
+
+    ``groups[i]`` is a stack of weighted site factors x_k with a_i = sum_k
+    x_k (x) B_k, the B_k Hilbert-Schmidt orthonormal on sites that no other
+    a_j acts on, and ``norms[i]`` is ||a_i||.  Then [a_i, a_j] = sum_kl
+    [x_k, y_l] (x) B_k (x) B'_l with orthonormal partners, so ||[a_i,
+    a_j]||^2 = sum_kl ||[x_k, y_l]||^2 exactly, and one product of all
+    factors at the site gives every pair.  In the dimension-normalized norm
+    the sites that only one operand acts on cancel, which leaves sqrt(d).
+    A pair with a zero operand gets 0.0.
+    """
+    y = np.concatenate(groups)
+    n = len(y)
+    # p[a, i, b, k] = (y_a y_b)[i, k]
+    p = (y.reshape(n * d, d) @ y.transpose(1, 0, 2).reshape(d, n * d)).reshape(n, d, n, d)
+    c = p - p.transpose(2, 1, 0, 3)
+    runs = _runs([len(g) for g in groups])
+    sq = runs @ (c.real ** 2 + c.imag ** 2).sum(axis=(1, 3)) @ runs.T
+    scale = np.outer(norms, norms)
+    return np.divide(np.sqrt(sq) * math.sqrt(d), scale, out=np.zeros_like(sq),
+                     where=scale > 0.0)
+
+
+def _commutant_forms(gens: Sequence[np.ndarray], basis: np.ndarray) -> np.ndarray:
+    """The form X -> sum_g ||[X, g]||^2 of each stack of generators ``gens``,
+    on the real coordinates of X in the Hermitian ``basis``; shape
+    (len(gens), n, n) for n basis elements.  A Hermitian X commuting with g
+    also commutes with g^dag, so each form's null space is the Hermitian
+    commutant of the *-algebra its generators generate."""
+    n, d = basis.shape[0], basis.shape[1]
     if not gens:
-        return np.eye(n)
-    form = np.zeros((n, n))
-    for g in gens:
-        m = (basis @ g - g @ basis).reshape(n, -1)
-        form += (m.conj() @ m.T).real
-    w, v = np.linalg.eigh(form)
-    return v[:, w <= rtol * max(float(w[-1]), 1e-300)]
+        return np.zeros((0, n, n))
+    g = np.concatenate(gens)[:, None]
+    m = (basis @ g - g @ basis).reshape(len(g), n, d * d)
+    per_gen = (m.conj() @ m.transpose(0, 2, 1)).real.reshape(len(g), n * n)
+    return (_runs([len(x) for x in gens]) @ per_gen).reshape(len(gens), n, n)
 
 
-def star_decompose(k_u: SupportedOperator, edge_cumulants: Mapping[int, SupportedOperator],
-                   u: int, space: SiteSpace,
+def star_decompose(k_u: SupportedOperator, ends: Mapping[int, Schmidt], u: int,
                    rtol: float = DEFAULT_RTOL) -> StarDecomposition:
     """Split K_u as h_u + sum_v G_u^v compatible with the edge cumulants.
 
-    The pull toward edge (u, v) must commute with every other edge term at
-    u, so G_u^v is sought in the Hermitian commutant of the site-u Schmidt
-    factors of all edges except (u, v); h_u is forced into the commutant of
-    all of them.  A residual above tolerance rejects the split.  The joint
-    commutant belongs to every pull space, so after the least-squares fit
-    that shared part is stripped from the pulls and folded into h_u, which
-    makes the split canonical.
+    ``ends[v]`` is the operator Schmidt split of the cumulant on the edge
+    (u, v) with its left factors on u (see ``_edge_ends``).  The pull toward
+    edge (u, v) must commute with every other edge term at u, so G_u^v is
+    sought in the Hermitian commutant of the site-u factors of all edges
+    except (u, v), those with weights above ``SCHMIDT_RTOL`` times the
+    largest; h_u is forced into the commutant of all of them.  Each edge
+    end's commutant form is built once: the joint form is their sum, the
+    pull form for v the joint form minus v's, and one stacked eigensolve
+    cuts each null space at ``rtol`` times the form's largest eigenvalue.  A
+    residual above tolerance rejects the split.  The joint commutant
+    belongs to every pull space, so after the least-squares fit that shared
+    part is stripped from the pulls and folded into h_u, which makes the
+    split canonical.
     """
     if k_u.support != (u,):
         raise UnknownSiteError(f"vertex cumulant must sit on ({u},), got "
                                f"{k_u.support}")
-    factors: dict[int, list[np.ndarray]] = {}
-    for v, kuv in edge_cumulants.items():
-        if set(kuv.support) != {u, v}:
-            raise UnknownSiteError(
-                f"edge cumulant for ({u},{v}) has support {kuv.support}")
-        factors[v] = [f.matrix for f, _, _ in op_schmidt(kuv, space, [u])]
-    order = sorted(factors)
-    basis = np.stack(hermitian_basis(space.dim(u)))
-    joint = _hermitian_commutant([f for v in order for f in factors[v]], basis, rtol)
-    pull_spans = [_hermitian_commutant(
-        [f for w in order if w != v for f in factors[w]], basis, rtol) for v in order]
+    order = sorted(ends)
+    basis = hermitian_basis(k_u.dim)
+    n = len(basis)
+    flat = basis.reshape(n, -1)
+    forms = _commutant_forms([ends[v].left[:ends[v].rank] for v in order], basis)
+    joint = forms.sum(axis=0)
+    w, vecs = np.linalg.eigh(np.concatenate([joint[None], joint - forms]))
+    spans = [vec[:, ws <= rtol * max(float(ws[-1]), 1e-300)]
+             for ws, vec in zip(w, vecs)]
 
     def matrix(x: np.ndarray) -> np.ndarray:
-        return np.tensordot(x, basis, axes=1)
+        return (x @ flat).reshape(k_u.dim, k_u.dim)
 
-    target = (basis.reshape(len(basis), -1).conj() @ k_u.matrix.reshape(-1)).real
-    cols = np.hstack([joint] + pull_spans)
+    target = (flat.conj() @ k_u.matrix.reshape(-1)).real
+    cols = np.hstack(spans)
     coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
     res = hs_norm(k_u.matrix - matrix(cols @ coef))
     scale = max(hs_norm(k_u.matrix), 1e-300)
@@ -460,14 +530,15 @@ def star_decompose(k_u: SupportedOperator, edge_cumulants: Mapping[int, Supporte
             f"vertex cumulant at {u} leaves residual {res:.3e} "
             f"(scale {scale:.3e}) outside the ansatz", residual=res)
 
-    ends = np.cumsum([s.shape[1] for s in [joint] + pull_spans])
-    blocks = np.split(coef, ends[:-1])
-    h_u = joint @ blocks[0]
+    ends_at = np.cumsum([s.shape[1] for s in spans])
+    blocks = np.split(coef, ends_at[:-1])
+    joint_span = spans[0]
+    h_u = joint_span @ blocks[0]
     pulls: dict[int, SupportedOperator] = {}
-    for v, span, c in zip(order, pull_spans, blocks[1:]):
+    for v, span, c in zip(order, spans[1:], blocks[1:]):
         g = span @ c
         # the joint commutant sits inside every pull space; that overlap is h_u's
-        shared = joint @ (joint.T @ g)
+        shared = joint_span @ (joint_span.T @ g)
         h_u = h_u + shared
         pulls[v] = SupportedOperator((u,), matrix(g - shared))
     return StarDecomposition(u, SupportedOperator((u,), matrix(h_u)), pulls, res)
@@ -511,7 +582,14 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
     vertex terms.  The terms must commute pairwise and their cumulants
     must match the expansion's, support by support, within
     ``support_rtol`` relative to its norm; both are re-verified before
-    returning.
+    returning.  A term whose norm embedded in the full space is at most
+    ``support_rtol`` times the expansion's, the residual's own scale, is
+    not judged for commutation: rounding noise left by the star
+    decomposition has no norm of its own to be relative to.
+
+    Every commutator is taken from the site factors of the one vertex the
+    two terms share (``_shared_site_norms``), with the Schmidt split
+    of each edge cumulant computed once.
     """
     space = expansion.space
     if graph.vertices != set(space.sites):
@@ -528,49 +606,81 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
     edge_keys = {frozenset(e): e for e in graph.edges}
     edge_cumulants = {edge_keys[k]: expansion.entries[k]
                       for k in expansion.entries if k in edge_keys}
-    edges = list(edge_cumulants)
-    edge_rep = pairwise_commutation([edge_cumulants[e] for e in edges], space,
-                                    rtol=support_rtol)
-    if not edge_rep.commuting:
-        i, j = edge_rep.worst
+    ends = _edge_ends(edge_cumulants, space)
+    star_of: dict[int, list[int]] = {u: [] for u in sorted(graph.vertices)}
+    for u, v in sorted(ends):
+        star_of[u].append(v)
+
+    def edge(u: int, v: int) -> tuple[int, int]:
+        return (u, v) if u < v else (v, u)
+
+    edge_norms = {e: k.hs_norm() for e, k in edge_cumulants.items()}
+    norms: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
+    for u, vs in star_of.items():
+        if len(vs) < 2:
+            continue
+        es = [edge(u, v) for v in vs]
+        rel = _shared_site_norms([_weighted(ends[u, v]) for v in vs],
+                                 [edge_norms[e] for e in es], space.dim(u))
+        for a, b in itertools.combinations(range(len(vs)), 2):
+            norms[min(es[a], es[b]), max(es[a], es[b])] = float(rel[a, b])
+    worst = max(sorted(norms), key=norms.__getitem__, default=None)
+    if worst is not None and norms[worst] > support_rtol:
         raise NotMarkovError(
-            f"edge cumulants on {edges[i]} and {edges[j]} do not commute "
-            f"(relative norm {edge_rep.max_norm:.3e})")
+            f"edge cumulants on {worst[0]} and {worst[1]} do not commute "
+            f"(relative norm {norms[worst]:.3e})")
 
     n = len(space.sites)
     k0 = float(expansion.operator(()).matrix[0, 0].real)
     vertex_terms: dict[int, SupportedOperator] = {}
-    pulls: dict[tuple[int, int], list[SupportedOperator]] = {
-        e: [] for e in edge_cumulants}
+    pulls: dict[tuple[int, int], np.ndarray] = {}
     for u in sorted(graph.vertices):
-        k_u = expansion.operator((u,))
-        local = {v: edge_cumulants[e] for e in edge_cumulants
-                 for v in e if u in e and v != u}
-        star = star_decompose(k_u, local, u, space, rtol=rtol)
+        star = star_decompose(expansion.operator((u,)),
+                              {v: ends[u, v] for v in star_of[u]}, u, rtol=rtol)
         shift = (k0 / n) * np.eye(space.dim(u), dtype=complex)
         vertex_terms[u] = SupportedOperator((u,), star.vertex_term.matrix + shift)
         for v, g in star.pulls.items():
-            pulls[tuple(sorted((u, v)))].append(g)
+            pulls[u, v] = g.matrix
+    final_edges = {}
+    for (u, v), k_uv in edge_cumulants.items():
+        du, dv = space.dim(u), space.dim(v)
+        # K_uv + G_u^v (x) I + I (x) G_v^u, axes (u row, v row, u col, v col)
+        m = (k_uv.matrix.reshape(du, dv, du, dv)
+             + pulls[u, v][:, None, :, None] * np.eye(dv)[:, None]
+             + np.eye(du)[:, None, :, None] * pulls[v, u][:, None])
+        final_edges[u, v] = SupportedOperator((u, v), m.reshape(du * dv, du * dv))
 
-    final_edges = {
-        e: SupportedOperator(e, embed_sum([k_uv, *pulls[e]], space.subspace(e)))
-        for e, k_uv in edge_cumulants.items()}
-    dec = CommutingDecomposition(space, graph, vertex_terms, final_edges,
-                                 0.0, 0.0)
-    rep = pairwise_commutation(dec.terms(), space, rtol=support_rtol)
-    rebuilt = local_expansion(dec.terms(), space)
+    # at u an edge term is its cumulant's weighted factors, whose partners
+    # on v are traceless, plus its pull times I_v (normalized: sqrt(d_v));
+    # the pull on v commutes with everything at u
+    floor_sq = support_rtol ** 2 * expansion.total_norm_sq / space.total_dim
+    max_commutator = 0.0
+    for u, vs in star_of.items():
+        ops = [vertex_terms[u]] + [final_edges[edge(u, v)] for v in vs]
+        groups = [vertex_terms[u].matrix[None]] + [
+            np.concatenate([_weighted(ends[u, v]),
+                            math.sqrt(space.dim(v)) * pulls[u, v][None]]) for v in vs]
+        op_norms = np.array([op.hs_norm() for op in ops])
+        rel = _shared_site_norms(groups, op_norms, space.dim(u))
+        judged = op_norms ** 2 / [op.dim for op in ops] > floor_sq
+        pairs = np.triu(np.outer(judged, judged), 1)
+        max_commutator = max(max_commutator, float(rel[pairs].max(initial=0.0)))
+
+    terms = [vertex_terms[u] for u in sorted(vertex_terms)]
+    terms += [final_edges[e] for e in sorted(final_edges)]
+    rebuilt = local_expansion(terms, space)
     scale = max(math.sqrt(expansion.total_norm_sq), 1e-300)
     residual = rebuilt.distance(expansion) / scale
-    if not rep.commuting:
+    if max_commutator > support_rtol:
         raise DecompositionResidualError(
-            f"regrouped terms fail to commute (relative norm {rep.max_norm:.3e})",
-            residual=rep.max_norm)
+            f"regrouped terms fail to commute (relative norm {max_commutator:.3e})",
+            residual=max_commutator)
     if residual > support_rtol:
         raise DecompositionResidualError(
             f"decomposition misses log rho by relative {residual:.3e}",
             residual=residual)
     return CommutingDecomposition(space, graph, vertex_terms, final_edges,
-                                  rep.max_norm, residual)
+                                  max_commutator, residual)
 
 
 # ---------------------------------------------------------------------------

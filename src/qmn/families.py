@@ -1,7 +1,7 @@
 """Built-in model families for the demos, the generate command and tests.
 
 Covers the five-qubit counterexample cell and its lattice tilings, simple
-chains, stabilizer generator sets, randomized locally commuting ensembles
+chains, randomized locally commuting ensembles
 (diagonal clique terms conjugated by a product unitary), and commuting
 models on triangle-free graphs with composite sites whose decompositions
 exercise every branch of the star split.
@@ -117,33 +117,6 @@ def tiling_model(rows: int, cols: int, beta: float = 1.0,
         terms.append(PauliSum.of(left, up))
     return ModelInstance(space, qgraph, tuple(terms), beta=beta,
                          site_composition=comp)
-
-
-# ---------------------------------------------------------------------------
-# stabilizer generator sets
-
-def ring_code(n: int = 4) -> tuple[SiteSpace, Graph, tuple[PauliTerm, ...]]:
-    """n-qubit cycle with its n-1 independent consecutive ZZ generators."""
-    if n < 3:
-        raise ValueError("ring needs at least three qubits")
-    edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    gens = tuple(_pw(1.0, {i: "Z", i + 1: "Z"}) for i in range(1, n))
-    return SiteSpace.qubits(n), Graph.from_edges(edges), gens
-
-
-def surface_strip() -> tuple[SiteSpace, Graph, tuple[PauliTerm, ...]]:
-    """Three alternating Z/X plaquettes on an eight-qubit ladder strip."""
-    supports = ((1, 2, 3, 4), (3, 4, 5, 6), (5, 6, 7, 8))
-    letters = ("Z", "X", "Z")
-    gens = tuple(_pw(1.0, {q: l for q in sup})
-                 for sup, l in zip(supports, letters))
-    edges = set()
-    for sup in supports:
-        for a in sup:
-            for b in sup:
-                if a < b:
-                    edges.add((a, b))
-    return SiteSpace.qubits(8), Graph.from_edges(sorted(edges)), gens
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -33,13 +33,12 @@ from .errors import (
     UnknownSiteError,
 )
 from .graphs import Graph, Partition, shield_partitions
-from .pauli import PauliSum, PauliTerm, as_sum, commutes
+from .pauli import PauliSum, PauliTerm, as_sum
 from .tensor import (
     SiteSpace,
     SupportedOperator,
     check_hermitian,
     dense_cap,
-    embed,
     embed_sum,
     partial_trace,
     require_dense,
@@ -469,77 +468,3 @@ def log_partition(model: ModelInstance) -> float:
             w = np.linalg.eigvalsh(model.beta * h)
     return float(w[-1] + np.log(np.sum(np.exp(w - w[-1]))))
 
-
-def _gf2_eliminate(rows: list[int]) -> list[set[int]]:
-    """Find GF(2) dependencies among bit-packed rows.
-
-    Returns, for each row that reduces to zero against the rows before it,
-    the set of input indices whose XOR vanishes.
-    """
-    pivots: dict[int, tuple[int, set[int]]] = {}
-    deps: list[set[int]] = []
-    for idx, row in enumerate(rows):
-        cur, acc = row, {idx}
-        while cur:
-            p = cur & (-cur)
-            if p not in pivots:
-                pivots[p] = (cur, acc)
-                break
-            b, cb = pivots[p]
-            cur ^= b
-            acc = acc ^ cb
-        if not cur:
-            deps.append(acc)
-    return deps
-
-
-def stabilizer_state(generators: Sequence[Term], space: SiteSpace) -> DensityMatrix:
-    """Uniform mixture over the joint +1 eigenspace of commuting Pauli words.
-
-    Generators must be Hermitian Pauli words with coefficient +1 or -1 on
-    qubit sites, pairwise commuting and independent; the state is the
-    normalized projector prod_k (1 + g_k)/2.
-    """
-    gens: list[PauliTerm] = []
-    for g in generators:
-        s = as_sum(g) if not isinstance(g, SupportedOperator) else None
-        if s is None or len(s.terms) != 1:
-            raise ValueError("stabilizer generators must be single Pauli words")
-        t = s.terms[0]
-        if t.coeff not in (1 + 0j, -1 + 0j):
-            raise ValueError(f"generator coefficient must be +1 or -1, got {t.coeff}")
-        gens.append(t)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if not commutes(gens[i], gens[j]):
-                raise ValueError(
-                    f"generators {i} and {j} anticommute: "
-                    f"{gens[i]} vs {gens[j]}")
-    # GF(2) independence of the symplectic rows x | z
-    shift = max(((t.x | t.z).bit_length() for t in gens), default=0)
-    deps = _gf2_eliminate([t.x | t.z << shift for t in gens])
-    if deps:
-        subset = sorted(deps[0])
-        prod = PauliTerm(1.0)
-        for k in subset:
-            prod = prod * gens[k]
-        if prod.coeff == -1 + 0j:
-            raise ValueError(
-                f"inconsistent generators (zero projector): product of "
-                f"{subset} is -identity")
-        raise ValueError(f"dependent generators: product of {subset} is identity")
-    d = space.total_dim
-    require_dense(d, "the stabilizer state")
-    proj = np.eye(d, dtype=complex)
-    for t in gens:
-        sup = t.support
-        if any(space.dim(s) != 2 for s in sup):
-            raise DimensionMismatchError(
-                f"Pauli letters on sites {list(sup)} need dimension 2")
-        word = SupportedOperator(sup, PauliSum.of(t).matrix(sup))
-        proj = (proj + proj @ embed(word, space)) / 2
-    tr = float(np.trace(proj).real)
-    want = d / 2 ** len(gens)
-    if abs(tr - want) > 1e-6 * want:
-        raise ValueError(f"projector rank {tr} differs from expected {want}")
-    return DensityMatrix(proj / tr, space)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -257,39 +257,59 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def op_schmidt(op: SupportedOperator, space: SiteSpace, left: Iterable[int]
-               ) -> list[tuple[SupportedOperator, SupportedOperator, float]]:
-    """Operator Schmidt decomposition across a bipartition of the support.
+class Schmidt(NamedTuple):
+    """``op = sum_k weights[k] left[k] (x) right[k]``.
 
-    Returns triples ``(F, G, w)`` with ``op = sum_k w_k F_k (x) G_k``, the
-    ``F_k`` / ``G_k`` Hilbert-Schmidt orthonormal on the left / right sites
-    and weights descending.  Weights below ``SCHMIDT_RTOL`` times the
-    largest are dropped.
+    Every weight is kept, descending; ``left`` (k, dl, dl) and ``right``
+    (k, dr, dr) are Hilbert-Schmidt orthonormal stacks on the two sides of
+    the cut, with k = min(dl^2, dr^2).
     """
-    left = sorted(set(left))
-    right = [s for s in op.support if s not in left]
-    if not left or not right or any(s not in op.support for s in left):
-        raise UnknownSiteError(
-            f"cut {left} must be a nonempty proper subset of the support {op.support}")
-    dims = [space.dim(s) for s in op.support]
-    n = len(dims)
-    axes = {s: k for k, s in enumerate(op.support)}
-    order = [axes[s] for s in left] + [axes[s] for s in right]
-    t = op.matrix.reshape(dims + dims)
-    t = t.transpose(order + [n + a for a in order])
-    dl = math.prod(space.dim(s) for s in left)
-    dr = math.prod(space.dim(s) for s in right)
-    # reshuffle: group (row_L, col_L) against (row_R, col_R)
-    t = t.reshape(dl, dr, dl, dr).transpose(0, 2, 1, 3).reshape(dl * dl, dr * dr)
-    u, s, vh = np.linalg.svd(t, full_matrices=False)
-    out: list[tuple[SupportedOperator, SupportedOperator, float]] = []
-    if s.size == 0:
-        return out
-    cutoff = SCHMIDT_RTOL * float(s[0])
-    for k in range(s.size):
-        if s[k] <= cutoff:
-            break
-        f = SupportedOperator(tuple(left), u[:, k].reshape(dl, dl))
-        g = SupportedOperator(tuple(right), vh[k, :].reshape(dr, dr))
-        out.append((f, g, float(s[k])))
-    return out
+
+    weights: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        """Number of weights above ``SCHMIDT_RTOL`` times the largest."""
+        w = self.weights
+        return int(np.count_nonzero(w > SCHMIDT_RTOL * w[0])) if w.size else 0
+
+
+def op_schmidt(cuts: Iterable[tuple[SupportedOperator, Iterable[int]]],
+               space: SiteSpace) -> list[Schmidt]:
+    """Operator Schmidt decompositions, each operator across its own cut.
+
+    For each ``(op, left)`` the support is cut into the sites ``left`` and
+    the rest.  Each operator is reshuffled so that its rows pair (row, col)
+    indices of the left sites and its columns those of the right; the
+    reshuffled matrices of one shape share one batched SVD.
+    """
+    shuffled = []
+    for op, left in cuts:
+        left = sorted(set(left))
+        right = [s for s in op.support if s not in left]
+        if not left or not right or any(s not in op.support for s in left):
+            raise UnknownSiteError(
+                f"cut {left} must be a nonempty proper subset of the support {op.support}")
+        dims = [space.dim(s) for s in op.support]
+        n = len(dims)
+        axes = {s: k for k, s in enumerate(op.support)}
+        order = [axes[s] for s in left] + [axes[s] for s in right]
+        t = op.matrix.reshape(dims + dims).transpose(order + [n + a for a in order])
+        dl = math.prod(space.dim(s) for s in left)
+        dr = math.prod(space.dim(s) for s in right)
+        # group (row_L, col_L) against (row_R, col_R)
+        shuffled.append(t.reshape(dl, dr, dl, dr).transpose(0, 2, 1, 3)
+                        .reshape(dl * dl, dr * dr))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, t in enumerate(shuffled):
+        groups.setdefault(t.shape, []).append(i)
+    out: dict[int, Schmidt] = {}
+    for (nl, nr), members in groups.items():
+        u, s, vh = np.linalg.svd(np.stack([shuffled[i] for i in members]),
+                                 full_matrices=False)
+        dl, dr = math.isqrt(nl), math.isqrt(nr)
+        for i, ui, si, vi in zip(members, u, s, vh):
+            out[i] = Schmidt(si, ui.T.reshape(-1, dl, dl), vi.reshape(-1, dr, dr))
+    return [out[i] for i in range(len(shuffled))]

@@ -12,20 +12,31 @@ the spectral exponential that the round-trip tests feed to ``logm_pd``; it
 is itself checked against the Taylor series.  ``walk_oracle`` is the one
 exception: it reuses the library's grouping search, because what it checks
 in ``classify`` is the split into noncommutation components, not the
-search.
+search.  The stabilizer generator sets and ``stabilizer_state`` at the end
+are fixtures rather than oracles: exact Markov and non-Markov states that
+the package has no use for.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
 from qmn.decompose import _best_grouping
-from qmn.graphs import Partition
-from qmn.pauli import as_sum
-from qmn.tensor import check_hermitian
+from qmn.errors import DimensionMismatchError
+from qmn.graphs import Graph, Partition
+from qmn.markov import DensityMatrix
+from qmn.pauli import PauliSum, PauliTerm, as_sum, commutes
+from qmn.tensor import (
+    SiteSpace,
+    SupportedOperator,
+    check_hermitian,
+    embed,
+    require_dense,
+)
 
 I2 = np.array([[1, 0], [0, 1]], dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -284,3 +295,106 @@ def log_gibbs(model) -> np.ndarray:
     bh = model.beta * model.hamiltonian()
     bh[np.diag_indices_from(bh)] -= dense_log_partition(model)
     return bh
+
+
+# ---------------------------------------------------------------------------
+# stabilizer states: zero-temperature states, not positive, so outside the
+# abstract's theorem; the tests use them as exact Markov and non-Markov cases
+
+def ring_code(n: int = 4) -> tuple[SiteSpace, Graph, tuple[PauliTerm, ...]]:
+    """n-qubit cycle with its n-1 independent consecutive ZZ generators."""
+    if n < 3:
+        raise ValueError("ring needs at least three qubits")
+    edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
+    gens = tuple(PauliTerm.from_letters(1.0, {i: "Z", i + 1: "Z"}) for i in range(1, n))
+    return SiteSpace.qubits(n), Graph.from_edges(edges), gens
+
+
+def surface_strip() -> tuple[SiteSpace, Graph, tuple[PauliTerm, ...]]:
+    """Three alternating Z/X plaquettes on an eight-qubit ladder strip."""
+    supports = ((1, 2, 3, 4), (3, 4, 5, 6), (5, 6, 7, 8))
+    letters = ("Z", "X", "Z")
+    gens = tuple(PauliTerm.from_letters(1.0, {q: l for q in sup})
+                 for sup, l in zip(supports, letters))
+    edges = set()
+    for sup in supports:
+        for a in sup:
+            for b in sup:
+                if a < b:
+                    edges.add((a, b))
+    return SiteSpace.qubits(8), Graph.from_edges(sorted(edges)), gens
+
+
+def _gf2_eliminate(rows: list[int]) -> list[set[int]]:
+    """Find GF(2) dependencies among bit-packed rows.
+
+    Returns, for each row that reduces to zero against the rows before it,
+    the set of input indices whose XOR vanishes.
+    """
+    pivots: dict[int, tuple[int, set[int]]] = {}
+    deps: list[set[int]] = []
+    for idx, row in enumerate(rows):
+        cur, acc = row, {idx}
+        while cur:
+            p = cur & (-cur)
+            if p not in pivots:
+                pivots[p] = (cur, acc)
+                break
+            b, cb = pivots[p]
+            cur ^= b
+            acc = acc ^ cb
+        if not cur:
+            deps.append(acc)
+    return deps
+
+
+def stabilizer_state(generators: Sequence, space: SiteSpace) -> DensityMatrix:
+    """Uniform mixture over the joint +1 eigenspace of commuting Pauli words.
+
+    Generators must be Hermitian Pauli words with coefficient +1 or -1 on
+    qubit sites, pairwise commuting and independent; the state is the
+    normalized projector prod_k (1 + g_k)/2.
+    """
+    gens: list[PauliTerm] = []
+    for g in generators:
+        s = as_sum(g) if not isinstance(g, SupportedOperator) else None
+        if s is None or len(s.terms) != 1:
+            raise ValueError("stabilizer generators must be single Pauli words")
+        t = s.terms[0]
+        if t.coeff not in (1 + 0j, -1 + 0j):
+            raise ValueError(f"generator coefficient must be +1 or -1, got {t.coeff}")
+        gens.append(t)
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if not commutes(gens[i], gens[j]):
+                raise ValueError(
+                    f"generators {i} and {j} anticommute: "
+                    f"{gens[i]} vs {gens[j]}")
+    # GF(2) independence of the symplectic rows x | z
+    shift = max(((t.x | t.z).bit_length() for t in gens), default=0)
+    deps = _gf2_eliminate([t.x | t.z << shift for t in gens])
+    if deps:
+        subset = sorted(deps[0])
+        prod = PauliTerm(1.0)
+        for k in subset:
+            prod = prod * gens[k]
+        if prod.coeff == -1 + 0j:
+            raise ValueError(
+                f"inconsistent generators (zero projector): product of "
+                f"{subset} is -identity")
+        raise ValueError(f"dependent generators: product of {subset} is identity")
+    d = space.total_dim
+    require_dense(d, "the stabilizer state")
+    proj = np.eye(d, dtype=complex)
+    for t in gens:
+        sup = t.support
+        if any(space.dim(s) != 2 for s in sup):
+            raise DimensionMismatchError(
+                f"Pauli letters on sites {list(sup)} need dimension 2")
+        word = SupportedOperator(sup, PauliSum.of(t).matrix(sup))
+        proj = (proj + proj @ embed(word, space)) / 2
+    tr = float(np.trace(proj).real)
+    want = d / 2 ** len(gens)
+    if abs(tr - want) > 1e-6 * want:
+        raise ValueError(f"projector rank {tr} differs from expected {want}")
+    return DensityMatrix(proj / tr, space)

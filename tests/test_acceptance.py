@@ -14,7 +14,15 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from helpers import brute_cumulant, classical_cmi, dense_pauli_word, expm_herm
+from helpers import (
+    brute_cumulant,
+    classical_cmi,
+    dense_pauli_word,
+    expm_herm,
+    ring_code,
+    stabilizer_state,
+    surface_strip,
+)
 from qmn import families
 from qmn.cli import model_from_json, model_to_json
 from qmn.cumulants import expand, model_cumulants, verify_clique_support
@@ -26,7 +34,6 @@ from qmn.markov import (
     entropy,
     gibbs,
     is_markov_network,
-    stabilizer_state,
 )
 from qmn.pauli import PauliSum, as_sum, commutator
 from qmn.tensor import (
@@ -95,7 +102,7 @@ def test_acceptance_2_commuting_models_are_markov(capsys):
         rep = is_markov_network(rho, model.graph, tol=1e-8)
         assert rep.passed, rep.max_cmi
         worst = max(worst, rep.max_cmi)
-    space, graph, gens = families.ring_code(4)
+    space, graph, gens = ring_code(4)
     rep = is_markov_network(stabilizer_state(gens, space), graph, tol=1e-8)
     assert rep.passed
     worst = max(worst, rep.max_cmi)
@@ -200,7 +207,7 @@ def test_acceptance_6_cmi_properties(capsys):
 def test_acceptance_7_stabilizer_mixtures(capsys):
     t0 = time.perf_counter()
     worst = 0.0
-    for space, graph, gens in (families.ring_code(4), families.surface_strip()):
+    for space, graph, gens in (ring_code(4), surface_strip()):
         rho = stabilizer_state(gens, space)
         rep = is_markov_network(rho, graph, tol=1e-9)
         assert rep.passed and rep.max_cmi <= 1e-9
@@ -236,8 +243,10 @@ def test_acceptance_9_numerics_floor(capsys):
     g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     op = SupportedOperator((1, 2, 3), g)
     rebuilt = np.zeros((12, 12), dtype=complex)
-    for f, s, w in op_schmidt(op, space, (1, 3)):
-        rebuilt += w * (embed(f, space) @ embed(s, space))
+    [split] = op_schmidt([(op, (1, 3))], space)
+    for w, f, s in list(zip(*split))[:split.rank]:
+        rebuilt += w * (embed(SupportedOperator((1, 3), f), space)
+                        @ embed(SupportedOperator((2,), s), space))
     assert np.abs(rebuilt - g).max() <= 1e-10 * np.abs(g).max()
     _done(capsys, "numerics floor", t0, 10.0,
           "exp/log round trip, maximally mixed entropy, Schmidt rebuild")

@@ -561,6 +561,21 @@ def test_cli_decompose_report_says_whether_the_scalar_went_in(tmp_path, capsys):
     assert not rep["decomposed"] and rep["scalar_computed"] is True
 
 
+@pytest.mark.parametrize("kind", families.THEOREM4_KINDS)
+def test_cli_decompose_without_the_scalar_keeps_rounding_level_vertex_terms(
+        tmp_path, capsys, monkeypatch, kind):
+    # at seed 3 the star decomposition leaves vertex terms at rounding level
+    # (3.8e-16 on path4 site 2); without the -log Z / n shift such a term
+    # has no norm to judge a commutator against, and must not fail the check
+    model = gen(tmp_path, "theorem4", "--kind", kind, "--seed", "3")
+    capsys.readouterr()
+    monkeypatch.setenv("QMN_DENSE_CAP", "16")
+    assert main(["decompose", model]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["decomposed"] and rep["scalar_computed"] is False
+    assert rep["max_commutator"] <= 1e-8 and rep["residual"] <= 1e-8
+
+
 def test_cli_cumulants_of_a_diagonal_model_past_the_dense_cap_have_the_scalar(
         tmp_path, capsys):
     # d = 8192: log Z of the 13-site chain needs only its length-d diagonal

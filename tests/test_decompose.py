@@ -27,7 +27,7 @@ from qmn.errors import (
 from qmn.graphs import Graph, Partition, cliques
 from qmn.markov import DensityMatrix, ModelInstance, gibbs, is_markov_network
 from qmn.pauli import PauliSum, PauliTerm, as_sum
-from qmn.tensor import SiteSpace, SupportedOperator, embed_sum, logm_pd
+from qmn.tensor import SiteSpace, SupportedOperator, embed_sum, logm_pd, op_schmidt
 
 from helpers import dense_pauli_word, expm_taylor, haar_unitary, log_gibbs, walk_oracle
 
@@ -107,6 +107,49 @@ def test_relative_commutator_norm_is_the_same_symbolic_and_dense():
         want = pairwise_commutation(sym, space).max_norm
         assert want == 2.0
         assert pairwise_commutation(dense, space).max_norm == pytest.approx(want, rel=1e-12)
+
+
+def hermitian_on(rng, dims, rank):
+    """A sum of ``rank`` products of random Hermitian factors (zero for 0)."""
+    out = 0.0
+    for _ in range(rank):
+        factors = []
+        for d in dims:
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            factors.append(g + g.conj().T)
+        prod = factors[0]
+        for f in factors[1:]:
+            prod = np.kron(prod, f)
+        out = out + prod
+    d = int(np.prod(dims))
+    return np.zeros((d, d), dtype=complex) + out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4)),
+       st.integers(0, 3), st.integers(0, 3), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_shared_site_norm_is_the_relative_commutator(dims, rank_a, rank_b,
+                                                     commuting, seed):
+    # a on (1, 2) and b on (2, 3) meet only at site 2; products of rank
+    # below the factor count are rank deficient, rank 0 is the zero operator,
+    # and diagonal site-2 factors make a commuting pair
+    rng = np.random.default_rng(seed)
+    space = SiteSpace.from_dims(dict(zip((1, 2, 3), dims)))
+    ma = hermitian_on(rng, dims[:2], rank_a)
+    mb = hermitian_on(rng, dims[1:], rank_b)
+    if commuting:
+        keep = np.kron(np.eye(dims[1]), np.ones((dims[2], dims[2])))
+        mb = mb * keep
+        keep = np.kron(np.ones((dims[0], dims[0])), np.eye(dims[1]))
+        ma = ma * keep
+    a, b = SupportedOperator((1, 2), ma), SupportedOperator((2, 3), mb)
+    splits = op_schmidt([(a, [2]), (b, [2])], space)
+    rel = decompose._shared_site_norms([decompose._weighted(x) for x in splits],
+                                       [a.hs_norm(), b.hs_norm()], dims[1])
+    want = decompose._relative_commutator(a, b, space)
+    assert rel[0, 1] == pytest.approx(want, rel=1e-10, abs=1e-12)
+    assert rel[1, 0] == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_pairwise_commutation_zero_operator_skipped():
@@ -359,6 +402,12 @@ def test_verify_gibbs_validates_route_and_mode():
 # ---------------------------------------------------------------------------
 # star decomposition
 
+def ends_at(u, edge_cumulants, space):
+    """The Schmidt split at u of each edge cumulant, keyed by the other end."""
+    ends = decompose._edge_ends(edge_cumulants, space)
+    return {v: ends[w, v] for w, v in ends if w == u}
+
+
 def test_star_decompose_planted_pull():
     # u = 2 has dimension 4 (factors a, b); the edge to 1 couples through
     # the full matrix algebra on factor a, the edge to 3 through Z on b.
@@ -370,7 +419,7 @@ def test_star_decompose_planted_pull():
     k12 = SupportedOperator((1, 2), np.kron(X, xa) + np.kron(Y, za))
     k23 = SupportedOperator((2, 3), np.kron(zb, Z))
     k2 = SupportedOperator((2,), xa + zb)
-    star = star_decompose(k2, {1: k12, 3: k23}, 2, space)
+    star = star_decompose(k2, ends_at(2, {(1, 2): k12, (2, 3): k23}, space), 2)
     assert star.residual <= 1e-10
     assert np.allclose(star.pulls[1].matrix, xa, atol=1e-9)
     assert np.allclose(star.pulls[3].matrix, 0.0, atol=1e-9)
@@ -386,7 +435,7 @@ def test_star_decompose_reassembles_vertex_cumulant():
     for _ in range(6):
         c = rng.normal(size=3)
         k2 = SupportedOperator((2,), c[0] * xa + c[1] * zb + c[2] * xa @ zb)
-        star = star_decompose(k2, {1: k12, 3: k23}, 2, space)
+        star = star_decompose(k2, ends_at(2, {(1, 2): k12, (2, 3): k23}, space), 2)
         total = star.vertex_term.matrix + sum(g.matrix for g in star.pulls.values())
         assert np.allclose(total, k2.matrix, atol=1e-9)
         for g in star.pulls.values():
@@ -400,7 +449,7 @@ def test_star_decompose_outside_ansatz_raises():
     k23 = SupportedOperator((2, 3), np.kron(Z, Z))
     k2 = SupportedOperator((2,), X)
     with pytest.raises(DecompositionResidualError) as err:
-        star_decompose(k2, {1: k12, 3: k23}, 2, space)
+        star_decompose(k2, ends_at(2, {(1, 2): k12, (2, 3): k23}, space), 2)
     assert err.value.residual > 1.0
 
 
@@ -408,9 +457,9 @@ def test_star_decompose_support_validation():
     space = SiteSpace.qubits(3)
     k12 = SupportedOperator((1, 2), np.kron(Z, Z))
     with pytest.raises(UnknownSiteError):
-        star_decompose(SupportedOperator((1,), Z), {1: k12}, 2, space)
+        star_decompose(SupportedOperator((1,), Z), ends_at(2, {(1, 2): k12}, space), 2)
     with pytest.raises(UnknownSiteError):
-        star_decompose(SupportedOperator((2,), Z), {3: k12}, 2, space)
+        star_decompose(SupportedOperator((2,), Z), ends_at(2, {(2, 3): k12}, space), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +585,44 @@ def test_local_and_dense_decompositions_agree(kind, seed, beta):
         assert np.linalg.norm(a.matrix - b.matrix) <= 1e-12 * max(b.hs_norm(), 1.0)
     assert abs(got.residual - want.residual) <= 1e-12
     assert abs(got.max_commutator - want.max_commutator) <= 1e-12
+
+
+def judged_max(dec, expansion, support_rtol=decompose.DEFAULT_SUPPORT_RTOL):
+    """``pairwise_commutation`` of the terms over the pairs the final check
+    judges: those of two terms whose embedded norm exceeds support_rtol
+    times the expansion's."""
+    terms = dec.terms()
+    floor_sq = support_rtol ** 2 * expansion.total_norm_sq / dec.space.total_dim
+    judged = [t.hs_norm() ** 2 / t.dim > floor_sq for t in terms]
+    norms = pairwise_commutation(terms, dec.space).norms
+    return max((x for (i, j), x in norms.items() if judged[i] and judged[j]),
+               default=0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(families.THEOREM4_KINDS), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.3, 3.0))
+def test_decompositions_with_and_without_the_scalar_agree(kind, seed, beta):
+    # past the dense cap -log Z is not computed; the edge terms must not
+    # see that, and the vertex terms differ by the -log Z / n shift alone
+    model = families.theorem4_model(kind, np.random.default_rng(seed), beta=beta)
+    with_scalar = model_cumulants(model)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("QMN_DENSE_CAP", "16")
+        without = model_cumulants(model)
+    assert with_scalar.scalar_known and not without.scalar_known
+    got = theorem4_decompose(without, model.graph)
+    want = theorem4_decompose(with_scalar, model.graph)
+    assert got.edge_terms.keys() == want.edge_terms.keys()
+    for e, term in want.edge_terms.items():
+        assert np.array_equal(got.edge_terms[e].matrix, term.matrix)
+    shift = with_scalar.operator(()).matrix[0, 0].real / len(model.space)
+    for u, term in want.vertex_terms.items():
+        eye = np.eye(term.dim)
+        assert np.allclose(term.matrix - got.vertex_terms[u].matrix, shift * eye,
+                           rtol=0.0, atol=1e-12)
+    for dec, exp in ((got, without), (want, with_scalar)):
+        assert abs(dec.max_commutator - judged_max(dec, exp)) <= 1e-12
 
 
 def test_theorem4_triangle_raises():

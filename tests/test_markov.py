@@ -25,7 +25,6 @@ from qmn.markov import (
     gibbs,
     is_markov_network,
     log_partition,
-    stabilizer_state,
 )
 from qmn.pauli import PauliTerm, commutes, parse_sum, parse_term
 from qmn.tensor import SiteSpace, SupportedOperator, kron, logm_pd, partial_trace
@@ -39,6 +38,7 @@ from helpers import (
     log_gibbs,
     ptrace_indexsum,
     random_density,
+    stabilizer_state,
 )
 
 # oracle values computed with the helpers in this directory and frozen here

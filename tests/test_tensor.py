@@ -195,20 +195,20 @@ def test_op_schmidt_single_term():
     # sigma_z (x) sigma_z across the cut: one weight, normalized factors
     sp = SiteSpace.qubits(2)
     op = SupportedOperator((1, 2), np.kron(Z2, Z2))
-    terms = op_schmidt(op, sp, [1])
-    assert len(terms) == 1
-    f, g, w = terms[0]
+    [split] = op_schmidt([(op, [1])], sp)
+    assert split.rank == 1
+    w, f, g = split.weights[0], split.left[0], split.right[0]
     assert np.isclose(w, 2.0)
-    assert np.isclose(abs(np.vdot(f.matrix, Z2 / np.sqrt(2))), 1.0)
-    assert np.isclose(abs(np.vdot(g.matrix, Z2 / np.sqrt(2))), 1.0)
+    assert np.isclose(abs(np.vdot(f, Z2 / np.sqrt(2))), 1.0)
+    assert np.isclose(abs(np.vdot(g, Z2 / np.sqrt(2))), 1.0)
 
 
 def test_op_schmidt_two_terms():
     sp = SiteSpace.qubits(2)
     op = SupportedOperator((1, 2), np.kron(Z2, Z2) + np.kron(X2, X2))
-    terms = op_schmidt(op, sp, [1])
-    assert len(terms) == 2
-    assert np.allclose([w for _, _, w in terms], [2.0, 2.0])
+    [split] = op_schmidt([(op, [1])], sp)
+    assert split.rank == 2
+    assert np.allclose(split.weights[:split.rank], [2.0, 2.0])
 
 
 def test_op_schmidt_reconstructs_and_is_orthonormal():
@@ -217,7 +217,9 @@ def test_op_schmidt_reconstructs_and_is_orthonormal():
     d = sp.total_dim
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     op = SupportedOperator((1, 2, 3), m)
-    terms = op_schmidt(op, sp, [1, 3])
+    [split] = op_schmidt([(op, [1, 3])], sp)
+    terms = [(SupportedOperator((1, 3), f), SupportedOperator((2,), g), w)
+             for w, f, g in zip(*split)][:split.rank]
     rebuilt = np.zeros((d, d), dtype=complex)
     for f, g, w in terms:
         assert f.support == (1, 3) and g.support == (2,)
@@ -234,13 +236,13 @@ def test_op_schmidt_reconstructs_and_is_orthonormal():
 def test_op_schmidt_drops_tiny_weights():
     sp = SiteSpace.qubits(2)
     op = SupportedOperator((1, 2), np.kron(Z2, Z2) + 1e-13 * np.kron(X2, X2))
-    assert len(op_schmidt(op, sp, [1])) == 1
+    assert op_schmidt([(op, [1])], sp)[0].rank == 1
 
 
 def test_op_schmidt_rejects_bad_cut():
     sp = SiteSpace.qubits(2)
     op = SupportedOperator((1, 2), np.eye(4))
     with pytest.raises(UnknownSiteError):
-        op_schmidt(op, sp, [])
+        op_schmidt([(op, [])], sp)
     with pytest.raises(UnknownSiteError):
-        op_schmidt(op, sp, [1, 2])
+        op_schmidt([(op, [1, 2])], sp)
