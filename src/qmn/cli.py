@@ -245,26 +245,38 @@ def model_from_json(data: Any) -> ModelInstance:
 
 
 def model_to_json(model: ModelInstance) -> dict:
-    """JSON form of a model; Pauli words stay symbolic, the rest goes dense."""
+    """JSON form of a model; Pauli words stay symbolic, the rest goes dense.
+
+    A term on no site, a multiple c of the identity, is written as c I on a
+    site, since the file format has no empty support: as the letter ``I``
+    on the first qubit site for a Pauli word, else as a matrix on the first
+    site.
+    """
     sites = [{"id": s, "dim": d}
              for s, d in zip(model.space.sites, model.space.dims)]
     edges = [[u, v] for u, v in sorted(model.graph.edges)]
     plain = model.site_composition is None
+    qubit = next((s for s, d in zip(model.space.sites, model.space.dims)
+                  if d == 2 and 0 <= s < QUBIT_ID_LIMIT), None)
     terms = []
     for t in model.terms:
         word = None
         if plain and isinstance(t, (PauliTerm, PauliSum)):
-            s = as_sum(t)
-            if len(s.terms) == 1 and abs(s.terms[0].coeff.imag) < 1e-14:
-                word = s.terms[0]
-        if word is not None:
-            sup = sorted(word.support)
+            s = as_sum(t).terms or (PauliTerm.from_letters(0.0, {}),)
+            if len(s) == 1 and abs(s[0].coeff.imag) < 1e-14:
+                word = s[0]
+        if word is not None and (word.support or qubit is not None):
+            sup = sorted(word.support) or [qubit]
             letters = word.letters
             terms.append({"support": sup,
                           "pauli": " ".join(letters.get(s, "I") for s in sup),
                           "coeff": float(word.coeff.real)})
         else:
             op = model.term_operator(t)
+            if not op.support:
+                first = model.space.sites[0]
+                op = SupportedOperator(
+                    (first,), op.matrix[0, 0] * np.eye(model.space.dim(first)))
             terms.append({"support": list(op.support),
                           "matrix": {"re": op.matrix.real.tolist(),
                                      "im": op.matrix.imag.tolist()},

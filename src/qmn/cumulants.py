@@ -96,7 +96,10 @@ def expand(matrix: np.ndarray, space: SiteSpace,
     """Every cumulant component of a Hermitian operator at once.
 
     Components whose embedded norm is below ``drop_rtol`` times the operator
-    norm are dropped; ``total_norm_sq`` still counts them.
+    norm are dropped; ``total_norm_sq`` still counts them.  Applied to
+    ``tensor.logm_pd(rho.matrix)`` it is the library's route from a state,
+    rather than a model, to ``decompose.theorem4_decompose``: a positive
+    Markov state to commuting vertex and edge terms.
     """
     m = check_hermitian(matrix)
     if m.shape != (space.total_dim, space.total_dim):

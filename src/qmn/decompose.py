@@ -299,23 +299,33 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL) -> Classification
     ``graphs.ENUMERATION_CAP`` sites, or a partition that needs more than
     ``SPLIT_SEARCH_CAP`` groupings, raises ``EnumerationCapError``.
 
-    Pauli models are checked symbolically, and a grouping of theirs
-    commutes only when its commutator cancels exactly; dense terms are
-    held to ``rtol``, and their grouping search, taken on a region's sites,
-    raises ``DenseCapError`` past the dense cap.  Only the pairwise stage
-    runs for locally commuting models, so those are classified at any
-    system size.
+    Each route applies one tolerance to both stages.  Pauli models are
+    checked symbolically: a pair or a grouping commutes only when its
+    commutator cancels exactly.  Dense terms are held to ``rtol``, and
+    their grouping search, taken on a region's sites, raises
+    ``DenseCapError`` past the dense cap.  As in ``theorem4_decompose``, a
+    dense pair is not judged when either term's normalized squared norm,
+    ||t||^2 / dim, is at most ``rtol``^2 times the sum of all terms': such
+    a pair counts as commuting and is left out of ``pairwise_max``.  Only
+    the pairwise stage runs for locally commuting models, so those are
+    classified at any system size.
     """
     symbolic = model.all_pauli()
     route = "symbolic" if symbolic else "dense"
-    ops = [as_sum(t) if symbolic else model.term_operator(t) for t in model.terms]
-    pair = pairwise_commutation(ops, model.space, rtol)
-    if pair.commuting:
-        return Classification(LOCAL_COMMUTING, pair.max_norm, pair.worst, (), None,
-                              route)
     tol = 0.0 if symbolic else rtol
+    ops = [as_sum(t) if symbolic else model.term_operator(t) for t in model.terms]
+    judged = range(len(ops))
+    if not symbolic:
+        sq = [op.hs_norm() ** 2 / op.dim for op in ops]
+        floor = rtol ** 2 * sum(sq)
+        judged = [i for i, x in enumerate(sq) if x > floor]
+    pair = pairwise_commutation([ops[i] for i in judged], model.space, tol)
+    worst = pair.worst and (judged[pair.worst[0]], judged[pair.worst[1]])
+    if pair.commuting:
+        return Classification(LOCAL_COMMUTING, pair.max_norm, worst, (), None, route)
     component = [{i} for i in range(len(ops))]  # shared sets, one per component
-    for (i, j), norm in pair.norms.items():
+    for (a, b), norm in pair.norms.items():
+        i, j = judged[a], judged[b]
         if norm > tol and component[j] is not component[i]:
             component[i] |= component[j]
             for k in component[j]:
@@ -333,8 +343,8 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL) -> Classification
             records.append(ShieldRecord(whole, norm <= tol, norm))
             if norm > tol:
                 return Classification(NOT_SHIELD_COMMUTING, pair.max_norm,
-                                      pair.worst, tuple(records), whole, route)
-    return Classification(SHIELD_COMMUTING_ONLY, pair.max_norm, pair.worst,
+                                      worst, tuple(records), whole, route)
+    return Classification(SHIELD_COMMUTING_ONLY, pair.max_norm, worst,
                           tuple(records), None, route)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 import numpy as np
@@ -206,6 +207,10 @@ class ModelInstance:
     it; Pauli letters then refer to those inner qubits, which is what keeps
     coarse-grained models symbolic.  Atomic sites own a single qubit with
     their own id.
+
+    Whether Pauli terms sit on qubits is decided here, once, for every
+    route: each site a Pauli term touches must have dim 2 (2**qubits with a
+    composition), or ``DimensionMismatchError`` names the term and site.
     """
 
     space: SiteSpace
@@ -231,21 +236,23 @@ class ModelInstance:
                     raise DimensionMismatchError(
                         f"site {s} has dim {self.space.dim(s)} but {len(qs)} qubits")
             object.__setattr__(self, "site_composition", comp)
-        for t in self.terms:
+        for k, t in enumerate(self.terms):
             sup = self.term_support(t)
             if not self.graph.is_clique(sup):
                 raise UnknownSiteError(
                     f"term support {sorted(sup)} is not a clique of the graph")
+            if comp is None and not isinstance(t, SupportedOperator):
+                for s in sup:
+                    if self.space.dim(s) != 2:
+                        raise DimensionMismatchError(
+                            f"Pauli term {k} acts on site {s} of dim "
+                            f"{self.space.dim(s)}; Pauli letters need qubit sites")
 
-    @property
+    @cached_property
     def qubit_owner(self) -> dict[int, int]:
-        """Map from qubit id to the site that contains it (built once)."""
-        owner = self.__dict__.get("_owner_cache")
-        if owner is None:
-            comp = self.site_composition or {s: (s,) for s in self.space.sites}
-            owner = {q: s for s, qs in comp.items() for q in qs}
-            self.__dict__["_owner_cache"] = owner
-        return owner
+        """Map from qubit id to the site that contains it."""
+        comp = self.site_composition or {s: (s,) for s in self.space.sites}
+        return {q: s for s, qs in comp.items() for q in qs}
 
     def term_support(self, term: Term) -> tuple[int, ...]:
         """Site ids a term touches (qubit ids mapped through their owners)."""
@@ -264,23 +271,17 @@ class ModelInstance:
         s = as_sum(term)
         sites = self.term_support(s)
         comp = self.site_composition or {x: (x,) for x in sites}
-        if any(self.space.dim(x) != 2 ** len(comp[x]) for x in sites):
-            raise DimensionMismatchError(
-                f"Pauli term on sites {list(sites)}: site dims must be 2**qubits")
         return SupportedOperator(sites, s.matrix([q for x in sites for q in comp[x]]))
 
-    @property
+    @cached_property
     def checked_terms(self) -> tuple[SupportedOperator, ...]:
         """Every term as a dense operator on its own support, in term order,
-        checked by ``check_hermitian`` and symmetrized (built once; the
-        matrices are read-only)."""
-        ops = self.__dict__.get("_checked_cache")
-        if ops is None:
-            ops = tuple(SupportedOperator(op.support, check_hermitian(op.matrix))
-                        for op in map(self.term_operator, self.terms))
-            for op in ops:
-                op.matrix.flags.writeable = False
-            self.__dict__["_checked_cache"] = ops
+        checked by ``check_hermitian`` and symmetrized (the matrices are
+        read-only)."""
+        ops = tuple(SupportedOperator(op.support, check_hermitian(op.matrix))
+                    for op in map(self.term_operator, self.terms))
+        for op in ops:
+            op.matrix.flags.writeable = False
         return ops
 
     def hamiltonian(self) -> np.ndarray:

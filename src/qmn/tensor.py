@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -102,13 +103,9 @@ class SiteSpace:
     def __len__(self) -> int:
         return len(self.sites)
 
-    @property
+    @cached_property
     def _index(self) -> dict[int, int]:
-        idx = self.__dict__.get("_index_cache")
-        if idx is None:
-            idx = {s: a for a, s in enumerate(self.sites)}
-            self.__dict__["_index_cache"] = idx
-        return idx
+        return {s: a for a, s in enumerate(self.sites)}
 
     def axis(self, site: int) -> int:
         try:
@@ -183,6 +180,8 @@ def embed_sum(ops: Iterable[SupportedOperator], space: SiteSpace) -> np.ndarray:
 
     Each operator is added, in order, into the block-diagonal view of a
     zero matrix that its support occupies; no full-size temporary is made.
+    A space without sites is the 1x1 matrix itself, since ``einsum`` copies
+    a 0-d operand instead of viewing it.
     """
     d = space.total_dim
     out = np.zeros((d, d), dtype=complex)
@@ -193,7 +192,7 @@ def embed_sum(ops: Iterable[SupportedOperator], space: SiteSpace) -> np.ndarray:
         if op.dim != math.prod(dims):
             raise DimensionMismatchError(
                 f"operator dim {op.dim} does not match dims of sites {op.support} in space")
-        view = np.einsum(full, axes, outer + inner)
+        view = np.einsum(full, axes, outer + inner) if space.sites else out
         view += op.matrix.reshape(dims * 2)
     return out
 
@@ -236,7 +235,10 @@ def logm_pd(matrix: np.ndarray) -> np.ndarray:
 
     The matrix must pass ``check_hermitian``.  Eigenvalues at or below
     ``LOG_FLOOR_RTOL`` times the largest eigenvalue are treated as a
-    positivity violation, not clipped.
+    positivity violation, not clipped.  With ``cumulants.expand`` it is the
+    library's route from a state, rather than a model, to a decomposition:
+    ``theorem4_decompose(expand(logm_pd(rho.matrix), space), graph)`` takes
+    a positive Markov state to commuting vertex and edge terms.
     """
     w, v = np.linalg.eigh(check_hermitian(matrix))
     top = float(w[-1])

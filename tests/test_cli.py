@@ -9,9 +9,10 @@ from qmn import cumulants, decompose, families, markov
 from qmn.cli import main, model_from_json, model_to_json, load_model, save_model
 from qmn.decompose import classify
 from qmn.errors import ModelFormatError
-from qmn.graphs import shield_partitions
+from qmn.graphs import Graph, shield_partitions
 from qmn.markov import ModelInstance, gibbs, is_markov_network
-from qmn.pauli import PauliTerm
+from qmn.pauli import PauliSum, PauliTerm, parse_sum, parse_term
+from qmn.tensor import SiteSpace, SupportedOperator
 
 
 def write(path, data):
@@ -106,6 +107,32 @@ def test_saved_model_is_one_line_and_reloads_bit_identical(tmp_path):
         for a, b in zip(model.checked_terms, back.checked_terms, strict=True):
             assert a.support == b.support
             assert np.array_equal(a.matrix, b.matrix)
+
+
+def test_scalar_terms_are_saved_on_a_site_and_reload(tmp_path):
+    graph = Graph.from_edges([(1, 2), (2, 3)])
+    symbolic = ModelInstance(SiteSpace.qubits(3), graph,
+                             (parse_sum("1.0 * Z1 Z2"), parse_term("0.5"), PauliSum.zero(),
+                              parse_term("0.4 * X2"), parse_sum("-0.7 * X2 X3")),
+                             beta=0.8)
+    dense = ModelInstance(SiteSpace.from_dims({1: 3, 2: 2, 3: 2}), graph,
+                          (SupportedOperator((), [[0.5]]),
+                           SupportedOperator((1, 2), np.diag(np.arange(6.0))),
+                           parse_sum("1.0 * X2 X3")), beta=0.8)
+    for k, model in enumerate((symbolic, dense)):
+        path = str(tmp_path / f"scalar-{k}.json")
+        save_model(model, path)
+        assert all(t["support"] for t in read(path)["terms"])
+        back = load_model(path)
+        assert back.all_pauli() == model.all_pauli()
+        assert markov.log_partition(back) == pytest.approx(
+            markov.log_partition(model), rel=1e-12)
+        want, got = cumulants.model_cumulants(model), cumulants.model_cumulants(back)
+        assert got.supports() == want.supports()
+        for sup in want.supports():
+            assert np.allclose(got.operator(sup).matrix, want.operator(sup).matrix,
+                               atol=1e-12)
+    assert [t.get("pauli") for t in model_to_json(symbolic)["terms"]][1:3] == ["I", "I"]
 
 
 BAD_MODELS = [

@@ -203,6 +203,41 @@ def test_classify_not_shield_commuting():
     assert c.records[-1].partition == c.witness
 
 
+def test_classify_holds_a_symbolic_pair_to_exact_cancellation():
+    """A 1e-12 X2 rider does not commute with Z2 Z3: the pairwise stage
+    holds it to the grouping stage's exact zero, so no certificate is
+    issued and the dense sweep answers."""
+    terms = (PauliSum.of(pw(1.0, {1: "Z", 2: "Z"}), pw(1e-12, {2: "X"})),
+             pw(1.0, {2: "Z", 3: "Z"}))
+    model = ModelInstance(SiteSpace.qubits(3), chain(3), terms, beta=1.0)
+    c = classify(model)
+    assert c.route == "symbolic"
+    assert c.verdict == NOT_SHIELD_COMMUTING
+    assert c.pairwise_worst == (0, 1)
+    assert c.witness == Partition(frozenset({1}), frozenset({2}), frozenset({3}))
+    rep = verify_gibbs(model)
+    assert rep.route == "dense"
+    assert rep.passed
+
+
+def dense_chain_with_x2(coeff):
+    space = SiteSpace.qubits(3)
+    terms = [pw(1.0, {1: "Z", 2: "Z"}), pw(1.0, {2: "Z", 3: "Z"}), pw(coeff, {2: "X"})]
+    model = ModelInstance(space, chain(3), terms)
+    return ModelInstance(space, chain(3), tuple(map(model.term_operator, terms)))
+
+
+def test_classify_does_not_judge_a_dense_term_at_rounding_level():
+    c = classify(dense_chain_with_x2(1e-17))
+    assert c.route == "dense"
+    assert c.verdict == LOCAL_COMMUTING
+    assert c.pairwise_max == 0.0 and c.pairwise_worst is None
+    c = classify(dense_chain_with_x2(1e-3))
+    assert c.verdict == NOT_SHIELD_COMMUTING
+    assert c.pairwise_max == pytest.approx(2.0, rel=1e-12)
+    assert c.witness == Partition(frozenset({1}), frozenset({2}), frozenset({3}))
+
+
 def test_classify_dense_terms_agree_with_symbolic():
     model = cell_model()
     dense = ModelInstance(model.space, model.graph,

@@ -691,10 +691,21 @@ def test_composite_site_validation():
 
 def test_pauli_term_on_a_qutrit_site_is_rejected():
     space = SiteSpace.from_dims({1: 3, 2: 2})
-    model = ModelInstance(space, Graph.from_edges([(1, 2)]),
-                          (parse_sum("1.0 * Z1 Z2"),))
     with pytest.raises(DimensionMismatchError):
-        model.term_operator(model.terms[0])
+        ModelInstance(space, Graph.from_edges([(1, 2)]),
+                      (parse_sum("1.0 * Z1 Z2"),))
+
+
+def test_pauli_terms_on_a_qutrit_chain_are_rejected_at_construction():
+    """No route answers a model whose Pauli letters sit on a qutrit: the
+    certificate once passed it while the dense route raised."""
+    space = SiteSpace.from_dims({1: 3, 2: 2, 3: 2})
+    terms = (parse_sum("1.0 * Z1 Z2"), parse_sum("1.0 * Z2 Z3"))
+    with pytest.raises(DimensionMismatchError, match=r"term 0 .*site 1 of dim 3"):
+        ModelInstance(space, Graph.from_edges([(1, 2), (2, 3)]), terms)
+    # the same letters on qubits, and a dense term on the qutrit, are fine
+    ModelInstance(space, Graph.from_edges([(1, 2), (2, 3)]),
+                  (SupportedOperator((1, 2), np.eye(6)), terms[1]))
 
 def test_dense_cap_guard(monkeypatch):
     monkeypatch.setenv("QMN_DENSE_CAP", "4")

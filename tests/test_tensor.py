@@ -81,6 +81,13 @@ def test_embed_empty_support_is_scaled_identity():
     assert np.allclose(m, 2.5 * np.eye(4))
 
 
+def test_embed_sum_onto_a_space_without_sites_adds_the_scalars():
+    sp = SiteSpace((), ())
+    assert np.array_equal(embed(SupportedOperator((), [[2.0]]), sp), [[2.0]])
+    got = embed_sum([SupportedOperator((), [[2.0]]), SupportedOperator((), [[3.5]])], sp)
+    assert np.array_equal(got, [[5.5]])
+
+
 def test_embed_validates():
     sp = SiteSpace.qubits(2)
     with pytest.raises(UnknownSiteError):
