@@ -5,14 +5,19 @@ Model files are JSON with the shape
     {"sites": [{"id": 1, "dim": 2}, ...],
      "edges": [[1, 2], ...],
      "terms": [{"support": [1, 2], "pauli": "Z Z", "coeff": 1.0},
+               {"support": [1, 2], "words": [{"pauli": "Z Z", "coeff": 1.0},
+                                             {"pauli": "X I", "coeff": 0.4}]},
                {"support": [3], "matrix": {"re": [[..]], "im": [[..]]},
                 "coeff": [0.5, 0.0]}],
      "beta": 1.0}
 
 Pauli letters map positionally onto the (sorted) support sites, which must
-all be qubits with ids 0 <= id < 2**20; matrix terms are row-major with
-separate real and imaginary parts and must be Hermitian after scaling by
-``coeff``, within ``check_hermitian``'s 1e-12 of the largest entry.  Every
+all be qubits with ids 0 <= id < 2**20.  A ``words`` term is one sum of
+such words on a shared support, each word's ``coeff`` times the term's;
+``save_model`` writes a Pauli sum of several words that way, so it stays
+symbolic.  Matrix terms are row-major with separate real and imaginary
+parts and must be Hermitian after scaling by ``coeff``, within
+``check_hermitian``'s 1e-12 of the largest entry.  Every
 number in a model file (coefficients, matrix entries, ``beta``) must be
 finite.
 
@@ -34,9 +39,11 @@ past that the ``cumulants`` and ``decompose`` reports say
 the -log Z / n shift, which the Gibbs state does not see.  Model files
 that ``generate`` and ``decompose --out`` write are compact JSON on one
 line, as reports are.
-Reports echo the tolerances they used: ``classify`` its ``rtol``,
-``search_cap`` (``decompose.SPLIT_SEARCH_CAP``) and ``route``
-(``symbolic`` for Pauli terms, else ``dense``), ``decompose`` its
+Reports echo the tolerances they used: ``classify`` its ``route``
+(``symbolic`` for Pauli terms, else ``dense``), the ``rtol`` that route
+applied (0.0 for ``symbolic``, which holds commutators to exact
+cancellation, else ``--rtol``) and ``search_cap``
+(``decompose.SPLIT_SEARCH_CAP``), ``decompose`` its
 ``tolerance`` and ``support_rtol``, ``cumulants`` its ``rtol``.
 ``classify`` searches groupings per noncommutation component, on the
 spanning partitions of the component's own region (the union of its term
@@ -134,7 +141,35 @@ def _coeff_from_json(raw: Any, where: str) -> complex:
     return complex(*parts)
 
 
-def _term_from_json(entry: Any, idx: int, space: SiteSpace) -> PauliTerm | SupportedOperator:
+def _word_from_json(text: Any, coeff: float, support: list[int], space: SiteSpace,
+                    where: str) -> PauliTerm:
+    """One Pauli word, its letters placed positionally on the support sites."""
+    if not isinstance(text, str):
+        raise ModelFormatError(f"{where}.pauli must be a string of letters")
+    tokens = text.split()
+    if len(tokens) != len(support):
+        raise ModelFormatError(
+            f"{where}.pauli has {len(tokens)} letters for {len(support)} "
+            f"support sites")
+    letters = {}
+    for s, tok in zip(support, tokens):
+        up = tok.upper()
+        if up not in _LETTERS:
+            raise ModelFormatError(f"{where}.pauli: unknown letter {tok!r}")
+        if space.dim(s) != 2:
+            raise ModelFormatError(
+                f"{where}: Pauli letters need qubit sites, but site {s} "
+                f"has dim {space.dim(s)}")
+        if not 0 <= s < QUBIT_ID_LIMIT:
+            raise ModelFormatError(
+                f"{where}: Pauli qubit id {s} is outside 0 <= id < 2**20")
+        if up != "I":
+            letters[s] = up
+    return PauliTerm.from_letters(coeff, letters)
+
+
+def _term_from_json(entry: Any, idx: int, space: SiteSpace
+                    ) -> PauliTerm | PauliSum | SupportedOperator:
     where = f"terms[{idx}]"
     if not isinstance(entry, dict):
         raise ModelFormatError(f"{where} must be an object")
@@ -148,36 +183,32 @@ def _term_from_json(entry: Any, idx: int, space: SiteSpace) -> PauliTerm | Suppo
         if s not in space:
             raise ModelFormatError(f"{where}.support references unknown site {s}")
     coeff = _coeff_from_json(entry.get("coeff", 1.0), where)
+    given = [k for k in ("pauli", "words", "matrix") if k in entry]
+    if len(given) > 1:
+        raise ModelFormatError(f"{where} must give one of pauli, words or matrix, "
+                               f"not {' and '.join(given)}")
+    if given in (["pauli"], ["words"]) and coeff.imag != 0.0:
+        raise ModelFormatError(f"{where}.coeff must be real for a Pauli term")
     if "pauli" in entry:
-        if "matrix" in entry:
-            raise ModelFormatError(f"{where} must give either pauli or matrix, not both")
-        if coeff.imag != 0.0:
-            raise ModelFormatError(f"{where}.coeff must be real for a Pauli term")
-        text = entry["pauli"]
-        if not isinstance(text, str):
-            raise ModelFormatError(f"{where}.pauli must be a string of letters")
-        tokens = text.split()
-        if len(tokens) != len(support):
-            raise ModelFormatError(
-                f"{where}.pauli has {len(tokens)} letters for {len(support)} "
-                f"support sites")
-        letters = {}
-        for s, tok in zip(support, tokens):
-            up = tok.upper()
-            if up not in _LETTERS:
-                raise ModelFormatError(f"{where}.pauli: unknown letter {tok!r}")
-            if space.dim(s) != 2:
-                raise ModelFormatError(
-                    f"{where}: Pauli letters need qubit sites, but site {s} "
-                    f"has dim {space.dim(s)}")
-            if not 0 <= s < QUBIT_ID_LIMIT:
-                raise ModelFormatError(
-                    f"{where}: Pauli qubit id {s} is outside 0 <= id < 2**20")
-            if up != "I":
-                letters[s] = up
-        return PauliTerm.from_letters(coeff.real, letters)
+        return _word_from_json(entry["pauli"], coeff.real, support, space, where)
+    if "words" in entry:
+        words = entry["words"]
+        if not isinstance(words, list) or not words:
+            raise ModelFormatError(f"{where}.words must be a non-empty list of "
+                                   f"{{pauli, coeff}} objects")
+        out = []
+        for k, w in enumerate(words):
+            at = f"{where}.words[{k}]"
+            if not isinstance(w, dict) or "pauli" not in w:
+                raise ModelFormatError(f"{at} must be an object with a pauli string")
+            c = _coeff_from_json(w.get("coeff", 1.0), at)
+            if c.imag != 0.0:
+                raise ModelFormatError(f"{at}.coeff must be real for a Pauli term")
+            out.append(_word_from_json(w["pauli"], coeff.real * c.real, support,
+                                       space, at))
+        return PauliSum(tuple(out))
     if "matrix" not in entry:
-        raise ModelFormatError(f"{where} needs a pauli string or a matrix")
+        raise ModelFormatError(f"{where} needs a pauli string or a matrix, or words")
     block = entry["matrix"]
     if not isinstance(block, dict) or "re" not in block:
         raise ModelFormatError(f"{where}.matrix must be an object with re (and im)")
@@ -245,9 +276,11 @@ def model_from_json(data: Any) -> ModelInstance:
 
 
 def model_to_json(model: ModelInstance) -> dict:
-    """JSON form of a model; Pauli words stay symbolic, the rest goes dense.
+    """JSON form of a model; Pauli terms stay symbolic, the rest goes dense.
 
-    A term on no site, a multiple c of the identity, is written as c I on a
+    A single Pauli word is written as ``pauli`` letters on its support, a
+    sum of several as a ``words`` list on the union of their supports.  A
+    term on no site, a multiple c of the identity, is written as c I on a
     site, since the file format has no empty support: as the letter ``I``
     on the first qubit site for a Pauli word, else as a matrix on the first
     site.
@@ -260,27 +293,27 @@ def model_to_json(model: ModelInstance) -> dict:
                   if d == 2 and 0 <= s < QUBIT_ID_LIMIT), None)
     terms = []
     for t in model.terms:
-        word = None
+        entry = None
         if plain and isinstance(t, (PauliTerm, PauliSum)):
-            s = as_sum(t).terms or (PauliTerm.from_letters(0.0, {}),)
-            if len(s) == 1 and abs(s[0].coeff.imag) < 1e-14:
-                word = s[0]
-        if word is not None and (word.support or qubit is not None):
-            sup = sorted(word.support) or [qubit]
-            letters = word.letters
-            terms.append({"support": sup,
-                          "pauli": " ".join(letters.get(s, "I") for s in sup),
-                          "coeff": float(word.coeff.real)})
-        else:
+            s = as_sum(t)
+            words = s.terms or (PauliTerm.from_letters(0.0, {}),)
+            sup = list(s.support) or ([qubit] if qubit is not None else [])
+            if sup and all(abs(w.coeff.imag) < 1e-14 for w in words):
+                coded = [{"pauli": " ".join(w.letters.get(q, "I") for q in sup),
+                          "coeff": float(w.coeff.real)} for w in words]
+                entry = {"support": sup,
+                         **(coded[0] if len(coded) == 1 else {"words": coded})}
+        if entry is None:
             op = model.term_operator(t)
             if not op.support:
                 first = model.space.sites[0]
                 op = SupportedOperator(
                     (first,), op.matrix[0, 0] * np.eye(model.space.dim(first)))
-            terms.append({"support": list(op.support),
-                          "matrix": {"re": op.matrix.real.tolist(),
-                                     "im": op.matrix.imag.tolist()},
-                          "coeff": 1.0})
+            entry = {"support": list(op.support),
+                     "matrix": {"re": op.matrix.real.tolist(),
+                                "im": op.matrix.imag.tolist()},
+                     "coeff": 1.0}
+        terms.append(entry)
     return {"sites": sites, "edges": edges, "terms": terms,
             "beta": float(model.beta)}
 
@@ -374,7 +407,7 @@ def _classification_json(c, rtol: float) -> dict:
     return {
         "verdict": c.verdict,
         "route": c.route,
-        "rtol": rtol,
+        "rtol": 0.0 if c.route == "symbolic" else rtol,  # the tolerance applied
         "search_cap": decompose.SPLIT_SEARCH_CAP,
         "pairwise_max": c.pairwise_max,
         "pairwise_worst": list(c.pairwise_worst) if c.pairwise_worst else None,

@@ -16,12 +16,19 @@ covers every shielding partition too, since each extends to a spanning one
 and strong subadditivity bounds its CMI by that partition's 0.
 ``decompose.verify_gibbs`` takes that route when ``classify`` finds such
 splits, and this module's dense sweep otherwise.
+
+The dense sweep (``is_markov_network``) computes each distinct marginal
+among the partitions once and takes S(rho) from the spectrum that
+validated the state.  It traces and solves a state with no imaginary part
+in real arithmetic, and stacks the marginals' checks and eigensolves by
+dimension, with no stack larger than rho: one ``eigvalsh`` per stack, run
+through the kernel that ``entropy`` runs on one matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Union
 
@@ -30,6 +37,7 @@ import numpy as np
 from .errors import (
     DenseCapError,
     DimensionMismatchError,
+    NonHermitianError,
     PositivityViolationError,
     UnknownSiteError,
 )
@@ -38,6 +46,7 @@ from .pauli import PauliSum, PauliTerm, as_sum
 from .tensor import (
     SiteSpace,
     SupportedOperator,
+    _site_labels,
     check_hermitian,
     dense_cap,
     embed_sum,
@@ -60,27 +69,53 @@ off by at most beta * SECTOR_RTOL * sum_j ||h_j||."""
 Term = Union[PauliSum, PauliTerm, SupportedOperator]
 
 
-def _checked_spectrum(matrix: np.ndarray, trace_atol: float, trace_error: str,
-                      floor_error: str) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized matrix and ascending eigenvalues after the Hermitian, trace
-    and ``EIGENVALUE_FLOOR`` checks; error texts take ``tr`` and ``w``."""
-    m = check_hermitian(matrix)
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > trace_atol:
-        raise DimensionMismatchError(trace_error.format(tr=tr))
+_ENTROPY_ERRORS = ("entropy input has trace {tr!r}, expected 1",
+                  "entropy input has eigenvalue {w:.3e} below floor")
+
+
+def _check_floor(w: np.ndarray, floor_error: str) -> None:
+    """Raise for the first of the ascending spectra (k, d) whose lowest
+    eigenvalue is below ``EIGENVALUE_FLOOR``; the error text takes ``w``."""
+    low = w[:, 0] < EIGENVALUE_FLOOR
+    if low.any():
+        w0 = float(w[np.argmax(low), 0])
+        raise PositivityViolationError(floor_error.format(w=w0), min_eigenvalue=w0)
+
+
+def _checked_spectra(stack: np.ndarray, trace_atol: float, trace_error: str,
+                     floor_error: str) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrized matrices and ascending eigenvalues of a stack (k, d, d)
+    after the Hermitian, trace and ``EIGENVALUE_FLOOR`` checks, each matrix
+    against its own values, with one ``eigvalsh`` for the stack.  A check
+    raises for the first matrix that fails it; error texts take ``tr`` and
+    ``w``."""
+    m = check_hermitian(stack)
+    tr = np.trace(m, axis1=1, axis2=2).real
+    off = np.abs(tr - 1.0) > trace_atol
+    if off.any():
+        raise DimensionMismatchError(trace_error.format(tr=float(tr[np.argmax(off)])))
     w = np.linalg.eigvalsh(m)
-    if w[0] < EIGENVALUE_FLOOR:
-        raise PositivityViolationError(floor_error.format(w=w[0]),
-                                       min_eigenvalue=float(w[0]))
+    _check_floor(w, floor_error)
     return m, w
+
+
+def _entropies(w: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies in nats of checked ascending spectra (k, d);
+    eigenvalues in [``EIGENVALUE_FLOOR``, 0] count as zero."""
+    return -np.sum(w * np.log(np.where(w > 0.0, w, 1.0)), axis=1)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated density matrix on a site space."""
+    """A validated density matrix on a site space.
+
+    ``spectrum`` holds the ascending eigenvalues that validation computed
+    (read-only), so the state's own entropy needs no second eigensolve.
+    """
 
     matrix: np.ndarray
     space: SiteSpace
+    spectrum: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         shape = np.shape(self.matrix)
@@ -88,10 +123,12 @@ class DensityMatrix:
         if shape != (d, d):
             raise DimensionMismatchError(
                 f"state of shape {shape} does not match space dim {d}")
-        m, _ = _checked_spectrum(
-            self.matrix, TRACE_ATOL, "state trace {tr!r} is not 1",
+        m, w = _checked_spectra(
+            np.asarray(self.matrix)[None], TRACE_ATOL, "state trace {tr!r} is not 1",
             f"state has eigenvalue {{w:.3e}} below floor {EIGENVALUE_FLOOR:.0e}")
-        object.__setattr__(self, "matrix", m)
+        w.flags.writeable = False
+        object.__setattr__(self, "matrix", m[0])
+        object.__setattr__(self, "spectrum", w[0])
 
 
 def entropy(matrix: np.ndarray) -> float:
@@ -99,32 +136,74 @@ def entropy(matrix: np.ndarray) -> float:
 
     Eigenvalues in [-1e-10, 0) are clipped to zero; anything lower, or a
     trace away from 1 beyond ``ENTROPY_TRACE_ATOL``, is an error rather than
-    a guess.
+    a guess.  It is the one-matrix case of the stacked kernel that the
+    Markov sweep uses.
     """
-    _, w = _checked_spectrum(
-        matrix, ENTROPY_TRACE_ATOL, "entropy input has trace {tr!r}, expected 1",
-        "entropy input has eigenvalue {w:.3e} below floor")
-    nz = w[w > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    _, w = _checked_spectra(np.asarray(matrix)[None], ENTROPY_TRACE_ATOL,
+                            *_ENTROPY_ERRORS)
+    return float(_entropies(w)[0])
 
 
-def cmi(rho: DensityMatrix, a: Iterable[int], b: Iterable[int], c: Iterable[int],
-        _cache: dict | None = None) -> float:
+def cmi(rho: DensityMatrix, a: Iterable[int], b: Iterable[int], c: Iterable[int]) -> float:
     """Conditional mutual information I(A:C|B) = S(AB) + S(BC) - S(ABC) - S(B)."""
     a, b, c = set(a), set(b), set(c)
     if (a & b) or (a & c) or (b & c):
         raise UnknownSiteError("A, B, C must be disjoint")
     if not a or not c:
         raise UnknownSiteError("A and C must be nonempty")
-    cache = _cache if _cache is not None else {}
 
     def s(sites: set[int]) -> float:
-        key = frozenset(sites)
-        if key not in cache:
-            cache[key] = entropy(partial_trace(rho.matrix, rho.space, sites).matrix)
-        return cache[key]
+        return entropy(partial_trace(rho.matrix, rho.space, sites).matrix)
 
     return s(a | b) + s(b | c) - s(a | b | c) - s(b)
+
+
+def _marginal_entropies(rho: DensityMatrix, site_sets: list[frozenset[int]]
+                        ) -> dict[frozenset[int], float]:
+    """S of each marginal of ``rho``, by the checks and eigensolve of
+    ``entropy`` run on stacks.
+
+    The whole state's S comes from its validated ``spectrum``.  Every other
+    marginal is traced from the state, in real arithmetic when the state's
+    imaginary part is exactly zero, and solved with the others of its
+    dimension, in stacks of at most d^2 entries, so no stack outgrows the
+    state.  When a check fails, the marginals are replayed one by one
+    through ``entropy``, in the given order, so the error is the one the
+    first failing marginal raises there.
+    """
+    space = rho.space
+    d = space.total_dim
+    dim = dict(zip(space.sites, space.dims))
+    everything = frozenset(space.sites)
+    full = rho.matrix
+    if not full.imag.any():
+        full = np.ascontiguousarray(full.real)
+    full = full.reshape(space.dims * 2)
+    groups: dict[int, list[frozenset[int]]] = {}
+    for sites in site_sets:
+        if sites != everything:
+            groups.setdefault(math.prod(dim[x] for x in sites), []).append(sites)
+    out: dict[frozenset[int], float] = {}
+    try:
+        if everything in site_sets:
+            _check_floor(rho.spectrum[None], _ENTROPY_ERRORS[1])
+            out[everything] = float(_entropies(rho.spectrum[None])[0])
+        for dk, group in groups.items():
+            step = max(1, d * d // (dk * dk))
+            for start in range(0, len(group), step):
+                chunk = group[start:start + step]
+                stack = np.empty((len(chunk), dk, dk), dtype=full.dtype)
+                for sites, m in zip(chunk, stack):
+                    axes, inner, _ = _site_labels(space, sites)
+                    np.einsum(full, axes, inner,
+                              out=m.reshape([dim[x] for x in sorted(sites)] * 2))
+                _, w = _checked_spectra(stack, ENTROPY_TRACE_ATOL, *_ENTROPY_ERRORS)
+                out.update(zip(chunk, _entropies(w).tolist()))
+    except (NonHermitianError, DimensionMismatchError, PositivityViolationError):
+        for sites in site_sets:
+            entropy(partial_trace(rho.matrix, space, sites).matrix)
+        raise
+    return out
 
 
 @dataclass(frozen=True)
@@ -183,16 +262,21 @@ def is_markov_network(rho: DensityMatrix, graph: Graph,
     """Check I(A:C|B) <= tol over shielding partitions of the graph.
 
     ``mode="spanning"`` checks the spanning partitions (sufficient by strong
-    subadditivity); ``mode="all"`` audits every shielding partition.
+    subadditivity); ``mode="all"`` audits every shielding partition.  Each
+    distinct marginal among the partitions' AB, BC, ABC and B is solved
+    once (``_marginal_entropies``), and each CMI is summed as ``cmi`` sums
+    it.
     """
     if graph.vertices != set(rho.space.sites):
         raise UnknownSiteError(
             f"graph vertices {sorted(graph.vertices)} do not match "
             f"state sites {list(rho.space.sites)}")
-    cache: dict = {}
+    parts = shield_partitions(graph, mode)
+    keys = [(p.a | p.b, p.b | p.c, p.a | p.b | p.c, p.b) for p in parts]
+    s = _marginal_entropies(rho, list(dict.fromkeys(k for ks in keys for k in ks)))
     records = []
-    for p in shield_partitions(graph, mode):
-        val = cmi(rho, p.a, p.b, p.c, _cache=cache)
+    for p, (ab, bc, abc, b) in zip(parts, keys):
+        val = s[ab] + s[bc] - s[abc] - s[b]
         records.append(PartitionRecord(p, val, val <= tol))
     max_cmi = max((r.cmi for r in records), default=0.0)
     return MarkovReport(tuple(records), max_cmi, tol, mode)

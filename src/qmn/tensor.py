@@ -217,17 +217,29 @@ def partial_trace(matrix: np.ndarray, space: SiteSpace, keep: Iterable[int]) -> 
 
 def check_hermitian(matrix: np.ndarray) -> np.ndarray:
     """Validate Hermiticity within ``HERMITIAN_RTOL`` (relative to the max
-    entry) and symmetrize."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    entry) and symmetrize.
+
+    ``matrix`` is one square matrix or a stack (..., d, d), each matrix held
+    to its own max entry; the first failing one raises.  A float64 input
+    stays real, any other becomes complex.
+    """
+    m = np.asarray(matrix)
+    if m.dtype != np.float64:
+        m = m.astype(complex, copy=False)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if defect > HERMITIAN_RTOL * scale:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e} "
-            f"exceeds {HERMITIAN_RTOL:.1e} * max|M| = {HERMITIAN_RTOL * scale:.3e}")
-    return (m + m.conj().T) / 2
+    mh = m.mT.conj()
+    if m.size:
+        scale = np.abs(m).max(axis=(-2, -1))
+        defect = np.abs(m - mh).max(axis=(-2, -1))
+        bad = defect > HERMITIAN_RTOL * scale
+        if bad.any():
+            k = np.argmax(bad)  # the first failing matrix
+            defect, scale = np.ravel(defect)[k], np.ravel(scale)[k]
+            raise NonHermitianError(
+                f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e} exceeds "
+                f"{HERMITIAN_RTOL:.1e} * max|M| = {HERMITIAN_RTOL * scale:.3e}")
+    return (m + mh) / 2
 
 
 def logm_pd(matrix: np.ndarray) -> np.ndarray:

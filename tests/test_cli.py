@@ -135,6 +135,31 @@ def test_scalar_terms_are_saved_on_a_site_and_reload(tmp_path):
     assert [t.get("pauli") for t in model_to_json(symbolic)["terms"]][1:3] == ["I", "I"]
 
 
+def test_multi_word_pauli_terms_are_saved_as_words_and_keep_the_certificate(tmp_path):
+    model = ModelInstance(SiteSpace.qubits(3), Graph.from_edges([(1, 2), (2, 3)]),
+                          (parse_sum("1.0 * Z1 Z2 + 0.4 * Z1"), parse_term("1.0 * Z2 Z3")))
+    assert model.all_pauli()
+    assert decompose.verify_gibbs(model).route == "certificate"
+    path = str(tmp_path / "words.json")
+    save_model(model, path)
+    assert read(path)["terms"][0] == {
+        "support": [1, 2], "words": [{"pauli": "Z I", "coeff": 0.4},
+                                     {"pauli": "Z Z", "coeff": 1.0}]}
+    back = load_model(path)
+    assert back.all_pauli() and back.terms == model.terms
+    out = str(tmp_path / "words.verify.json")
+    assert main(["verify-markov", path, "--out", out]) == 0
+    assert read(out)["route"] == "certificate"
+
+
+def test_words_scale_by_the_term_coeff():
+    data = {"sites": [{"id": 1, "dim": 2}, {"id": 2, "dim": 2}], "edges": [[1, 2]],
+            "terms": [{"support": [1, 2], "coeff": 2.0,
+                       "words": [{"pauli": "X X"}, {"pauli": "I z", "coeff": -0.25}]}]}
+    (term,) = model_from_json(data).terms
+    assert term == parse_sum("2.0 * X1 X2 - 0.5 * Z2")
+
+
 BAD_MODELS = [
     ({"sites": [], "terms": []}, "sites"),
     ({"sites": [{"id": 1, "dim": 2}], "terms": "x"}, "terms"),
@@ -182,6 +207,19 @@ BAD_MODELS = [
     ({"sites": [{"id": 1, "dim": 2}], "edges": [],
       "terms": [{"support": [1], "matrix": {"re": [[1, 1], [1 + 1e-11, 1]]}}]},
      "terms[0].matrix after coeff: matrix is not Hermitian"),
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "pauli": "Z", "words": []}]},
+     "one of pauli, words or matrix"),
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "words": []}]}, "terms[0].words must be a non-empty"),
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "words": [{"pauli": "Z"}, {"pauli": "Q"}]}]},
+     "terms[0].words[1].pauli: unknown letter"),
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "words": [{"pauli": "Z", "coeff": [1.0, 0.5]}]}]},
+     "terms[0].words[0].coeff must be real"),
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "words": ["Z"]}]}, "terms[0].words[0] must be an object"),
 ]
 
 
@@ -450,7 +488,7 @@ def test_cli_classify_report_echoes_rtol_search_cap_and_route(tmp_path, capsys,
         m.setattr(decompose, "SPLIT_SEARCH_CAP", 64)
         assert main(["classify", cell, "--rtol", "1e-7"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert (rep["route"], rep["rtol"], rep["search_cap"]) == ("symbolic", 1e-7, 64)
+    assert (rep["route"], rep["rtol"], rep["search_cap"]) == ("symbolic", 0.0, 64)
     dense = gen(tmp_path, "theorem4", "--kind", "path4")
     assert main(["classify", dense]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -460,10 +498,10 @@ def test_cli_classify_report_echoes_rtol_search_cap_and_route(tmp_path, capsys,
 
 
 def test_cli_options_of_one_call_do_not_leak_into_the_next(tmp_path, capsys):
-    cell = gen(tmp_path, "cell")
-    assert main(["classify", cell, "--rtol", "1e-3"]) == 0
+    dense = gen(tmp_path, "theorem4", "--kind", "path4")  # a dense model echoes --rtol
+    assert main(["classify", dense, "--rtol", "1e-3"]) == 0
     assert json.loads(capsys.readouterr().out)["rtol"] == 1e-3
-    assert main(["classify", cell]) == 0
+    assert main(["classify", dense]) == 0
     assert json.loads(capsys.readouterr().out)["rtol"] == decompose.DEFAULT_RTOL
 
 

@@ -16,7 +16,7 @@ from qmn.errors import (
     PositivityViolationError,
     UnknownSiteError,
 )
-from qmn.graphs import Graph, all_shield_partitions
+from qmn.graphs import Graph, all_shield_partitions, shield_partitions
 from qmn.markov import (
     DensityMatrix,
     ModelInstance,
@@ -253,6 +253,87 @@ def test_strong_subadditivity_on_every_shielding_partition(case):
         value = cmi(rho, p.a, p.b, p.c)
         assert value >= -1e-10
         assert value <= cmi(rho, p.a | left_out, p.b, p.c) + 1e-10
+
+
+@st.composite
+def sweep_cases(draw):
+    """Random graphs on 2-5 vertices (edgeless ones give an empty B), site
+    dims 2-3 on up to four sites, random states of drawn rank, complex or
+    exactly real, a mode and a tolerance."""
+    n = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    graph = Graph.from_edges(edges, vertices=range(1, n + 1))
+    dims = draw(st.lists(st.integers(2, 3 if n < 5 else 2), min_size=n, max_size=n))
+    space = SiteSpace(tuple(range(1, n + 1)), tuple(dims))
+    d = space.total_dim
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = random_density(rng, d, rank=draw(st.sampled_from([None, 1, 2, d // 2])))
+    real = draw(st.booleans())
+    rho = DensityMatrix(m.real if real else m, space)
+    return (rho, graph, real, draw(st.sampled_from(["spanning", "all"])),
+            draw(st.sampled_from([1e-8, 1e-3, 1e-1])))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sweep_cases())
+def test_stacked_sweep_matches_cmi_partition_by_partition(case):
+    # the sweep solves each distinct marginal once, in stacks, and a real
+    # state in real arithmetic; cmi traces and solves each one in complex
+    rho, graph, real, mode, tol = case
+    assert rho.matrix.imag.any() != real
+    rep = is_markov_network(rho, graph, tol=tol, mode=mode)
+    parts = shield_partitions(graph, mode)
+    assert [r.partition for r in rep.records] == parts
+    want = [cmi(rho, p.a, p.b, p.c) for p in parts]
+    got = [r.cmi for r in rep.records]
+    if real:
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+    else:
+        assert got == want
+    assert [r.passed for r in rep.records] == [w <= tol for w in want]
+    assert rep.passed == all(w <= tol for w in want)
+
+
+@pytest.mark.parametrize("mode", ["spanning", "all"])
+def test_sweep_raises_the_error_of_the_first_failing_marginal(monkeypatch, mode):
+    # floors between the marginals' smallest eigenvalues make a marginal
+    # other than the first fail, possibly in another dimension's stack
+    space = SiteSpace.from_dims({1: 2, 2: 3, 3: 2, 4: 2})
+    graph = chain_graph(4)
+    rho = DensityMatrix(random_density(np.random.default_rng(5), space.total_dim),
+                        space)
+    parts = shield_partitions(graph, mode)
+    lows = sorted({float(np.linalg.eigvalsh(
+        partial_trace(rho.matrix, space, s).matrix)[0])
+        for p in parts for s in (p.a | p.b, p.b | p.c, p.a | p.b | p.c, p.b)})
+    floors = [(x + y) / 2 for x, y in zip(lows, lows[1:])] + [lows[-1] * 2]
+    for floor in floors:
+        monkeypatch.setattr(markov, "EIGENVALUE_FLOOR", floor)
+        with pytest.raises(PositivityViolationError) as want:
+            for p in parts:
+                cmi(rho, p.a, p.b, p.c)
+        with pytest.raises(PositivityViolationError) as got:
+            is_markov_network(rho, graph, mode=mode)
+        assert str(got.value) == str(want.value)
+        assert got.value.min_eigenvalue == want.value.min_eigenvalue
+    monkeypatch.undo()
+    monkeypatch.setattr(markov, "ENTROPY_TRACE_ATOL", -1.0)  # every trace fails
+    with pytest.raises(DimensionMismatchError) as want:
+        cmi(rho, parts[0].a, parts[0].b, parts[0].c)
+    with pytest.raises(DimensionMismatchError) as got:
+        is_markov_network(rho, graph, mode=mode)
+    assert str(got.value) == str(want.value)
+
+
+def test_density_matrix_keeps_its_validated_spectrum():
+    rho = DensityMatrix(random_density(np.random.default_rng(9), 8), SiteSpace.qubits(3))
+    assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
+    assert not rho.spectrum.flags.writeable
+    assert "spectrum" not in repr(rho)
+    assert math.isclose(entropy(rho.matrix),
+                        -sum(w * math.log(w) for w in rho.spectrum if w > 0),
+                        rel_tol=1e-13)
 
 
 def test_gibbs_matches_taylor_oracle():
