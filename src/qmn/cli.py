@@ -16,10 +16,9 @@ all be qubits with ids 0 <= id < 2**20.  A ``words`` term is one sum of
 such words on a shared support, each word's ``coeff`` times the term's;
 ``save_model`` writes a Pauli sum of several words that way, so it stays
 symbolic.  Matrix terms are row-major with separate real and imaginary
-parts and must be Hermitian after scaling by ``coeff``, within
-``check_hermitian``'s 1e-12 of the largest entry.  Every
-number in a model file (coefficients, matrix entries, ``beta``) must be
-finite.
+parts, scaled by ``coeff``.  Every number in a model file (coefficients,
+matrix entries, ``beta``) must be finite, and the terms must pass the
+rule ``markov.ModelInstance`` applies to every model.
 
 ``decompose`` and ``cumulants`` take the local route (``"route":
 "local"`` in the report): the cumulants of log rho = beta H - log Z 1, or
@@ -31,12 +30,11 @@ is diagonal on its own support (as for the Ising chain), the sum of the
 terms' diagonals as a length-d vector; when the terms commute, the
 eigenvalues of the sector blocks of H in the eigenbases of terms on
 disjoint supports (``markov.log_partition``); else one ``eigvalsh`` of the
-dense H.  Every term is checked for Hermiticity once, on its own support,
-within the same 1e-12 of the term's largest entry.  The scalar is computed
-inside the dense cap, and for a diagonal model up to the cap squared;
-past that the ``cumulants`` and ``decompose`` reports say
-``"scalar_computed": false`` and ``decompose`` gives vertex terms without
-the -log Z / n shift, which the Gibbs state does not see.  Model files
+dense H.  The scalar is computed inside the dense cap, and for a diagonal
+model up to the cap squared; past that the ``cumulants`` and ``decompose``
+reports say ``"scalar_computed": false`` and ``decompose`` gives vertex
+terms without the -log Z / n shift, which the Gibbs state does not see.
+Model files
 that ``generate`` and ``decompose --out`` write are compact JSON on one
 line, as reports are.
 Reports echo the tolerances they used: ``classify`` its ``route``
@@ -106,7 +104,7 @@ from .errors import (
 )
 from .graphs import Graph, to_dot
 from .markov import MarkovReport, ModelInstance, gibbs, is_markov_network
-from .pauli import QUBIT_ID_LIMIT, PauliSum, PauliTerm, as_sum, commutator
+from .pauli import QUBIT_ID_LIMIT, PauliSum, PauliTerm, commutator
 from .tensor import SiteSpace, SupportedOperator, check_hermitian
 
 EXIT_PASS = 0
@@ -169,7 +167,7 @@ def _word_from_json(text: Any, coeff: float, support: list[int], space: SiteSpac
 
 
 def _term_from_json(entry: Any, idx: int, space: SiteSpace
-                    ) -> PauliTerm | PauliSum | SupportedOperator:
+                    ) -> PauliSum | SupportedOperator:
     where = f"terms[{idx}]"
     if not isinstance(entry, dict):
         raise ModelFormatError(f"{where} must be an object")
@@ -187,18 +185,16 @@ def _term_from_json(entry: Any, idx: int, space: SiteSpace
     if len(given) > 1:
         raise ModelFormatError(f"{where} must give one of pauli, words or matrix, "
                                f"not {' and '.join(given)}")
-    if given in (["pauli"], ["words"]) and coeff.imag != 0.0:
-        raise ModelFormatError(f"{where}.coeff must be real for a Pauli term")
-    if "pauli" in entry:
-        return _word_from_json(entry["pauli"], coeff.real, support, space, where)
-    if "words" in entry:
-        words = entry["words"]
+    if given in (["pauli"], ["words"]):
+        if coeff.imag != 0.0:
+            raise ModelFormatError(f"{where}.coeff must be real for a Pauli term")
+        words = [{"pauli": entry["pauli"]}] if given == ["pauli"] else entry["words"]
         if not isinstance(words, list) or not words:
             raise ModelFormatError(f"{where}.words must be a non-empty list of "
                                    f"{{pauli, coeff}} objects")
         out = []
         for k, w in enumerate(words):
-            at = f"{where}.words[{k}]"
+            at = where if given == ["pauli"] else f"{where}.words[{k}]"
             if not isinstance(w, dict) or "pauli" not in w:
                 raise ModelFormatError(f"{at} must be an object with a pauli string")
             c = _coeff_from_json(w.get("coeff", 1.0), at)
@@ -278,12 +274,11 @@ def model_from_json(data: Any) -> ModelInstance:
 def model_to_json(model: ModelInstance) -> dict:
     """JSON form of a model; Pauli terms stay symbolic, the rest goes dense.
 
-    A single Pauli word is written as ``pauli`` letters on its support, a
-    sum of several as a ``words`` list on the union of their supports.  A
-    term on no site, a multiple c of the identity, is written as c I on a
-    site, since the file format has no empty support: as the letter ``I``
-    on the first qubit site for a Pauli word, else as a matrix on the first
-    site.
+    A Pauli sum of one word is written as ``pauli`` letters on its support,
+    of several as a ``words`` list on the union of their supports.  A term
+    on no site, a multiple c of the identity, is written as c I on a site,
+    since the file format has no empty support: as the letter ``I`` on the
+    first qubit site for a Pauli sum, else as a matrix on the first site.
     """
     sites = [{"id": s, "dim": d}
              for s, d in zip(model.space.sites, model.space.dims)]
@@ -293,17 +288,13 @@ def model_to_json(model: ModelInstance) -> dict:
                   if d == 2 and 0 <= s < QUBIT_ID_LIMIT), None)
     terms = []
     for t in model.terms:
-        entry = None
-        if plain and isinstance(t, (PauliTerm, PauliSum)):
-            s = as_sum(t)
-            words = s.terms or (PauliTerm.from_letters(0.0, {}),)
-            sup = list(s.support) or ([qubit] if qubit is not None else [])
-            if sup and all(abs(w.coeff.imag) < 1e-14 for w in words):
-                coded = [{"pauli": " ".join(w.letters.get(q, "I") for q in sup),
-                          "coeff": float(w.coeff.real)} for w in words]
-                entry = {"support": sup,
-                         **(coded[0] if len(coded) == 1 else {"words": coded})}
-        if entry is None:
+        if plain and isinstance(t, PauliSum) and (t.support or qubit is not None):
+            sup = list(t.support) or [qubit]
+            coded = [{"pauli": " ".join(w.letters.get(q, "I") for q in sup),
+                      "coeff": w.coeff.real} for w in t.terms or (PauliTerm(0.0),)]
+            entry = {"support": sup,
+                     **(coded[0] if len(coded) == 1 else {"words": coded})}
+        else:
             op = model.term_operator(t)
             if not op.support:
                 first = model.space.sites[0]
@@ -473,14 +464,14 @@ def _demo_counterexample() -> int:
     lines.append("pairwise commutator norms:")
     for i, a in enumerate(model.terms):
         for j, b in enumerate(model.terms[i + 1:], start=i + 1):
-            norm = commutator(as_sum(a), as_sum(b)).norm()
+            norm = commutator(a, b).norm()
             lines.append(f"  [h_{names[i]}, h_{names[j]}] norm {norm:g}")
-    c1 = commutator(PauliSum.of(down, right), PauliSum.of(left, up))
-    c2 = commutator(PauliSum.of(down, left), PauliSum.of(up, right))
+    c1 = commutator(down + right, left + up)
+    c2 = commutator(down + left, up + right)
     ok &= _claim(lines, c1.is_zero and c2.is_zero,
                  "both shield groupings commute exactly (symbolic zero)")
-    pair = commutator(as_sum(down), as_sum(left))
-    want = PauliSum.of(PauliTerm.from_letters(-2j, {1: "Z", 3: "Z", 5: "Z"}))
+    pair = commutator(down, left)
+    want = PauliTerm.from_letters(-2j, {1: "Z", 3: "Z", 5: "Z"})
     ok &= _claim(lines, (pair - want).is_zero,
                  "[h_down, h_left] = -2i Z1 Z3 Z5, norm 2 > 1")
     rep = is_markov_network(gibbs(model), model.graph, tol=1e-9)
@@ -512,10 +503,8 @@ def _demo_coarse_grain() -> int:
     sups = sorted(tuple(sorted(merged.term_support(t))) for t in merged.terms)
     ok &= _claim(lines, sups == [(1, 2, 3), (1, 3, 4)],
                  f"merging 5 into 1 leaves two grouped terms on {sups}")
-    pairs_zero = all(
-        commutator(as_sum(a), as_sum(b)).is_zero
-        for i, a in enumerate(merged.terms)
-        for b in merged.terms[i + 1:])
+    pairs_zero = all(commutator(a, b).is_zero for i, a in enumerate(merged.terms)
+                     for b in merged.terms[i + 1:])
     ok &= _claim(lines, pairs_zero, "grouped terms commute exactly (symbolic zero)")
     verdict = classify(merged).verdict
     ok &= _claim(lines, verdict == "LocalCommuting",

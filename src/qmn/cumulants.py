@@ -175,14 +175,12 @@ def model_cumulants(model: ModelInstance, of: str = "log-gibbs") -> CumulantExpa
     or of beta H (``"hamiltonian"``), built from its terms.
 
     Every term, Pauli or dense, is split on its own support as one of the
-    model's ``checked_terms`` (Pauli words as a dense matrix on their
-    sites, qubits in ``site_composition`` order, each checked by
-    ``check_hermitian``).  Only the scalar -log Z needs the spectrum;
-    ``log_partition`` supplies it, and where it raises ``DenseCapError``
-    (past the dense cap, or past its square for a diagonal model) a
-    log-gibbs expansion has no scalar entry and ``scalar_known`` is False.
-    Components are dropped as in ``expand`` (``DEFAULT_DROP_RTOL``),
-    relative to the norm of what was computed.
+    model's ``checked_terms``, which ``ModelInstance`` admitted.  Only the
+    scalar -log Z needs the spectrum; ``log_partition`` supplies it, and
+    where it raises ``DenseCapError`` (past the dense cap, or past its
+    square for a diagonal model) a log-gibbs expansion has no scalar entry
+    and ``scalar_known`` is False.  Components are dropped as in ``expand``
+    (``DEFAULT_DROP_RTOL``), relative to the norm of what was computed.
     """
     if of not in CUMULANT_TARGETS:
         raise ValueError(f"of must be one of {CUMULANT_TARGETS}, got {of!r}")

@@ -83,7 +83,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -108,10 +108,11 @@ from .markov import (
     MarkovReport,
     ModelInstance,
     PartitionRecord,
+    Term,
     gibbs,
     is_markov_network,
 )
-from .pauli import PauliSum, as_sum, commutator
+from .pauli import PauliSum, commutator
 from .tensor import (
     Schmidt,
     SiteSpace,
@@ -131,13 +132,10 @@ LOCAL_COMMUTING = "LocalCommuting"
 SHIELD_COMMUTING_ONLY = "ShieldCommutingOnly"
 NOT_SHIELD_COMMUTING = "NotShieldCommuting"
 
-Operand = Union[SupportedOperator, PauliSum]
-
-
 # ---------------------------------------------------------------------------
 # the commutation engine: one relative norm, one grouping search
 
-def _relative_commutator(a: Operand, b: Operand, space: SiteSpace) -> float:
+def _relative_commutator(a: Term, b: Term, space: SiteSpace) -> float:
     """||[a, b]|| / (||a|| ||b||); 0.0 when either operand is zero.
 
     Pauli sums are commuted exactly, so the result is 0.0 exactly when the
@@ -161,7 +159,7 @@ def _relative_commutator(a: Operand, b: Operand, space: SiteSpace) -> float:
     return hs_norm(da @ db - db @ da) / scale * math.sqrt(sub.total_dim)
 
 
-def _best_grouping(items: Sequence[tuple[frozenset[int], Operand]],
+def _best_grouping(items: Sequence[tuple[frozenset[int], Term]],
                    p: Partition, space: SiteSpace, rtol: float) -> float:
     """Smallest relative commutator norm of the two halves into which
     support-keyed operators regroup across a partition.
@@ -178,9 +176,9 @@ def _best_grouping(items: Sequence[tuple[frozenset[int], Operand]],
     symbolic = all(isinstance(op, PauliSum) for _, op in items)
     if not symbolic:
         require_dense(space.subspace(p.union).total_dim, "the dense grouping search")
-    side_ab: list[Operand] = []
-    side_bc: list[Operand] = []
-    inner: list[Operand] = []
+    side_ab: list[Term] = []
+    side_bc: list[Term] = []
+    inner: list[Term] = []
     for key, op in items:
         if key & p.a or not key:
             side_ab.append(op)
@@ -189,7 +187,7 @@ def _best_grouping(items: Sequence[tuple[frozenset[int], Operand]],
         else:
             inner.append(op)
 
-    def half(parts: list[Operand], sites: frozenset[int]) -> Operand:
+    def half(parts: list[Term], sites: frozenset[int]) -> Term:
         if symbolic:
             return PauliSum(tuple(t for s in parts for t in s.terms))
         sub = space.subspace(sites)
@@ -227,11 +225,11 @@ class PairwiseCommutation:
     norms: Mapping[tuple[int, int], float]
 
 
-def pairwise_commutation(ops: Sequence[Operand], space: SiteSpace,
+def pairwise_commutation(ops: Sequence[Term], space: SiteSpace,
                          rtol: float = DEFAULT_RTOL) -> PairwiseCommutation:
     """Check all overlapping pairs; norms are relative to the operand norms.
 
-    Operands are dense operators or, compared exactly, Pauli sums.  The
+    Terms are dense operators or, compared exactly, Pauli sums.  The
     pairs come from a site-to-operands index, in (i, j) order.
     """
     supports = [op.support for op in ops]
@@ -301,8 +299,8 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL) -> Classification
 
     Each route applies one tolerance to both stages.  Pauli models are
     checked symbolically: a pair or a grouping commutes only when its
-    commutator cancels exactly.  Dense terms are held to ``rtol``, and
-    their grouping search, taken on a region's sites, raises
+    commutator cancels exactly.  Other models' ``checked_terms`` are held
+    to ``rtol``, and their grouping search, taken on a region's sites, raises
     ``DenseCapError`` past the dense cap.  As in ``theorem4_decompose``, a
     dense pair is not judged when either term's normalized squared norm,
     ||t||^2 / dim, is at most ``rtol``^2 times the sum of all terms': such
@@ -313,7 +311,7 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL) -> Classification
     symbolic = model.all_pauli()
     route = "symbolic" if symbolic else "dense"
     tol = 0.0 if symbolic else rtol
-    ops = [as_sum(t) if symbolic else model.term_operator(t) for t in model.terms]
+    ops = model.terms if symbolic else model.checked_terms
     judged = range(len(ops))
     if not symbolic:
         sq = [op.hs_norm() ** 2 / op.dim for op in ops]
@@ -727,7 +725,7 @@ def coarse_grain_model(model: ModelInstance, merge: dict[int, int]) -> ModelInst
     for t in model.terms:
         sup = {site_map[s] for s in model.term_support(t)}
         home = next(c for c, s in maximal if sup <= s)
-        grouped[home] = grouped.get(home, PauliSum.zero()) + as_sum(t)
+        grouped[home] = grouped.get(home, PauliSum.zero()) + t
     terms = tuple(grouped[c] for c in sorted(grouped, key=lambda c: (len(c), c)))
     return ModelInstance(new_space, qgraph, terms, beta=model.beta,
                          site_composition=new_comp)

@@ -42,7 +42,7 @@ from .errors import (
     UnknownSiteError,
 )
 from .graphs import Graph, Partition, shield_partitions
-from .pauli import PauliSum, PauliTerm, as_sum
+from .pauli import PauliSum, PauliTerm
 from .tensor import (
     SiteSpace,
     SupportedOperator,
@@ -66,7 +66,7 @@ terms' Frobenius weight outside the sectors, summed, is at most SECTOR_RTOL
 times the sum of the terms' Frobenius norms, sum_j ||h_j||.  log Z is then
 off by at most beta * SECTOR_RTOL * sum_j ||h_j||."""
 
-Term = Union[PauliSum, PauliTerm, SupportedOperator]
+Term = Union[PauliSum, SupportedOperator]
 
 
 _ENTROPY_ERRORS = ("entropy input has trace {tr!r}, expected 1",
@@ -292,8 +292,12 @@ class ModelInstance:
     coarse-grained models symbolic.  Atomic sites own a single qubit with
     their own id.
 
-    Whether Pauli terms sit on qubits is decided here, once, for every
-    route: each site a Pauli term touches must have dim 2 (2**qubits with a
+    Every route reads ``terms`` as admitted here, once: a ``PauliTerm`` or
+    ``PauliSum`` as a ``PauliSum`` with finite real coefficients, whose
+    matrix is exactly Hermitian; a ``SupportedOperator`` as the read-only,
+    symmetrized matrix of ``check_hermitian``, which refuses a non-finite
+    entry or a defect beyond ``HERMITIAN_RTOL``.  Else ``NonHermitianError``
+    names the term.  A Pauli term's sites must have dim 2 (2**qubits with a
     composition), or ``DimensionMismatchError`` names the term and site.
     """
 
@@ -304,7 +308,6 @@ class ModelInstance:
     site_composition: dict[int, tuple[int, ...]] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
         if self.graph.vertices != set(self.space.sites):
             raise UnknownSiteError("graph vertices must match space sites")
         comp = self.site_composition
@@ -320,17 +323,31 @@ class ModelInstance:
                     raise DimensionMismatchError(
                         f"site {s} has dim {self.space.dim(s)} but {len(qs)} qubits")
             object.__setattr__(self, "site_composition", comp)
+        terms = []
         for k, t in enumerate(self.terms):
             sup = self.term_support(t)
             if not self.graph.is_clique(sup):
                 raise UnknownSiteError(
                     f"term support {sorted(sup)} is not a clique of the graph")
-            if comp is None and not isinstance(t, SupportedOperator):
-                for s in sup:
-                    if self.space.dim(s) != 2:
-                        raise DimensionMismatchError(
-                            f"Pauli term {k} acts on site {s} of dim "
-                            f"{self.space.dim(s)}; Pauli letters need qubit sites")
+            if isinstance(t, SupportedOperator):
+                try:
+                    t = SupportedOperator(t.support, check_hermitian(t.matrix))
+                except NonHermitianError as e:
+                    raise NonHermitianError(f"term {k}: {e}") from None
+                t.matrix.flags.writeable = False
+            else:
+                bad = [s for s in sup if comp is None and self.space.dim(s) != 2]
+                if bad:
+                    raise DimensionMismatchError(
+                        f"Pauli term {k} acts on site {bad[0]} of dim "
+                        f"{self.space.dim(bad[0])}; Pauli letters need qubit sites")
+                t = PauliSum.of(t) if isinstance(t, PauliTerm) else t
+                if not all(w.coeff.imag == 0.0 and math.isfinite(w.coeff.real)
+                           for w in t.terms):
+                    raise NonHermitianError(
+                        f"Pauli term {k} needs finite real coefficients: {t}")
+            terms.append(t)
+        object.__setattr__(self, "terms", tuple(terms))
 
     @cached_property
     def qubit_owner(self) -> dict[int, int]:
@@ -344,7 +361,7 @@ class ModelInstance:
             return term.support
         owner = self.qubit_owner
         try:
-            return tuple(sorted({owner[q] for q in as_sum(term).support}))
+            return tuple(sorted({owner[q] for q in term.support}))
         except KeyError as e:
             raise UnknownSiteError(f"Pauli letter on unknown qubit {e.args[0]}") from None
 
@@ -352,18 +369,15 @@ class ModelInstance:
         """Dense operator for one term, on the sites it touches."""
         if isinstance(term, SupportedOperator):
             return term
-        s = as_sum(term)
-        sites = self.term_support(s)
+        sites = self.term_support(term)
         comp = self.site_composition or {x: (x,) for x in sites}
-        return SupportedOperator(sites, s.matrix([q for x in sites for q in comp[x]]))
+        return SupportedOperator(sites, term.matrix([q for x in sites for q in comp[x]]))
 
     @cached_property
     def checked_terms(self) -> tuple[SupportedOperator, ...]:
-        """Every term as a dense operator on its own support, in term order,
-        checked by ``check_hermitian`` and symmetrized (the matrices are
-        read-only)."""
-        ops = tuple(SupportedOperator(op.support, check_hermitian(op.matrix))
-                    for op in map(self.term_operator, self.terms))
+        """Every term as a dense read-only operator on its own support, in
+        term order; the terms were admitted at construction."""
+        ops = tuple(map(self.term_operator, self.terms))
         for op in ops:
             op.matrix.flags.writeable = False
         return ops
@@ -378,7 +392,7 @@ class ModelInstance:
         return embed_sum(self.checked_terms, self.space)
 
     def all_pauli(self) -> bool:
-        return all(isinstance(t, (PauliSum, PauliTerm)) for t in self.terms)
+        return all(isinstance(t, PauliSum) for t in self.terms)
 
 
 def gibbs(model: ModelInstance) -> DensityMatrix:
@@ -386,7 +400,7 @@ def gibbs(model: ModelInstance) -> DensityMatrix:
 
     The sign convention absorbs the customary -1/T into beta, so beta > 0
     weights high-eigenvalue states of H.  H is Hermitian by construction
-    (``ModelInstance.hamiltonian`` checks each term).
+    (``ModelInstance`` admits only Hermitian terms).
     """
     w, v = np.linalg.eigh(model.beta * model.hamiltonian())
     w = w - w.max()  # stabilize the exponential; cancels in the normalization

@@ -220,8 +220,8 @@ def check_hermitian(matrix: np.ndarray) -> np.ndarray:
     entry) and symmetrize.
 
     ``matrix`` is one square matrix or a stack (..., d, d), each matrix held
-    to its own max entry; the first failing one raises.  A float64 input
-    stays real, any other becomes complex.
+    to its own max entry (a non-finite one fails); the first failing one
+    raises.  A float64 input stays real, any other becomes complex.
     """
     m = np.asarray(matrix)
     if m.dtype != np.float64:
@@ -231,8 +231,9 @@ def check_hermitian(matrix: np.ndarray) -> np.ndarray:
     mh = m.mT.conj()
     if m.size:
         scale = np.abs(m).max(axis=(-2, -1))
-        defect = np.abs(m - mh).max(axis=(-2, -1))
-        bad = defect > HERMITIAN_RTOL * scale
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN defect
+            defect = np.abs(m - mh).max(axis=(-2, -1))
+        bad = ~(defect <= HERMITIAN_RTOL * scale)  # a NaN defect or scale fails
         if bad.any():
             k = np.argmax(bad)  # the first failing matrix
             defect, scale = np.ravel(defect)[k], np.ravel(scale)[k]

@@ -68,7 +68,7 @@ def _commuting_corpus():
 def test_acceptance_1_counterexample_cell(capsys):
     t0 = time.perf_counter()
     model = families.cell_model()
-    down, left, up, right = model.terms
+    down, left, up, right = (t.terms[0] for t in model.terms)
     # the two shield groupings commute exactly, term algebra only
     assert commutator(PauliSum.of(down, right), PauliSum.of(left, up)).is_zero
     assert commutator(PauliSum.of(down, left), PauliSum.of(up, right)).is_zero

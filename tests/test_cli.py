@@ -64,7 +64,7 @@ def test_model_json_identity_letters_skip_sites():
             "edges": [[1, 2], [2, 3], [1, 3]],
             "terms": [{"support": [1, 2, 3], "pauli": "X I Z", "coeff": 0.5}]}
     model = model_from_json(data)
-    got = model.terms[0]
+    (got,) = model.terms[0].terms
     assert got.letters == term.letters
     assert got.coeff == term.coeff
 
@@ -137,7 +137,8 @@ def test_scalar_terms_are_saved_on_a_site_and_reload(tmp_path):
 
 def test_multi_word_pauli_terms_are_saved_as_words_and_keep_the_certificate(tmp_path):
     model = ModelInstance(SiteSpace.qubits(3), Graph.from_edges([(1, 2), (2, 3)]),
-                          (parse_sum("1.0 * Z1 Z2 + 0.4 * Z1"), parse_term("1.0 * Z2 Z3")))
+                          (parse_sum("1.0 * Z1 Z2 + 0.4 * Z1"), parse_term("1.0 * Z2 Z3"),
+                           parse_sum("1.0 * Z2 Z3"), PauliTerm.from_letters(-0.5, {3: "Z"})))
     assert model.all_pauli()
     assert decompose.verify_gibbs(model).route == "certificate"
     path = str(tmp_path / "words.json")

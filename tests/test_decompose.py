@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,11 +22,12 @@ from qmn.errors import (
     DecompositionResidualError,
     EnumerationCapError,
     NotMarkovError,
+    NonHermitianError,
     NotTriangleFreeError,
     UnknownSiteError,
 )
 from qmn.graphs import Graph, Partition, cliques
-from qmn.markov import DensityMatrix, ModelInstance, gibbs, is_markov_network
+from qmn.markov import DensityMatrix, ModelInstance, gibbs, is_markov_network, log_partition
 from qmn.pauli import PauliSum, PauliTerm, as_sum
 from qmn.tensor import SiteSpace, SupportedOperator, embed_sum, logm_pd, op_schmidt
 
@@ -224,7 +226,7 @@ def dense_chain_with_x2(coeff):
     space = SiteSpace.qubits(3)
     terms = [pw(1.0, {1: "Z", 2: "Z"}), pw(1.0, {2: "Z", 3: "Z"}), pw(coeff, {2: "X"})]
     model = ModelInstance(space, chain(3), terms)
-    return ModelInstance(space, chain(3), tuple(map(model.term_operator, terms)))
+    return ModelInstance(space, chain(3), tuple(map(model.term_operator, model.terms)))
 
 
 def test_classify_does_not_judge_a_dense_term_at_rounding_level():
@@ -432,6 +434,47 @@ def test_verify_gibbs_validates_route_and_mode():
         verify_gibbs(model, route="local")
     with pytest.raises(ValueError):
         verify_gibbs(model, mode="everything")
+
+
+@st.composite
+def admitted_or_refused_terms(draw):
+    """Qubit chains of 2-4 sites with edge terms drawn as Pauli words of a
+    real, imaginary or NaN coefficient, and as dense terms that are
+    Hermitian, carry a ~1e-14 or an O(1) defect, or hold a NaN; and whether
+    the model must refuse them."""
+    n = draw(st.integers(2, 4))
+    terms, refused = [], False
+    for i in range(1, n):
+        if draw(st.booleans()):
+            coeff = draw(st.sampled_from((0.7, -1.2, 0.5j, float("nan"))))
+            a, b = draw(st.tuples(st.sampled_from("XYZ"), st.sampled_from("XYZ")))
+            terms.append(pw(coeff, {i: a, i + 1: b}))
+            refused |= not isinstance(coeff, float) or math.isnan(coeff)
+        if draw(st.booleans()):
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            kind = draw(st.sampled_from(("hermitian", "rounding", "defect", "nan")))
+            m = x + x.conj().T + {"rounding": 1e-14, "defect": 1.0}.get(kind, 0.0) * x
+            if kind == "nan":
+                m[0, 1] = np.nan
+            terms.append(SupportedOperator((i, i + 1), m))
+            refused |= kind in ("defect", "nan")
+    return n, tuple(terms), refused
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(admitted_or_refused_terms())
+def test_every_route_sees_the_same_model(drawn):
+    n, terms, refused = drawn
+    if refused:
+        with pytest.raises(NonHermitianError):
+            ModelInstance(SiteSpace.qubits(n), chain(n), terms)
+        return
+    model = ModelInstance(SiteSpace.qubits(n), chain(n), terms)
+    classify(model)
+    assert verify_gibbs(model).passed == verify_gibbs(model, route="dense").passed
+    model_cumulants(model)
+    assert math.isfinite(log_partition(model))
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +774,7 @@ def test_coarse_grain_merged_hamiltonian_matches():
     merged = coarse_grain_model(model, {5: 1})
     # merging 5 into 1 reorders the qubit axes to (1, 5, 2, 3, 4)
     order = [1, 5, 2, 3, 4]
-    want = sum(dense_pauli_word(dict(t.word), order) for t in model.terms)
+    want = sum(dense_pauli_word(dict(w.word), order) for t in model.terms for w in t.terms)
     assert np.allclose(merged.hamiltonian(), want, atol=1e-12)
     assert np.allclose(np.linalg.eigvalsh(gibbs(merged).matrix),
                        np.linalg.eigvalsh(gibbs(model).matrix), atol=1e-12)

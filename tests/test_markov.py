@@ -71,6 +71,8 @@ def test_density_matrix_validation():
     bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(PositivityViolationError):
         DensityMatrix(bad, space)
+    with pytest.raises(NonHermitianError):
+        DensityMatrix(np.diag([np.nan, 1.0, 0.0, 0.0]), space)
     mm = DensityMatrix(np.eye(4, dtype=complex) / 4, space)
     assert math.isclose(entropy(mm.matrix), math.log(4), rel_tol=1e-12)
 
@@ -535,9 +537,6 @@ def test_off_diagonal_parts_that_cancel_across_terms_take_the_eigensolve(monkeyp
 
 
 def test_each_term_is_converted_and_checked_once(monkeypatch):
-    model = ModelInstance(SiteSpace.qubits(2), chain_graph(2),
-                          (parse_sum("1.0 * Z1 Z2"), parse_sum("0.5 * X1"),
-                           SupportedOperator((2,), np.array([[0.0, 1.0], [1.0, 0.0]]))))
     converted, checked = [], []
     term_operator = ModelInstance.term_operator
 
@@ -552,11 +551,14 @@ def test_each_term_is_converted_and_checked_once(monkeypatch):
     monkeypatch.setattr(ModelInstance, "term_operator", convert)
     monkeypatch.setattr(markov, "check_hermitian", check)
     monkeypatch.setattr(cumulants, "check_hermitian", check)
+    model = ModelInstance(SiteSpace.qubits(2), chain_graph(2),
+                          (parse_sum("1.0 * Z1 Z2"), parse_sum("0.5 * X1"),
+                           SupportedOperator((2,), np.array([[0.0, 1.0], [1.0, 0.0]]))))
     model_cumulants(model)
     model.hamiltonian()
     log_partition(model)
     assert converted == list(model.terms)
-    assert checked == [(4, 4), (2, 2), (2, 2)]
+    assert checked == [(2, 2)]  # the dense term, once, at construction
     ops = model.checked_terms
     assert [op.support for op in ops] == [(1, 2), (1,), (2,)]
     for op in ops:
@@ -679,12 +681,15 @@ def test_log_partition_of_a_diagonal_model_is_capped_at_the_cap_squared(monkeypa
 
 
 def test_non_hermitian_term_is_rejected_where_the_hamiltonian_is_summed():
+    # refused at construction, so no route certifies, classifies or sums it
     raising = np.array([[0.0, 1.0], [0.0, 0.0]])
-    model = ModelInstance(SiteSpace.qubits(2), chain_graph(2),
-                          (parse_sum("1.0 * Z1 Z2"), SupportedOperator((2,), raising)))
-    for call in (ModelInstance.hamiltonian, gibbs, log_partition):
-        with pytest.raises(NonHermitianError):
-            call(model)
+    cases = [(2, (parse_sum("1.0 * Z1 Z2"), SupportedOperator((2,), raising)), "term 1"),
+             (3, (parse_sum("1j * Z1 Z2"), parse_sum("1.0 * Z2 Z3")), "Pauli term 0"),
+             (3, (parse_sum("1.0 * Z2 Z3"), parse_sum("nan * Z1 Z2")), "Pauli term 1"),
+             (3, (SupportedOperator((1, 2), np.triu(np.ones((4, 4)))),), "term 0")]
+    for n, terms, where in cases:
+        with pytest.raises(NonHermitianError, match=where):
+            ModelInstance(SiteSpace.qubits(n), chain_graph(n), terms)
 
 
 @st.composite

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import dense_pauli_word
 from qmn import families
-from qmn.errors import ModelFormatError
+from qmn.errors import ModelFormatError, NonHermitianError
 from qmn.graphs import Graph
 from qmn.markov import ModelInstance
 from qmn.pauli import (
@@ -181,10 +181,10 @@ def gapped_ids(draw, max_qubits=6):
 
 
 @st.composite
-def words(draw, ids):
+def words(draw, ids, coeffs=(1.0, -1.0, 2.0, 0.5j, 1 - 2j)):
     """A term and its oracle matrix on ``ids`` in the given order."""
     letters = {q: l for q in ids if (l := draw(st.sampled_from("IXYZ"))) != "I"}
-    coeff = draw(st.sampled_from([1.0, -1.0, 2.0, 0.5j, 1 - 2j]))
+    coeff = draw(st.sampled_from(coeffs))
     term = PauliTerm.from_letters(coeff, letters)
     return term, coeff * dense_pauli_word(letters, ids)
 
@@ -226,7 +226,11 @@ def test_composite_term_operators_follow_composition_order(data):
     graph = Graph.from_edges([(u, v) for u in sites for v in sites if u < v],
                              vertices=sites)
     space = SiteSpace.from_dims({s: 2 ** len(qs) for s, qs in comp.items()})
-    terms = tuple(PauliSum(tuple(data.draw(words(qubits))[0] for _ in range(2)))
+    terms = tuple(PauliSum(tuple(data.draw(words(qubits, (1.0, -1.0, 2.0)))[0]
+                                 for _ in range(2)))
                   for _ in range(3))
     model = ModelInstance(space, graph, terms, site_composition=comp)
     assert_terms_match_composition_kron(model)
+    imaginary = PauliTerm.from_letters(0.5j, {qubits[0]: "X"})
+    with pytest.raises(NonHermitianError):
+        ModelInstance(space, graph, (imaginary,), site_composition=comp)

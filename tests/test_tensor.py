@@ -12,8 +12,8 @@ from qmn.errors import (
     DimensionMismatchError, NonHermitianError, PositivityViolationError, UnknownSiteError,
 )
 from qmn.tensor import (
-    SiteSpace, SupportedOperator, embed, embed_sum, hs_norm, kron, logm_pd, op_schmidt,
-    partial_trace,
+    SiteSpace, SupportedOperator, check_hermitian, embed, embed_sum, hs_norm, kron, logm_pd,
+    op_schmidt, partial_trace,
 )
 
 
@@ -167,6 +167,18 @@ def test_embed_and_partial_trace_match_references_and_are_adjoint(case):
 def test_logm_pd_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         logm_pd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_check_hermitian_refuses_non_finite_entries():
+    with pytest.raises(NonHermitianError, match="= nan exceeds"):
+        check_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    infinite = np.array([[1.0, np.inf], [np.inf, 1.0]])
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    # the first failing matrix of a stack is the one named
+    with pytest.raises(NonHermitianError, match="= nan exceeds"):
+        check_hermitian(np.stack([np.eye(2), infinite, skew]))
+    with pytest.raises(NonHermitianError, match="= 1.000e[+]00 exceeds"):
+        check_hermitian(np.stack([np.eye(2), skew, infinite]))
 
 
 def test_expm_matches_taylor_oracle():
