@@ -13,11 +13,12 @@ which no longer acts on a, and the rest, which is traceless on a.  After
 the last site each part is the component on the sites it kept.  ``expand``
 runs that split on a full-space matrix.  A sum of local operators needs no
 full-space matrix: each operator splits on its own support and the parts
-add per support (``local_expansion``).  ``model_cumulants`` builds the
-expansion of a model's beta H, or of its log rho = beta H - log Z 1, that
-way; of log rho only the scalar -log Z needs the spectrum (Leifer & Poulin,
-arXiv:0708.1337, and Brown & Poulin, arXiv:1206.0755, work with these
-cumulants).
+add per support, and a stack of operators on the same sites splits in one
+pass.  ``model_cumulants`` builds the expansion of a model's beta H, or of
+its log rho = beta H - log Z 1, that way, and ``theorem4_decompose`` the
+cumulants of its regrouped terms; of log rho only the scalar -log Z needs
+the spectrum (Leifer & Poulin, arXiv:0708.1337, and Brown & Poulin,
+arXiv:1206.0755, work with these cumulants).
 """
 
 from __future__ import annotations
@@ -105,29 +106,34 @@ def expand(matrix: np.ndarray, space: SiteSpace,
     if m.shape != (space.total_dim, space.total_dim):
         raise UnknownSiteError(
             f"operator shape {m.shape} does not match space dim {space.total_dim}")
-    return _collect(_local_components(space.sites, m, space), space, drop_rtol)
+    dims = dict(zip(space.sites, space.dims))
+    return _collect(_local_components(space.sites, dims, m), space, drop_rtol)
 
 
-def _local_components(support: tuple[int, ...], matrix: np.ndarray,
-                      space: SiteSpace) -> dict[tuple[int, ...], np.ndarray]:
+def _local_components(support: tuple[int, ...], dims: Mapping[int, int],
+                      matrix: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
     """Every cumulant component of one operator, split on its own support.
 
-    For each site a of the support in turn, every part splits into its
-    normalized partial trace over a and the rest, which is traceless on a.
+    ``dims`` maps each site of the support to its dimension.  ``matrix``
+    may carry leading axes, a stack of operators on the same sites, each
+    split on its own.  For each site a of the support in turn, every part
+    splits into its normalized partial trace over a and the rest, which is
+    traceless on a.
     """
-    dims = {s: space.dim(s) for s in support}
+    lead = list(matrix.shape[:-2])
+    b = len(lead)
     parts = {tuple(support): matrix}
     for a in support:
         d, eye = dims[a], np.eye(dims[a])
         split: dict[tuple[int, ...], np.ndarray] = {}
         for key, m in parts.items():
             n, i = len(key), key.index(a)
-            shape = [dims[s] for s in key] * 2
+            shape = lead + [dims[s] for s in key] * 2
             t = m.reshape(shape)
-            trace = np.trace(t, axis1=i, axis2=n + i) / d
-            split[key[:i] + key[i + 1:]] = trace.reshape(m.shape[0] // d, -1)
+            trace = np.trace(t, axis1=b + i, axis2=b + n + i) / d
+            split[key[:i] + key[i + 1:]] = trace.reshape(m.shape[:-2] + (m.shape[-1] // d, -1))
             # the trace embedded back: identity on site a's row and column axes
-            shape[i] = shape[n + i] = 1
+            shape[b + i] = shape[b + n + i] = 1
             eye_shape = [d if x in (i, n + i) else 1 for x in range(2 * n)]
             split[key] = (t - trace.reshape(shape) * eye.reshape(eye_shape)).reshape(m.shape)
         parts = split
@@ -139,7 +145,8 @@ def _split_sum(terms: Iterable[tuple[tuple[int, ...], np.ndarray]],
     """Components of a sum of (support, matrix) terms, added per support."""
     parts: dict[tuple[int, ...], np.ndarray] = {}
     for support, matrix in terms:
-        for key, m in _local_components(support, matrix, space).items():
+        dims = {s: space.dim(s) for s in support}
+        for key, m in _local_components(support, dims, matrix).items():
             parts[key] = parts[key] + m if key in parts else m
     return parts
 
@@ -156,15 +163,6 @@ def _collect(parts: Mapping[tuple[int, ...], np.ndarray], space: SiteSpace,
                for k in sorted(parts, key=lambda k: (len(k), k))
                if norms[k] > cutoff_sq}
     return CumulantExpansion(space, entries, total, scalar_known)
-
-
-def local_expansion(ops: Iterable[SupportedOperator], space: SiteSpace
-                    ) -> CumulantExpansion:
-    """Every nonzero cumulant component of a sum of local operators, with
-    no full-space matrix: each operator is split on its own support and the
-    parts are summed per support."""
-    parts = _split_sum(((op.support, op.matrix) for op in ops), space)
-    return _collect(parts, space, drop_rtol=0.0)
 
 
 CUMULANT_TARGETS = ("log-gibbs", "hamiltonian")

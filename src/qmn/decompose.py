@@ -28,6 +28,20 @@ other does not touch.  Then [a, b] = sum_ij w_i w'_j [F_i, F'_j] (x) A_i
 ||[F_i, F'_j]||^2 exactly, with no embedding.  One Schmidt split per edge
 cumulant serves the edge check, the star commutants and the final check.
 
+The decomposition's linear algebra is small and per site, so all sites of
+one dimension d run it as one stack: one batched site-factor product for
+the edge check and one for the final check; one star solve (one
+eigensolve over every joint and pull commutant form, one batched
+minimum-norm least-squares solve); and the final edge terms and their
+cumulants one stack per pair of site dimensions.  A batched product or
+solve pads each site with zeros to the largest site in its batch, so
+sites of very different degree go into separate batches: a site joins a
+batch only if it is at least half the batch's largest (``_size_groups``).
+A chain or a grid is one batch per dimension, and a hub of high degree
+is a batch of its own, which pads no other site.  The number of numpy
+calls follows the number of site dimensions and degree classes, not of
+vertices.
+
 One commutation engine serves every question.  A single relative
 commutator norm, ||[a, b]|| / (||a|| ||b||) in the dimension-normalized
 Hilbert-Schmidt norm ||X|| / sqrt(dim X), is exact for Pauli sums and
@@ -87,7 +101,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cumulants import CumulantExpansion, local_expansion, verify_clique_support
+from .cumulants import (
+    CumulantExpansion,
+    _embedded_norm_sq,
+    _local_components,
+    verify_clique_support,
+)
 from .errors import (
     DecompositionResidualError,
     EnumerationCapError,
@@ -441,11 +460,36 @@ def _edge_ends(edge_cumulants: Mapping[tuple[int, int], SupportedOperator],
     return ends
 
 
+def _owner(sizes: Sequence[int]) -> np.ndarray:
+    """The run of each item, for consecutive runs of ``sizes`` items."""
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _slots(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The run of each item (``_owner``) and its position within the run."""
+    owner = _owner(sizes)
+    return owner, np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+
+
 def _runs(sizes: Sequence[int]) -> np.ndarray:
     """0/1 matrix whose row i sums the i-th of consecutive runs of ``sizes``
     items (an empty run sums to zero)."""
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    return (owner == np.arange(len(sizes))[:, None]).astype(float)
+    return (_owner(sizes) == np.arange(len(sizes))[:, None]).astype(float)
+
+
+def _size_groups(sizes: Sequence[int]) -> list[list[int]]:
+    """The indices of ``sizes``, largest first, in groups whose members are
+    each at least half the group's largest.  Padding a member to its
+    group's largest at most doubles its size.  Sites of similar size, such
+    as those of a chain or a grid, form one group, and a site more than
+    twice the size of the rest forms its own."""
+    groups: list[list[int]] = []
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        if groups and 2 * sizes[i] >= sizes[groups[-1][0]]:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
 
 
 def _weighted(split: Schmidt) -> np.ndarray:
@@ -453,30 +497,54 @@ def _weighted(split: Schmidt) -> np.ndarray:
     return split.weights[:, None, None] * split.left
 
 
-def _shared_site_norms(groups: Sequence[np.ndarray], norms: Sequence[float],
-                       d: int) -> np.ndarray:
+def _shared_site_norms(sites: Sequence[Sequence[np.ndarray]],
+                       norms: Sequence[Sequence[float]], d: int) -> list[np.ndarray]:
     """Relative commutator norms, as ``_relative_commutator``'s, of operators
-    meeting at one site of dimension ``d``.
+    meeting at one site, for several sites of dimension ``d`` at once.
 
-    ``groups[i]`` is a stack of weighted site factors x_k with a_i = sum_k
-    x_k (x) B_k, the B_k Hilbert-Schmidt orthonormal on sites that no other
-    a_j acts on, and ``norms[i]`` is ||a_i||.  Then [a_i, a_j] = sum_kl
-    [x_k, y_l] (x) B_k (x) B'_l with orthonormal partners, so ||[a_i,
-    a_j]||^2 = sum_kl ||[x_k, y_l]||^2 exactly, and one product of all
-    factors at the site gives every pair.  In the dimension-normalized norm
-    the sites that only one operand acts on cancel, which leaves sqrt(d).
-    A pair with a zero operand gets 0.0.
+    ``sites[s][i]`` is a stack of weighted site factors x_k of the i-th
+    operator a_i at site s, with a_i = sum_k x_k (x) B_k, the B_k
+    Hilbert-Schmidt orthonormal on sites that no other operator at s acts
+    on, and ``norms[s][i]`` is ||a_i||.  Then [a_i, a_j] = sum_kl [x_k, y_l]
+    (x) B_k (x) B'_l with orthonormal partners, so ||[a_i, a_j]||^2 =
+    sum_kl ||[x_k, y_l]||^2 exactly, and one product of all factors at a
+    site gives every pair.  In the dimension-normalized norm the sites that
+    only one operand acts on cancel, which leaves sqrt(d).  Returns, per
+    site, the (g, g) matrix of its g operators' pairs; a pair with a zero
+    operand, or of an operator with itself, gets 0.0.
+
+    Sites of similar factor counts (``_size_groups``) share one batched
+    product, each padded with zero factors to the largest count among
+    them, at most twice its own.  The work and memory of a site grow as the
+    square of its count, so padding at most quadruples them, and a vertex
+    of much higher degree than the rest pads none of them.
     """
-    y = np.concatenate(groups)
-    n = len(y)
-    # p[a, i, b, k] = (y_a y_b)[i, k]
-    p = (y.reshape(n * d, d) @ y.transpose(1, 0, 2).reshape(d, n * d)).reshape(n, d, n, d)
-    c = p - p.transpose(2, 1, 0, 3)
-    runs = _runs([len(g) for g in groups])
-    sq = runs @ (c.real ** 2 + c.imag ** 2).sum(axis=(1, 3)) @ runs.T
-    scale = np.outer(norms, norms)
-    return np.divide(np.sqrt(sq) * math.sqrt(d), scale, out=np.zeros_like(sq),
-                     where=scale > 0.0)
+    widths = [sum(len(x) for x in ops) for ops in sites]
+    out: list[np.ndarray] = [np.zeros((0, 0))] * len(sites)
+    for group in _size_groups(widths):
+        counts = [len(sites[s]) for s in group]
+        op_site, op_slot = _slots(counts)
+        f_site, f_slot = _slots([widths[s] for s in group])
+        m, width, g = len(group), widths[group[0]], max(counts)
+        y = np.zeros((m, width, d, d), dtype=complex)
+        y[f_site, f_slot] = np.concatenate([x for s in group for x in sites[s]])
+        runs = np.zeros((m, g, width))
+        runs[f_site, np.repeat(op_slot, [len(x) for s in group for x in sites[s]]),
+             f_slot] = 1.0
+        scale = np.zeros((m, g))
+        scale[op_site, op_slot] = [x for s in group for x in norms[s]]
+        # p[s, a, i, b, k] = (y_a y_b)[i, k] at site s
+        p = (y.reshape(m, width * d, d) @ y.transpose(0, 2, 1, 3).reshape(m, d, width * d)
+             ).reshape(m, width, d, width, d)
+        c = (p - p.transpose(0, 3, 2, 1, 4)).view(float)
+        sq = runs @ np.einsum("sakbl,sakbl->sab", c, c) @ runs.transpose(0, 2, 1)
+        scale = scale[:, :, None] * scale[:, None, :]
+        scale.reshape(m, -1)[:, ::g + 1] = 0.0  # an operator commutes with itself
+        rel = np.divide(np.sqrt(sq) * math.sqrt(d), scale, out=np.zeros_like(sq),
+                        where=scale > 0.0)
+        for s, k, r in zip(group, counts, rel):
+            out[s] = r[:k, :k]
+    return out
 
 
 def _commutant_forms(gens: Sequence[np.ndarray], basis: np.ndarray) -> np.ndarray:
@@ -494,6 +562,78 @@ def _commutant_forms(gens: Sequence[np.ndarray], basis: np.ndarray) -> np.ndarra
     return (_runs([len(x) for x in gens]) @ per_gen).reshape(len(gens), n, n)
 
 
+def _star_stack(ks: np.ndarray, gens: Sequence[Sequence[np.ndarray]], rtol: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Star decompositions of the vertex cumulants ``ks``, shape (m, d, d),
+    of m sites of one dimension d, as one stack.
+
+    ``gens[i]`` lists, for each edge end at site i in order, the stack of
+    that edge's site-i factors.  Returns the free parts h (m, d, d), the
+    pulls (one per edge end, site by site in order, (e, d, d)), and each
+    site's residual and scale, as ``star_decompose`` describes them.  All m
+    joint forms and e pull forms share one eigensolve.  Each site's
+    least-squares columns, its joint span then its pull spans with the cut
+    eigenvectors zeroed, are padded with zero columns to the largest star
+    among sites of similar degree (``_size_groups``), and one batched
+    pseudo-inverse per such group, cut at the relative singular value that
+    ``lstsq`` applies to the unpadded columns, gives the minimum-norm
+    solution ``lstsq`` gives.
+    """
+    m, d = ks.shape[0], ks.shape[-1]
+    basis = hermitian_basis(d)
+    n = len(basis)
+    flat = basis.reshape(n, -1)
+    degs = [len(x) for x in gens]
+    owner, slot = _slots(degs)
+    per_site = _runs(degs)
+    forms = _commutant_forms([x for ends in gens for x in ends], basis)
+    joint = (per_site @ forms.reshape(len(forms), n * n)).reshape(m, n, n)
+    w, vecs = np.linalg.eigh(np.concatenate([joint, joint[owner] - forms]))
+    keep = w <= rtol * np.maximum(w[:, -1:], 1e-300)
+    spans = vecs * keep[:, None, :]
+    joint_span, pull_span = spans[:m], spans[m:]
+    kept = keep[:m].sum(axis=1) + per_site @ keep[m:].sum(axis=1)
+    target = (ks.reshape(m, -1) @ flat.conj().T).real
+
+    joint_coef, pull_coef = np.zeros((m, n)), np.zeros((len(forms), n))
+    for group in _size_groups([1 + k for k in degs]):
+        size, top = len(group), degs[group[0]]
+        if size == m:  # one group: no index maps
+            group, ends, at = slice(None), slice(None), (owner, slot + 1)
+        else:
+            row = np.full(m, -1)
+            row[group] = np.arange(size)
+            ends = np.flatnonzero(row[owner] >= 0)
+            at = (row[owner[ends]], slot[ends] + 1)
+        cols = np.zeros((size, 1 + top, n, n))
+        cols[:, 0] = joint_span[group]
+        cols[at] = pull_span[ends]
+        cols = cols.transpose(0, 2, 1, 3).reshape(size, n, -1)
+        cut = np.finfo(float).eps * np.maximum(kept[group], n)
+        coef = (np.linalg.pinv(cols, rcond=cut) @ target[group][..., None])[..., 0]
+        blocks = coef.reshape(size, -1, n)
+        joint_coef[group] = blocks[:, 0]
+        pull_coef[ends] = blocks[at]
+    free = (joint_span @ joint_coef[..., None])[..., 0]
+    g = (pull_span @ pull_coef[..., None])[..., 0]
+    fit = free + per_site @ g
+    res = np.linalg.norm((ks - (fit @ flat).reshape(m, d, d)).reshape(m, -1), axis=1)
+    scale = np.maximum(np.linalg.norm(ks.reshape(m, -1), axis=1), 1e-300)
+
+    # the joint commutant sits inside every pull space; that overlap is h's
+    inner = joint_span[owner]
+    shared = (inner @ (inner.transpose(0, 2, 1) @ g[..., None]))[..., 0]
+    h = free + per_site @ shared
+    return ((h @ flat).reshape(m, d, d), ((g - shared) @ flat).reshape(-1, d, d),
+            res, scale)
+
+
+def _residual_error(u: int, res: float, scale: float) -> DecompositionResidualError:
+    return DecompositionResidualError(
+        f"vertex cumulant at {u} leaves residual {res:.3e} "
+        f"(scale {scale:.3e}) outside the ansatz", residual=res)
+
+
 def star_decompose(k_u: SupportedOperator, ends: Mapping[int, Schmidt], u: int,
                    rtol: float = DEFAULT_RTOL) -> StarDecomposition:
     """Split K_u as h_u + sum_v G_u^v compatible with the edge cumulants.
@@ -508,48 +648,24 @@ def star_decompose(k_u: SupportedOperator, ends: Mapping[int, Schmidt], u: int,
     pull form for v the joint form minus v's, and one stacked eigensolve
     cuts each null space at ``rtol`` times the form's largest eigenvalue.  A
     residual above tolerance rejects the split.  The joint commutant
-    belongs to every pull space, so after the least-squares fit that shared
-    part is stripped from the pulls and folded into h_u, which makes the
-    split canonical.
+    belongs to every pull space, so after the minimum-norm least-squares
+    fit that shared part is stripped from the pulls and folded into h_u,
+    which makes the split canonical.
+
+    This is the one-site call of the stacked kernel that
+    ``theorem4_decompose`` runs once per site dimension.
     """
     if k_u.support != (u,):
         raise UnknownSiteError(f"vertex cumulant must sit on ({u},), got "
                                f"{k_u.support}")
     order = sorted(ends)
-    basis = hermitian_basis(k_u.dim)
-    n = len(basis)
-    flat = basis.reshape(n, -1)
-    forms = _commutant_forms([ends[v].left[:ends[v].rank] for v in order], basis)
-    joint = forms.sum(axis=0)
-    w, vecs = np.linalg.eigh(np.concatenate([joint[None], joint - forms]))
-    spans = [vec[:, ws <= rtol * max(float(ws[-1]), 1e-300)]
-             for ws, vec in zip(w, vecs)]
-
-    def matrix(x: np.ndarray) -> np.ndarray:
-        return (x @ flat).reshape(k_u.dim, k_u.dim)
-
-    target = (flat.conj() @ k_u.matrix.reshape(-1)).real
-    cols = np.hstack(spans)
-    coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
-    res = hs_norm(k_u.matrix - matrix(cols @ coef))
-    scale = max(hs_norm(k_u.matrix), 1e-300)
-    if res > rtol * scale:
-        raise DecompositionResidualError(
-            f"vertex cumulant at {u} leaves residual {res:.3e} "
-            f"(scale {scale:.3e}) outside the ansatz", residual=res)
-
-    ends_at = np.cumsum([s.shape[1] for s in spans])
-    blocks = np.split(coef, ends_at[:-1])
-    joint_span = spans[0]
-    h_u = joint_span @ blocks[0]
-    pulls: dict[int, SupportedOperator] = {}
-    for v, span, c in zip(order, spans[1:], blocks[1:]):
-        g = span @ c
-        # the joint commutant sits inside every pull space; that overlap is h_u's
-        shared = joint_span @ (joint_span.T @ g)
-        h_u = h_u + shared
-        pulls[v] = SupportedOperator((u,), matrix(g - shared))
-    return StarDecomposition(u, SupportedOperator((u,), matrix(h_u)), pulls, res)
+    h, pulls, res, scale = _star_stack(
+        k_u.matrix[None], [[ends[v].left[:ends[v].rank] for v in order]], rtol)
+    if res[0] > rtol * scale[0]:
+        raise _residual_error(u, float(res[0]), float(scale[0]))
+    return StarDecomposition(u, SupportedOperator((u,), h[0]),
+                             {v: SupportedOperator((u,), g) for v, g in zip(order, pulls)},
+                             float(res[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +713,13 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
 
     Every commutator is taken from the site factors of the one vertex the
     two terms share (``_shared_site_norms``), with the Schmidt split
-    of each edge cumulant computed once.
+    of each edge cumulant computed once.  Sites of one dimension share each
+    kernel (see the module docstring): the edge check, the star solve
+    (``_star_stack``, of which ``star_decompose`` is the one-site call) and
+    the final check run once per site dimension, split further only where
+    degrees differ widely, and the edge terms and the rebuild of their
+    cumulants once per pair of dimensions.  A star residual above
+    tolerance names the lowest failing vertex.
     """
     space = expansion.space
     if graph.vertices != set(space.sites):
@@ -622,16 +744,24 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
     def edge(u: int, v: int) -> tuple[int, int]:
         return (u, v) if u < v else (v, u)
 
+    # sites of one dimension share every kernel, each in ascending order
+    by_dim: dict[int, list[int]] = {}
+    for u in star_of:
+        by_dim.setdefault(space.dim(u), []).append(u)
+    weighted = {end: _weighted(split) for end, split in ends.items()}
     edge_norms = {e: k.hs_norm() for e, k in edge_cumulants.items()}
     norms: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
-    for u, vs in star_of.items():
-        if len(vs) < 2:
+    for d, us in by_dim.items():
+        hubs = [u for u in us if len(star_of[u]) > 1]
+        if not hubs:
             continue
-        es = [edge(u, v) for v in vs]
-        rel = _shared_site_norms([_weighted(ends[u, v]) for v in vs],
-                                 [edge_norms[e] for e in es], space.dim(u))
-        for a, b in itertools.combinations(range(len(vs)), 2):
-            norms[min(es[a], es[b]), max(es[a], es[b])] = float(rel[a, b])
+        rel = _shared_site_norms(
+            [[weighted[u, v] for v in star_of[u]] for u in hubs],
+            [[edge_norms[edge(u, v)] for v in star_of[u]] for u in hubs], d)
+        for u, r in zip(hubs, rel):
+            es = [edge(u, v) for v in star_of[u]]
+            for a, b in itertools.combinations(range(len(es)), 2):
+                norms[min(es[a], es[b]), max(es[a], es[b])] = float(r[a, b])
     worst = max(sorted(norms), key=norms.__getitem__, default=None)
     if worst is not None and norms[worst] > support_rtol:
         raise NotMarkovError(
@@ -639,46 +769,99 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
             f"(relative norm {norms[worst]:.3e})")
 
     n = len(space.sites)
-    k0 = float(expansion.operator(()).matrix[0, 0].real)
-    vertex_terms: dict[int, SupportedOperator] = {}
-    pulls: dict[tuple[int, int], np.ndarray] = {}
-    for u in sorted(graph.vertices):
-        star = star_decompose(expansion.operator((u,)),
-                              {v: ends[u, v] for v in star_of[u]}, u, rtol=rtol)
-        shift = (k0 / n) * np.eye(space.dim(u), dtype=complex)
-        vertex_terms[u] = SupportedOperator((u,), star.vertex_term.matrix + shift)
-        for v, g in star.pulls.items():
-            pulls[u, v] = g.matrix
-    final_edges = {}
-    for (u, v), k_uv in edge_cumulants.items():
-        du, dv = space.dim(u), space.dim(v)
-        # K_uv + G_u^v (x) I + I (x) G_v^u, axes (u row, v row, u col, v col)
-        m = (k_uv.matrix.reshape(du, dv, du, dv)
-             + pulls[u, v][:, None, :, None] * np.eye(dv)[:, None]
-             + np.eye(du)[:, None, :, None] * pulls[v, u][:, None])
-        final_edges[u, v] = SupportedOperator((u, v), m.reshape(du * dv, du * dv))
+    k0 = expansion.operator(()).matrix[0, 0]
+    at = {u: i for us in by_dim.values() for i, u in enumerate(us)}  # row in its stack
+    cumulants: dict[int, np.ndarray] = {}  # per dimension: K_u, vertex terms, pulls
+    vertex_stacks: dict[int, np.ndarray] = {}
+    pull_stacks: dict[int, np.ndarray] = {}
+    pull_at: dict[tuple[int, int], int] = {}
+    failed = []
+    for d, us in by_dim.items():
+        cumulants[d] = np.stack([expansion.operator((u,)).matrix for u in us])
+        h, pull_stacks[d], res, scale = _star_stack(
+            cumulants[d], [[ends[u, v].left[:ends[u, v].rank] for v in star_of[u]]
+                           for u in us], rtol)
+        failed += [(u, float(r), float(x)) for u, r, x in zip(us, res, scale)
+                   if r > rtol * x]
+        vertex_stacks[d] = h + (k0.real / n) * np.eye(d)
+        pull_at.update((end, i) for i, end in enumerate(
+            (u, v) for u in us for v in star_of[u]))
+    if failed:
+        raise _residual_error(*min(failed))
+
+    def pulls(d: int, ends_at: list[tuple[int, int]]) -> np.ndarray:
+        return pull_stacks[d][[pull_at[e] for e in ends_at]]
+
+    # K_uv + G_u^v (x) I + I (x) G_v^u, one stack per shape, axes (edge,
+    # u row, v row, u col, v col)
+    by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for u, v in edge_cumulants:
+        by_shape.setdefault((space.dim(u), space.dim(v)), []).append((u, v))
+    edge_stacks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    for (du, dv), es in by_shape.items():
+        k = np.stack([edge_cumulants[e].matrix for e in es])
+        pu = pulls(du, es)
+        pv = pulls(dv, [(v, u) for u, v in es])
+        t = (k.reshape(-1, du, dv, du, dv)
+             + pu[:, :, None, :, None] * np.eye(dv)[:, None]
+             + np.eye(du)[:, None, :, None] * pv[:, None, :, None, :])
+        edge_stacks[du, dv] = (k, t.reshape(k.shape))
+    vertex_terms = {u: SupportedOperator((u,), vertex_stacks[space.dim(u)][at[u]])
+                    for u in star_of}
+    rows = {e: t for shape, es in by_shape.items() for e, t in zip(es, edge_stacks[shape][1])}
+    final_edges = {e: SupportedOperator(e, rows[e]) for e in edge_cumulants}
 
     # at u an edge term is its cumulant's weighted factors, whose partners
     # on v are traceless, plus its pull times I_v (normalized: sqrt(d_v));
-    # the pull on v commutes with everything at u
+    # the pull on v commutes with everything at u.  A term at or below the
+    # floor enters with norm 0, so none of its pairs is judged.
     floor_sq = support_rtol ** 2 * expansion.total_norm_sq / space.total_dim
-    max_commutator = 0.0
-    for u, vs in star_of.items():
-        ops = [vertex_terms[u]] + [final_edges[edge(u, v)] for v in vs]
-        groups = [vertex_terms[u].matrix[None]] + [
-            np.concatenate([_weighted(ends[u, v]),
-                            math.sqrt(space.dim(v)) * pulls[u, v][None]]) for v in vs]
-        op_norms = np.array([op.hs_norm() for op in ops])
-        rel = _shared_site_norms(groups, op_norms, space.dim(u))
-        judged = op_norms ** 2 / [op.dim for op in ops] > floor_sq
-        pairs = np.triu(np.outer(judged, judged), 1)
-        max_commutator = max(max_commutator, float(rel[pairs].max(initial=0.0)))
 
-    terms = [vertex_terms[u] for u in sorted(vertex_terms)]
-    terms += [final_edges[e] for e in sorted(final_edges)]
-    rebuilt = local_expansion(terms, space)
-    scale = max(math.sqrt(expansion.total_norm_sq), 1e-300)
-    residual = rebuilt.distance(expansion) / scale
+    def judged_norms(stack: np.ndarray) -> np.ndarray:
+        x = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
+        return np.where(x * x / stack.shape[-1] > floor_sq, x, 0.0)
+
+    term_norm = {u: x for d, us in by_dim.items()
+                 for u, x in zip(us, judged_norms(vertex_stacks[d]).tolist())}
+    term_norm.update((e, x) for shape, es in by_shape.items()
+                     for e, x in zip(es, judged_norms(edge_stacks[shape][1]).tolist()))
+    max_commutator = 0.0
+    for d, us in by_dim.items():
+        hubs = [u for u in us if star_of[u]]
+        if not hubs:
+            continue
+        here = [(u, v) for u in hubs for v in star_of[u]]
+        scaled = np.sqrt([space.dim(v) for _, v in here])[:, None, None] * pulls(d, here)
+        at_u = {end: np.concatenate([weighted[end], g[None]]) for end, g in zip(here, scaled)}
+        rel = _shared_site_norms(
+            [[vertex_stacks[d][at[u]][None]] + [at_u[u, v] for v in star_of[u]]
+             for u in hubs],
+            [[term_norm[u]] + [term_norm[edge(u, v)] for v in star_of[u]] for u in hubs], d)
+        max_commutator = max([max_commutator] + [float(r.max()) for r in rel])
+
+    # the rebuild: the terms' cumulants against the expansion's, support by
+    # support, each stack split at once
+    scalar = -k0
+    sq = 0.0
+    rebuilt: dict[int, np.ndarray] = {}
+    for d, stack in vertex_stacks.items():
+        parts = _local_components((0,), {0: d}, stack)
+        scalar += parts[()].sum()
+        rebuilt[d] = parts[(0,)]
+    for (du, dv), es in by_shape.items():
+        k, t = edge_stacks[du, dv]
+        parts = _local_components((0, 1), {0: du, 1: dv}, t)
+        scalar += parts[()].sum()
+        for key, d, ends_on in (((0,), du, [u for u, _ in es]), ((1,), dv, [v for _, v in es])):
+            np.add.at(rebuilt[d], [at[u] for u in ends_on], parts[key])
+        sq += _embedded_norm_sq(space, es[0], parts[0, 1] - k)
+    sq += _embedded_norm_sq(space, (), np.array([scalar]))
+    for d, r in rebuilt.items():
+        sq += _embedded_norm_sq(space, by_dim[d][:1], r - cumulants[d])
+    # cumulants on no clique, which the support check let through
+    sq += sum(expansion.norm_sq(key) for key in expansion.entries
+              if len(key) > 1 and key not in edge_keys)
+    residual = math.sqrt(sq) / max(math.sqrt(expansion.total_norm_sq), 1e-300)
     if max_commutator > support_rtol:
         raise DecompositionResidualError(
             f"regrouped terms fail to commute (relative norm {max_commutator:.3e})",

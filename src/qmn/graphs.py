@@ -116,10 +116,11 @@ def cliques(graph: Graph, max_size: int | None = None) -> list[tuple[int, ...]]:
 
 def is_triangle_free(graph: Graph) -> bool:
     """True iff no edge's endpoints share a neighbor."""
+    adj: dict[int, set[int]] = {v: set() for v in graph.vertices}
     for u, v in graph.edges:
-        if graph.neighbors(u) & graph.neighbors(v):
-            return False
-    return True
+        adj[u].add(v)
+        adj[v].add(u)
+    return not any(adj[u] & adj[v] for u, v in graph.edges)
 
 
 def _partitions(vs: list[int], rows: np.ndarray) -> Iterator[Partition]:

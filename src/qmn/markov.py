@@ -298,7 +298,8 @@ class ModelInstance:
     symmetrized matrix of ``check_hermitian``, which refuses a non-finite
     entry or a defect beyond ``HERMITIAN_RTOL``.  Else ``NonHermitianError``
     names the term.  A Pauli term's sites must have dim 2 (2**qubits with a
-    composition), or ``DimensionMismatchError`` names the term and site.
+    composition), and a dense term's matrix the product of its sites'
+    dimensions, or ``DimensionMismatchError`` names the term and its sites.
     """
 
     space: SiteSpace
@@ -330,6 +331,11 @@ class ModelInstance:
                 raise UnknownSiteError(
                     f"term support {sorted(sup)} is not a clique of the graph")
             if isinstance(t, SupportedOperator):
+                want = math.prod(self.space.dim(s) for s in sup)
+                if t.dim != want:
+                    raise DimensionMismatchError(
+                        f"term {k} on sites {list(sup)} is {t.dim} x {t.dim}; "
+                        f"their dimensions need {want} x {want}")
                 try:
                     t = SupportedOperator(t.support, check_hermitian(t.matrix))
                 except NonHermitianError as e:

@@ -298,33 +298,35 @@ def op_schmidt(cuts: Iterable[tuple[SupportedOperator, Iterable[int]]],
     For each ``(op, left)`` the support is cut into the sites ``left`` and
     the rest.  Each operator is reshuffled so that its rows pair (row, col)
     indices of the left sites and its columns those of the right; the
-    reshuffled matrices of one shape share one batched SVD.
+    reshuffled matrices of one shape share one batched SVD.  Operators on
+    site dimensions of one order with cuts of one layout are reshuffled as
+    one stack.
     """
-    shuffled = []
+    mats: list[np.ndarray] = []
+    groups: dict[tuple[tuple[int, ...], tuple[int, ...], int], list[int]] = {}
     for op, left in cuts:
         left = sorted(set(left))
         right = [s for s in op.support if s not in left]
         if not left or not right or any(s not in op.support for s in left):
             raise UnknownSiteError(
                 f"cut {left} must be a nonempty proper subset of the support {op.support}")
-        dims = [space.dim(s) for s in op.support]
-        n = len(dims)
         axes = {s: k for k, s in enumerate(op.support)}
-        order = [axes[s] for s in left] + [axes[s] for s in right]
-        t = op.matrix.reshape(dims + dims).transpose(order + [n + a for a in order])
-        dl = math.prod(space.dim(s) for s in left)
-        dr = math.prod(space.dim(s) for s in right)
-        # group (row_L, col_L) against (row_R, col_R)
-        shuffled.append(t.reshape(dl, dr, dl, dr).transpose(0, 2, 1, 3)
-                        .reshape(dl * dl, dr * dr))
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, t in enumerate(shuffled):
-        groups.setdefault(t.shape, []).append(i)
+        order = tuple(axes[s] for s in left) + tuple(axes[s] for s in right)
+        dims = tuple(space.dim(s) for s in op.support)
+        groups.setdefault((dims, order, len(left)), []).append(len(mats))
+        mats.append(op.matrix)
     out: dict[int, Schmidt] = {}
-    for (nl, nr), members in groups.items():
-        u, s, vh = np.linalg.svd(np.stack([shuffled[i] for i in members]),
-                                 full_matrices=False)
-        dl, dr = math.isqrt(nl), math.isqrt(nr)
-        for i, ui, si, vi in zip(members, u, s, vh):
-            out[i] = Schmidt(si, ui.T.reshape(-1, dl, dl), vi.reshape(-1, dr, dr))
-    return [out[i] for i in range(len(shuffled))]
+    for (dims, order, cut), members in groups.items():
+        n = len(dims)
+        dl = math.prod(dims[a] for a in order[:cut])
+        dr = math.prod(dims[a] for a in order[cut:])
+        t = np.stack([mats[i] for i in members]).reshape((-1,) + dims * 2).transpose(
+            (0,) + tuple(1 + a for a in order) + tuple(1 + n + a for a in order))
+        # group (row_L, col_L) against (row_R, col_R)
+        t = t.reshape(-1, dl, dr, dl, dr).transpose(0, 1, 3, 2, 4).reshape(-1, dl * dl, dr * dr)
+        u, s, vh = np.linalg.svd(t, full_matrices=False)
+        lefts = u.transpose(0, 2, 1).reshape(len(members), -1, dl, dl)
+        rights = vh.reshape(len(members), -1, dr, dr)
+        for i, si, li, ri in zip(members, s, lefts, rights):
+            out[i] = Schmidt(si, li, ri)
+    return [out[i] for i in range(len(mats))]

@@ -12,7 +12,12 @@ the spectral exponential that the round-trip tests feed to ``logm_pd``; it
 is itself checked against the Taylor series.  ``walk_oracle`` is the one
 exception: it reuses the library's grouping search, because what it checks
 in ``classify`` is the split into noncommutation components, not the
-search.  The stabilizer generator sets and ``stabilizer_state`` at the end
+search.  ``theorem4_reference`` is the vertex-by-vertex decomposition
+that the stacked kernels of ``theorem4_decompose`` replaced: it keeps the
+library's Schmidt splits and commutant forms but solves each star with its
+own eigensolve and ``lstsq``, checks commutation one site at a time, and
+rebuilds the cumulants term by term (``local_expansion``).  The stabilizer
+generator sets and ``stabilizer_state`` at the end
 are fixtures rather than oracles: exact Markov and non-Markov states that
 the package has no use for.
 """
@@ -25,9 +30,29 @@ from typing import Sequence
 
 import numpy as np
 
-from qmn.decompose import _best_grouping
-from qmn.errors import DimensionMismatchError
-from qmn.graphs import Graph, Partition
+from qmn.cumulants import (
+    CumulantExpansion,
+    _collect,
+    _split_sum,
+    verify_clique_support,
+)
+from qmn.decompose import (
+    CommutingDecomposition,
+    StarDecomposition,
+    _best_grouping,
+    _commutant_forms,
+    _edge_ends,
+    _weighted,
+    hermitian_basis,
+)
+from qmn.errors import (
+    DecompositionResidualError,
+    DimensionMismatchError,
+    NotMarkovError,
+    NotTriangleFreeError,
+    UnknownSiteError,
+)
+from qmn.graphs import Graph, Partition, is_triangle_free
 from qmn.markov import DensityMatrix
 from qmn.pauli import PauliSum, PauliTerm, as_sum, commutes
 from qmn.tensor import (
@@ -35,6 +60,7 @@ from qmn.tensor import (
     SupportedOperator,
     check_hermitian,
     embed,
+    hs_norm,
     require_dense,
 )
 
@@ -211,6 +237,163 @@ def walk_oracle(model, rtol: float = 1e-9) -> dict:
         p = Partition(a, b, c)
         out[p] = _best_grouping(keyed, p, model.space, tol) <= tol
     return out
+
+
+# ---------------------------------------------------------------------------
+# the vertex-by-vertex decomposition
+
+def local_expansion(ops, space: SiteSpace) -> CumulantExpansion:
+    """Every nonzero cumulant component of a sum of local operators, each
+    split on its own support and the parts summed per support."""
+    parts = _split_sum(((op.support, op.matrix) for op in ops), space)
+    return _collect(parts, space, drop_rtol=0.0)
+
+
+def shared_site_norms_reference(groups, norms, d: int) -> np.ndarray:
+    """Relative commutator norms of operators meeting at one site, from
+    their weighted site factors (``groups[i]`` for operator i)."""
+    y = np.concatenate(groups)
+    n = len(y)
+    p = (y.reshape(n * d, d) @ y.transpose(1, 0, 2).reshape(d, n * d)).reshape(n, d, n, d)
+    c = p - p.transpose(2, 1, 0, 3)
+    owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    runs = (owner == np.arange(len(groups))[:, None]).astype(float)
+    sq = runs @ (c.real ** 2 + c.imag ** 2).sum(axis=(1, 3)) @ runs.T
+    scale = np.outer(norms, norms)
+    return np.divide(np.sqrt(sq) * math.sqrt(d), scale, out=np.zeros_like(sq),
+                     where=scale > 0.0)
+
+
+def star_reference(k_u: SupportedOperator, ends, u: int,
+                   rtol: float = 1e-9) -> StarDecomposition:
+    """One star solved on its own: one eigensolve, one ``lstsq``."""
+    if k_u.support != (u,):
+        raise UnknownSiteError(f"vertex cumulant must sit on ({u},), got "
+                               f"{k_u.support}")
+    order = sorted(ends)
+    basis = hermitian_basis(k_u.dim)
+    n = len(basis)
+    flat = basis.reshape(n, -1)
+    forms = _commutant_forms([ends[v].left[:ends[v].rank] for v in order], basis)
+    joint = forms.sum(axis=0)
+    w, vecs = np.linalg.eigh(np.concatenate([joint[None], joint - forms]))
+    spans = [vec[:, ws <= rtol * max(float(ws[-1]), 1e-300)]
+             for ws, vec in zip(w, vecs)]
+
+    def matrix(x: np.ndarray) -> np.ndarray:
+        return (x @ flat).reshape(k_u.dim, k_u.dim)
+
+    target = (flat.conj() @ k_u.matrix.reshape(-1)).real
+    cols = np.hstack(spans)
+    coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
+    res = hs_norm(k_u.matrix - matrix(cols @ coef))
+    scale = max(hs_norm(k_u.matrix), 1e-300)
+    if res > rtol * scale:
+        raise DecompositionResidualError(
+            f"vertex cumulant at {u} leaves residual {res:.3e} "
+            f"(scale {scale:.3e}) outside the ansatz", residual=res)
+    blocks = np.split(coef, np.cumsum([s.shape[1] for s in spans])[:-1])
+    joint_span = spans[0]
+    h_u = joint_span @ blocks[0]
+    pulls = {}
+    for v, span, c in zip(order, spans[1:], blocks[1:]):
+        g = span @ c
+        shared = joint_span @ (joint_span.T @ g)
+        h_u = h_u + shared
+        pulls[v] = SupportedOperator((u,), matrix(g - shared))
+    return StarDecomposition(u, SupportedOperator((u,), matrix(h_u)), pulls, res)
+
+
+def theorem4_reference(expansion: CumulantExpansion, graph: Graph,
+                       rtol: float = 1e-9,
+                       support_rtol: float = 1e-8) -> CommutingDecomposition:
+    """``theorem4_decompose`` one vertex at a time, with the same checks in
+    the same order and the same error messages."""
+    space = expansion.space
+    if graph.vertices != set(space.sites):
+        raise UnknownSiteError("graph vertices must match state sites")
+    if not is_triangle_free(graph):
+        raise NotTriangleFreeError(
+            "decomposition requires a triangle-free interaction graph")
+    support_rep = verify_clique_support(expansion, graph, rtol=support_rtol)
+    if not support_rep.passed:
+        raise NotMarkovError(
+            f"log rho carries weight {support_rep.off_clique_norm:.3e} outside "
+            f"the graph cliques, worst on {support_rep.worst[0]}")
+    edge_keys = {frozenset(e): e for e in graph.edges}
+    edge_cumulants = {edge_keys[k]: expansion.entries[k]
+                      for k in expansion.entries if k in edge_keys}
+    ends = _edge_ends(edge_cumulants, space)
+    star_of = {u: [] for u in sorted(graph.vertices)}
+    for u, v in sorted(ends):
+        star_of[u].append(v)
+
+    def edge(u, v):
+        return (u, v) if u < v else (v, u)
+
+    edge_norms = {e: k.hs_norm() for e, k in edge_cumulants.items()}
+    norms = {}
+    for u, vs in star_of.items():
+        if len(vs) < 2:
+            continue
+        es = [edge(u, v) for v in vs]
+        rel = shared_site_norms_reference([_weighted(ends[u, v]) for v in vs],
+                                          [edge_norms[e] for e in es], space.dim(u))
+        for a, b in itertools.combinations(range(len(vs)), 2):
+            norms[min(es[a], es[b]), max(es[a], es[b])] = float(rel[a, b])
+    worst = max(sorted(norms), key=norms.__getitem__, default=None)
+    if worst is not None and norms[worst] > support_rtol:
+        raise NotMarkovError(
+            f"edge cumulants on {worst[0]} and {worst[1]} do not commute "
+            f"(relative norm {norms[worst]:.3e})")
+
+    n = len(space.sites)
+    k0 = float(expansion.operator(()).matrix[0, 0].real)
+    vertex_terms = {}
+    pulls = {}
+    for u in sorted(graph.vertices):
+        star = star_reference(expansion.operator((u,)),
+                              {v: ends[u, v] for v in star_of[u]}, u, rtol=rtol)
+        shift = (k0 / n) * np.eye(space.dim(u), dtype=complex)
+        vertex_terms[u] = SupportedOperator((u,), star.vertex_term.matrix + shift)
+        for v, g in star.pulls.items():
+            pulls[u, v] = g.matrix
+    final_edges = {}
+    for (u, v), k_uv in edge_cumulants.items():
+        du, dv = space.dim(u), space.dim(v)
+        m = (k_uv.matrix.reshape(du, dv, du, dv)
+             + pulls[u, v][:, None, :, None] * np.eye(dv)[:, None]
+             + np.eye(du)[:, None, :, None] * pulls[v, u][:, None])
+        final_edges[u, v] = SupportedOperator((u, v), m.reshape(du * dv, du * dv))
+
+    floor_sq = support_rtol ** 2 * expansion.total_norm_sq / space.total_dim
+    max_commutator = 0.0
+    for u, vs in star_of.items():
+        ops = [vertex_terms[u]] + [final_edges[edge(u, v)] for v in vs]
+        groups = [vertex_terms[u].matrix[None]] + [
+            np.concatenate([_weighted(ends[u, v]),
+                            math.sqrt(space.dim(v)) * pulls[u, v][None]]) for v in vs]
+        op_norms = np.array([op.hs_norm() for op in ops])
+        rel = shared_site_norms_reference(groups, op_norms, space.dim(u))
+        judged = op_norms ** 2 / [op.dim for op in ops] > floor_sq
+        pairs = np.triu(np.outer(judged, judged), 1)
+        max_commutator = max(max_commutator, float(rel[pairs].max(initial=0.0)))
+
+    terms = [vertex_terms[u] for u in sorted(vertex_terms)]
+    terms += [final_edges[e] for e in sorted(final_edges)]
+    rebuilt = local_expansion(terms, space)
+    scale = max(math.sqrt(expansion.total_norm_sq), 1e-300)
+    residual = rebuilt.distance(expansion) / scale
+    if max_commutator > support_rtol:
+        raise DecompositionResidualError(
+            f"regrouped terms fail to commute (relative norm {max_commutator:.3e})",
+            residual=max_commutator)
+    if residual > support_rtol:
+        raise DecompositionResidualError(
+            f"decomposition misses log rho by relative {residual:.3e}",
+            residual=residual)
+    return CommutingDecomposition(space, graph, vertex_terms, final_edges,
+                                  max_commutator, residual)
 
 
 def brute_all_shield_partitions(vertices: list[int], edges: set[tuple[int, int]]):

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from qmn import families
 from qmn.cumulants import (
     CUMULANT_TARGETS,
+    _local_components,
     expand,
-    local_expansion,
     model_cumulants,
     verify_clique_support,
 )
@@ -25,6 +25,7 @@ from qmn.tensor import (
 from helpers import (
     brute_cumulant,
     dense_pauli_word,
+    local_expansion,
     log_gibbs,
     random_hermitian,
 )
@@ -78,6 +79,18 @@ def test_cumulant_matches_brute_oracle_mixed_dims():
         axes = [s - 1 for s in region]
         want = brute_cumulant(h, dims, axes)
         assert np.allclose(got, want, atol=1e-12), region
+
+
+def test_a_stack_splits_as_its_operators_one_at_a_time():
+    # the leading axes of a stack carry through the site-by-site split
+    rng = np.random.default_rng(11)
+    stack = np.stack([random_hermitian(rng, 6) for _ in range(3)])
+    got = _local_components((4, 7), {4: 2, 7: 3}, stack)
+    for i, m in enumerate(stack):
+        want = _local_components((4, 7), {4: 2, 7: 3}, m)
+        assert got.keys() == want.keys()
+        for key, part in want.items():
+            assert np.array_equal(got[key][i], part), key
 
 
 def test_expand_matches_cumulant_route():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qmn.decompose import (
 )
 from qmn.errors import (
     DecompositionResidualError,
+    DimensionMismatchError,
     EnumerationCapError,
     NotMarkovError,
     NonHermitianError,
@@ -29,9 +31,16 @@ from qmn.errors import (
 from qmn.graphs import Graph, Partition, cliques
 from qmn.markov import DensityMatrix, ModelInstance, gibbs, is_markov_network, log_partition
 from qmn.pauli import PauliSum, PauliTerm, as_sum
-from qmn.tensor import SiteSpace, SupportedOperator, embed_sum, logm_pd, op_schmidt
+from qmn.tensor import SiteSpace, SupportedOperator, embed_sum, kron, logm_pd, op_schmidt
 
-from helpers import dense_pauli_word, expm_taylor, haar_unitary, log_gibbs, walk_oracle
+from helpers import (
+    dense_pauli_word,
+    expm_taylor,
+    haar_unitary,
+    log_gibbs,
+    theorem4_reference,
+    walk_oracle,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -147,8 +156,8 @@ def test_shared_site_norm_is_the_relative_commutator(dims, rank_a, rank_b,
         ma = ma * keep
     a, b = SupportedOperator((1, 2), ma), SupportedOperator((2, 3), mb)
     splits = op_schmidt([(a, [2]), (b, [2])], space)
-    rel = decompose._shared_site_norms([decompose._weighted(x) for x in splits],
-                                       [a.hs_norm(), b.hs_norm()], dims[1])
+    [rel] = decompose._shared_site_norms([[decompose._weighted(x) for x in splits]],
+                                         [[a.hs_norm(), b.hs_norm()]], dims[1])
     want = decompose._relative_commutator(a, b, space)
     assert rel[0, 1] == pytest.approx(want, rel=1e-10, abs=1e-12)
     assert rel[1, 0] == pytest.approx(want, rel=1e-10, abs=1e-12)
@@ -477,6 +486,21 @@ def test_every_route_sees_the_same_model(drawn):
     assert math.isfinite(log_partition(model))
 
 
+def test_a_dense_term_that_does_not_fit_its_sites_is_refused():
+    # a 2 x 2 matrix on the qubits (1, 2), which need 4 x 4: classify used
+    # to answer it while the dense routes failed with a numpy error
+    bad = SupportedOperator((1, 2), np.diag([1.0, -1.0]))
+    good = SupportedOperator((2, 3), np.kron(Z, Z))
+    for route in (classify, verify_gibbs, model_cumulants, log_partition):
+        with pytest.raises(DimensionMismatchError, match=r"term 1 on sites \[1, 2\]"):
+            route(ModelInstance(SiteSpace.qubits(3), chain(3), (good, bad)))
+    model = ModelInstance(SiteSpace.qubits(3), chain(3), (good,))
+    assert classify(model).verdict == LOCAL_COMMUTING
+    assert verify_gibbs(model).passed
+    assert model_cumulants(model).scalar_known
+    assert math.isfinite(log_partition(model))
+
+
 # ---------------------------------------------------------------------------
 # star decomposition
 
@@ -701,6 +725,147 @@ def test_decompositions_with_and_without_the_scalar_agree(kind, seed, beta):
                            rtol=0.0, atol=1e-12)
     for dec, exp in ((got, without), (want, with_scalar)):
         assert abs(dec.max_commutator - judged_max(dec, exp)) <= 1e-12
+
+
+def outcome(decompose_fn, expansion, graph):
+    """The decomposition, or the type and message of the error it raised."""
+    try:
+        return decompose_fn(expansion, graph)
+    except (NotMarkovError, DecompositionResidualError) as err:
+        return type(err), str(err)
+
+
+def assert_same_decomposition(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.vertex_terms.keys() == want.vertex_terms.keys()
+    assert got.edge_terms.keys() == want.edge_terms.keys()
+    pairs = [(got.vertex_terms[u], t) for u, t in want.vertex_terms.items()]
+    pairs += [(got.edge_terms[e], t) for e, t in want.edge_terms.items()]
+    for a, b in pairs:
+        assert a.support == b.support
+        assert np.linalg.norm(a.matrix - b.matrix) <= 1e-12 * max(b.hs_norm(), 1.0)
+    assert abs(got.max_commutator - want.max_commutator) <= 1e-12
+    assert abs(got.residual - want.residual) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(families.THEOREM4_KINDS), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.3, 3.0), st.booleans())
+def test_stacked_decomposition_matches_the_vertex_loop(kind, seed, beta, scalar):
+    # the stacked kernels against the vertex-by-vertex loop they replaced,
+    # with and without -log Z
+    model = families.theorem4_model(kind, np.random.default_rng(seed), beta=beta)
+    with pytest.MonkeyPatch.context() as mp:
+        if not scalar:
+            mp.setenv("QMN_DENSE_CAP", "16")
+        expansion = model_cumulants(model)
+    assert expansion.scalar_known == scalar
+    assert_same_decomposition(outcome(theorem4_decompose, expansion, model.graph),
+                              outcome(theorem4_reference, expansion, model.graph))
+
+
+def test_stacked_decomposition_matches_the_vertex_loop_on_small_graphs():
+    rng = np.random.default_rng(4)
+    u1 = haar_unitary(rng, 2)
+    za, xa, zb = np.kron(Z, I2), np.kron(X, I2), np.kron(I2, Z)
+    # an isolated vertex (4) next to a path, and a single edge
+    cases = [(SiteSpace.from_dims({1: 2, 2: 4, 3: 2, 4: 3}),
+              Graph.from_edges([(1, 2), (2, 3)], vertices=[4]),
+              (SupportedOperator((1, 2), np.kron(u1 @ Z @ u1.conj().T, za)
+                                 + 0.3 * np.kron(I2, xa)),
+               SupportedOperator((2, 3), np.kron(zb, X)),
+               SupportedOperator((4,), np.diag([0.3, -0.1, 0.5])))),
+             (SiteSpace.from_dims({1: 2, 2: 4}), Graph.from_edges([(1, 2)]),
+              (SupportedOperator((1, 2), np.kron(u1 @ Z @ u1.conj().T, za)),
+               SupportedOperator((2,), 0.4 * xa + 0.3 * zb)))]
+    for space, graph, terms in cases:
+        model = ModelInstance(space, graph, terms, beta=0.8)
+        expansion = model_cumulants(model)
+        got = theorem4_decompose(expansion, graph)
+        assert_same_decomposition(got, theorem4_reference(expansion, graph))
+        assert got.residual <= 1e-12 and got.max_commutator <= 1e-12
+
+
+def test_a_high_degree_vertex_pads_no_other_vertex():
+    # a qubit hub with 60 leaves: at the hub the final check multiplies 301
+    # site factors; padding each leaf's 6 to that count would hold 61 such
+    # products at once (about 700 MB here), against about 12 MB when each
+    # leaf is stacked with its like
+    rng = np.random.default_rng(5)
+    leaves = range(1, 61)
+    frame = {s: haar_unitary(rng, 2) for s in range(61)}
+
+    def framed(support, m):
+        u = kron(*[frame[s] for s in support])
+        return SupportedOperator(support, u @ m @ u.conj().T)
+
+    terms = [framed((0, v), rng.uniform(0.4, 1.0) * np.kron(Z, Z)) for v in leaves]
+    terms += [framed((0,), 0.3 * Z)] + [framed((v,), 0.2 * Z) for v in leaves]
+    graph = Graph.from_edges([(0, v) for v in leaves])
+    model = ModelInstance(SiteSpace.qubits(61, first_id=0), graph, tuple(terms), beta=0.7)
+    expansion = model_cumulants(model)
+    tracemalloc.start()
+    try:
+        got = theorem4_decompose(expansion, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert_same_decomposition(got, theorem4_reference(expansion, graph))
+
+
+def test_theorem4_names_the_lowest_vertex_outside_the_ansatz():
+    # dim-4 sites 1, 3, 5 and qubits 2, 4; every edge couples through Z on
+    # a qubit and Z on the first factor of a dim-4 site, so neither X on
+    # qubit 2 nor X on that factor at site 3 can be pulled into an edge.
+    # The dim-4 stack is solved first and fails at 3; the error names 2.
+    za, xa = np.kron(Z, I2), np.kron(X, I2)
+    space = SiteSpace.from_dims({1: 4, 2: 2, 3: 4, 4: 2, 5: 4})
+    graph = chain(5)
+    terms = (SupportedOperator((1, 2), np.kron(za, Z)), SupportedOperator((2, 3), np.kron(Z, za)),
+             SupportedOperator((3, 4), np.kron(za, Z)), SupportedOperator((4, 5), np.kron(Z, za)),
+             SupportedOperator((2,), 0.5 * X), SupportedOperator((3,), 0.5 * xa))
+    expansion = model_cumulants(ModelInstance(space, graph, terms, beta=0.7))
+    with pytest.raises(DecompositionResidualError, match="vertex cumulant at 2 ") as err:
+        theorem4_decompose(expansion, graph)
+    with pytest.raises(DecompositionResidualError) as want:
+        theorem4_reference(expansion, graph)
+    assert str(err.value) == str(want.value)
+
+
+def test_theorem4_names_the_worst_noncommuting_edge_pair():
+    # at hub 2 the edge to 1 fails to commute with the edges to 3 and 4,
+    # which commute with each other; (1, 2) against (2, 3) is the worst pair
+    space = SiteSpace.qubits(4)
+    graph = Graph.from_edges([(1, 2), (2, 3), (2, 4)])
+    terms = (SupportedOperator((1, 2), np.kron(X, X)),
+             SupportedOperator((2, 3), 0.9 * np.kron(Z, Z)),
+             SupportedOperator((2, 4), 0.4 * np.kron(Z, X) + 0.3 * np.kron(I2, Z)))
+    expansion = model_cumulants(ModelInstance(space, graph, terms, beta=0.6))
+    with pytest.raises(NotMarkovError, match=r"edge cumulants on \(1, 2\) and \(2, 3\)") as err:
+        theorem4_decompose(expansion, graph)
+    with pytest.raises(NotMarkovError) as want:
+        theorem4_reference(expansion, graph)
+    assert str(err.value) == str(want.value)
+
+
+@pytest.mark.parametrize("model, dims", [
+    (families.ising_chain(10), 1),
+    (families.theorem4_model("grid2x3", np.random.default_rng(3)), 2)])
+def test_theorem4_runs_one_eigensolve_per_site_dimension(monkeypatch, model, dims):
+    expansion = model_cumulants(model)
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(decompose.np.linalg, "eigh", counted)
+    theorem4_decompose(expansion, model.graph)
+    assert len(shapes) == dims
 
 
 def test_theorem4_triangle_raises():
