@@ -100,7 +100,8 @@ def expand(matrix: np.ndarray, space: SiteSpace,
     norm are dropped; ``total_norm_sq`` still counts them.  Applied to
     ``tensor.logm_pd(rho.matrix)`` it is the library's route from a state,
     rather than a model, to ``decompose.theorem4_decompose``: a positive
-    Markov state to commuting vertex and edge terms.
+    Markov state to commuting vertex and edge terms, a route that can stop
+    on a Markov state at the logarithm's rounding (see ``tensor.logm_pd``).
     """
     m = check_hermitian(matrix)
     if m.shape != (space.total_dim, space.total_dim):

@@ -28,18 +28,26 @@ other does not touch.  Then [a, b] = sum_ij w_i w'_j [F_i, F'_j] (x) A_i
 ||[F_i, F'_j]||^2 exactly, with no embedding.  One Schmidt split per edge
 cumulant serves the edge check, the star commutants and the final check.
 
+The star split of each vertex cumulant is two orthogonal projections.
+The pull space P_v of the edge (u, v) is the commutant of the other edges'
+site-u factors, and J, the commutant of all of them, lies in every P_v.
+The Hilbert-Schmidt projection onto the commutant of a *-algebra is the
+average of U X U^dag over the algebra's unitary group, and the groups of
+commuting algebras commute, so the projections onto the P_v commute and
+any two of them multiply to the projection onto J.  Each P_v is then J (+)
+Q_v with the Q_v orthogonal to each other and to J, so the minimum-norm
+fit of K_u over the pull spaces, its joint part gathered in h_u, is h_u =
+Pi_J K_u and G_u^v = Pi_{P_v} K_u - Pi_J K_u.
+
 The decomposition's linear algebra is small and per site, so all sites of
-one dimension d run it as one stack: one batched site-factor product for
-the edge check and one for the final check; one star solve (one
-eigensolve over every joint and pull commutant form, one batched
-minimum-norm least-squares solve); and the final edge terms and their
-cumulants one stack per pair of site dimensions.  A batched product or
-solve pads each site with zeros to the largest site in its batch, so
-sites of very different degree go into separate batches: a site joins a
-batch only if it is at least half the batch's largest (``_size_groups``).
-A chain or a grid is one batch per dimension, and a hub of high degree
-is a batch of its own, which pads no other site.  The number of numpy
-calls follows the number of site dimensions and degree classes, not of
+one dimension run it as one stack: the edge check, the star split (one
+eigensolve over every commutant form, then the projections) and the final
+check; the final edge terms and their cumulants run once per pair of site
+dimensions.  A check pads each site with zero factors to the largest in
+its batch, and a site joins a batch only if it is at least half the
+batch's largest (``_size_groups``): a chain or a grid is one batch per
+dimension, and a hub of high degree a batch of its own.  The number of
+numpy calls follows the site dimensions and degree classes, not the
 vertices.
 
 One commutation engine serves every question.  A single relative
@@ -51,7 +59,7 @@ and leaves the value independent of the space an operator is embedded in.
 A single grouping search, run by ``classify`` on the terms of a model,
 regroups them across a shielding partition: terms meeting A go to the A
 side, those meeting C to the C side, and the assignments of those inside
-the shield are searched, default first.  The star decomposition solves
+the shield are searched, default first.  The star decomposition finds
 each Hermitian commutant directly, as the real null space of X -> [X, g]
 in a Hermitian basis of the site.
 
@@ -146,6 +154,8 @@ from .tensor import (
 DEFAULT_RTOL = 1e-9
 DEFAULT_SUPPORT_RTOL = 1e-8
 SPLIT_SEARCH_CAP = 4096
+# entries of one chunk of site-factor products in ``_shared_site_norms``
+PRODUCT_CHUNK = 2 ** 18
 
 LOCAL_COMMUTING = "LocalCommuting"
 SHIELD_COMMUTING_ONLY = "ShieldCommutingOnly"
@@ -399,17 +409,7 @@ def verify_gibbs(model: ModelInstance, tol: float = DEFAULT_CMI_TOL,
 
 
 # ---------------------------------------------------------------------------
-# the star decomposition: Hermitian commutants solved directly
-
-@dataclass(frozen=True)
-class StarDecomposition:
-    """One vertex cumulant split into a free part plus per-edge pulls."""
-
-    vertex: int
-    vertex_term: SupportedOperator
-    pulls: dict[int, SupportedOperator]
-    residual: float
-
+# the star decomposition: Hermitian commutants and two projections
 
 @lru_cache(maxsize=None)
 def hermitian_basis(d: int) -> np.ndarray:
@@ -515,9 +515,10 @@ def _shared_site_norms(sites: Sequence[Sequence[np.ndarray]],
 
     Sites of similar factor counts (``_size_groups``) share one batched
     product, each padded with zero factors to the largest count among
-    them, at most twice its own.  The work and memory of a site grow as the
-    square of its count, so padding at most quadruples them, and a vertex
-    of much higher degree than the rest pads none of them.
+    them, at most twice its own, so padding at most quadruples the work,
+    and a vertex of much higher degree than the rest pads none of them.
+    The products are formed a chunk of factor rows at a time, at most
+    ``PRODUCT_CHUNK`` entries, so past the table of norms the memory is fixed.
     """
     widths = [sum(len(x) for x in ops) for ops in sites]
     out: list[np.ndarray] = [np.zeros((0, 0))] * len(sites)
@@ -533,11 +534,19 @@ def _shared_site_norms(sites: Sequence[Sequence[np.ndarray]],
              f_slot] = 1.0
         scale = np.zeros((m, g))
         scale[op_site, op_slot] = [x for s in group for x in norms[s]]
-        # p[s, a, i, b, k] = (y_a y_b)[i, k] at site s
-        p = (y.reshape(m, width * d, d) @ y.transpose(0, 2, 1, 3).reshape(m, d, width * d)
-             ).reshape(m, width, d, width, d)
-        c = (p - p.transpose(0, 3, 2, 1, 4)).view(float)
-        sq = runs @ np.einsum("sakbl,sakbl->sab", c, c) @ runs.transpose(0, 2, 1)
+        # sq[s, a, b] = ||[y_a, y_b]||^2 at site s, for a chunk of rows a at a time
+        sq = np.empty((m, width, width))
+        left = y.reshape(m, width * d, d)
+        right = y.transpose(0, 2, 1, 3).reshape(m, d, width * d)
+        rows = max(1, PRODUCT_CHUNK // (m * width * d * d))
+        for lo in range(0, width, rows):
+            x = y[:, lo:lo + rows]
+            c = x.shape[1]
+            ab = (x.reshape(m, -1, d) @ right).reshape(m, c, d, width, d)  # y_a y_b
+            ba = (left @ x.transpose(0, 2, 1, 3).reshape(m, d, -1)).reshape(m, width, d, c, d)
+            diff = (ab - ba.transpose(0, 3, 2, 1, 4)).view(float)
+            sq[:, lo:lo + c] = np.einsum("sakbl,sakbl->sab", diff, diff)
+        sq = runs @ sq @ runs.transpose(0, 2, 1)
         scale = scale[:, :, None] * scale[:, None, :]
         scale.reshape(m, -1)[:, ::g + 1] = 0.0  # an operator commutes with itself
         rel = np.divide(np.sqrt(sq) * math.sqrt(d), scale, out=np.zeros_like(sq),
@@ -564,108 +573,41 @@ def _commutant_forms(gens: Sequence[np.ndarray], basis: np.ndarray) -> np.ndarra
 
 def _star_stack(ks: np.ndarray, gens: Sequence[Sequence[np.ndarray]], rtol: float
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Star decompositions of the vertex cumulants ``ks``, shape (m, d, d),
-    of m sites of one dimension d, as one stack.
+    """Star splits of the vertex cumulants ``ks``, shape (m, d, d), of m
+    sites of one dimension d, as one stack.
 
     ``gens[i]`` lists, for each edge end at site i in order, the stack of
-    that edge's site-i factors.  Returns the free parts h (m, d, d), the
-    pulls (one per edge end, site by site in order, (e, d, d)), and each
-    site's residual and scale, as ``star_decompose`` describes them.  All m
-    joint forms and e pull forms share one eigensolve.  Each site's
-    least-squares columns, its joint span then its pull spans with the cut
-    eigenvectors zeroed, are padded with zero columns to the largest star
-    among sites of similar degree (``_size_groups``), and one batched
-    pseudo-inverse per such group, cut at the relative singular value that
-    ``lstsq`` applies to the unpadded columns, gives the minimum-norm
-    solution ``lstsq`` gives.
+    that edge's site-i factors.  A site's joint form is the sum of its
+    ends' commutant forms, an end's pull form the joint form minus its own,
+    and one eigensolve over all m joint and e pull forms cuts each null
+    space at ``rtol`` times the form's largest eigenvalue.  Projected onto
+    the kept eigenvectors, K gives h = Pi_J K and G^v = Pi_{P_v} K - Pi_J K,
+    the minimum-norm split (see the module docstring).  A least-squares
+    solve over the joint and pull spans side by side gives the same in
+    exact arithmetic, but its columns are dependent by construction and it
+    amplifies their rounding.  Returns h (m, d, d), the pulls (one per edge
+    end, site by site in order, (e, d, d)), and each site's residual ||K -
+    h - sum_v G^v|| and scale ||K||.
     """
     m, d = ks.shape[0], ks.shape[-1]
     basis = hermitian_basis(d)
     n = len(basis)
     flat = basis.reshape(n, -1)
     degs = [len(x) for x in gens]
-    owner, slot = _slots(degs)
+    owner = _owner(degs)
     per_site = _runs(degs)
     forms = _commutant_forms([x for ends in gens for x in ends], basis)
     joint = (per_site @ forms.reshape(len(forms), n * n)).reshape(m, n, n)
     w, vecs = np.linalg.eigh(np.concatenate([joint, joint[owner] - forms]))
-    keep = w <= rtol * np.maximum(w[:, -1:], 1e-300)
-    spans = vecs * keep[:, None, :]
-    joint_span, pull_span = spans[:m], spans[m:]
-    kept = keep[:m].sum(axis=1) + per_site @ keep[m:].sum(axis=1)
+    spans = vecs * (w <= rtol * np.maximum(w[:, -1:], 1e-300))[:, None, :]
     target = (ks.reshape(m, -1) @ flat.conj().T).real
-
-    joint_coef, pull_coef = np.zeros((m, n)), np.zeros((len(forms), n))
-    for group in _size_groups([1 + k for k in degs]):
-        size, top = len(group), degs[group[0]]
-        if size == m:  # one group: no index maps
-            group, ends, at = slice(None), slice(None), (owner, slot + 1)
-        else:
-            row = np.full(m, -1)
-            row[group] = np.arange(size)
-            ends = np.flatnonzero(row[owner] >= 0)
-            at = (row[owner[ends]], slot[ends] + 1)
-        cols = np.zeros((size, 1 + top, n, n))
-        cols[:, 0] = joint_span[group]
-        cols[at] = pull_span[ends]
-        cols = cols.transpose(0, 2, 1, 3).reshape(size, n, -1)
-        cut = np.finfo(float).eps * np.maximum(kept[group], n)
-        coef = (np.linalg.pinv(cols, rcond=cut) @ target[group][..., None])[..., 0]
-        blocks = coef.reshape(size, -1, n)
-        joint_coef[group] = blocks[:, 0]
-        pull_coef[ends] = blocks[at]
-    free = (joint_span @ joint_coef[..., None])[..., 0]
-    g = (pull_span @ pull_coef[..., None])[..., 0]
-    fit = free + per_site @ g
+    coords = np.concatenate([target, target[owner]])[..., None]
+    proj = (spans @ (spans.transpose(0, 2, 1) @ coords))[..., 0]
+    h, g = proj[:m], proj[m:] - proj[:m][owner]
+    fit = h + per_site @ g
     res = np.linalg.norm((ks - (fit @ flat).reshape(m, d, d)).reshape(m, -1), axis=1)
     scale = np.maximum(np.linalg.norm(ks.reshape(m, -1), axis=1), 1e-300)
-
-    # the joint commutant sits inside every pull space; that overlap is h's
-    inner = joint_span[owner]
-    shared = (inner @ (inner.transpose(0, 2, 1) @ g[..., None]))[..., 0]
-    h = free + per_site @ shared
-    return ((h @ flat).reshape(m, d, d), ((g - shared) @ flat).reshape(-1, d, d),
-            res, scale)
-
-
-def _residual_error(u: int, res: float, scale: float) -> DecompositionResidualError:
-    return DecompositionResidualError(
-        f"vertex cumulant at {u} leaves residual {res:.3e} "
-        f"(scale {scale:.3e}) outside the ansatz", residual=res)
-
-
-def star_decompose(k_u: SupportedOperator, ends: Mapping[int, Schmidt], u: int,
-                   rtol: float = DEFAULT_RTOL) -> StarDecomposition:
-    """Split K_u as h_u + sum_v G_u^v compatible with the edge cumulants.
-
-    ``ends[v]`` is the operator Schmidt split of the cumulant on the edge
-    (u, v) with its left factors on u (see ``_edge_ends``).  The pull toward
-    edge (u, v) must commute with every other edge term at u, so G_u^v is
-    sought in the Hermitian commutant of the site-u factors of all edges
-    except (u, v), those with weights above ``SCHMIDT_RTOL`` times the
-    largest; h_u is forced into the commutant of all of them.  Each edge
-    end's commutant form is built once: the joint form is their sum, the
-    pull form for v the joint form minus v's, and one stacked eigensolve
-    cuts each null space at ``rtol`` times the form's largest eigenvalue.  A
-    residual above tolerance rejects the split.  The joint commutant
-    belongs to every pull space, so after the minimum-norm least-squares
-    fit that shared part is stripped from the pulls and folded into h_u,
-    which makes the split canonical.
-
-    This is the one-site call of the stacked kernel that
-    ``theorem4_decompose`` runs once per site dimension.
-    """
-    if k_u.support != (u,):
-        raise UnknownSiteError(f"vertex cumulant must sit on ({u},), got "
-                               f"{k_u.support}")
-    order = sorted(ends)
-    h, pulls, res, scale = _star_stack(
-        k_u.matrix[None], [[ends[v].left[:ends[v].rank] for v in order]], rtol)
-    if res[0] > rtol * scale[0]:
-        raise _residual_error(u, float(res[0]), float(scale[0]))
-    return StarDecomposition(u, SupportedOperator((u,), h[0]),
-                             {v: SupportedOperator((u,), g) for v, g in zip(order, pulls)},
-                             float(res[0]))
+    return (h @ flat).reshape(m, d, d), (g @ flat).reshape(-1, d, d), res, scale
 
 
 # ---------------------------------------------------------------------------
@@ -701,9 +643,14 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
     state from elsewhere.  Checks, in order: the graph is triangle-free;
     log rho has cumulants on vertices and edges only (up to
     ``support_rtol``); edge cumulants sharing a vertex commute.  Then every
-    vertex cumulant is star-decomposed and the pulls folded into the edge
-    terms; the scalar cumulant, when known, is shared evenly among the
-    vertex terms.  The terms must commute pairwise and their cumulants
+    vertex cumulant K_u is split by projection (``_star_stack``): h_u onto
+    the Hermitian commutant of the site-u factors (weights above
+    ``SCHMIDT_RTOL`` times the largest) of all edges at u, G_u^v onto that
+    of all but (u, v), less h_u.  The edge algebras commute, so this is the
+    minimum-norm split (see the module docstring); a residual above
+    ``rtol`` times ||K_u|| names the lowest failing vertex.  The pulls are
+    folded into the edge terms; the scalar cumulant, when known, is shared
+    evenly among the vertex terms.  The terms must commute pairwise and their cumulants
     must match the expansion's, support by support, within
     ``support_rtol`` relative to its norm; both are re-verified before
     returning.  A term whose norm embedded in the full space is at most
@@ -714,12 +661,7 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
     Every commutator is taken from the site factors of the one vertex the
     two terms share (``_shared_site_norms``), with the Schmidt split
     of each edge cumulant computed once.  Sites of one dimension share each
-    kernel (see the module docstring): the edge check, the star solve
-    (``_star_stack``, of which ``star_decompose`` is the one-site call) and
-    the final check run once per site dimension, split further only where
-    degrees differ widely, and the edge terms and the rebuild of their
-    cumulants once per pair of dimensions.  A star residual above
-    tolerance names the lowest failing vertex.
+    kernel, as the module docstring describes.
     """
     space = expansion.space
     if graph.vertices != set(space.sites):
@@ -787,7 +729,10 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
         pull_at.update((end, i) for i, end in enumerate(
             (u, v) for u in us for v in star_of[u]))
     if failed:
-        raise _residual_error(*min(failed))
+        u, res, scale = min(failed)
+        raise DecompositionResidualError(
+            f"vertex cumulant at {u} leaves residual {res:.3e} "
+            f"(scale {scale:.3e}) outside the ansatz", residual=res)
 
     def pulls(d: int, ends_at: list[tuple[int, int]]) -> np.ndarray:
         return pull_stacks[d][[pull_at[e] for e in ends_at]]

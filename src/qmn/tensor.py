@@ -251,7 +251,11 @@ def logm_pd(matrix: np.ndarray) -> np.ndarray:
     positivity violation, not clipped.  With ``cumulants.expand`` it is the
     library's route from a state, rather than a model, to a decomposition:
     ``theorem4_decompose(expand(logm_pd(rho.matrix), space), graph)`` takes
-    a positive Markov state to commuting vertex and edge terms.
+    a positive Markov state to commuting vertex and edge terms.  That route
+    can stop there on a Markov state: this logarithm's rounding can lift a
+    spurious Schmidt weight of an edge cumulant above ``SCHMIDT_RTOL``, and
+    the extra site factor shrinks the star's commutants below the vertex
+    cumulant.  ``model_cumulants`` needs no logarithm.
     """
     w, v = np.linalg.eigh(check_hermitian(matrix))
     top = float(w[-1])

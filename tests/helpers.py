@@ -15,8 +15,9 @@ in ``classify`` is the split into noncommutation components, not the
 search.  ``theorem4_reference`` is the vertex-by-vertex decomposition
 that the stacked kernels of ``theorem4_decompose`` replaced: it keeps the
 library's Schmidt splits and commutant forms but solves each star with its
-own eigensolve and ``lstsq``, checks commutation one site at a time, and
-rebuilds the cumulants term by term (``local_expansion``).  The stabilizer
+own eigensolve and a minimum-norm ``lstsq`` (``star_reference``) where the
+library projects, checks commutation one site at a time, and rebuilds the
+cumulants term by term (``local_expansion``).  The stabilizer
 generator sets and ``stabilizer_state`` at the end
 are fixtures rather than oracles: exact Markov and non-Markov states that
 the package has no use for.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from qmn.cumulants import (
 )
 from qmn.decompose import (
     CommutingDecomposition,
-    StarDecomposition,
     _best_grouping,
     _commutant_forms,
     _edge_ends,
@@ -264,44 +264,56 @@ def shared_site_norms_reference(groups, norms, d: int) -> np.ndarray:
                      where=scale > 0.0)
 
 
-def star_reference(k_u: SupportedOperator, ends, u: int,
-                   rtol: float = 1e-9) -> StarDecomposition:
-    """One star solved on its own: one eigensolve, one ``lstsq``."""
-    if k_u.support != (u,):
-        raise UnknownSiteError(f"vertex cumulant must sit on ({u},), got "
-                               f"{k_u.support}")
-    order = sorted(ends)
-    basis = hermitian_basis(k_u.dim)
+class StarReference(NamedTuple):
+    """One vertex cumulant split into a free part plus one pull per edge
+    end, with the residual of the fit and the cumulant's norm."""
+
+    vertex_term: np.ndarray
+    pulls: list[np.ndarray]
+    residual: float
+    scale: float
+
+
+def star_reference(k_u: np.ndarray, gens, rtol: float = 1e-9) -> StarReference:
+    """One star solved on its own: one eigensolve, one minimum-norm
+    ``lstsq`` over the joint and pull spans side by side, then the joint
+    commutant's share of each pull moved into the free part.  ``gens``
+    lists, per edge end, the stack of its site factors.
+
+    The joint span lies inside every pull span, so the columns are
+    dependent by construction, and rounding leaves those dependencies
+    singular values near 1e-13 rather than 0.  ``lstsq``'s default cut,
+    eps times the larger matrix side (about 3e-14 relative at d = 12),
+    would keep them and fit noise directions; the cut is ``rtol`` instead,
+    far below the unit singular values of the orthonormal spans'
+    independent directions."""
+    d = k_u.shape[0]
+    basis = hermitian_basis(d)
     n = len(basis)
     flat = basis.reshape(n, -1)
-    forms = _commutant_forms([ends[v].left[:ends[v].rank] for v in order], basis)
+    forms = _commutant_forms(list(gens), basis)
     joint = forms.sum(axis=0)
     w, vecs = np.linalg.eigh(np.concatenate([joint[None], joint - forms]))
     spans = [vec[:, ws <= rtol * max(float(ws[-1]), 1e-300)]
              for ws, vec in zip(w, vecs)]
 
     def matrix(x: np.ndarray) -> np.ndarray:
-        return (x @ flat).reshape(k_u.dim, k_u.dim)
+        return (x @ flat).reshape(d, d)
 
-    target = (flat.conj() @ k_u.matrix.reshape(-1)).real
+    target = (flat.conj() @ k_u.reshape(-1)).real
     cols = np.hstack(spans)
-    coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
-    res = hs_norm(k_u.matrix - matrix(cols @ coef))
-    scale = max(hs_norm(k_u.matrix), 1e-300)
-    if res > rtol * scale:
-        raise DecompositionResidualError(
-            f"vertex cumulant at {u} leaves residual {res:.3e} "
-            f"(scale {scale:.3e}) outside the ansatz", residual=res)
+    coef, *_ = np.linalg.lstsq(cols, target, rcond=rtol)
+    res = hs_norm(k_u - matrix(cols @ coef))
     blocks = np.split(coef, np.cumsum([s.shape[1] for s in spans])[:-1])
     joint_span = spans[0]
     h_u = joint_span @ blocks[0]
-    pulls = {}
-    for v, span, c in zip(order, spans[1:], blocks[1:]):
+    pulls = []
+    for span, c in zip(spans[1:], blocks[1:]):
         g = span @ c
         shared = joint_span @ (joint_span.T @ g)
         h_u = h_u + shared
-        pulls[v] = SupportedOperator((u,), matrix(g - shared))
-    return StarDecomposition(u, SupportedOperator((u,), matrix(h_u)), pulls, res)
+        pulls.append(matrix(g - shared))
+    return StarReference(matrix(h_u), pulls, res, max(hs_norm(k_u), 1e-300))
 
 
 def theorem4_reference(expansion: CumulantExpansion, graph: Graph,
@@ -352,12 +364,17 @@ def theorem4_reference(expansion: CumulantExpansion, graph: Graph,
     vertex_terms = {}
     pulls = {}
     for u in sorted(graph.vertices):
-        star = star_reference(expansion.operator((u,)),
-                              {v: ends[u, v] for v in star_of[u]}, u, rtol=rtol)
+        star = star_reference(expansion.operator((u,)).matrix,
+                              [ends[u, v].left[:ends[u, v].rank] for v in star_of[u]],
+                              rtol=rtol)
+        if star.residual > rtol * star.scale:
+            raise DecompositionResidualError(
+                f"vertex cumulant at {u} leaves residual {star.residual:.3e} "
+                f"(scale {star.scale:.3e}) outside the ansatz", residual=star.residual)
         shift = (k0 / n) * np.eye(space.dim(u), dtype=complex)
-        vertex_terms[u] = SupportedOperator((u,), star.vertex_term.matrix + shift)
-        for v, g in star.pulls.items():
-            pulls[u, v] = g.matrix
+        vertex_terms[u] = SupportedOperator((u,), star.vertex_term + shift)
+        for v, g in zip(star_of[u], star.pulls):
+            pulls[u, v] = g
     final_edges = {}
     for (u, v), k_uv in edge_cumulants.items():
         du, dv = space.dim(u), space.dim(v)

@@ -15,7 +15,6 @@ from qmn.decompose import (
     classify,
     coarse_grain_model,
     pairwise_commutation,
-    star_decompose,
     theorem4_decompose,
     verify_gibbs,
 )
@@ -38,6 +37,8 @@ from helpers import (
     expm_taylor,
     haar_unitary,
     log_gibbs,
+    random_hermitian,
+    star_reference,
     theorem4_reference,
     walk_oracle,
 )
@@ -510,6 +511,17 @@ def ends_at(u, edge_cumulants, space):
     return {v: ends[w, v] for w, v in ends if w == u}
 
 
+def star_at(u, k_u, edge_cumulants, space):
+    """``_star_stack`` on the one site u: the free part, the pulls keyed by
+    the other end, and the residual."""
+    ends = ends_at(u, edge_cumulants, space)
+    order = sorted(ends)
+    h, pulls, res, _ = decompose._star_stack(
+        k_u.matrix[None], [[ends[v].left[:ends[v].rank] for v in order]],
+        decompose.DEFAULT_RTOL)
+    return h[0], dict(zip(order, pulls)), float(res[0])
+
+
 def test_star_decompose_planted_pull():
     # u = 2 has dimension 4 (factors a, b); the edge to 1 couples through
     # the full matrix algebra on factor a, the edge to 3 through Z on b.
@@ -521,11 +533,11 @@ def test_star_decompose_planted_pull():
     k12 = SupportedOperator((1, 2), np.kron(X, xa) + np.kron(Y, za))
     k23 = SupportedOperator((2, 3), np.kron(zb, Z))
     k2 = SupportedOperator((2,), xa + zb)
-    star = star_decompose(k2, ends_at(2, {(1, 2): k12, (2, 3): k23}, space), 2)
-    assert star.residual <= 1e-10
-    assert np.allclose(star.pulls[1].matrix, xa, atol=1e-9)
-    assert np.allclose(star.pulls[3].matrix, 0.0, atol=1e-9)
-    assert np.allclose(star.vertex_term.matrix, zb, atol=1e-9)
+    h, pulls, res = star_at(2, k2, {(1, 2): k12, (2, 3): k23}, space)
+    assert res <= 1e-10
+    assert np.allclose(pulls[1], xa, atol=1e-9)
+    assert np.allclose(pulls[3], 0.0, atol=1e-9)
+    assert np.allclose(h, zb, atol=1e-9)
 
 
 def test_star_decompose_reassembles_vertex_cumulant():
@@ -537,11 +549,10 @@ def test_star_decompose_reassembles_vertex_cumulant():
     for _ in range(6):
         c = rng.normal(size=3)
         k2 = SupportedOperator((2,), c[0] * xa + c[1] * zb + c[2] * xa @ zb)
-        star = star_decompose(k2, ends_at(2, {(1, 2): k12, (2, 3): k23}, space), 2)
-        total = star.vertex_term.matrix + sum(g.matrix for g in star.pulls.values())
-        assert np.allclose(total, k2.matrix, atol=1e-9)
-        for g in star.pulls.values():
-            assert np.allclose(g.matrix, g.matrix.conj().T, atol=1e-12)
+        h, pulls, _ = star_at(2, k2, {(1, 2): k12, (2, 3): k23}, space)
+        assert np.allclose(h + sum(pulls.values()), k2.matrix, atol=1e-9)
+        for g in pulls.values():
+            assert np.allclose(g, g.conj().T, atol=1e-12)
 
 
 def test_star_decompose_outside_ansatz_raises():
@@ -550,18 +561,95 @@ def test_star_decompose_outside_ansatz_raises():
     k12 = SupportedOperator((1, 2), np.kron(Z, Z))
     k23 = SupportedOperator((2, 3), np.kron(Z, Z))
     k2 = SupportedOperator((2,), X)
-    with pytest.raises(DecompositionResidualError) as err:
-        star_decompose(k2, ends_at(2, {(1, 2): k12, (2, 3): k23}, space), 2)
+    assert star_at(2, k2, {(1, 2): k12, (2, 3): k23}, space)[2] > 1.0
+    expansion = model_cumulants(ModelInstance(space, chain(3), (k12, k23, k2)))
+    with pytest.raises(DecompositionResidualError, match="vertex cumulant at 2 ") as err:
+        theorem4_decompose(expansion, chain(3))
     assert err.value.residual > 1.0
 
 
 def test_star_decompose_support_validation():
+    # an edge cumulant must sit on the edge that keys it
     space = SiteSpace.qubits(3)
     k12 = SupportedOperator((1, 2), np.kron(Z, Z))
     with pytest.raises(UnknownSiteError):
-        star_decompose(SupportedOperator((1,), Z), ends_at(2, {(1, 2): k12}, space), 2)
-    with pytest.raises(UnknownSiteError):
-        star_decompose(SupportedOperator((2,), Z), ends_at(2, {(2, 3): k12}, space), 2)
+        decompose._edge_ends({(2, 3): k12}, space)
+
+
+def block_star(rng, deg):
+    """Edge-end generators at one site of a random block structure, and a
+    vertex cumulant inside their split.
+
+    The site is (+)_a ((x)_v K_{a,v}) (x) L_a in a random frame, with d <=
+    12.  End v generates the algebra (+)_a B(K_{a,v}) (x) I: its generators
+    are an orthonormal basis of that algebra's traceless part, as an edge
+    cumulant's site factors are orthonormal and traceless.  Each end has a
+    block with K_{a,v} of dimension 2 or more, or else, with one block, its
+    algebra would be the multiples of the identity: made traceless they
+    leave only rounding noise, and a relative eigen-cut on noise is
+    arbitrary.  The cumulant is a free part on the L_a plus, per end, a
+    part on K_{a,v} (x) L_a.
+    """
+    while True:
+        blocks = [(rng.integers(1, 4, size=deg).tolist(), int(rng.integers(1, 3)))
+                  for _ in range(rng.integers(1, 4))]
+        sizes = [math.prod(k) * l for k, l in blocks]
+        if sum(sizes) <= 12 and all(any(k[v] > 1 for k, _ in blocks) for v in range(deg)):
+            break
+    d = sum(sizes)
+    frame = haar_unitary(rng, d)
+
+    def site(block, factors):
+        """A kron over block ``block``'s (K_1, ..., K_deg, L) of
+        ``factors`` (None for the identity), zero on the other blocks."""
+        out = np.zeros((d, d), dtype=complex)
+        at = sum(sizes[:block])
+        k, l = blocks[block]
+        out[at:at + sizes[block], at:at + sizes[block]] = kron(*[
+            np.eye(n) if m is None else m for n, m in zip(k + [l], factors)])
+        return frame @ out @ frame.conj().T
+
+    def herm(n):
+        return random_hermitian(rng, n)
+
+    basis = decompose.hermitian_basis(d)
+    gens = []
+    for v in range(deg):
+        spans = [site(a, [b if w == v else None for w in range(deg)] + [None])
+                 for a, (k, _) in enumerate(blocks) for b in decompose.hermitian_basis(k[v])]
+        coords = (np.reshape(spans, (len(spans), -1)) @ basis.reshape(d * d, -1).conj().T).real
+        coords[:, 0] = 0.0  # the traceless part
+        _, sv, vt = np.linalg.svd(coords, full_matrices=False)
+        gens.append(np.tensordot(vt[sv > 1e-9], basis, 1))
+    k_u = sum(site(a, [None] * deg + [herm(l)]) for a, (_, l) in enumerate(blocks))
+    for v in range(deg):
+        for a, (k, l) in enumerate(blocks):
+            k_u = k_u + site(a, [herm(n) if w == v else None for w, n in enumerate(k)]
+                             + [herm(l)])
+    return gens, k_u
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_star_projections_match_the_least_squares_split(deg, seed, inside):
+    # the projections of _star_stack against the minimum-norm lstsq split
+    # with the joint part stripped out, on targets inside the split and on
+    # random ones
+    rng = np.random.default_rng(seed)
+    gens, k_u = block_star(rng, deg)
+    if not inside:
+        k_u = random_hermitian(rng, len(k_u))
+    h, pulls, res, scale = decompose._star_stack(k_u[None], [gens], decompose.DEFAULT_RTOL)
+    want = star_reference(k_u, gens, decompose.DEFAULT_RTOL)
+    tol = 1e-12 * want.scale
+    assert scale[0] == pytest.approx(want.scale, rel=1e-14)
+    assert abs(res[0] - want.residual) <= tol
+    assert np.linalg.norm(h[0] - want.vertex_term) <= tol
+    assert len(pulls) == deg
+    for got, g in zip(pulls, want.pulls):
+        assert np.linalg.norm(got - g) <= tol
+    if inside:
+        assert res[0] <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +753,52 @@ def test_theorem4_seeded_models_decompose(seed):
     models += [families.theorem4_model(kind, rng) for kind in families.THEOREM4_KINDS]
     for model in models:
         dec = theorem4_decompose(model_cumulants(model), model.graph)
+        assert dec.residual <= 1e-8
+        assert dec.max_commutator <= 1e-8
+
+
+def nudged(model, edge, seed, size=1e-12):
+    """The model with ``size`` times a random unit Hermitian added to the
+    term on ``edge``."""
+    terms = list(model.terms)
+    i = next(i for i, t in enumerate(terms) if t.support == edge)
+    m = terms[i].matrix
+    b = np.random.default_rng(seed).normal(size=m.shape + (2,)) @ [1, 1j]
+    a = b + b.conj().T
+    terms[i] = SupportedOperator(edge, m + size * a / np.linalg.norm(a))
+    return ModelInstance(model.space, model.graph, tuple(terms), beta=model.beta)
+
+
+def test_a_rounding_level_nudge_of_an_edge_term_decomposes():
+    # a least-squares star split over the joint and pull spans, whose
+    # columns are dependent, amplifies this 1e-12 nudge into "vertex
+    # cumulant at 2 leaves residual 1.521e-03"
+    model = nudged(families.theorem4_model("path4", np.random.default_rng(0)), (1, 2), 1)
+    dec = theorem4_decompose(model_cumulants(model), model.graph)
+    assert dec.residual <= 1e-12
+    assert dec.max_commutator <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(families.THEOREM4_KINDS), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_rounding_level_nudges_of_edge_terms_decompose(kind, seed, data):
+    model = families.theorem4_model(kind, np.random.default_rng(seed))
+    edge = data.draw(st.sampled_from(sorted(model.graph.edges)))
+    model = nudged(model, edge, seed)
+    dec = theorem4_decompose(model_cumulants(model), model.graph)
+    assert dec.residual <= 1e-10
+    assert dec.max_commutator <= 1e-10
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0, 2.0])
+def test_star_states_decompose_from_their_logarithm(beta):
+    # the state route: log rho taken by logm_pd carries rounding on every
+    # cumulant, which a least-squares star split amplifies into false fails
+    for seed in range(25):
+        model = families.theorem4_model("star", np.random.default_rng(seed), beta=beta)
+        expansion = expand(logm_pd(gibbs(model).matrix), model.space)
+        dec = theorem4_decompose(expansion, model.graph)
         assert dec.residual <= 1e-8
         assert dec.max_commutator <= 1e-8
 
@@ -814,6 +948,34 @@ def test_a_high_degree_vertex_pads_no_other_vertex():
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert_same_decomposition(got, theorem4_reference(expansion, graph))
+
+
+def test_a_high_degree_hub_forms_its_factor_products_in_chunks():
+    # a dim-4 hub with 40 dim-4 leaves: each edge end keeps 16 site factors,
+    # so the edge check pairs 640 factors at the hub; all their products
+    # formed at once take 232 MiB traced, a size that grows as the square
+    # of the degree
+    rng = np.random.default_rng(6)
+    leaves = range(1, 41)
+    frame = {s: haar_unitary(rng, 4) for s in range(41)}
+
+    def framed(support, m):
+        u = kron(*[frame[s] for s in support])
+        return SupportedOperator(support, u @ m @ u.conj().T)
+
+    terms = [framed((0, v), np.diag(rng.normal(size=16))) for v in leaves]
+    terms += [framed((0,), np.diag(rng.normal(size=4)))]
+    graph = Graph.from_edges([(0, v) for v in leaves])
+    space = SiteSpace.from_dims({s: 4 for s in range(41)})
+    expansion = model_cumulants(ModelInstance(space, graph, tuple(terms), beta=0.7))
+    tracemalloc.start()
+    try:
+        got = theorem4_decompose(expansion, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert got.residual <= 1e-12 and got.max_commutator <= 1e-11
 
 
 def test_theorem4_names_the_lowest_vertex_outside_the_ansatz():
