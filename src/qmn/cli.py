@@ -16,9 +16,12 @@ all be qubits with ids 0 <= id < 2**20.  A ``words`` term is one sum of
 such words on a shared support, each word's ``coeff`` times the term's;
 ``save_model`` writes a Pauli sum of several words that way, so it stays
 symbolic.  Matrix terms are row-major with separate real and imaginary
-parts, scaled by ``coeff``.  Every number in a model file (coefficients,
-matrix entries, ``beta``) must be finite, and the terms must pass the
-rule ``markov.ModelInstance`` applies to every model.
+parts, scaled by ``coeff``; ``im`` (optional) has the shape of ``re``.
+Every number in a model file (coefficients, matrix entries, ``beta``)
+must be a finite JSON number, and the terms must pass the rule
+``markov.ModelInstance`` applies to every model.  The loader decodes each
+term once and leaves its admission, a matrix term's Hermitian check
+included, to ``ModelInstance``.
 
 ``decompose`` and ``cumulants`` take the local route (``"route":
 "local"`` in the report): the cumulants of log rho = beta H - log Z 1, or
@@ -74,6 +77,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import re
@@ -105,14 +109,17 @@ from .errors import (
 from .graphs import Graph, to_dot
 from .markov import MarkovReport, ModelInstance, gibbs, is_markov_network
 from .pauli import QUBIT_ID_LIMIT, PauliSum, PauliTerm, commutator
-from .tensor import SiteSpace, SupportedOperator, check_hermitian
+from .tensor import SiteSpace, SupportedOperator
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_FAIL = 2
 EXIT_LIMIT = 3
 
-_LETTERS = frozenset("IXYZ")
+# a Pauli letter, in either case -> (x bit, z bit) of its qubit
+_LETTER_BITS = {c: bits for letter, bits in
+                (("I", (0, 0)), ("X", (1, 0)), ("Y", (1, 1)), ("Z", (0, 1)))
+                for c in (letter, letter.lower())}
 
 
 # ---------------------------------------------------------------------------
@@ -133,99 +140,121 @@ def _is_finite_number(x: Any) -> bool:
 
 def _coeff_from_json(raw: Any, where: str) -> complex:
     parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw]
-    if not all(_is_finite_number(x) for x in parts):
+    if not all(map(_is_finite_number, parts)):
         raise ModelFormatError(
             f"{where}.coeff must be a finite real number or [re, im]")
     return complex(*parts)
 
 
-def _word_from_json(text: Any, coeff: float, support: list[int], space: SiteSpace,
-                    where: str) -> PauliTerm:
-    """One Pauli word, its letters placed positionally on the support sites."""
+def _word_from_json(text: Any, coeff: float, qubits: list[int], where: str
+                    ) -> PauliTerm:
+    """One Pauli word, its letters placed positionally on the support sites
+    (``qubits`` holds each site's bit) and read straight into the masks."""
     if not isinstance(text, str):
         raise ModelFormatError(f"{where}.pauli must be a string of letters")
     tokens = text.split()
-    if len(tokens) != len(support):
+    if len(tokens) != len(qubits):
         raise ModelFormatError(
-            f"{where}.pauli has {len(tokens)} letters for {len(support)} "
+            f"{where}.pauli has {len(tokens)} letters for {len(qubits)} "
             f"support sites")
-    letters = {}
-    for s, tok in zip(support, tokens):
-        up = tok.upper()
-        if up not in _LETTERS:
-            raise ModelFormatError(f"{where}.pauli: unknown letter {tok!r}")
-        if space.dim(s) != 2:
-            raise ModelFormatError(
-                f"{where}: Pauli letters need qubit sites, but site {s} "
-                f"has dim {space.dim(s)}")
-        if not 0 <= s < QUBIT_ID_LIMIT:
-            raise ModelFormatError(
-                f"{where}: Pauli qubit id {s} is outside 0 <= id < 2**20")
-        if up != "I":
-            letters[s] = up
-    return PauliTerm.from_letters(coeff, letters)
+    x = z = 0
+    for bit, tok in zip(qubits, tokens):
+        try:
+            bx, bz = _LETTER_BITS[tok]
+        except KeyError:
+            raise ModelFormatError(f"{where}.pauli: unknown letter {tok!r}") from None
+        x |= bit * bx
+        z |= bit * bz
+    return PauliTerm(coeff, x, z)
 
 
-def _term_from_json(entry: Any, idx: int, space: SiteSpace
+def _matrix_from_json(block: dict, d: int, where: str) -> np.ndarray:
+    """The d x d complex matrix of a term's ``re`` and (optional) ``im``
+    parts, read into one array: entries are finite JSON numbers and ``im``
+    has the shape of ``re``."""
+    try:
+        m = np.array(block["re"], dtype=complex)
+        im = np.array(block["im"], dtype=float) if "im" in block else None
+    except (TypeError, ValueError, OverflowError):
+        raise ModelFormatError(f"{where}.matrix entries must be numeric arrays") from None
+    if m.shape != (d, d):
+        raise ModelFormatError(
+            f"{where}.matrix has shape {m.shape}; its support needs "
+            f"({d}, {d})")
+    if im is not None:
+        if im.shape != m.shape:
+            raise ModelFormatError(
+                f"{where}.matrix.im has shape {im.shape}; re has shape {m.shape}")
+        m.imag = im
+    # numpy read true as 1.0 and "2" as 2.0; re and im are rows of scalars
+    rows = itertools.chain(block["re"], block.get("im", ()))
+    kinds = {type(x) for row in rows for x in row}
+    if not kinds <= {int, float}:
+        raise ModelFormatError(f"{where}.matrix entries must be numbers, not "
+                               f"{min(k.__name__ for k in kinds - {int, float})}")
+    if not np.isfinite(m).all():
+        raise ModelFormatError(f"{where}.matrix entries must be finite")
+    return m
+
+
+def _term_from_json(entry: Any, idx: int, dims: dict[int, int]
                     ) -> PauliSum | SupportedOperator:
+    """One term, decoded once: ``ModelInstance`` admits it (its clique, and
+    a dense term's Hermitian check and symmetrization)."""
     where = f"terms[{idx}]"
     if not isinstance(entry, dict):
         raise ModelFormatError(f"{where} must be an object")
     support = entry.get("support")
-    if (not isinstance(support, list) or not support
-            or any(not _is_int(s) for s in support)):
+    if not isinstance(support, list) or not support or not all(map(_is_int, support)):
         raise ModelFormatError(f"{where}.support must be a non-empty list of site ids")
-    if sorted(set(support)) != support:
+    sites = set(support)
+    if sorted(sites) != support:
         raise ModelFormatError(f"{where}.support must be sorted and without repeats")
-    for s in support:
-        if s not in space:
-            raise ModelFormatError(f"{where}.support references unknown site {s}")
+    if not sites <= dims.keys():
+        raise ModelFormatError(f"{where}.support references unknown site "
+                               f"{min(sites - dims.keys())}")
     coeff = _coeff_from_json(entry.get("coeff", 1.0), where)
     given = [k for k in ("pauli", "words", "matrix") if k in entry]
     if len(given) > 1:
         raise ModelFormatError(f"{where} must give one of pauli, words or matrix, "
                                f"not {' and '.join(given)}")
-    if given in (["pauli"], ["words"]):
-        if coeff.imag != 0.0:
-            raise ModelFormatError(f"{where}.coeff must be real for a Pauli term")
-        words = [{"pauli": entry["pauli"]}] if given == ["pauli"] else entry["words"]
-        if not isinstance(words, list) or not words:
-            raise ModelFormatError(f"{where}.words must be a non-empty list of "
-                                   f"{{pauli, coeff}} objects")
-        out = []
-        for k, w in enumerate(words):
-            at = where if given == ["pauli"] else f"{where}.words[{k}]"
-            if not isinstance(w, dict) or "pauli" not in w:
-                raise ModelFormatError(f"{at} must be an object with a pauli string")
-            c = _coeff_from_json(w.get("coeff", 1.0), at)
-            if c.imag != 0.0:
-                raise ModelFormatError(f"{at}.coeff must be real for a Pauli term")
-            out.append(_word_from_json(w["pauli"], coeff.real * c.real, support,
-                                       space, at))
-        return PauliSum(tuple(out))
-    if "matrix" not in entry:
+    if given == ["matrix"]:
+        block = entry["matrix"]
+        if not isinstance(block, dict) or "re" not in block:
+            raise ModelFormatError(f"{where}.matrix must be an object with re (and im)")
+        m = _matrix_from_json(block, math.prod(dims[s] for s in support), where)
+        if coeff != 1.0:  # times 1 could flip the sign of a zero entry
+            m *= coeff
+        return SupportedOperator(tuple(support), m)
+    if not given:
         raise ModelFormatError(f"{where} needs a pauli string or a matrix, or words")
-    block = entry["matrix"]
-    if not isinstance(block, dict) or "re" not in block:
-        raise ModelFormatError(f"{where}.matrix must be an object with re (and im)")
-    try:
-        m = np.array(block["re"], dtype=float).astype(complex)
-        if "im" in block:
-            m = m + 1j * np.array(block["im"], dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ModelFormatError(f"{where}.matrix entries must be numeric arrays") from None
-    if not np.all(np.isfinite(m)):
-        raise ModelFormatError(f"{where}.matrix entries must be finite")
-    d = space.subspace(support).total_dim
-    if m.shape != (d, d):
-        raise ModelFormatError(
-            f"{where}.matrix has shape {m.shape}; support {support} needs "
-            f"({d}, {d})")
-    try:
-        m = check_hermitian(coeff * m)
-    except NonHermitianError as e:
-        raise ModelFormatError(f"{where}.matrix after coeff: {e}") from None
-    return SupportedOperator(tuple(support), m)
+    if coeff.imag != 0.0:
+        raise ModelFormatError(f"{where}.coeff must be real for a Pauli term")
+    for s in support:
+        if dims[s] != 2:
+            raise ModelFormatError(
+                f"{where}: Pauli letters need qubit sites, but site {s} "
+                f"has dim {dims[s]}")
+        if not 0 <= s < QUBIT_ID_LIMIT:
+            raise ModelFormatError(
+                f"{where}: Pauli qubit id {s} is outside 0 <= id < 2**20")
+    qubits = [1 << s for s in support]
+    if given == ["pauli"]:
+        return PauliSum((_word_from_json(entry["pauli"], coeff.real, qubits, where),))
+    words = entry["words"]
+    if not isinstance(words, list) or not words:
+        raise ModelFormatError(f"{where}.words must be a non-empty list of "
+                               f"{{pauli, coeff}} objects")
+    out = []
+    for k, w in enumerate(words):
+        at = f"{where}.words[{k}]"
+        if not isinstance(w, dict) or "pauli" not in w:
+            raise ModelFormatError(f"{at} must be an object with a pauli string")
+        c = _coeff_from_json(w.get("coeff", 1.0), at)
+        if c.imag != 0.0:
+            raise ModelFormatError(f"{at}.coeff must be real for a Pauli term")
+        out.append(_word_from_json(w["pauli"], coeff.real * c.real, qubits, at))
+    return PauliSum(tuple(out))
 
 
 def model_from_json(data: Any) -> ModelInstance:
@@ -251,23 +280,28 @@ def model_from_json(data: Any) -> ModelInstance:
         raise ModelFormatError("edges must be a list of [id, id] pairs")
     edges = []
     for k, e in enumerate(raw_edges):
-        if (not isinstance(e, list) or len(e) != 2
-                or any(not _is_int(x) for x in e)):
+        if not isinstance(e, list) or len(e) != 2 or not all(map(_is_int, e)):
             raise ModelFormatError(f"edges[{k}] must be a pair of site ids")
-        if e[0] not in dims or e[1] not in dims:
+        u, v = e
+        if u not in dims or v not in dims:
             raise ModelFormatError(f"edges[{k}] references an unknown site")
-        edges.append((e[0], e[1]))
-    graph = Graph.from_edges(edges, vertices=sorted(dims))
+        if u == v:
+            raise ModelFormatError(f"edges[{k}] is a self-loop on site {u}")
+        edges.append((u, v))
+    graph = Graph(frozenset(dims), frozenset(edges))
     raw_terms = data.get("terms")
     if not isinstance(raw_terms, list) or not raw_terms:
         raise ModelFormatError("terms must be a non-empty list")
-    terms = tuple(_term_from_json(t, k, space) for k, t in enumerate(raw_terms))
+    terms = tuple(_term_from_json(t, k, dims) for k, t in enumerate(raw_terms))
     beta = data.get("beta", 1.0)
     if not _is_finite_number(beta):
         raise ModelFormatError("beta must be a finite number")
     try:
         return ModelInstance(space, graph, terms, beta=float(beta))
     except QmnError as e:
+        if isinstance(e, NonHermitianError) and e.term is not None:
+            raise ModelFormatError(
+                f"terms[{e.term}].matrix after coeff: {e.__cause__}") from None
         raise ModelFormatError(f"model invalid: {e}") from e
 
 

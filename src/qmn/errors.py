@@ -16,7 +16,15 @@ class UnknownSiteError(QmnError):
 
 
 class NonHermitianError(QmnError):
-    """A matrix required to be Hermitian is not, beyond tolerance."""
+    """A matrix required to be Hermitian is not, beyond tolerance.
+
+    ``term`` is the index of the model term whose matrix failed, when a
+    model's admission raised it; the matrix's own error is the cause.
+    """
+
+    def __init__(self, message: str, term: int | None = None):
+        super().__init__(message)
+        self.term = term
 
 
 class PositivityViolationError(QmnError):

@@ -60,9 +60,10 @@ class Graph:
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
         vs = sorted(set(vertices))
-        if any(v not in self.vertices for v in vs):
+        if not self.vertices.issuperset(vs):
             return False
-        return all(self.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
+        # pairs of sorted vertices are stored edges as they stand
+        return all(e in self.edges for e in itertools.combinations(vs, 2))
 
 
 @dataclass(frozen=True)

@@ -297,9 +297,15 @@ class ModelInstance:
     matrix is exactly Hermitian; a ``SupportedOperator`` as the read-only,
     symmetrized matrix of ``check_hermitian``, which refuses a non-finite
     entry or a defect beyond ``HERMITIAN_RTOL``.  Else ``NonHermitianError``
-    names the term.  A Pauli term's sites must have dim 2 (2**qubits with a
-    composition), and a dense term's matrix the product of its sites'
-    dimensions, or ``DimensionMismatchError`` names the term and its sites.
+    names the term (its ``term`` index; the matrix's error is the cause).
+    This is the one Hermitian check and symmetrization of a dense term on
+    every path into a model: built in code, loaded from a file
+    (``cli.model_from_json`` decodes terms and leaves the check here),
+    re-made by ``dataclasses.replace`` or by
+    ``CommutingDecomposition.to_model``.  A Pauli term's sites must have
+    dim 2 (2**qubits with a composition), and a dense term's matrix the
+    product of its sites' dimensions, or ``DimensionMismatchError`` names
+    the term and its sites.
     """
 
     space: SiteSpace
@@ -324,30 +330,34 @@ class ModelInstance:
                     raise DimensionMismatchError(
                         f"site {s} has dim {self.space.dim(s)} but {len(qs)} qubits")
             object.__setattr__(self, "site_composition", comp)
+        dim = dict(zip(self.space.sites, self.space.dims))
         terms = []
         for k, t in enumerate(self.terms):
+            if isinstance(t, PauliTerm):
+                t = PauliSum.of(t)
             sup = self.term_support(t)
-            if not self.graph.is_clique(sup):
+            if not (self.graph.is_clique(sup) if len(sup) > 1
+                    else all(s in dim for s in sup)):
                 raise UnknownSiteError(
                     f"term support {sorted(sup)} is not a clique of the graph")
             if isinstance(t, SupportedOperator):
-                want = math.prod(self.space.dim(s) for s in sup)
+                want = math.prod(dim[s] for s in sup)
                 if t.dim != want:
                     raise DimensionMismatchError(
                         f"term {k} on sites {list(sup)} is {t.dim} x {t.dim}; "
                         f"their dimensions need {want} x {want}")
                 try:
-                    t = SupportedOperator(t.support, check_hermitian(t.matrix))
+                    m = check_hermitian(t.matrix)
                 except NonHermitianError as e:
-                    raise NonHermitianError(f"term {k}: {e}") from None
-                t.matrix.flags.writeable = False
+                    raise NonHermitianError(f"term {k}: {e}", term=k) from e
+                m.flags.writeable = False
+                t = SupportedOperator(sup, m)
             else:
-                bad = [s for s in sup if comp is None and self.space.dim(s) != 2]
+                bad = [s for s in sup if comp is None and dim[s] != 2]
                 if bad:
                     raise DimensionMismatchError(
                         f"Pauli term {k} acts on site {bad[0]} of dim "
-                        f"{self.space.dim(bad[0])}; Pauli letters need qubit sites")
-                t = PauliSum.of(t) if isinstance(t, PauliTerm) else t
+                        f"{dim[bad[0]]}; Pauli letters need qubit sites")
                 if not all(w.coeff.imag == 0.0 and math.isfinite(w.coeff.real)
                            for w in t.terms):
                     raise NonHermitianError(
@@ -367,9 +377,11 @@ class ModelInstance:
             return term.support
         owner = self.qubit_owner
         try:
-            return tuple(sorted({owner[q] for q in term.support}))
+            sites = [owner[q] for q in term.support]
         except KeyError as e:
             raise UnknownSiteError(f"Pauli letter on unknown qubit {e.args[0]}") from None
+        # an atomic site's one qubit is the site: the mask's bits are sorted
+        return tuple(sites if self.site_composition is None else sorted(set(sites)))
 
     def term_operator(self, term: Term) -> SupportedOperator:
         """Dense operator for one term, on the sites it touches."""

@@ -133,8 +133,12 @@ class PauliSum:
     terms: tuple[PauliTerm, ...]
 
     def __post_init__(self):
+        terms = self.terms
+        if not terms or len(terms) == 1 and terms[0].coeff != 0:
+            object.__setattr__(self, "terms", tuple(terms))  # canonical already
+            return
         combined: dict[tuple[int, int], complex] = {}
-        for t in self.terms:
+        for t in terms:
             combined[t.x, t.z] = combined.get((t.x, t.z), 0j) + t.coeff
         canon = sorted((PauliTerm(c, x, z) for (x, z), c in combined.items() if c != 0),
                        key=lambda t: t.word)

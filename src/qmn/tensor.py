@@ -134,7 +134,7 @@ class SupportedOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple(int(s) for s in self.support))
+        object.__setattr__(self, "support", tuple(map(int, self.support)))
         if list(self.support) != sorted(set(self.support)):
             raise UnknownSiteError("support must be sorted and duplicate-free")
         m = np.asarray(self.matrix, dtype=complex)
@@ -229,11 +229,15 @@ def check_hermitian(matrix: np.ndarray) -> np.ndarray:
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     mh = m.mT.conj()
-    if m.size:
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN defect
+        diff = m - mh
+    # a non-finite entry leaves an inf or NaN difference, so an exactly
+    # Hermitian input, such as a saved model term, has nothing to measure
+    if diff.any():
         scale = np.abs(m).max(axis=(-2, -1))
-        with np.errstate(invalid="ignore"):  # inf - inf is a NaN defect
-            defect = np.abs(m - mh).max(axis=(-2, -1))
-        bad = ~(defect <= HERMITIAN_RTOL * scale)  # a NaN defect or scale fails
+        defect = np.abs(diff).max(axis=(-2, -1))
+        # a NaN defect or scale fails, and so does an inf entry
+        bad = ~(defect <= HERMITIAN_RTOL * scale) | np.isinf(scale)
         if bad.any():
             k = np.argmax(bad)  # the first failing matrix
             defect, scale = np.ravel(defect)[k], np.ravel(scale)[k]

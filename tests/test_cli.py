@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmn import cumulants, decompose, families, markov
 from qmn.cli import main, model_from_json, model_to_json, load_model, save_model
@@ -12,7 +14,7 @@ from qmn.errors import ModelFormatError
 from qmn.graphs import Graph, shield_partitions
 from qmn.markov import ModelInstance, gibbs, is_markov_network
 from qmn.pauli import PauliSum, PauliTerm, parse_sum, parse_term
-from qmn.tensor import SiteSpace, SupportedOperator
+from qmn.tensor import SiteSpace, SupportedOperator, check_hermitian
 
 
 def write(path, data):
@@ -221,6 +223,29 @@ BAD_MODELS = [
      "terms[0].words[0].coeff must be real"),
     ({"sites": [{"id": 1, "dim": 2}], "edges": [],
       "terms": [{"support": [1], "words": ["Z"]}]}, "terms[0].words[0] must be an object"),
+    # an im that numpy would broadcast against re
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "matrix": {"re": [[1, 0], [0, 2]], "im": [[0, 0]]}}]},
+     "terms[0].matrix.im has shape (1, 2); re has shape (2, 2)"),
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "matrix": {"re": [[1, 0], [0, 2]], "im": 0}}]},
+     "terms[0].matrix.im has shape (); re has shape (2, 2)"),
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "matrix": {"re": [[1, 0], [0, 2]], "im": [0.0]}}]},
+     "terms[0].matrix.im has shape (1,); re has shape (2, 2)"),
+    # numpy reads true as 1.0 and "2" as 2.0
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "matrix": {"re": [[True, 0], [0, 1]]}}]},
+     "terms[0].matrix entries must be numbers, not bool"),
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "matrix": {"re": [[1, 0], [0, 1]],
+                                            "im": [[0, False], [0, 0]]}}]},
+     "terms[0].matrix entries must be numbers, not bool"),
+    ({"sites": [{"id": 1, "dim": 2}], "edges": [],
+      "terms": [{"support": [1], "matrix": {"re": [[1, 0], [0, "2"]]}}]},
+     "terms[0].matrix entries must be numbers, not str"),
+    ({"sites": [{"id": 1, "dim": 2}, {"id": 2, "dim": 2}], "edges": [[1, 2], [1, 1]],
+      "terms": [{"support": [1], "pauli": "Z"}]}, "edges[1] is a self-loop on site 1"),
 ]
 
 
@@ -229,6 +254,87 @@ def test_model_json_diagnostics(data, fragment):
     with pytest.raises(ModelFormatError) as exc:
         model_from_json(data)
     assert fragment.lower() in str(exc.value).lower()
+
+
+@st.composite
+def plain_model_files(draw):
+    """Model files on a chain of 2-4 sites of dims 2-4: Pauli terms of one
+    word or several, words that cancel to zero, identity words and lower-case
+    letters on qubit sites, and real or complex dense terms on one site or
+    an edge, each exactly Hermitian."""
+    n = draw(st.integers(2, 4))
+    dims = draw(st.lists(st.sampled_from((2, 2, 3, 4)), min_size=n, max_size=n))
+    coeffs = st.sampled_from((1.0, -0.5, 0.25, 2.0, 1.5e-3))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        first = draw(st.integers(1, n))
+        support = list(range(first, min(first + draw(st.integers(1, 2)), n + 1)))
+        if all(dims[s - 1] == 2 for s in support) and draw(st.booleans()):
+            letters = st.text("IXYZixyz", min_size=len(support), max_size=len(support))
+            words = [{"pauli": " ".join(draw(letters)), "coeff": draw(coeffs)}
+                     for _ in range(draw(st.integers(1, 3)))]
+            if draw(st.booleans()):  # the first word again, cancelling it
+                words.append({"pauli": words[0]["pauli"].swapcase(),
+                              "coeff": -words[0]["coeff"]})
+            entry = ({"pauli": words[0]["pauli"]} if len(words) == 1
+                     else {"words": words})
+            terms.append({"support": support, "coeff": draw(coeffs), **entry})
+        else:
+            d = math.prod(dims[s - 1] for s in support)
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            x = rng.normal(size=(d, d))
+            if draw(st.booleans()):
+                x = x + 1j * rng.normal(size=(d, d))
+            m = x + x.conj().T
+            block = {"re": m.real.tolist()}
+            if np.iscomplexobj(m):
+                block["im"] = m.imag.tolist()
+            coeff = draw(st.sampled_from((1.0, -0.5, [2.0, 0.0])))
+            terms.append({"support": support, "matrix": block, "coeff": coeff})
+    return {"sites": [{"id": s, "dim": d} for s, d in enumerate(dims, start=1)],
+            "edges": [[s, s + 1] for s in range(1, n)], "terms": terms,
+            "beta": draw(st.sampled_from((1.0, 0.3)))}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(plain_model_files())
+def test_loaded_models_save_and_reload_unchanged(data):
+    model = model_from_json(data)
+    saved = model_to_json(model)
+    back = model_from_json(json.loads(json.dumps(saved)))
+    for a, b in zip(model.terms, back.terms, strict=True):
+        if isinstance(a, PauliSum):
+            assert a == b
+        else:
+            assert a.support == b.support
+            assert np.array_equal(a.matrix, b.matrix)
+    assert model_to_json(back) == saved
+
+
+def test_each_dense_term_is_checked_for_hermiticity_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(np.shape(matrix))
+        return check_hermitian(matrix)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("qmn") and \
+                getattr(mod, "check_hermitian", None) is check_hermitian:
+            monkeypatch.setattr(mod, "check_hermitian", counting)
+    model = families.theorem4_model("path4", np.random.default_rng(1))
+    dec = decompose.theorem4_decompose(cumulants.model_cumulants(model), model.graph)
+    calls.clear()
+    dec_model = dec.to_model()
+    assert len(calls) == len(dec_model.terms)
+    for k, m in enumerate((model, dec_model)):
+        path = str(tmp_path / f"path4-{k}.json")
+        save_model(m, path)
+        dense = sum("matrix" in t for t in read(path)["terms"])
+        assert dense > 0
+        calls.clear()
+        load_model(path)
+        assert len(calls) == dense
 
 
 def test_load_model_bad_json(tmp_path):

@@ -179,6 +179,15 @@ def test_check_hermitian_refuses_non_finite_entries():
         check_hermitian(np.stack([np.eye(2), infinite, skew]))
     with pytest.raises(NonHermitianError, match="= 1.000e[+]00 exceeds"):
         check_hermitian(np.stack([np.eye(2), skew, infinite]))
+    # an inf whose mirror entry is finite leaves an inf defect against an inf
+    # scale, which used to pass the relative test
+    for m in ([[1.0, np.inf], [0.0, 1.0]], [[1.0, 0.0], [-np.inf + 1j, 1.0]]):
+        with pytest.raises(NonHermitianError, match="= inf exceeds"):
+            check_hermitian(np.array(m))
+    # an exactly Hermitian stack needs no scale, and comes back as it went in
+    exact = np.stack([np.eye(2), np.array([[2.0, 1j], [-1j, 0.5]])])
+    assert np.array_equal(check_hermitian(exact), exact)
+    assert check_hermitian(np.zeros((3, 0, 0))).shape == (3, 0, 0)
 
 
 def test_expm_matches_taylor_oracle():
