@@ -139,7 +139,7 @@ from .markov import (
     gibbs,
     is_markov_network,
 )
-from .pauli import PauliSum, commutator
+from .pauli import PauliSum, commutator, words_commute
 from .tensor import (
     Schmidt,
     SiteSpace,
@@ -200,7 +200,8 @@ def _best_grouping(items: Sequence[tuple[frozenset[int], Term]],
     to the BC half) until one commutes, which needs 2^k <=
     ``SPLIT_SEARCH_CAP``.  Pauli sums are summed exactly, dense operators on
     the sites of their half, which the dense cap bounds by the sites of
-    ``p``.
+    ``p``.  Halves of Pauli sums with no anticommuting word pair commute,
+    0.0, before either half is summed.
     """
     symbolic = all(isinstance(op, PauliSum) for _, op in items)
     if not symbolic:
@@ -226,6 +227,9 @@ def _best_grouping(items: Sequence[tuple[frozenset[int], Term]],
         ab, bc = list(side_ab), list(side_bc)
         for i, op in enumerate(inner):
             (bc if mask >> i & 1 else ab).append(op)
+        if symbolic and words_commute(((t.x, t.z) for s in ab for t in s.terms),
+                                      [(t.x, t.z) for s in bc for t in s.terms]):
+            return 0.0
         return _relative_commutator(half(ab, p.a | p.b), half(bc, p.b | p.c), space)
 
     best = grouping(0)
@@ -259,14 +263,18 @@ def pairwise_commutation(ops: Sequence[Term], space: SiteSpace,
     """Check all overlapping pairs; norms are relative to the operand norms.
 
     Terms are dense operators or, compared exactly, Pauli sums.  The
-    pairs come from a site-to-operands index, in (i, j) order.
+    pairs come from a site-to-operands index, in (i, j) order.  A pair of
+    Pauli sums with no anticommuting word pair is 0.0 without a commutator.
     """
     supports = [op.support for op in ops]
     by_site: dict[int, list[int]] = {}
     for i, sup in enumerate(supports):
         for s in sup:
             by_site.setdefault(s, []).append(i)
-    norms = {(i, j): _relative_commutator(ops[i], ops[j], space)
+    symbolic = all(isinstance(op, PauliSum) for op in ops)
+    words = [[(t.x, t.z) for t in op.terms] for op in ops] if symbolic else []
+    norms = {(i, j): 0.0 if symbolic and words_commute(words[i], words[j])
+             else _relative_commutator(ops[i], ops[j], space)
              for i, sup in enumerate(supports)
              for j in sorted({j for s in sup for j in by_site[s] if j > i})}
     worst = max(norms, key=norms.__getitem__, default=None)

@@ -84,6 +84,15 @@ class Partition:
         if not a or not c:
             raise UnknownSiteError("partition sides A and C must be nonempty")
 
+    @classmethod
+    def _trusted(cls, a: frozenset[int], b: frozenset[int],
+                 c: frozenset[int]) -> "Partition":
+        """A partition of groups the caller built valid, without
+        ``__post_init__``'s conversion and checks."""
+        p = object.__new__(cls)
+        vars(p).update(a=a, b=b, c=c)
+        return p
+
     @property
     def union(self) -> frozenset[int]:
         return self.a | self.b | self.c
@@ -124,33 +133,58 @@ def is_triangle_free(graph: Graph) -> bool:
     return not any(adj[u] & adj[v] for u, v in graph.edges)
 
 
-def _partitions(vs: list[int], rows: np.ndarray) -> Iterator[Partition]:
-    """Partitions of assignment rows (0=A, 1=B, 2=C, anything else: left out)."""
-    for row in rows.tolist():
-        groups: tuple[list[int], ...] = ([], [], [], [])
-        for v, g in zip(vs, row):
-            groups[g].append(v)
-        yield Partition(*map(frozenset, groups[:3]))
+class _VertexSets(dict):
+    """Vertex bitmask (bit k for the k-th smallest vertex) -> frozenset of
+    those vertices, each built once per walk."""
+
+    def __init__(self, vs: list[int]):
+        super().__init__()
+        self.vs = vs
+
+    def __missing__(self, mask: int) -> frozenset[int]:
+        group = self[mask] = frozenset(v for k, v in enumerate(self.vs) if mask >> k & 1)
+        return group
 
 
-def _canonical(digits: np.ndarray) -> np.ndarray:
-    """Mask of the rows with nonempty A and C whose smallest A|C vertex
-    lies in A (deduplicates the A/C swap)."""
-    in_a = digits == 0
-    first = np.argmax(in_a | (digits == 2), axis=1)
-    return (in_a[np.arange(len(digits)), first]
-            & (digits == 2).any(axis=1))
+def _digit_masks(width: int, base: int, shift: int, nbr: np.ndarray) -> np.ndarray:
+    """For the ``base**width`` digit strings in product order, digit j (most
+    significant first) standing for vertex ``shift + j``: row g < base holds
+    the bitmask of the vertices whose digit is g, and row ``base`` that of
+    the neighbors of the digit-0 (A) vertices, ``nbr[k]`` being vertex
+    k's."""
+    masks = np.zeros((base + 1, 1), dtype=np.int64)
+    if not width:
+        return masks
+    place = np.zeros((width, base + 1, base), dtype=np.int64)
+    groups = np.arange(base)
+    place[:, groups, groups] = np.int64(1) << np.arange(shift, shift + width)[:, None]
+    place[:, base, 0] = nbr[shift:shift + width]
+    for p in place:
+        masks = (masks[:, :, None] | p[:, None, :]).reshape(base + 1, -1)
+    return masks
+
+
+def _neighbors(masks: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """Bitmask of the vertices adjacent to each mask's vertices."""
+    held = masks[:, None] >> np.arange(len(nbr), dtype=np.int64) & 1
+    return np.bitwise_or.reduce(held * nbr, axis=1)
 
 
 def _shield_walk(graph: Graph, base: int, cap: int) -> Iterator[Partition]:
     """Shielding partitions among the ``base**n`` assignments (0=A, 1=B,
-    2=C, 3=left out) in ``itertools.product`` order over the sorted vertices,
-    walked in chunks; more than ``cap`` vertices raise ``EnumerationCapError``.
+    2=C, 3=left out) in ``itertools.product`` order over the sorted vertices;
+    more than ``cap`` vertices raise ``EnumerationCapError``.
 
-    Keeps the rows in canonical orientation whose B shields A from C: no C
-    vertex is adjacent to the reach of A, which is A plus the left-out
-    vertices joined to it through left-out vertices.  A spanning row's reach
-    is A, so the reach fixpoint runs only on chunks that leave vertices out.
+    Each group is a vertex bitmask.  The assignments are walked in chunks
+    that share their leading digits: the last (at most 8) digits' masks are
+    computed once, and a chunk ORs in its leading digits' masks.  A row is
+    kept when it is in canonical orientation (A and C nonempty, the
+    smallest A|C vertex in A) and B shields A from C: no C vertex is
+    adjacent to the reach of A, which is A plus the left-out vertices joined
+    to it through left-out vertices.  A spanning row's reach is A, so the
+    reach fixpoint runs only where vertices are left out.  The kept rows'
+    groups are valid by construction and become ``Partition``s without
+    re-validation.
     """
     vs = sorted(graph.vertices)
     n = len(vs)
@@ -161,25 +195,30 @@ def _shield_walk(graph: Graph, base: int, cap: int) -> Iterator[Partition]:
     if n == 0:
         return
     pos = {v: k for k, v in enumerate(vs)}
-    edge_idx = [(pos[u], pos[v]) for u, v in sorted(graph.edges)]
-    eu, ev = np.array(edge_idx, dtype=np.intp).reshape(-1, 2).T
-    chunk = base ** min(n, 8)
-    total = base ** n
-    powers = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (codes[:, None] // powers[None, :]) % base
-        digits = digits[_canonical(digits)]
-        reach, in_c, out = digits == 0, digits == 2, digits == 3
-        grow = out.any()  # a spanning chunk's reach is its A
-        while grow:
-            size = int(reach.sum())
-            for iu, iv in edge_idx:
-                reach[:, iv] |= reach[:, iu] & out[:, iv]
-                reach[:, iu] |= reach[:, iv] & out[:, iu]
-            grow = int(reach.sum()) > size
-        touch = (reach[:, eu] & in_c[:, ev]) | (reach[:, ev] & in_c[:, eu])
-        yield from _partitions(vs, digits[~touch.any(axis=1)])
+    nbr = np.zeros(n, dtype=np.int64)
+    for u, v in graph.edges:
+        nbr[pos[u]] |= 1 << pos[v]
+        nbr[pos[v]] |= 1 << pos[u]
+    width = min(n, 8)
+    low = _digit_masks(width, base, n - width, nbr)
+    high = _digit_masks(n - width, base, 0, nbr).tolist()
+    sets = _VertexSets(vs)
+    for h in range(base ** (n - width)):
+        a, b, c, near = (low[g] | high[g][h] for g in (0, 1, 2, base))
+        ac = a | c
+        rows = ((a & ac & -ac) != 0) & (c != 0)
+        a, b, c, near = a[rows], b[rows], c[rows], near[rows]
+        reach = a
+        if base > 3:
+            out = (low[3] | high[3][h])[rows]
+            wider = reach | near & out
+            while (wider != reach).any():
+                reach = wider
+                near = _neighbors(reach, nbr)
+                wider = reach | near & out
+        keep = (near & c) == 0
+        for ma, mb, mc in zip(a[keep].tolist(), b[keep].tolist(), c[keep].tolist()):
+            yield Partition._trusted(sets[ma], sets[mb], sets[mc])
 
 
 def spanning_shield_partitions(graph: Graph) -> Iterator[Partition]:

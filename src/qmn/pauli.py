@@ -7,10 +7,24 @@ a Y.  Two words commute iff |(x1&z2) ^ (z1&x2)| is even.  A product XORs
 the masks and multiplies the coefficient by
 i^(|x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3|), an exact power of i, so
 commutators of integer-coefficient terms cancel exactly, with no
-floating-point phase drift.  A :class:`PauliSum` is a canonically ordered,
-combined list of terms; :meth:`PauliSum.matrix` is the one conversion to a
-dense matrix.  Qubit ids satisfy 0 <= id < 2**20 (``QUBIT_ID_LIMIT``),
-checked where words enter from outside.
+floating-point phase drift.  Masks must be non-negative ints, checked
+when a term is made (a negative mask has no end of set bits), and qubit
+ids ints with 0 <= id < 2**20 (``QUBIT_ID_LIMIT``), checked where letters
+enter.
+
+A :class:`PauliSum` is a combined list of terms: each word's coefficients
+are added in input order starting from 0j and exact zeros are dropped; a
+word met once keeps its input term unless 0j + c would change its
+coefficient's bits (a -0.0 part).  Terms are ordered by an integer key
+that sorts like ``word``: the word's qubits ascending, each coded
+4 q + 1, 2 or 3 for X, Y or Z, computed once per term.  A sum's support
+and norm are computed once.  :func:`commutator` settles each word pair by
+the parity of |(x1&z2) ^ (z1&x2)| before any product is formed, adds the
+anticommuting pairs' products into an (x, z) table and builds a sum only
+of what survives; :func:`words_commute` is the same parity test on bare
+masks, which settles a pair of sums with no anticommuting word pair before
+any sum is built.  :meth:`PauliSum.matrix` is the one conversion to a
+dense matrix.
 
 Text form (read by ``parse_term`` / ``parse_sum``, written by ``str``)::
 
@@ -24,9 +38,11 @@ A term with no letter tokens is a multiple of the identity.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -51,6 +67,21 @@ def _times_i_power(c: complex, k: int) -> complex:
     return complex(c.imag, -c.real)
 
 
+class _once:
+    """A property computed on first read and then kept in the instance
+    dict, which shadows it (``functools.cached_property`` without its
+    lock)."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     """Positions of the set bits, ascending."""
     out = []
@@ -71,21 +102,28 @@ class PauliTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", complex(self.coeff))
+        x, z = self.x, self.z
+        if not (type(x) is int and type(z) is int and x >= 0 and z >= 0):
+            raise ModelFormatError(f"Pauli masks must be non-negative ints, got x={x!r}, z={z!r}")
 
     @classmethod
     def from_letters(cls, coeff: complex, letters: Mapping[int, str]) -> "PauliTerm":
-        """Term from a {qubit id: X/Y/Z} map; ids must be in [0, 2**20)."""
+        """Term from a {qubit id: X/Y/Z} map; ids must be ints in [0, 2**20)."""
         x = z = 0
         for q, letter in letters.items():
-            q = int(q)
+            if type(q) is not int:
+                if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+                    raise ModelFormatError(f"qubit id {q!r} is not an int")
+                q = int(q)
             if not 0 <= q < QUBIT_ID_LIMIT:
                 raise ModelFormatError(f"qubit id {q} is outside 0 <= id < 2**20")
-            letter = str(letter).upper()
-            if letter not in _BITS:
-                raise ModelFormatError(f"letters must be X/Y/Z: {dict(letters)}")
-            bx, bz = _BITS[letter]
-            x |= bx << q
-            z |= bz << q
+            bits = _BITS.get(letter) if type(letter) is str else None
+            if bits is None:
+                bits = _BITS.get(str(letter).upper())
+                if bits is None:
+                    raise ModelFormatError(f"letters must be X/Y/Z: {dict(letters)}")
+            x |= bits[0] << q
+            z |= bits[1] << q
         return cls(coeff, x, z)
 
     @property
@@ -93,6 +131,19 @@ class PauliTerm:
         """The word as (qubit id, letter) pairs sorted by id."""
         return tuple((q, _LETTER[(self.x >> q) & 1, (self.z >> q) & 1])
                      for q in _bits(self.x | self.z))
+
+    @_once
+    def _key(self) -> tuple[int, ...]:
+        """Order key that sorts like ``word``: 4 q + 1/2/3 for X/Y/Z, so
+        4 * bit_length - 3/2/1 for the bit of qubit q."""
+        x, z = self.x, self.z
+        key = []
+        mask = x | z
+        while mask:
+            low = mask & -mask
+            key.append(4 * low.bit_length() - (3 if not z & low else 2 if x & low else 1))
+            mask ^= low
+        return tuple(key)
 
     @property
     def letters(self) -> dict[int, str]:
@@ -121,9 +172,24 @@ class PauliTerm:
         return f"{c} * {body}" if body else c
 
 
-def commutes(a: PauliTerm, b: PauliTerm) -> bool:
-    """True iff the two words commute (even symplectic product)."""
-    return ((a.x & b.z) ^ (a.z & b.x)).bit_count() % 2 == 0
+def words_commute(a: Iterable[tuple[int, int]], b: Sequence[tuple[int, int]]) -> bool:
+    """True iff every (x, z) word of ``a`` commutes with every word of
+    ``b``, in which case sums of them commute exactly, whatever their
+    coefficients."""
+    for xa, za in a:
+        for xb, zb in b:
+            if ((xa & zb) ^ (za & xb)).bit_count() & 1:
+                return False
+    return True
+
+
+def _keeps_bits(c: complex) -> bool:
+    """True when 0j + c has the bits of c: neither part is -0.0."""
+    return ((c.real != 0.0 or math.copysign(1.0, c.real) > 0.0)
+            and (c.imag != 0.0 or math.copysign(1.0, c.imag) > 0.0))
+
+
+_by_key = operator.attrgetter("_key")
 
 
 @dataclass(frozen=True)
@@ -138,10 +204,22 @@ class PauliSum:
             object.__setattr__(self, "terms", tuple(terms))  # canonical already
             return
         combined: dict[tuple[int, int], complex] = {}
+        single: dict[tuple[int, int], PauliTerm] = {}  # words met once
         for t in terms:
-            combined[t.x, t.z] = combined.get((t.x, t.z), 0j) + t.coeff
-        canon = sorted((PauliTerm(c, x, z) for (x, z), c in combined.items() if c != 0),
-                       key=lambda t: t.word)
+            key = t.x, t.z
+            if key in combined:
+                combined[key] += t.coeff
+                single.pop(key, None)
+            else:
+                combined[key] = 0j + t.coeff
+                single[key] = t
+        canon = []
+        for key, c in combined.items():
+            if c != 0:
+                t = single.get(key)
+                canon.append(t if t is not None and _keeps_bits(t.coeff)
+                             else PauliTerm(c, *key))
+        canon.sort(key=_by_key)
         object.__setattr__(self, "terms", tuple(canon))
 
     @classmethod
@@ -156,7 +234,7 @@ class PauliSum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
+    @_once
     def support(self) -> tuple[int, ...]:
         mask = 0
         for t in self.terms:
@@ -165,6 +243,10 @@ class PauliSum:
 
     def norm(self) -> float:
         """Dimension-normalized Hilbert-Schmidt norm, sqrt(sum |c|^2)."""
+        return self._norm
+
+    @_once
+    def _norm(self) -> float:
         return math.sqrt(sum(abs(t.coeff) ** 2 for t in self.terms))
 
     def __add__(self, other: Union["PauliSum", PauliTerm]) -> "PauliSum":
@@ -217,15 +299,31 @@ def as_sum(obj: Union[PauliSum, PauliTerm]) -> PauliSum:
 
 
 def commutator(a: Union[PauliSum, PauliTerm], b: Union[PauliSum, PauliTerm]) -> PauliSum:
-    """[a, b] as an exact Pauli sum; commuting pairs cancel to the empty sum."""
+    """[a, b] as an exact Pauli sum; commuting pairs cancel to the empty sum.
+
+    Each anticommuting word pair contributes 2 ta tb, with the coefficient
+    ``(ta * tb) * 2`` would have; a lone contribution is kept as it is, and
+    several are added per (x, z) in pair order starting from 0j, as
+    ``PauliSum`` combines them.  Only the words that survive become terms.
+    """
     sa, sb = as_sum(a), as_sum(b)
-    out: list[PauliTerm] = []
+    out: list[tuple[int, int, complex]] = []
     for ta in sa.terms:
+        xa, za, ca = ta.x, ta.z, ta.coeff
+        ka = (xa & za).bit_count()
         for tb in sb.terms:
-            if commutes(ta, tb):
+            xb, zb = tb.x, tb.z
+            if not ((xa & zb) ^ (za & xb)).bit_count() & 1:
                 continue
-            out.append((ta * tb) * 2)
-    return PauliSum(tuple(out))
+            x, z = xa ^ xb, za ^ zb
+            k = ka + (xb & zb).bit_count() + 2 * (za & xb).bit_count() - (x & z).bit_count()
+            out.append((x, z, _times_i_power(ca * tb.coeff, k) * (2 + 0j)))
+    if len(out) > 1:
+        table: dict[tuple[int, int], complex] = {}
+        for x, z, c in out:
+            table[x, z] = table.get((x, z), 0j) + c
+        out = [(x, z, c) for (x, z), c in table.items() if c != 0]
+    return PauliSum(tuple(PauliTerm(c, x, z) for x, z, c in out))
 
 
 _TOKEN_RE = re.compile(r"^([XYZI])(\d+)$", re.IGNORECASE)

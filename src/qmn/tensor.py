@@ -215,6 +215,21 @@ def partial_trace(matrix: np.ndarray, space: SiteSpace, keep: Iterable[int]) -> 
     return SupportedOperator(tuple(keep), np.reshape(red, (dk, dk)))
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """``m.mT.conj()``, past 64 x 64 in C order, so that passes over ``m``
+    and its adjoint read both in the same order; copied in 64 x 64 tiles,
+    whose strided reads stay in cache.  A smaller matrix is in cache
+    whatever its order."""
+    d = m.shape[-1]
+    if d <= 64:
+        return m.mT.conj()
+    mh = np.empty(m.shape, dtype=m.dtype)
+    for i in range(0, d, 64):
+        for j in range(0, d, 64):
+            np.conjugate(m[..., j:j + 64, i:i + 64].mT, out=mh[..., i:i + 64, j:j + 64])
+    return mh
+
+
 def check_hermitian(matrix: np.ndarray) -> np.ndarray:
     """Validate Hermiticity within ``HERMITIAN_RTOL`` (relative to the max
     entry) and symmetrize.
@@ -228,7 +243,7 @@ def check_hermitian(matrix: np.ndarray) -> np.ndarray:
         m = m.astype(complex, copy=False)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    mh = m.mT.conj()
+    mh = _adjoint(m)
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN defect
         diff = m - mh
     # a non-finite entry leaves an inf or NaN difference, so an exactly
@@ -244,7 +259,9 @@ def check_hermitian(matrix: np.ndarray) -> np.ndarray:
             raise NonHermitianError(
                 f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e} exceeds "
                 f"{HERMITIAN_RTOL:.1e} * max|M| = {HERMITIAN_RTOL * scale:.3e}")
-    return (m + mh) / 2
+    out = m + mh
+    out /= 2
+    return out
 
 
 def logm_pd(matrix: np.ndarray) -> np.ndarray:

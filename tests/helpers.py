@@ -17,8 +17,11 @@ that the stacked kernels of ``theorem4_decompose`` replaced: it keeps the
 library's Schmidt splits and commutant forms but solves each star with its
 own eigensolve and a minimum-norm ``lstsq`` (``star_reference``) where the
 library projects, checks commutation one site at a time, and rebuilds the
-cumulants term by term (``local_expansion``).  The stabilizer
-generator sets and ``stabilizer_state`` at the end
+cumulants term by term (``local_expansion``).  ``reference_combine``
+and ``reference_commutator`` are the Pauli sum's combine and the
+commutator as loops over ``PauliTerm`` objects, whose output the table
+and order-key routes of ``qmn.pauli`` must reproduce bit for bit.  The
+stabilizer generator sets and ``stabilizer_state`` at the end
 are fixtures rather than oracles: exact Markov and non-Markov states that
 the package has no use for.
 """
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -54,7 +58,7 @@ from qmn.errors import (
 )
 from qmn.graphs import Graph, Partition, is_triangle_free
 from qmn.markov import DensityMatrix
-from qmn.pauli import PauliSum, PauliTerm, as_sum, commutes
+from qmn.pauli import PauliSum, PauliTerm, as_sum
 from qmn.tensor import (
     SiteSpace,
     SupportedOperator,
@@ -495,6 +499,41 @@ def log_gibbs(model) -> np.ndarray:
     bh = model.beta * model.hamiltonian()
     bh[np.diag_indices_from(bh)] -= dense_log_partition(model)
     return bh
+
+
+# ---------------------------------------------------------------------------
+# Pauli sums built from PauliTerm objects
+
+def commutes(a: PauliTerm, b: PauliTerm) -> bool:
+    """True iff the two words commute (even symplectic product)."""
+    return ((a.x & b.z) ^ (a.z & b.x)).bit_count() % 2 == 0
+
+
+def reference_combine(terms: Sequence[PauliTerm]) -> tuple[PauliTerm, ...]:
+    """The terms of ``PauliSum(terms)`` as loops over term objects: a lone
+    nonzero term as it is; else each word's coefficients added in input
+    order starting from 0j, exact zeros dropped, and every term made anew
+    and sorted by ``word``."""
+    if not terms or len(terms) == 1 and terms[0].coeff != 0:
+        return tuple(terms)
+    combined: dict[tuple[int, int], complex] = {}
+    for t in terms:
+        combined[t.x, t.z] = combined.get((t.x, t.z), 0j) + t.coeff
+    return tuple(sorted((PauliTerm(c, x, z) for (x, z), c in combined.items() if c != 0),
+                        key=lambda t: t.word))
+
+
+def reference_commutator(a, b) -> tuple[PauliTerm, ...]:
+    """The terms of [a, b]: 2 ta tb for every anticommuting word pair, as
+    ``(ta * tb) * 2``, combined by ``reference_combine``."""
+    out = [(ta * tb) * 2 for ta in as_sum(a).terms for tb in as_sum(b).terms
+           if not commutes(ta, tb)]
+    return reference_combine(out)
+
+
+def term_bits(terms: Sequence[PauliTerm]) -> list[tuple[int, int, bytes]]:
+    """Masks and coefficient bits of each term, so that -0.0 and 0.0 differ."""
+    return [(t.x, t.z, struct.pack("<2d", t.coeff.real, t.coeff.imag)) for t in terms]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qmn import decompose, families
 from qmn.cumulants import expand, model_cumulants
@@ -38,6 +38,7 @@ from helpers import (
     haar_unitary,
     log_gibbs,
     random_hermitian,
+    reference_commutator,
     star_reference,
     theorem4_reference,
     walk_oracle,
@@ -170,6 +171,36 @@ def test_pairwise_commutation_zero_operator_skipped():
            SupportedOperator((1,), X)]
     rep = pairwise_commutation(ops, space)
     assert rep.commuting
+
+
+@st.composite
+def pauli_ops(draw, qubits=(1, 2, 3, 4, 5)):
+    """Sums of up to three words on a few qubits, so overlapping pairs
+    commute word by word, anticommute, or have anticommuting word pairs
+    whose products cancel."""
+    ops = []
+    for _ in range(draw(st.integers(1, 5))):
+        terms = []
+        for _ in range(draw(st.integers(0, 3))):
+            letters = {q: l for q in qubits if (l := draw(st.sampled_from("IIIXYZ"))) != "I"}
+            terms.append(pw(draw(st.sampled_from((1.0, -1.0, 0.5, -0.0))), letters))
+        ops.append(PauliSum(tuple(terms)))
+    return ops
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pauli_ops())
+@example([PauliSum.of(pw(1.0, {1: "Z", 2: "Z", 5: "Y"}), pw(1.0, {4: "Z", 1: "Z", 5: "X"})),
+          PauliSum.of(pw(1.0, {2: "Z", 3: "Z", 5: "X"}), pw(1.0, {3: "Z", 4: "Z", 5: "Y"}))])
+def test_pairwise_norms_equal_the_relative_commutator_per_pair(ops):
+    space = SiteSpace.qubits(5)
+    rep = pairwise_commutation(ops, space, 0.0)
+    for (i, j), norm in rep.norms.items():
+        assert norm.hex() == decompose._relative_commutator(ops[i], ops[j], space).hex()
+        terms = reference_commutator(ops[i], ops[j])
+        want = (PauliSum(terms).norm() / max(ops[i].norm() * ops[j].norm(), 1e-300)
+                if terms else 0.0)
+        assert norm.hex() == want.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     brute_all_shield_partitions,
@@ -11,7 +11,7 @@ from helpers import (
 )
 from qmn.errors import EnumerationCapError, UnknownSiteError
 from qmn.graphs import (
-    Graph, all_shield_partitions, cliques, coarse_grain,
+    Graph, Partition, all_shield_partitions, cliques, coarse_grain,
     is_triangle_free, spanning_shield_partitions,
     to_dot,
 )
@@ -131,10 +131,10 @@ def test_all_shield_partitions_includes_non_spanning():
 
 
 @st.composite
-def small_graphs(draw):
-    """Up to seven vertices with arbitrary ids; any edge set, so isolated
-    vertices and edgeless graphs occur."""
-    n = draw(st.integers(0, 7))
+def small_graphs(draw, max_vertices=7):
+    """Up to ``max_vertices`` vertices with arbitrary ids; any edge set, so
+    isolated vertices and edgeless graphs occur."""
+    n = draw(st.integers(0, max_vertices))
     vs = draw(st.lists(st.integers(0, 30), unique=True, min_size=n, max_size=n))
     pairs = list(itertools.combinations(sorted(vs), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -155,6 +155,25 @@ def test_spanning_walk_is_the_spanning_part_of_the_audit_walk_in_order(g):
     audit = [(p.a, p.b, p.c) for p in all_shield_partitions(g)
              if p.union == g.vertices]
     assert spanning == audit
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(small_graphs(max_vertices=8))
+@example(Graph.from_edges([(k, k + 1) for k in range(1, 8)] + [(1, 5), (3, 8)]))
+def test_both_walks_give_the_product_oracle_in_order_up_to_eight_vertices(g):
+    want = brute_all_shield_partitions(sorted(g.vertices), set(g.edges))
+    assert [(p.a, p.b, p.c) for p in all_shield_partitions(g)] == want
+    assert ([(p.a, p.b, p.c) for p in spanning_shield_partitions(g)]
+            == [p for p in want if p[0] | p[1] | p[2] == g.vertices])
+
+
+def test_partitions_built_outside_the_walk_are_still_validated():
+    with pytest.raises(UnknownSiteError):
+        Partition({1}, {1, 2}, {3})
+    with pytest.raises(UnknownSiteError):
+        Partition({1}, {2}, set())
+    walked = next(spanning_shield_partitions(path(3)))
+    assert walked == Partition({1}, {2}, {3}) and hash(walked) == hash(Partition({1}, {2}, {3}))
 
 
 def test_coarse_grain_cell_merge():

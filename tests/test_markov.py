@@ -26,11 +26,12 @@ from qmn.markov import (
     is_markov_network,
     log_partition,
 )
-from qmn.pauli import PauliTerm, commutes, parse_sum, parse_term
+from qmn.pauli import PauliTerm, parse_sum, parse_term
 from qmn.tensor import SiteSpace, SupportedOperator, kron, logm_pd, partial_trace
 
 from helpers import (
     classical_cmi,
+    commutes,
     dense_log_partition,
     dense_pauli_word,
     expm_herm,

@@ -1,15 +1,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import dense_pauli_word
+from helpers import dense_pauli_word, reference_combine, reference_commutator, term_bits
 from qmn import families
 from qmn.errors import ModelFormatError, NonHermitianError
 from qmn.graphs import Graph
 from qmn.markov import ModelInstance
 from qmn.pauli import (
-    QUBIT_ID_LIMIT, PauliSum, PauliTerm, commutator, commutes, parse_sum, parse_term,
+    QUBIT_ID_LIMIT, PauliSum, PauliTerm, commutator, parse_sum, parse_term, words_commute,
 )
 from qmn.tensor import SiteSpace
 
@@ -63,7 +63,7 @@ def test_commutes_iff_dense_commutator_vanishes():
         a, b = PauliTerm.from_letters(1.0, la), PauliTerm.from_letters(1.0, lb)
         da, db = dense_pauli_word(la, sites), dense_pauli_word(lb, sites)
         dense_comm = da @ db - db @ da
-        assert commutes(a, b) == np.allclose(dense_comm, 0)
+        assert words_commute([(a.x, a.z)], [(b.x, b.z)]) == np.allclose(dense_comm, 0)
         got = commutator(a, b).matrix(sites)
         assert np.allclose(got, dense_comm)
 
@@ -168,6 +168,70 @@ def test_qubit_ids_outside_range_rejected():
     assert top.support == (0, QUBIT_ID_LIMIT - 1)
 
 
+def test_negative_or_non_int_masks_are_refused_at_construction():
+    # a negative mask has infinitely many set bits: its word never ends
+    for x, z in ((-2, 0), (0, -1), (1.5, 0), (True, 0), (0, np.int64(3)), ("1", 0)):
+        with pytest.raises(ModelFormatError):
+            PauliTerm(1.0, x, z)
+    assert PauliTerm(1.0, 3, 5).word == ((0, "Y"), (1, "X"), (2, "Z"))
+
+
+def test_non_integral_or_bool_qubit_ids_are_refused():
+    for q in (1.5, 2.0, True, False, "1", None):
+        with pytest.raises(ModelFormatError):
+            PauliTerm.from_letters(1.0, {q: "X"})
+    assert PauliTerm.from_letters(1.0, {np.int64(2): "X"}) == PauliTerm(1.0, 4, 0)
+
+
+def test_a_sum_keeps_the_terms_whose_words_do_not_combine():
+    a, b = T(1.0, "Z1 Z2 Y5"), T(1.0, "Z4 Z1 X5")
+    s = PauliSum.of(b, a, T(0.5, "X2"), T(-0.5, "X2"))
+    assert s.terms[0] is a and s.terms[1] is b
+    # 0j + (-1-0j) is (-1+0j): a term with a -0.0 part is made anew
+    neg = PauliSum.of(-a, b)
+    assert term_bits(neg.terms) == term_bits(reference_combine((-a, b)))
+
+
+# ---------------------------------------------------------------------------
+# the table and order-key routes against loops over term objects
+
+# real and imaginary parts with signed zeros, so that 0j + c can differ from c
+PARTS = (1.0, -1.0, 0.5, -2.0, 0.0, -0.0)
+
+
+@st.composite
+def loose_terms(draw, qubits=(1, 2, 5), max_size=6):
+    """Terms on a few qubits, so words repeat, cancel and anticommute."""
+    out = []
+    for _ in range(draw(st.integers(0, max_size))):
+        letters = {q: l for q in qubits if (l := draw(st.sampled_from("IIXYZ"))) != "I"}
+        coeff = complex(draw(st.sampled_from(PARTS)), draw(st.sampled_from(PARTS)))
+        term = PauliTerm.from_letters(coeff, letters)
+        out.append(-term if draw(st.booleans()) else term)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(loose_terms(max_size=8))
+def test_sum_order_and_coefficients_match_the_reference_combine(terms):
+    s = PauliSum(tuple(terms))
+    assert term_bits(s.terms) == term_bits(reference_combine(terms))
+    assert [t.word for t in s.terms] == sorted(t.word for t in s.terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(loose_terms(), loose_terms())
+@example([T(1.0, "Z1 Z2 Y5"), T(1.0, "Z4 Z1 X5")],
+         [T(1.0, "Z2 Z3 X5"), T(1.0, "Z3 Z4 Y5")])  # the cell's groupings cancel
+def test_commutator_matches_the_reference(a_terms, b_terms):
+    a, b = PauliSum(tuple(a_terms)), PauliSum(tuple(b_terms))
+    assert term_bits(commutator(a, b).terms) == term_bits(reference_commutator(a, b))
+    for ta in a_terms[:2]:
+        for tb in b_terms[:2]:
+            assert (term_bits(commutator(ta, tb).terms)
+                    == term_bits(reference_commutator(ta, tb)))
+
+
 # ---------------------------------------------------------------------------
 # the symplectic core against the Kronecker-product oracle
 
@@ -197,7 +261,7 @@ def test_symplectic_core_matches_dense_oracle(data):
     assert np.array_equal(PauliSum.of(a).matrix(order), da)
     assert np.allclose(PauliSum.of(a * b).matrix(order), da @ db, atol=1e-12)
     dense_comm = da @ db - db @ da
-    assert commutes(a, b) == np.allclose(dense_comm, 0, atol=1e-12)
+    assert words_commute([(a.x, a.z)], [(b.x, b.z)]) == np.allclose(dense_comm, 0, atol=1e-12)
     assert np.allclose(commutator(a, b).matrix(order), dense_comm, atol=1e-12)
 
 

@@ -190,6 +190,21 @@ def test_check_hermitian_refuses_non_finite_entries():
     assert check_hermitian(np.zeros((3, 0, 0))).shape == (3, 0, 0)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (64, 64), (65, 65), (2, 3, 130, 130)])
+def test_check_hermitian_output_bits_equal_the_symmetrized_input(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    exact = (a + a.mT.conj()) / 2
+    noisy = exact + 1e-14 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    real = a.real + a.real.mT + 1e-14 * rng.normal(size=shape)
+    for m in (exact, noisy, real, np.asfortranarray(noisy), noisy.mT):
+        got = check_hermitian(m)
+        want = (m + m.mT.conj()) / 2
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert check_hermitian(real).dtype == np.float64
+
+
 def test_expm_matches_taylor_oracle():
     rng = np.random.default_rng(13)
     for d in (2, 8, 32):
