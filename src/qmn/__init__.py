@@ -33,7 +33,7 @@ from .markov import (
     is_markov_network,
 )
 from .pauli import PauliSum, PauliTerm, commutator, parse_sum, parse_term
-from .tensor import SiteSpace, SupportedOperator, embed, partial_trace
+from .tensor import SiteSpace, SupportedOperator, partial_trace
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "cmi",
     "coarse_grain_model",
     "commutator",
-    "embed",
     "entropy",
     "expand",
     "gibbs",

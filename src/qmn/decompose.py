@@ -52,10 +52,14 @@ vertices.
 
 One commutation engine serves every question.  A single relative
 commutator norm, ||[a, b]|| / (||a|| ||b||) in the dimension-normalized
-Hilbert-Schmidt norm ||X|| / sqrt(dim X), is exact for Pauli sums and
-taken on the union support for dense operators, or from their factors on
-the one site they share (above); the normalization makes the three agree
-and leaves the value independent of the space an operator is embedded in.
+Hilbert-Schmidt norm ||X|| / sqrt(dim X), is exact for Pauli sums.  Dense
+operators are contracted over their shared sites, never embedded on their
+union support: pairs are batched by layout, the dimensions of the sites
+only one of them acts on and of the sites they share, into two batched
+products per layout under the ``PRODUCT_CHUNK`` cap
+(``_dense_commutators``); or the norm comes from their factors on the one
+site they share (above).  The normalization makes the three agree and
+leaves the value independent of the space an operator is embedded in.
 A single grouping search, run by ``classify`` on the terms of a model,
 regroups them across a shielding partition: terms meeting A go to the A
 side, those meeting C to the C side, and the assignments of those inside
@@ -117,6 +121,7 @@ from .cumulants import (
 )
 from .errors import (
     DecompositionResidualError,
+    DimensionMismatchError,
     EnumerationCapError,
     NotMarkovError,
     NotTriangleFreeError,
@@ -144,7 +149,6 @@ from .tensor import (
     Schmidt,
     SiteSpace,
     SupportedOperator,
-    embed,
     embed_sum,
     hs_norm,
     op_schmidt,
@@ -154,7 +158,7 @@ from .tensor import (
 DEFAULT_RTOL = 1e-9
 DEFAULT_SUPPORT_RTOL = 1e-8
 SPLIT_SEARCH_CAP = 4096
-# entries of one chunk of site-factor products in ``_shared_site_norms``
+# entries of one chunk of products in ``_shared_site_norms`` and ``_dense_commutators``
 PRODUCT_CHUNK = 2 ** 18
 
 LOCAL_COMMUTING = "LocalCommuting"
@@ -169,23 +173,103 @@ def _relative_commutator(a: Term, b: Term, space: SiteSpace) -> float:
 
     Pauli sums are commuted exactly, so the result is 0.0 exactly when the
     commutator cancels; their norms are the dimension-normalized ones,
-    sqrt(sum |c|^2).  Dense operators are compared on their union support
-    in the same normalized norm, ||X|| / sqrt(dim), which multiplies the
-    ratio of plain Hilbert-Schmidt norms by sqrt(dim).  For two dense
-    operators that meet in one site, ``theorem4_decompose`` computes the
-    same quantity from their site factors (``_shared_site_norms``).
+    sqrt(sum |c|^2).  Dense operators go to ``_dense_commutators`` as a
+    batch of one, which contracts them over their shared sites in the same
+    normalized norm, ||X|| / sqrt(dim), on their union support.  For two
+    dense operators that meet in one site, ``theorem4_decompose`` computes
+    the same quantity from their site factors (``_shared_site_norms``).
     """
     if isinstance(a, PauliSum) and isinstance(b, PauliSum):
         c = commutator(a, b)
         if c.is_zero:
             return 0.0
         return c.norm() / max(a.norm() * b.norm(), 1e-300)
-    sub = space.subspace(set(a.support) | set(b.support))
-    da, db = embed(a, sub), embed(b, sub)
-    scale = hs_norm(da) * hs_norm(db)
-    if scale == 0.0:
-        return 0.0
-    return hs_norm(da @ db - db @ da) / scale * math.sqrt(sub.total_dim)
+    return _dense_commutators((a, b), [(0, 1)], space)[0]
+
+
+def _moved(m: np.ndarray, dims: list[int], lead: list[int]) -> np.ndarray:
+    """The matrix ``m`` on sites of dimensions ``dims`` with the sites at
+    positions ``lead`` moved to the front, the others after them in order."""
+    n = len(dims)
+    order = lead + [k for k in range(n) if k not in lead]
+    return m.reshape(dims * 2).transpose(order + [n + k for k in order]).reshape(m.shape)
+
+
+def _dense_commutators(ops: Sequence[SupportedOperator], pairs: Sequence[tuple[int, int]],
+                       space: SiteSpace) -> list[float]:
+    """``_relative_commutator`` of each pair (i, j) of dense operators
+    ``ops[i]``, ``ops[j]``, in order.
+
+    Split a pair's union support U into the sites A that only a acts on,
+    the shared sites S and the sites B that only b acts on, and hold a as a
+    tensor a[alpha sigma, alpha' tau] over A (x) S and b as b[tau beta,
+    sigma' beta'] over S (x) B.  Then (a (x) 1_B)(1_A (x) b) and (1_A (x)
+    b)(a (x) 1_B) each contract only the shared index tau, d_U^2 d_S work
+    against a product's d_U^3 on U, and the normalized ||[a, b]|| / (||a||
+    ||b||) is ||ab - ba|| sqrt(d_S) / (||a|| ||b||) in plain Hilbert-Schmidt
+    norms, 0.0 for a zero operand.  Both products are taken, since an
+    operator need not be Hermitian.  As ||[a, b]|| = ||[b, a]||, each pair
+    is taken with its smaller operand first, and the pairs of one layout
+    (d_A, d_S, d_B) share two batched products, formed for at most
+    ``PRODUCT_CHUNK`` product entries and at least one pair at a time.
+    """
+    dims = [[space.dim(s) for s in op.support] for op in ops]
+    sizes = [op.dim for op in ops]
+    for op, ds, d in zip(ops, dims, sizes):
+        if d != math.prod(ds):
+            raise DimensionMismatchError(f"operator dim {d} does not match "
+                                         f"dims of sites {op.support} in space")
+    norms = [hs_norm(op.matrix) for op in ops]
+    out = [0.0] * len(pairs)
+    layouts: dict[tuple[int, int, int], list[tuple[int, np.ndarray, np.ndarray, float]]] = {}
+    for n, (i, j) in enumerate(pairs):
+        if sizes[j] < sizes[i]:
+            i, j = j, i
+        scale = norms[i] * norms[j]
+        if scale == 0.0:
+            continue
+        # a's sites as (a-only, shared) and b's as (shared, b-only); each is
+        # its own matrix when the shared sites already end a's support and
+        # start b's
+        sa, sb = ops[i].support, ops[j].support
+        at = [k for k, s in enumerate(sa) if s in sb]
+        shared = tuple(sa[k] for k in at)
+        ma = ops[i].matrix if sa[len(sa) - len(at):] == shared \
+            else _moved(ops[i].matrix, dims[i], [k for k in range(len(sa)) if k not in at])
+        mb = ops[j].matrix if sb[:len(at)] == shared \
+            else _moved(ops[j].matrix, dims[j], [sb.index(s) for s in shared])
+        d_s = math.prod(dims[i][k] for k in at)
+        layouts.setdefault((sizes[i] // d_s, d_s, sizes[j] // d_s), []).append(
+            (n, ma, mb, scale))
+    for (d_a, d_s, d_b), members in layouts.items():
+        rows = max(1, PRODUCT_CHUNK // (d_a * d_s * d_b) ** 2)
+        for lo in range(0, len(members), rows):
+            chunk = members[lo:lo + rows]
+            k = len(chunk)
+            x = np.array([m for _, m, _, _ in chunk]).reshape(k, d_a, d_s, d_a, d_s)
+            y = np.array([m for _, _, m, _ in chunk]).reshape(k, d_s, d_b, d_s, d_b)
+            for (n, _, _, scale), sq in zip(chunk, _commutators_sq(x, y).tolist()):
+                out[n] = math.sqrt(sq) / scale * math.sqrt(d_s)
+    return out
+
+
+def _commutators_sq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """||ab - ba||^2 for a stack of pairs of one layout, a held as x[i,
+    alpha, sigma, alpha', tau] and b as y[i, tau, beta, sigma', beta']
+    (``_dense_commutators``)."""
+    k, d_a, d_s = x.shape[:3]
+    d_b = y.shape[2]
+    # ab[alpha, sigma, alpha', beta, sigma', beta']
+    #     = sum_tau a[alpha, sigma, alpha', tau] b[tau, beta, sigma', beta']
+    ab = x.reshape(k, -1, d_s) @ y.reshape(k, d_s, -1)
+    # ba[alpha, alpha', sigma', sigma, beta, beta']
+    #     = sum_tau b[sigma, beta, tau, beta'] a[alpha, tau, alpha', sigma']
+    ba = (x.transpose(0, 1, 3, 4, 2).reshape(k, -1, d_s)
+          @ y.transpose(0, 3, 1, 2, 4).reshape(k, d_s, -1))
+    diff = ab.reshape(k, d_a, d_s, d_a, d_b, d_s, d_b)
+    diff -= ba.reshape(k, d_a, d_a, d_s, d_s, d_b, d_b).transpose(0, 1, 4, 2, 5, 3, 6)
+    v = ab.reshape(k, -1).view(float)
+    return np.einsum("kn,kn->k", v, v)
 
 
 def _best_grouping(items: Sequence[tuple[frozenset[int], Term]],
@@ -262,21 +346,28 @@ def pairwise_commutation(ops: Sequence[Term], space: SiteSpace,
                          rtol: float = DEFAULT_RTOL) -> PairwiseCommutation:
     """Check all overlapping pairs; norms are relative to the operand norms.
 
-    Terms are dense operators or, compared exactly, Pauli sums.  The
-    pairs come from a site-to-operands index, in (i, j) order.  A pair of
-    Pauli sums with no anticommuting word pair is 0.0 without a commutator.
+    Terms are all dense operators or all Pauli sums, compared exactly; a
+    mix raises ``ValueError``.  The pairs come from a site-to-operands
+    index, in (i, j) order.  A pair of Pauli sums with no anticommuting word
+    pair is 0.0 without a commutator; dense pairs go to
+    ``_dense_commutators`` in one call.
     """
     supports = [op.support for op in ops]
     by_site: dict[int, list[int]] = {}
     for i, sup in enumerate(supports):
         for s in sup:
             by_site.setdefault(s, []).append(i)
-    symbolic = all(isinstance(op, PauliSum) for op in ops)
-    words = [[(t.x, t.z) for t in op.terms] for op in ops] if symbolic else []
-    norms = {(i, j): 0.0 if symbolic and words_commute(words[i], words[j])
-             else _relative_commutator(ops[i], ops[j], space)
-             for i, sup in enumerate(supports)
-             for j in sorted({j for s in sup for j in by_site[s] if j > i})}
+    pairs = [(i, j) for i, sup in enumerate(supports)
+             for j in sorted({j for s in sup for j in by_site[s] if j > i})]
+    if all(isinstance(op, PauliSum) for op in ops):
+        words = [[(t.x, t.z) for t in op.terms] for op in ops]
+        norms = {(i, j): 0.0 if words_commute(words[i], words[j])
+                 else _relative_commutator(ops[i], ops[j], space) for i, j in pairs}
+    elif all(isinstance(op, SupportedOperator) for op in ops):
+        norms = dict(zip(pairs, _dense_commutators(ops, pairs, space)))
+    else:
+        raise ValueError("pairwise_commutation needs terms that are all Pauli sums "
+                         "or all dense operators")
     worst = max(norms, key=norms.__getitem__, default=None)
     max_norm = norms.get(worst, 0.0)
     commuting = max_norm <= rtol

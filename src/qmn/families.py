@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, cliques, coarse_grain
+from .graphs import Graph, cliques
 from .markov import ModelInstance
 from .pauli import PauliSum, PauliTerm
 from .tensor import SiteSpace, SupportedOperator, kron
@@ -67,13 +67,6 @@ def _corner(r: int, c: int, cols: int) -> int:
     return r * (cols + 1) + c + 1
 
 
-def northeast_merge(rows: int, cols: int) -> dict[int, int]:
-    """Merge map folding each cell's center into its northeast corner."""
-    base = (rows + 1) * (cols + 1)
-    return {base + i * cols + j + 1: _corner(i, j + 1, cols)
-            for i in range(rows) for j in range(cols)}
-
-
 def tiling_model(rows: int, cols: int, beta: float = 1.0,
                  merged: bool = False) -> ModelInstance:
     """A rows x cols lattice of cells sharing corner qubits.
@@ -85,6 +78,8 @@ def tiling_model(rows: int, cols: int, beta: float = 1.0,
     """
     if rows < 1 or cols < 1:
         raise ValueError("tiling needs at least one cell")
+    if merged:
+        return _merged_tiling(rows, cols, beta)
     base = (rows + 1) * (cols + 1)
     edges: set[tuple[int, int]] = set()
     quads = []
@@ -101,22 +96,39 @@ def tiling_model(rows: int, cols: int, beta: float = 1.0,
                           _pw(1.0, {se: "Z", sw: "Z", c: "Y"}),
                           _pw(1.0, {sw: "Z", nw: "Z", c: "X"})))
     graph = Graph.from_edges(sorted(edges))
-    if not merged:
-        space = SiteSpace.qubits(base + rows * cols)
-        terms = tuple(t for quad in quads for t in quad)
-        return ModelInstance(space, graph, terms, beta=beta)
-    merge = northeast_merge(rows, cols)
-    qgraph, _ = coarse_grain(graph, merge)
-    comp = {v: (v,) for v in qgraph.vertices}
-    for center, ne in merge.items():
-        comp[ne] = (ne, center)
-    space = SiteSpace.from_dims({s: 2 ** len(q) for s, q in comp.items()})
+    space = SiteSpace.qubits(base + rows * cols)
+    terms = tuple(t for quad in quads for t in quad)
+    return ModelInstance(space, graph, terms, beta=beta)
+
+
+def _merged_tiling(rows: int, cols: int, beta: float) -> ModelInstance:
+    """The northeast-merged tiling, built on the quotient graph.
+
+    Folding a cell's center c into its northeast corner turns c's edges
+    into the cell's southwest-northeast diagonal, so each cell brings its
+    four sides and that diagonal.  Its two grouped terms are written as
+    (x, z) masks: Z_nw Z_ne Y_c + Z_sw Z_nw X_c and Z_ne Z_se X_c + Z_se
+    Z_sw Y_c.
+    """
+    base = (rows + 1) * (cols + 1)
+    comp = {v: (v,) for v in range(1, base + 1)}
+    edges = set()
     terms = []
-    for down, left, up, right in quads:
-        terms.append(PauliSum.of(down, right))
-        terms.append(PauliSum.of(left, up))
-    return ModelInstance(space, qgraph, tuple(terms), beta=beta,
-                         site_composition=comp)
+    for i in range(rows):
+        for j in range(cols):
+            nw, ne = _corner(i, j, cols), _corner(i, j + 1, cols)
+            sw, se = _corner(i + 1, j, cols), _corner(i + 1, j + 1, cols)
+            c = base + i * cols + j + 1
+            comp[ne] = (ne, c)
+            edges.update(((nw, ne), (ne, se), (sw, se), (nw, sw), (ne, sw)))
+            x = 1 << c
+            terms.append(PauliSum.of(PauliTerm(1.0, x, 1 << nw | 1 << ne | x),
+                                     PauliTerm(1.0, x, 1 << sw | 1 << nw)))
+            terms.append(PauliSum.of(PauliTerm(1.0, x, 1 << ne | 1 << se),
+                                     PauliTerm(1.0, x, 1 << se | 1 << sw | x)))
+    space = SiteSpace.from_dims({s: 2 ** len(q) for s, q in comp.items()})
+    return ModelInstance(space, Graph(frozenset(comp), frozenset(edges)), tuple(terms),
+                         beta=beta, site_composition=comp)
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,9 @@ class ModelInstance:
                 except NonHermitianError as e:
                     raise NonHermitianError(f"term {k}: {e}", term=k) from e
                 m.flags.writeable = False
-                t = SupportedOperator(sup, m)
+                # t's support passed its own construction, and m is t's
+                # square complex matrix symmetrized
+                t = SupportedOperator._trusted(sup, m)
             else:
                 bad = [s for s in sup if comp is None and dim[s] != 2]
                 if bad:

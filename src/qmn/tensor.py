@@ -142,6 +142,15 @@ class SupportedOperator:
             raise DimensionMismatchError(f"operator matrix must be square, got {m.shape}")
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _trusted(cls, support: tuple[int, ...], matrix: np.ndarray) -> "SupportedOperator":
+        """An operator whose sorted int support and square complex matrix
+        the caller already checked, without ``__post_init__``'s
+        conversion and checks."""
+        op = object.__new__(cls)
+        vars(op).update(support=support, matrix=matrix)
+        return op
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -195,11 +204,6 @@ def embed_sum(ops: Iterable[SupportedOperator], space: SiteSpace) -> np.ndarray:
         view = np.einsum(full, axes, outer + inner) if space.sites else out
         view += op.matrix.reshape(dims * 2)
     return out
-
-
-def embed(op: SupportedOperator, space: SiteSpace) -> np.ndarray:
-    """Embed an operator into the full space (identity on the other sites)."""
-    return embed_sum((op,), space)
 
 
 def partial_trace(matrix: np.ndarray, space: SiteSpace, keep: Iterable[int]) -> SupportedOperator:

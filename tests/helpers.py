@@ -20,8 +20,13 @@ library projects, checks commutation one site at a time, and rebuilds the
 cumulants term by term (``local_expansion``).  ``reference_combine``
 and ``reference_commutator`` are the Pauli sum's combine and the
 commutator as loops over ``PauliTerm`` objects, whose output the table
-and order-key routes of ``qmn.pauli`` must reproduce bit for bit.  The
-stabilizer generator sets and ``stabilizer_state`` at the end
+and order-key routes of ``qmn.pauli`` must reproduce bit for bit.
+``relative_commutator_reference`` takes a dense pair's commutator on its
+union support, both operands embedded and multiplied there, where the
+library contracts them over their shared sites; ``merged_tiling_reference``
+builds the merged tiling by quotienting the fine one with ``coarse_grain``,
+its words from letter maps, where the library writes the quotient and the
+masks directly.  The stabilizer generator sets and ``stabilizer_state`` at the end
 are fixtures rather than oracles: exact Markov and non-Markov states that
 the package has no use for.
 """
@@ -56,14 +61,14 @@ from qmn.errors import (
     NotTriangleFreeError,
     UnknownSiteError,
 )
-from qmn.graphs import Graph, Partition, is_triangle_free
-from qmn.markov import DensityMatrix
+from qmn.graphs import Graph, Partition, coarse_grain, is_triangle_free
+from qmn.markov import DensityMatrix, ModelInstance
 from qmn.pauli import PauliSum, PauliTerm, as_sum
 from qmn.tensor import (
     SiteSpace,
     SupportedOperator,
     check_hermitian,
-    embed,
+    embed_sum,
     hs_norm,
     require_dense,
 )
@@ -537,6 +542,58 @@ def term_bits(terms: Sequence[PauliTerm]) -> list[tuple[int, int, bytes]]:
 
 
 # ---------------------------------------------------------------------------
+# dense commutators on the union support, and the merged tiling by quotient
+
+def relative_commutator_reference(a: SupportedOperator, b: SupportedOperator,
+                                  space: SiteSpace) -> float:
+    """||[a, b]|| / (||a|| ||b||) in the dimension-normalized norm, with both
+    operators embedded on their union support and multiplied there."""
+    sub = space.subspace(set(a.support) | set(b.support))
+    da, db = embed_sum((a,), sub), embed_sum((b,), sub)
+    scale = hs_norm(da) * hs_norm(db)
+    if scale == 0.0:
+        return 0.0
+    return hs_norm(da @ db - db @ da) / scale * math.sqrt(sub.total_dim)
+
+
+def merged_tiling_reference(rows: int, cols: int, beta: float = 1.0) -> ModelInstance:
+    """The northeast-merged tiling as the quotient of the fine tiling graph
+    under the merge map that folds each cell's center into its northeast
+    corner, each cell's four words from letter maps, regrouped into its two
+    commuting pairs."""
+    base = (rows + 1) * (cols + 1)
+
+    def corner(r: int, c: int) -> int:
+        return r * (cols + 1) + c + 1
+
+    edges: set[tuple[int, int]] = set()
+    quads = []
+    for i in range(rows):
+        for j in range(cols):
+            nw, ne = corner(i, j), corner(i, j + 1)
+            sw, se = corner(i + 1, j), corner(i + 1, j + 1)
+            c = base + i * cols + j + 1
+            for u, v in ((nw, ne), (ne, se), (se, sw), (sw, nw),
+                         (nw, c), (ne, c), (se, c), (sw, c)):
+                edges.add((min(u, v), max(u, v)))
+            quads.append((PauliTerm.from_letters(1.0, {nw: "Z", ne: "Z", c: "Y"}),
+                          PauliTerm.from_letters(1.0, {ne: "Z", se: "Z", c: "X"}),
+                          PauliTerm.from_letters(1.0, {se: "Z", sw: "Z", c: "Y"}),
+                          PauliTerm.from_letters(1.0, {sw: "Z", nw: "Z", c: "X"})))
+    merge = {base + i * cols + j + 1: corner(i, j + 1) for i in range(rows) for j in range(cols)}
+    qgraph, _ = coarse_grain(Graph.from_edges(sorted(edges)), merge)
+    comp = {v: (v,) for v in qgraph.vertices}
+    for center, ne in merge.items():
+        comp[ne] = (ne, center)
+    space = SiteSpace.from_dims({s: 2 ** len(q) for s, q in comp.items()})
+    terms = []
+    for down, left, up, right in quads:
+        terms.append(PauliSum.of(down, right))
+        terms.append(PauliSum.of(left, up))
+    return ModelInstance(space, qgraph, tuple(terms), beta=beta, site_composition=comp)
+
+
+# ---------------------------------------------------------------------------
 # stabilizer states: zero-temperature states, not positive, so outside the
 # abstract's theorem; the tests use them as exact Markov and non-Markov cases
 
@@ -631,7 +688,7 @@ def stabilizer_state(generators: Sequence, space: SiteSpace) -> DensityMatrix:
             raise DimensionMismatchError(
                 f"Pauli letters on sites {list(sup)} need dimension 2")
         word = SupportedOperator(sup, PauliSum.of(t).matrix(sup))
-        proj = (proj + proj @ embed(word, space)) / 2
+        proj = (proj + proj @ embed_sum((word,), space)) / 2
     tr = float(np.trace(proj).real)
     want = d / 2 ** len(gens)
     if abs(tr - want) > 1e-6 * want:

@@ -39,7 +39,7 @@ from qmn.pauli import PauliSum, as_sum, commutator
 from qmn.tensor import (
     SiteSpace,
     SupportedOperator,
-    embed,
+    embed_sum,
     hs_norm,
     logm_pd,
     op_schmidt,
@@ -245,8 +245,8 @@ def test_acceptance_9_numerics_floor(capsys):
     rebuilt = np.zeros((12, 12), dtype=complex)
     [split] = op_schmidt([(op, (1, 3))], space)
     for w, f, s in list(zip(*split))[:split.rank]:
-        rebuilt += w * (embed(SupportedOperator((1, 3), f), space)
-                        @ embed(SupportedOperator((2,), s), space))
+        rebuilt += w * (embed_sum((SupportedOperator((1, 3), f),), space)
+                        @ embed_sum((SupportedOperator((2,), s),), space))
     assert np.abs(rebuilt - g).max() <= 1e-10 * np.abs(g).max()
     _done(capsys, "numerics floor", t0, 10.0,
           "exp/log round trip, maximally mixed entropy, Schmidt rebuild")

@@ -337,6 +337,28 @@ def test_each_dense_term_is_checked_for_hermiticity_once(tmp_path, monkeypatch):
         assert len(calls) == dense
 
 
+def test_each_loaded_dense_term_is_constructed_once(tmp_path, monkeypatch):
+    # the decoder builds each dense term's operator; admission wraps the
+    # checked matrix without building and validating a second one
+    calls = []
+    post_init = SupportedOperator.__post_init__
+
+    def counting(self):
+        calls.append(self.support)
+        post_init(self)
+
+    model = families.theorem4_model("path4", np.random.default_rng(1))
+    dec = decompose.theorem4_decompose(cumulants.model_cumulants(model), model.graph)
+    path = str(tmp_path / "path4-dec.json")
+    save_model(dec.to_model(), path)
+    dense = sum("matrix" in t for t in read(path)["terms"])
+    monkeypatch.setattr(SupportedOperator, "__post_init__", counting)
+    loaded = load_model(path)
+    assert dense == len(loaded.terms) > 0
+    assert len(calls) == dense
+    assert all(not t.matrix.flags.writeable for t in loaded.terms)
+
+
 def test_load_model_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")

@@ -19,7 +19,7 @@ from qmn.graphs import Graph, cliques
 from qmn.markov import DensityMatrix, ModelInstance, gibbs
 from qmn.pauli import PauliTerm, parse_sum
 from qmn.tensor import (
-    SiteSpace, SupportedOperator, embed, embed_sum, hs_norm, logm_pd, partial_trace,
+    SiteSpace, SupportedOperator, embed_sum, hs_norm, logm_pd, partial_trace,
 )
 
 from helpers import (
@@ -75,7 +75,7 @@ def test_cumulant_matches_brute_oracle_mixed_dims():
     h = embed_sum(ops, space)
     exp = local_expansion(ops, space)
     for region in all_regions((1, 2, 3)):
-        got = embed(exp.operator(region), space)
+        got = embed_sum((exp.operator(region),), space)
         axes = [s - 1 for s in region]
         want = brute_cumulant(h, dims, axes)
         assert np.allclose(got, want, atol=1e-12), region
@@ -100,7 +100,7 @@ def test_expand_matches_cumulant_route():
     exp = expand(h, space)
     for region in all_regions((1, 2, 3)):
         direct = brute_cumulant(h, [2, 3, 2], [s - 1 for s in region])
-        assert np.allclose(embed(exp.operator(region), space), direct,
+        assert np.allclose(embed_sum((exp.operator(region),), space), direct,
                            atol=1e-11), region
 
 
@@ -111,7 +111,7 @@ def test_expand_matches_cumulant_route_qubits():
     exp = expand(h, space)
     for region in [(1,), (2, 4), (1, 2, 3), (1, 2, 3, 4), ()]:
         direct = brute_cumulant(h, [2] * 4, [s - 1 for s in region])
-        assert np.allclose(embed(exp.operator(region), space), direct, atol=1e-11)
+        assert np.allclose(embed_sum((exp.operator(region),), space), direct, atol=1e-11)
 
 
 def test_expand_known_components():
@@ -140,7 +140,7 @@ def test_parseval_orthogonality_reconstruction():
         kept = sum(exp.norm_sq(x) for x in exp.entries)
         assert abs(kept - exp.total_norm_sq) <= 1e-10 * total
         assert np.allclose(embed_sum(exp.entries.values(), space), h, atol=1e-11)
-        embedded = [embed(op, space) for op in exp.entries.values()]
+        embedded = [embed_sum((op,), space) for op in exp.entries.values()]
         for i in range(len(embedded)):
             for j in range(i + 1, len(embedded)):
                 assert abs(np.vdot(embedded[i], embedded[j])) < 1e-9
@@ -247,8 +247,8 @@ def test_commutator_mass_stays_on_bridge_sets():
     rng = np.random.default_rng(29)
     checked = 0
     for _ in range(12):
-        ha = embed(SupportedOperator(a_sites, random_hermitian(rng, 8)), space)
-        hb = embed(SupportedOperator(b_sites, random_hermitian(rng, 8)), space)
+        ha = embed_sum((SupportedOperator(a_sites, random_hermitian(rng, 8)),), space)
+        hb = embed_sum((SupportedOperator(b_sites, random_hermitian(rng, 8)),), space)
         da = brute_cumulant(ha, [2] * 4, [s - 1 for s in a_sites])
         db = brute_cumulant(hb, [2] * 4, [s - 1 for s in b_sites])
         comm = da @ db - db @ da
@@ -265,8 +265,8 @@ def test_commutator_mass_stays_on_bridge_sets():
 def test_commutator_masses_account_for_norm():
     space = SiteSpace.qubits(3)
     rng = np.random.default_rng(41)
-    ha = embed(SupportedOperator((1, 2), random_hermitian(rng, 4)), space)
-    hb = embed(SupportedOperator((2, 3), random_hermitian(rng, 4)), space)
+    ha = embed_sum((SupportedOperator((1, 2), random_hermitian(rng, 4)),), space)
+    hb = embed_sum((SupportedOperator((2, 3), random_hermitian(rng, 4)),), space)
     da = brute_cumulant(ha, [2] * 3, [0, 1])
     db = brute_cumulant(hb, [2] * 3, [1, 2])
     comm = da @ db - db @ da

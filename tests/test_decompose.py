@@ -39,6 +39,7 @@ from helpers import (
     log_gibbs,
     random_hermitian,
     reference_commutator,
+    relative_commutator_reference,
     star_reference,
     theorem4_reference,
     walk_oracle,
@@ -201,6 +202,99 @@ def test_pairwise_norms_equal_the_relative_commutator_per_pair(ops):
         want = (PauliSum(terms).norm() / max(ops[i].norm() * ops[j].norm(), 1e-300)
                 if terms else 0.0)
         assert norm.hex() == want.hex()
+
+
+def test_pairwise_commutation_refuses_pauli_sums_mixed_with_dense_operators():
+    space = SiteSpace.qubits(2)
+    sym = PauliSum.of(pw(1.0, {1: "X"}))
+    dense = SupportedOperator((1, 2), np.kron(Z, Z))
+    for ops in ([sym, dense], [dense, sym]):
+        with pytest.raises(ValueError, match="all Pauli sums or all dense operators"):
+            pairwise_commutation(ops, space)
+
+
+def assert_norm_close(got, want):
+    assert abs(got - want) <= max(1e-12 * abs(want), 1e-14), (got, want)
+
+
+@st.composite
+def dense_ops(draw, sites=(1, 2, 3, 4, 5)):
+    """A 5-site space of dims 2-4 (their product at most 256, so the union
+    reference stays cheap) and 2-6 dense operators on 1-3 of its sites:
+    Hermitian, non-Hermitian, zero, or real diagonal, which commute with
+    each other."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=5, max_size=5)
+                .filter(lambda ds: math.prod(ds) <= 256))
+    space = SiteSpace.from_dims(dict(zip(sites, dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ops = []
+    for _ in range(draw(st.integers(2, 6))):
+        support = tuple(sorted(draw(st.sets(st.sampled_from(sites), min_size=1,
+                                            max_size=3))))
+        d = math.prod(space.dim(s) for s in support)
+        kind = draw(st.sampled_from(("hermitian", "general", "zero", "diagonal")))
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = {"hermitian": g + g.conj().T, "general": g, "zero": np.zeros((d, d)),
+             "diagonal": np.diag(rng.normal(size=d))}[kind]
+        ops.append(SupportedOperator(support, m))
+    return space, ops
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dense_ops())
+@example((SiteSpace.from_dims({1: 2, 2: 3, 3: 4, 4: 2, 5: 2}),
+          [SupportedOperator((1, 2, 3), random_hermitian(np.random.default_rng(0), 24)),
+           SupportedOperator((1, 2, 3), random_hermitian(np.random.default_rng(1), 24)),
+           SupportedOperator((2, 3), random_hermitian(np.random.default_rng(2), 12)),
+           SupportedOperator((3,), random_hermitian(np.random.default_rng(3), 4)),
+           SupportedOperator((1, 3, 5), random_hermitian(np.random.default_rng(4), 16))]))
+def test_dense_pair_norms_are_the_union_support_commutator(case):
+    # identical supports share 3 sites, nested ones 1-2, and the rest
+    # anything from 1 to 3; both operand orders give the same norm
+    space, ops = case
+    rep = pairwise_commutation(ops, space, 0.0)
+    want = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))
+            if set(ops[i].support) & set(ops[j].support)]
+    assert list(rep.norms) == want
+    for (i, j), norm in rep.norms.items():
+        ref = relative_commutator_reference(ops[i], ops[j], space)
+        assert_norm_close(norm, ref)
+        assert_norm_close(decompose._relative_commutator(ops[j], ops[i], space), ref)
+
+
+def test_dense_pairs_of_one_layout_are_stacked_in_chunks(monkeypatch):
+    # 30 pairs of a chain of dim-3 sites share the layout (3, 3, 3); a chunk
+    # cap of 4 pairs' products splits them over 8 batches, with the same norms
+    rng = np.random.default_rng(11)
+    space = SiteSpace.from_dims({s: 3 for s in range(1, 32)})
+    ops = [SupportedOperator((s, s + 1), random_hermitian(rng, 9)) for s in range(1, 31)]
+    ops += [SupportedOperator((s,), random_hermitian(rng, 3)) for s in (1, 31)]
+    whole = pairwise_commutation(ops, space).norms
+    monkeypatch.setattr(decompose, "PRODUCT_CHUNK", 4 * 27 ** 2)
+    chunked = pairwise_commutation(ops, space).norms
+    assert list(chunked) == list(whole)
+    for key, norm in chunked.items():
+        assert norm == whole[key]
+        assert_norm_close(norm, relative_commutator_reference(*(ops[k] for k in key), space))
+
+
+def test_dense_pairs_with_a_large_union_stay_within_the_chunk_memory():
+    # seven 3-site dim-4 terms that share site 0: 21 pairs on a union of
+    # dimension 1024, whose two products take 32 MiB; embedding both
+    # operands there and multiplying peaks at 64 MiB traced
+    rng = np.random.default_rng(12)
+    space = SiteSpace.from_dims({s: 4 for s in range(15)})
+    ops = [SupportedOperator((0, 2 * k + 1, 2 * k + 2), random_hermitian(rng, 64))
+           for k in range(7)]
+    tracemalloc.start()
+    try:
+        rep = pairwise_commutation(ops, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2 ** 20
+    assert len(rep.norms) == 21
+    assert_norm_close(rep.norms[0, 1], relative_commutator_reference(ops[0], ops[1], space))
 
 
 # ---------------------------------------------------------------------------

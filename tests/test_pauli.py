@@ -3,7 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import dense_pauli_word, reference_combine, reference_commutator, term_bits
+from helpers import (
+    dense_pauli_word, merged_tiling_reference, reference_combine, reference_commutator,
+    term_bits,
+)
 from qmn import families
 from qmn.errors import ModelFormatError, NonHermitianError
 from qmn.graphs import Graph
@@ -276,6 +279,18 @@ def assert_terms_match_composition_kron(model):
 
 def test_merged_tiling_term_operators_follow_composition_order():
     assert_terms_match_composition_kron(families.tiling_model(1, 2, merged=True))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 3), (3, 3), (8, 8)])
+def test_merged_tiling_is_the_quotient_of_the_fine_tiling(shape):
+    got = families.tiling_model(*shape, beta=0.7, merged=True)
+    want = merged_tiling_reference(*shape, beta=0.7)
+    assert got.graph == want.graph and got.space == want.space
+    assert got.site_composition == want.site_composition
+    assert got.terms == want.terms
+    assert term_bits([t for s in got.terms for t in s.terms]) == \
+        term_bits([t for s in want.terms for t in s.terms])
+    assert got == want
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -12,7 +12,7 @@ from qmn.errors import (
     DimensionMismatchError, NonHermitianError, PositivityViolationError, UnknownSiteError,
 )
 from qmn.tensor import (
-    SiteSpace, SupportedOperator, check_hermitian, embed, embed_sum, hs_norm, kron, logm_pd,
+    SiteSpace, SupportedOperator, check_hermitian, embed_sum, hs_norm, kron, logm_pd,
     op_schmidt, partial_trace,
 )
 
@@ -51,7 +51,7 @@ def test_kron_matches_numpy():
 
 def test_embed_middle_site():
     sp = SiteSpace.qubits(3)
-    m = embed(SupportedOperator((2,), Z2), sp)
+    m = embed_sum((SupportedOperator((2,), Z2),), sp)
     assert np.allclose(m, np.kron(np.kron(np.eye(2), Z2), np.eye(2)))
 
 
@@ -62,14 +62,14 @@ def test_embed_gapped_support_and_unsorted_rejected():
     with pytest.raises(UnknownSiteError):
         SupportedOperator((3, 1), np.kron(X2, Z2))
     op_13 = SupportedOperator((1, 3), np.kron(Z2, X2))
-    assert np.allclose(embed(op_13, sp), np.kron(np.kron(Z2, np.eye(2)), X2))
+    assert np.allclose(embed_sum((op_13,), sp), np.kron(np.kron(Z2, np.eye(2)), X2))
 
 
 def test_embed_mixed_dims_against_indexsum():
     rng = np.random.default_rng(3)
     sp = SiteSpace.from_dims({1: 2, 2: 3, 3: 2})
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    full = embed(SupportedOperator((1, 2), m), sp)
+    full = embed_sum((SupportedOperator((1, 2), m),), sp)
     # embedding then tracing the identity site recovers the operator (times dim)
     back = partial_trace(full, sp, [1, 2])
     assert np.allclose(back.matrix, 2 * m)
@@ -77,13 +77,13 @@ def test_embed_mixed_dims_against_indexsum():
 
 def test_embed_empty_support_is_scaled_identity():
     sp = SiteSpace.qubits(2)
-    m = embed(SupportedOperator((), np.array([[2.5]])), sp)
+    m = embed_sum((SupportedOperator((), np.array([[2.5]])),), sp)
     assert np.allclose(m, 2.5 * np.eye(4))
 
 
 def test_embed_sum_onto_a_space_without_sites_adds_the_scalars():
     sp = SiteSpace((), ())
-    assert np.array_equal(embed(SupportedOperator((), [[2.0]]), sp), [[2.0]])
+    assert np.array_equal(embed_sum((SupportedOperator((), [[2.0]]),), sp), [[2.0]])
     got = embed_sum([SupportedOperator((), [[2.0]]), SupportedOperator((), [[3.5]])], sp)
     assert np.array_equal(got, [[5.5]])
 
@@ -91,9 +91,9 @@ def test_embed_sum_onto_a_space_without_sites_adds_the_scalars():
 def test_embed_validates():
     sp = SiteSpace.qubits(2)
     with pytest.raises(UnknownSiteError):
-        embed(SupportedOperator((5,), Z2), sp)
+        embed_sum((SupportedOperator((5,), Z2),), sp)
     with pytest.raises(DimensionMismatchError):
-        embed(SupportedOperator((1,), np.eye(3)), sp)
+        embed_sum((SupportedOperator((1,), np.eye(3)),), sp)
 
 
 def test_partial_trace_against_indexsum_oracle():
@@ -112,7 +112,7 @@ def test_partial_trace_against_indexsum_oracle():
 
 def test_partial_trace_of_embedding_scales_identity():
     sp = SiteSpace.qubits(3)
-    full = embed(SupportedOperator((1, 3), np.kron(X2, Y2)), sp)
+    full = embed_sum((SupportedOperator((1, 3), np.kron(X2, Y2)),), sp)
     red = partial_trace(full, sp, [1, 3])
     assert np.allclose(red.matrix, 2 * np.kron(X2, Y2))
     assert np.allclose(partial_trace(full, sp, [2]).matrix, np.zeros((2, 2)))
@@ -149,7 +149,7 @@ def kernel_cases(draw):
 def test_embed_and_partial_trace_match_references_and_are_adjoint(case):
     space, ops, m, keep = case
     refs = [embed_kron(op, space) for op in ops]
-    assert np.array_equal(embed(ops[0], space), refs[0])
+    assert np.array_equal(embed_sum((ops[0],), space), refs[0])
     assert np.array_equal(embed_sum(ops, space), sum(refs))
 
     got = partial_trace(m, space, keep)
@@ -267,7 +267,7 @@ def test_op_schmidt_reconstructs_and_is_orthonormal():
     for f, g, w in terms:
         assert f.support == (1, 3) and g.support == (2,)
         # operator axes follow sorted site order; re-embed to compare
-        rebuilt += w * embed(f, sp) @ embed(g, sp)
+        rebuilt += w * embed_sum((f,), sp) @ embed_sum((g,), sp)
     assert np.allclose(rebuilt, m, atol=1e-10)
     for i, (f1, g1, _) in enumerate(terms):
         for j, (f2, g2, _) in enumerate(terms):
