@@ -40,15 +40,22 @@ fit of K_u over the pull spaces, its joint part gathered in h_u, is h_u =
 Pi_J K_u and G_u^v = Pi_{P_v} K_u - Pi_J K_u.
 
 The decomposition's linear algebra is small and per site, so all sites of
-one dimension run it as one stack: the edge check, the star split (one
-eigensolve over every commutant form, then the projections) and the final
-check; the final edge terms and their cumulants run once per pair of site
-dimensions.  A check pads each site with zero factors to the largest in
-its batch, and a site joins a batch only if it is at least half the
-batch's largest (``_size_groups``): a chain or a grid is one batch per
-dimension, and a hub of high degree a batch of its own.  The number of
-numpy calls follows the site dimensions and degree classes, not the
-vertices.
+one dimension run it as one stack: the star split (one eigensolve over
+every commutant form, then the projections) and one table of factor
+commutators that serves both commutation checks; the final edge terms and
+their cumulants run once per pair of site dimensions.  At u an edge term's
+factors are its cumulant's weighted factors plus one row, its pull times
+sqrt(d_v), whose partner I/sqrt(d_v) on v is orthogonal to the cumulant's
+traceless partners.  So ||[e_uv, e_uw]||^2 sums the squares of a table
+over those rows, and the edge check's ||[K_uv, K_uw]||^2 is the exact
+sub-block over the cumulants' factor rows: one table, built after the star
+split that supplies the pulls, gives both, and a model whose edge
+cumulants fail to commute pays for the star before its ``NotMarkovError``.
+A table pads each site, with rows that enter no sum, to the largest in its
+batch, and a site joins a batch only if it is at least half the batch's
+largest (``_size_groups``): a chain or a grid is one batch per dimension,
+and a hub of high degree a batch of its own.  The number of numpy calls follows the
+site dimensions and degree classes, not the vertices.
 
 One commutation engine serves every question.  A single relative
 commutator norm, ||[a, b]|| / (||a|| ||b||) in the dimension-normalized
@@ -196,9 +203,10 @@ def _moved(m: np.ndarray, dims: list[int], lead: list[int]) -> np.ndarray:
 
 
 def _dense_commutators(ops: Sequence[SupportedOperator], pairs: Sequence[tuple[int, int]],
-                       space: SiteSpace) -> list[float]:
+                       space: SiteSpace, norms: Sequence[float] | None = None) -> list[float]:
     """``_relative_commutator`` of each pair (i, j) of dense operators
-    ``ops[i]``, ``ops[j]``, in order.
+    ``ops[i]``, ``ops[j]``, in order; ``norms``, when given, are the
+    operators' Hilbert-Schmidt norms, else they are taken here.
 
     Split a pair's union support U into the sites A that only a acts on,
     the shared sites S and the sites B that only b acts on, and hold a as a
@@ -219,7 +227,8 @@ def _dense_commutators(ops: Sequence[SupportedOperator], pairs: Sequence[tuple[i
         if d != math.prod(ds):
             raise DimensionMismatchError(f"operator dim {d} does not match "
                                          f"dims of sites {op.support} in space")
-    norms = [hs_norm(op.matrix) for op in ops]
+    if norms is None:
+        norms = [hs_norm(op.matrix) for op in ops]
     out = [0.0] * len(pairs)
     layouts: dict[tuple[int, int, int], list[tuple[int, np.ndarray, np.ndarray, float]]] = {}
     for n, (i, j) in enumerate(pairs):
@@ -343,14 +352,16 @@ class PairwiseCommutation:
 
 
 def pairwise_commutation(ops: Sequence[Term], space: SiteSpace,
-                         rtol: float = DEFAULT_RTOL) -> PairwiseCommutation:
+                         rtol: float = DEFAULT_RTOL, *,
+                         norms: Sequence[float] | None = None) -> PairwiseCommutation:
     """Check all overlapping pairs; norms are relative to the operand norms.
 
     Terms are all dense operators or all Pauli sums, compared exactly; a
     mix raises ``ValueError``.  The pairs come from a site-to-operands
     index, in (i, j) order.  A pair of Pauli sums with no anticommuting word
     pair is 0.0 without a commutator; dense pairs go to
-    ``_dense_commutators`` in one call.
+    ``_dense_commutators`` in one call, with the operators'
+    Hilbert-Schmidt ``norms`` when the caller already took them.
     """
     supports = [op.support for op in ops]
     by_site: dict[int, list[int]] = {}
@@ -361,18 +372,17 @@ def pairwise_commutation(ops: Sequence[Term], space: SiteSpace,
              for j in sorted({j for s in sup for j in by_site[s] if j > i})]
     if all(isinstance(op, PauliSum) for op in ops):
         words = [[(t.x, t.z) for t in op.terms] for op in ops]
-        norms = {(i, j): 0.0 if words_commute(words[i], words[j])
-                 else _relative_commutator(ops[i], ops[j], space) for i, j in pairs}
+        rel = {(i, j): 0.0 if words_commute(words[i], words[j])
+               else _relative_commutator(ops[i], ops[j], space) for i, j in pairs}
     elif all(isinstance(op, SupportedOperator) for op in ops):
-        norms = dict(zip(pairs, _dense_commutators(ops, pairs, space)))
+        rel = dict(zip(pairs, _dense_commutators(ops, pairs, space, norms)))
     else:
         raise ValueError("pairwise_commutation needs terms that are all Pauli sums "
                          "or all dense operators")
-    worst = max(norms, key=norms.__getitem__, default=None)
-    max_norm = norms.get(worst, 0.0)
+    worst = max(rel, key=rel.__getitem__, default=None)
+    max_norm = rel.get(worst, 0.0)
     commuting = max_norm <= rtol
-    return PairwiseCommutation(commuting, max_norm, None if commuting else worst,
-                               norms)
+    return PairwiseCommutation(commuting, max_norm, None if commuting else worst, rel)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +442,8 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL) -> Classification
     ``DenseCapError`` past the dense cap.  As in ``theorem4_decompose``, a
     dense pair is not judged when either term's normalized squared norm,
     ||t||^2 / dim, is at most ``rtol``^2 times the sum of all terms': such
-    a pair counts as commuting and is left out of ``pairwise_max``.  Only
+    a pair counts as commuting and is left out of ``pairwise_max``.  Each
+    term's norm is taken once, for that floor and for the pair scales.  Only
     the pairwise stage runs for locally commuting models, so those are
     classified at any system size.
     """
@@ -441,11 +452,14 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL) -> Classification
     tol = 0.0 if symbolic else rtol
     ops = model.terms if symbolic else model.checked_terms
     judged = range(len(ops))
+    norms = None
     if not symbolic:
-        sq = [op.hs_norm() ** 2 / op.dim for op in ops]
+        hs = [op.hs_norm() for op in ops]
+        sq = [x ** 2 / op.dim for x, op in zip(hs, ops)]
         floor = rtol ** 2 * sum(sq)
         judged = [i for i, x in enumerate(sq) if x > floor]
-    pair = pairwise_commutation([ops[i] for i in judged], model.space, tol)
+        norms = [hs[i] for i in judged]
+    pair = pairwise_commutation([ops[i] for i in judged], model.space, tol, norms=norms)
     worst = pair.worst and (judged[pair.worst[0]], judged[pair.worst[1]])
     if pair.commuting:
         return Classification(LOCAL_COMMUTING, pair.max_norm, worst, (), None, route)
@@ -564,12 +578,6 @@ def _owner(sizes: Sequence[int]) -> np.ndarray:
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
-def _slots(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The run of each item (``_owner``) and its position within the run."""
-    owner = _owner(sizes)
-    return owner, np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
-
-
 def _runs(sizes: Sequence[int]) -> np.ndarray:
     """0/1 matrix whose row i sums the i-th of consecutive runs of ``sizes``
     items (an empty run sums to zero)."""
@@ -591,67 +599,105 @@ def _size_groups(sizes: Sequence[int]) -> list[list[int]]:
     return groups
 
 
-def _weighted(split: Schmidt) -> np.ndarray:
-    """The left factors of a split, each times its weight."""
-    return split.weights[:, None, None] * split.left
+def _shared_site_norms(rows: np.ndarray, counts: Sequence[Sequence[int]],
+                       norms: Sequence[float], head_norms: Sequence[float], d: int
+                       ) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Relative commutator norms, as ``_relative_commutator``'s, of the terms
+    meeting at each of several sites of dimension ``d`` and of their heads,
+    from one product table per group of sites.
 
+    At a site the terms are a vertex term and one term per edge end.
+    ``rows`` holds, site by site, the vertex term's one row and then, end
+    by end, the end's ``counts[s][j]`` head rows and its one tail row.  Each
+    row is a weighted site factor x_k of a term a = sum_k x_k (x) B_k, with
+    the B_k Hilbert-Schmidt orthonormal on sites that no other term at the
+    site acts on, and a head, the sum over its head rows alone, is such an
+    operator in its own right.  Then [a, b] = sum_kl [x_k, y_l] (x) B_k (x)
+    B'_l with orthonormal partners, so ||[a, b]||^2 = sum_kl ||[x_k,
+    y_l]||^2 exactly, and one table of ||[x_k, y_l]||^2 over the rows at a
+    site gives every pair: summed over the rows of whole terms, and over the
+    head rows only, each sum over its operands' squared norms.  A term's
+    pairs with itself are never read, so the table's columns leave out the
+    rows of each site's largest term, and each pair is read in the order
+    that holds it.  In the dimension-normalized norm the sites that only
+    one operand acts on cancel, which leaves sqrt(d).  ``norms`` lists each
+    term's norm, site by site with the vertex term first, and
+    ``head_norms`` each end's head's; a pair with a zero operand, or of a
+    term with itself, gets 0.0.
 
-def _shared_site_norms(sites: Sequence[Sequence[np.ndarray]],
-                       norms: Sequence[Sequence[float]], d: int) -> list[np.ndarray]:
-    """Relative commutator norms, as ``_relative_commutator``'s, of operators
-    meeting at one site, for several sites of dimension ``d`` at once.
-
-    ``sites[s][i]`` is a stack of weighted site factors x_k of the i-th
-    operator a_i at site s, with a_i = sum_k x_k (x) B_k, the B_k
-    Hilbert-Schmidt orthonormal on sites that no other operator at s acts
-    on, and ``norms[s][i]`` is ||a_i||.  Then [a_i, a_j] = sum_kl [x_k, y_l]
-    (x) B_k (x) B'_l with orthonormal partners, so ||[a_i, a_j]||^2 =
-    sum_kl ||[x_k, y_l]||^2 exactly, and one product of all factors at a
-    site gives every pair.  In the dimension-normalized norm the sites that
-    only one operand acts on cancel, which leaves sqrt(d).  Returns, per
-    site, the (g, g) matrix of its g operators' pairs; a pair with a zero
-    operand, or of an operator with itself, gets 0.0.
-
-    Sites of similar factor counts (``_size_groups``) share one batched
-    product, each padded with zero factors to the largest count among
-    them, at most twice its own, so padding at most quadruples the work,
-    and a vertex of much higher degree than the rest pads none of them.
-    The products are formed a chunk of factor rows at a time, at most
-    ``PRODUCT_CHUNK`` entries, so past the table of norms the memory is fixed.
+    Returns, per group of sites: the sites' indices and two (m, g, g)
+    arrays of their pairs, slot 0 the vertex term and slot j the j-th end,
+    of the whole terms and of the heads (the vertex slot 0.0).  A site with
+    fewer than g terms leaves its last slots 0.0.  Sites of similar row
+    counts (``_size_groups``) share one batched product, each padded with
+    rows that enter no sum to the largest count among them, at most twice
+    its own, so padding at most quadruples the work, and a vertex of much
+    higher degree than the rest pads none of them.  The products are formed
+    a chunk of rows at a time, at most ``PRODUCT_CHUNK`` entries, so past
+    the table itself the memory is fixed.
     """
-    widths = [sum(len(x) for x in ops) for ops in sites]
-    out: list[np.ndarray] = [np.zeros((0, 0))] * len(sites)
+    widths = [1 + len(c) + sum(c) for c in counts]
+    first_row = list(itertools.accumulate(widths, initial=0))
+    first_end = list(itertools.accumulate(map(len, counts), initial=0))
+    out = []
     for group in _size_groups(widths):
-        counts = [len(sites[s]) for s in group]
-        op_site, op_slot = _slots(counts)
-        f_site, f_slot = _slots([widths[s] for s in group])
-        m, width, g = len(group), widths[group[0]], max(counts)
-        y = np.zeros((m, width, d, d), dtype=complex)
-        y[f_site, f_slot] = np.concatenate([x for s in group for x in sites[s]])
-        runs = np.zeros((m, g, width))
-        runs[f_site, np.repeat(op_slot, [len(x) for s in group for x in sites[s]]),
-             f_slot] = 1.0
-        scale = np.zeros((m, g))
-        scale[op_site, op_slot] = [x for s in group for x in norms[s]]
-        # sq[s, a, b] = ||[y_a, y_b]||^2 at site s, for a chunk of rows a at a time
-        sq = np.empty((m, width, width))
-        left = y.reshape(m, width * d, d)
-        right = y.transpose(0, 2, 1, 3).reshape(m, d, width * d)
-        rows = max(1, PRODUCT_CHUNK // (m * width * d * d))
-        for lo in range(0, width, rows):
-            x = y[:, lo:lo + rows]
+        m, width = len(group), widths[group[0]]
+        g = 1 + max(len(counts[s]) for s in group)
+        sizes = {s: [1] + [c + 1 for c in counts[s]] for s in group}
+        n_cols = max(widths[s] - max(sizes[s]) for s in group)
+        # Each row's place in the table and its share of each sum it enters,
+        # 1 / ||a||^2 in its term a's slot j and, for a head row, 1 /
+        # ||head||^2 in slot g + j; 0 for a zero operand.  The columns leave
+        # out the rows of each site's largest term, and padding repeats row
+        # 0 but enters no sum.
+        lay: tuple[list[int], list[int], list[float]] = ([], [], [])
+        cols: tuple[list[int], list[int], list[float]] = ([], [], [])
+
+        def place(into, row: int, n: int, j: int, inv: float, inv_head: float) -> None:
+            take, at, share = into
+            base = len(take) * 2 * g + j
+            take += range(row, row + n)
+            at += range(base, base + n * 2 * g, 2 * g)
+            share += [inv] * n
+            at += range(base + g, base + (n - 1) * 2 * g, 2 * g)
+            share += [inv_head] * (n - 1)
+
+        for i, s in enumerate(group):
+            big = sizes[s].index(max(sizes[s]))
+            terms = norms[first_end[s] + s:first_end[s + 1] + s + 1]
+            heads = [0.0] + list(head_norms[first_end[s]:first_end[s + 1]])
+            row = first_row[s]
+            for j, n in enumerate(sizes[s]):
+                inv = 1.0 / terms[j] ** 2 if terms[j] > 0.0 else 0.0
+                inv_head = 1.0 / heads[j] ** 2 if heads[j] > 0.0 else 0.0
+                place(lay, row, n, j, inv, inv_head)
+                if j != big:
+                    place(cols, row, n, j, inv, inv_head)
+                row += n
+            lay[0].extend([0] * ((i + 1) * width - len(lay[0])))
+            cols[0].extend([0] * ((i + 1) * n_cols - len(cols[0])))
+        run_rows, run_cols = (
+            np.bincount(at, share, minlength=len(take) * 2 * g).reshape(m, -1, 2 * g)
+            for take, at, share in (lay, cols))
+        y = rows[lay[0]].reshape(m, width, d, d)
+        z = rows[cols[0]].reshape(m, n_cols, d, d)
+        # sq[s, a, b] = ||[y_a, z_b]||^2 at site s, for a chunk of rows a at a time
+        sq = np.empty((m, width, n_cols))
+        left = z.reshape(m, n_cols * d, d)
+        right = z.transpose(0, 2, 1, 3).reshape(m, d, n_cols * d)
+        chunk = max(1, PRODUCT_CHUNK // (m * n_cols * d * d))
+        for lo in range(0, width, chunk):
+            x = y[:, lo:lo + chunk]
             c = x.shape[1]
-            ab = (x.reshape(m, -1, d) @ right).reshape(m, c, d, width, d)  # y_a y_b
-            ba = (left @ x.transpose(0, 2, 1, 3).reshape(m, d, -1)).reshape(m, width, d, c, d)
+            ab = (x.reshape(m, -1, d) @ right).reshape(m, c, d, n_cols, d)  # y_a z_b
+            ba = (left @ x.transpose(0, 2, 1, 3).reshape(m, d, -1)).reshape(m, n_cols, d, c, d)
             diff = (ab - ba.transpose(0, 3, 2, 1, 4)).view(float)
             sq[:, lo:lo + c] = np.einsum("sakbl,sakbl->sab", diff, diff)
-        sq = runs @ sq @ runs.transpose(0, 2, 1)
-        scale = scale[:, :, None] * scale[:, None, :]
-        scale.reshape(m, -1)[:, ::g + 1] = 0.0  # an operator commutes with itself
-        rel = np.divide(np.sqrt(sq) * math.sqrt(d), scale, out=np.zeros_like(sq),
-                        where=scale > 0.0)
-        for s, k, r in zip(group, counts, rel):
-            out[s] = r[:k, :k]
+        # each pair in the order that holds it; a term commutes with itself
+        sq = run_rows.transpose(0, 2, 1) @ sq @ run_cols
+        rel = np.sqrt(np.maximum(sq, sq.transpose(0, 2, 1)) * d)
+        rel.reshape(m, -1)[:, ::2 * g + 1] = 0.0
+        out.append((group, rel[:, :g, :g], rel[:, g:, g:]))
     return out
 
 
@@ -758,9 +804,14 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
     decomposition has no norm of its own to be relative to.
 
     Every commutator is taken from the site factors of the one vertex the
-    two terms share (``_shared_site_norms``), with the Schmidt split
-    of each edge cumulant computed once.  Sites of one dimension share each
-    kernel, as the module docstring describes.
+    two terms share, with the Schmidt split of each edge cumulant computed
+    once.  One product table per site dimension (``_shared_site_norms``)
+    serves both commutation checks: at each vertex the edge cumulants'
+    weighted factors are an exact sub-block of the final terms' rows, whose
+    pull rows the star split supplies (see the module docstring).  So the
+    star split and the table run first, and the verdicts are then raised in
+    the order above; a model whose edge cumulants fail to commute pays for
+    the star split before its ``NotMarkovError``.
     """
     space = expansion.space
     if graph.vertices != set(space.sites):
@@ -778,6 +829,7 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
     edge_cumulants = {edge_keys[k]: expansion.entries[k]
                       for k in expansion.entries if k in edge_keys}
     ends = _edge_ends(edge_cumulants, space)
+    rank = {e: ends[e].rank for e in edge_cumulants}
     star_of: dict[int, list[int]] = {u: [] for u in sorted(graph.vertices)}
     for u, v in sorted(ends):
         star_of[u].append(v)
@@ -789,26 +841,6 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
     by_dim: dict[int, list[int]] = {}
     for u in star_of:
         by_dim.setdefault(space.dim(u), []).append(u)
-    weighted = {end: _weighted(split) for end, split in ends.items()}
-    edge_norms = {e: k.hs_norm() for e, k in edge_cumulants.items()}
-    norms: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
-    for d, us in by_dim.items():
-        hubs = [u for u in us if len(star_of[u]) > 1]
-        if not hubs:
-            continue
-        rel = _shared_site_norms(
-            [[weighted[u, v] for v in star_of[u]] for u in hubs],
-            [[edge_norms[edge(u, v)] for v in star_of[u]] for u in hubs], d)
-        for u, r in zip(hubs, rel):
-            es = [edge(u, v) for v in star_of[u]]
-            for a, b in itertools.combinations(range(len(es)), 2):
-                norms[min(es[a], es[b]), max(es[a], es[b])] = float(r[a, b])
-    worst = max(sorted(norms), key=norms.__getitem__, default=None)
-    if worst is not None and norms[worst] > support_rtol:
-        raise NotMarkovError(
-            f"edge cumulants on {worst[0]} and {worst[1]} do not commute "
-            f"(relative norm {norms[worst]:.3e})")
-
     n = len(space.sites)
     k0 = expansion.operator(()).matrix[0, 0]
     at = {u: i for us in by_dim.values() for i, u in enumerate(us)}  # row in its stack
@@ -820,18 +852,13 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
     for d, us in by_dim.items():
         cumulants[d] = np.stack([expansion.operator((u,)).matrix for u in us])
         h, pull_stacks[d], res, scale = _star_stack(
-            cumulants[d], [[ends[u, v].left[:ends[u, v].rank] for v in star_of[u]]
+            cumulants[d], [[ends[u, v].left[:rank[edge(u, v)]] for v in star_of[u]]
                            for u in us], rtol)
         failed += [(u, float(r), float(x)) for u, r, x in zip(us, res, scale)
                    if r > rtol * x]
         vertex_stacks[d] = h + (k0.real / n) * np.eye(d)
         pull_at.update((end, i) for i, end in enumerate(
             (u, v) for u in us for v in star_of[u]))
-    if failed:
-        u, res, scale = min(failed)
-        raise DecompositionResidualError(
-            f"vertex cumulant at {u} leaves residual {res:.3e} "
-            f"(scale {scale:.3e}) outside the ansatz", residual=res)
 
     def pulls(d: int, ends_at: list[tuple[int, int]]) -> np.ndarray:
         return pull_stacks[d][[pull_at[e] for e in ends_at]]
@@ -842,6 +869,7 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
     for u, v in edge_cumulants:
         by_shape.setdefault((space.dim(u), space.dim(v)), []).append((u, v))
     edge_stacks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    cumulant_norm: dict[tuple[int, int], float] = {}
     for (du, dv), es in by_shape.items():
         k = np.stack([edge_cumulants[e].matrix for e in es])
         pu = pulls(du, es)
@@ -850,15 +878,20 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
              + pu[:, :, None, :, None] * np.eye(dv)[:, None]
              + np.eye(du)[:, None, :, None] * pv[:, None, :, None, :])
         edge_stacks[du, dv] = (k, t.reshape(k.shape))
-    vertex_terms = {u: SupportedOperator((u,), vertex_stacks[space.dim(u)][at[u]])
+        cumulant_norm.update(zip(es, np.linalg.norm(k.reshape(len(es), -1), axis=1).tolist()))
+    vertex_terms = {u: SupportedOperator._trusted((u,), vertex_stacks[space.dim(u)][at[u]])
                     for u in star_of}
     rows = {e: t for shape, es in by_shape.items() for e, t in zip(es, edge_stacks[shape][1])}
-    final_edges = {e: SupportedOperator(e, rows[e]) for e in edge_cumulants}
+    final_edges = {e: SupportedOperator._trusted(k.support, rows[e])
+                   for e, k in edge_cumulants.items()}
 
-    # at u an edge term is its cumulant's weighted factors, whose partners
-    # on v are traceless, plus its pull times I_v (normalized: sqrt(d_v));
-    # the pull on v commutes with everything at u.  A term at or below the
-    # floor enters with norm 0, so none of its pairs is judged.
+    # One table per site dimension serves both checks.  At u an edge term
+    # is its cumulant's weighted factors, whose partners on v are traceless,
+    # plus its pull times I_v (normalized: sqrt(d_v)), so the cumulant's
+    # factors are the term's head and its pull row the tail; the pull on v
+    # commutes with everything at u.  A term at or below the floor enters
+    # with norm 0, so none of its pairs is judged; the edge check judges
+    # every cumulant.
     floor_sq = support_rtol ** 2 * expansion.total_norm_sq / space.total_dim
 
     def judged_norms(stack: np.ndarray) -> np.ndarray:
@@ -869,19 +902,58 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
                  for u, x in zip(us, judged_norms(vertex_stacks[d]).tolist())}
     term_norm.update((e, x) for shape, es in by_shape.items()
                      for e, x in zip(es, judged_norms(edge_stacks[shape][1]).tolist()))
-    max_commutator = 0.0
+    tables: list[tuple[list[int], np.ndarray, np.ndarray]] = []
     for d, us in by_dim.items():
         hubs = [u for u in us if star_of[u]]
         if not hubs:
             continue
+        # each hub's rows, gathered from one source: its vertex term, then
+        # per end the cumulant's factors times their weights and the pull
+        # times sqrt(d_v)
         here = [(u, v) for u in hubs for v in star_of[u]]
-        scaled = np.sqrt([space.dim(v) for _, v in here])[:, None, None] * pulls(d, here)
-        at_u = {end: np.concatenate([weighted[end], g[None]]) for end, g in zip(here, scaled)}
-        rel = _shared_site_norms(
-            [[vertex_stacks[d][at[u]][None]] + [at_u[u, v] for v in star_of[u]]
-             for u in hubs],
-            [[term_norm[u]] + [term_norm[edge(u, v)] for v in star_of[u]] for u in hubs], d)
-        max_commutator = max([max_commutator] + [float(r.max()) for r in rel])
+        src = np.concatenate([vertex_stacks[d], pull_stacks[d]]
+                             + [ends[end].left for end in here])
+        take: list[int] = []
+        weight: list[float] = []
+        lo = len(vertex_stacks[d]) + len(pull_stacks[d])
+        for u in hubs:
+            take.append(at[u])
+            weight.append(1.0)
+            for v in star_of[u]:
+                w = ends[u, v].weights
+                take += range(lo, lo + len(w))
+                take.append(len(vertex_stacks[d]) + pull_at[u, v])
+                weight += w.tolist()
+                weight.append(math.sqrt(space.dim(v)))
+                lo += len(w)
+        tables += [([hubs[s] for s in group], rel, heads) for group, rel, heads in
+                   _shared_site_norms(
+                       src[take] * np.array(weight)[:, None, None],
+                       [[len(ends[u, v].weights) for v in star_of[u]] for u in hubs],
+                       [x for u in hubs
+                        for x in [term_norm[u]] + [term_norm[edge(u, v)] for v in star_of[u]]],
+                       [cumulant_norm[edge(u, v)] for u, v in here], d)]
+
+    # the verdicts, in order: the edge cumulants, the star, the final terms
+    if tables and max(float(heads.max()) for _, _, heads in tables) > support_rtol:
+        norms = {(min(edge(u, v), edge(u, w)), max(edge(u, v), edge(u, w))):
+                 float(heads[i, 1 + a, 1 + b])
+                 for hubs, _, heads in tables for i, u in enumerate(hubs)
+                 for (a, v), (b, w) in itertools.combinations(enumerate(star_of[u]), 2)}
+        worst = max(sorted(norms), key=norms.__getitem__)
+        raise NotMarkovError(
+            f"edge cumulants on {worst[0]} and {worst[1]} do not commute "
+            f"(relative norm {norms[worst]:.3e})")
+    if failed:
+        u, res, scale = min(failed)
+        raise DecompositionResidualError(
+            f"vertex cumulant at {u} leaves residual {res:.3e} "
+            f"(scale {scale:.3e}) outside the ansatz", residual=res)
+    max_commutator = max([0.0] + [float(rel.max()) for _, rel, _ in tables])
+    if max_commutator > support_rtol:
+        raise DecompositionResidualError(
+            f"regrouped terms fail to commute (relative norm {max_commutator:.3e})",
+            residual=max_commutator)
 
     # the rebuild: the terms' cumulants against the expansion's, support by
     # support, each stack split at once
@@ -906,10 +978,6 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
     sq += sum(expansion.norm_sq(key) for key in expansion.entries
               if len(key) > 1 and key not in edge_keys)
     residual = math.sqrt(sq) / max(math.sqrt(expansion.total_norm_sq), 1e-300)
-    if max_commutator > support_rtol:
-        raise DecompositionResidualError(
-            f"regrouped terms fail to commute (relative norm {max_commutator:.3e})",
-            residual=max_commutator)
     if residual > support_rtol:
         raise DecompositionResidualError(
             f"decomposition misses log rho by relative {residual:.3e}",

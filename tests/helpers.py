@@ -51,7 +51,6 @@ from qmn.decompose import (
     _best_grouping,
     _commutant_forms,
     _edge_ends,
-    _weighted,
     hermitian_basis,
 )
 from qmn.errors import (
@@ -258,6 +257,11 @@ def local_expansion(ops, space: SiteSpace) -> CumulantExpansion:
     return _collect(parts, space, drop_rtol=0.0)
 
 
+def weighted_factors(split) -> np.ndarray:
+    """The left factors of an operator Schmidt split, each times its weight."""
+    return split.weights[:, None, None] * split.left
+
+
 def shared_site_norms_reference(groups, norms, d: int) -> np.ndarray:
     """Relative commutator norms of operators meeting at one site, from
     their weighted site factors (``groups[i]`` for operator i)."""
@@ -358,7 +362,7 @@ def theorem4_reference(expansion: CumulantExpansion, graph: Graph,
         if len(vs) < 2:
             continue
         es = [edge(u, v) for v in vs]
-        rel = shared_site_norms_reference([_weighted(ends[u, v]) for v in vs],
+        rel = shared_site_norms_reference([weighted_factors(ends[u, v]) for v in vs],
                                           [edge_norms[e] for e in es], space.dim(u))
         for a, b in itertools.combinations(range(len(vs)), 2):
             norms[min(es[a], es[b]), max(es[a], es[b])] = float(rel[a, b])
@@ -397,7 +401,7 @@ def theorem4_reference(expansion: CumulantExpansion, graph: Graph,
     for u, vs in star_of.items():
         ops = [vertex_terms[u]] + [final_edges[edge(u, v)] for v in vs]
         groups = [vertex_terms[u].matrix[None]] + [
-            np.concatenate([_weighted(ends[u, v]),
+            np.concatenate([weighted_factors(ends[u, v]),
                             math.sqrt(space.dim(v)) * pulls[u, v][None]]) for v in vs]
         op_norms = np.array([op.hs_norm() for op in ops])
         rel = shared_site_norms_reference(groups, op_norms, space.dim(u))

@@ -40,9 +40,11 @@ from helpers import (
     random_hermitian,
     reference_commutator,
     relative_commutator_reference,
+    shared_site_norms_reference,
     star_reference,
     theorem4_reference,
     walk_oracle,
+    weighted_factors,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -158,12 +160,63 @@ def test_shared_site_norm_is_the_relative_commutator(dims, rank_a, rank_b,
         keep = np.kron(np.ones((dims[0], dims[0])), np.eye(dims[1]))
         ma = ma * keep
     a, b = SupportedOperator((1, 2), ma), SupportedOperator((2, 3), mb)
+    # at site 2, a zero vertex term and the two as edge ends with zero pulls
     splits = op_schmidt([(a, [2]), (b, [2])], space)
-    [rel] = decompose._shared_site_norms([[decompose._weighted(x) for x in splits]],
-                                         [[a.hs_norm(), b.hs_norm()]], dims[1])
+    zero = np.zeros((1, dims[1], dims[1]), dtype=complex)
+    rows = np.concatenate([zero] + [r for x in splits for r in (weighted_factors(x), zero)])
+    norms = [a.hs_norm(), b.hs_norm()]
+    [(_, rel, heads)] = decompose._shared_site_norms(
+        rows, [[len(x.weights) for x in splits]], [0.0] + norms, norms, dims[1])
     want = decompose._relative_commutator(a, b, space)
-    assert rel[0, 1] == pytest.approx(want, rel=1e-10, abs=1e-12)
-    assert rel[1, 0] == pytest.approx(want, rel=1e-10, abs=1e-12)
+    for r in (rel[0], heads[0]):
+        assert r[1, 2] == pytest.approx(want, rel=1e-10, abs=1e-12)
+        assert r[2, 1] == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def assert_rel_close(got, want):
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-14)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 4),
+       st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=4), max_size=3),
+       st.integers(-1, 12), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(2, [[2, 3]], 0, False, 1)  # a zero vertex term
+@example(3, [[1, 4, 2]], 2, True, 2)  # a zero edge term, one row per chunk
+def test_shared_site_tables_agree_with_the_reference(d, counts, zero, chunked, seed):
+    # sites of one dimension, each a vertex row and, per end, its factor
+    # rows and one pull row; term ``zero`` (counted site by site) is set to
+    # zero, and the last site has degree 1
+    counts = counts + [[3]]
+    rng = np.random.default_rng(seed)
+    sites = [[rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+              for n in [1] + [k + 1 for k in c]] for c in counts]
+    terms = [t for site in sites for t in site]
+    if zero >= 0 and zero < len(terms):
+        terms[zero][:] = 0.0
+    norms = [float(np.linalg.norm(t)) for t in terms]
+    head_norms = [float(np.linalg.norm(t[:-1])) for site in sites for t in site[1:]]
+    with pytest.MonkeyPatch.context() as mp:
+        if chunked:
+            mp.setattr(decompose, "PRODUCT_CHUNK", 1)
+        tables = decompose._shared_site_norms(np.concatenate(terms), counts, norms,
+                                              head_norms, d)
+    seen = []
+    for group, rel, heads in tables:
+        for i, s in enumerate(group):
+            seen.append(s)
+            site, g = sites[s], len(sites[s])
+            pairs = ~np.eye(g, dtype=bool)
+            want = shared_site_norms_reference(site, [np.linalg.norm(t) for t in site], d)
+            assert_rel_close(rel[i, :g, :g][pairs], want[pairs])
+            ends = [t[:-1] for t in site[1:]]
+            want = shared_site_norms_reference(ends, [np.linalg.norm(t) for t in ends], d)
+            assert_rel_close(heads[i, 1:g, 1:g][pairs[1:, 1:]], want[pairs[1:, 1:]])
+            # a term with itself, the vertex term's head and the padding are 0.0
+            assert not rel[i].diagonal().any() and not heads[i].diagonal().any()
+            assert not heads[i, 0].any() and not heads[i, :, 0].any()
+            assert not rel[i, g:].any() and not heads[i, g:].any()
+    assert sorted(seen) == list(range(len(counts)))
 
 
 def test_pairwise_commutation_zero_operator_skipped():
@@ -1153,6 +1206,63 @@ def test_theorem4_runs_one_eigensolve_per_site_dimension(monkeypatch, model, dim
     monkeypatch.setattr(decompose.np.linalg, "eigh", counted)
     theorem4_decompose(expansion, model.graph)
     assert len(shapes) == dims
+
+
+def test_theorem4_raises_the_edge_verdict_before_the_star_residual():
+    # the worst-pair model plus a Y field on hub 2, which no edge can take
+    # up, so vertex 2's star leaves a residual as well: the star now runs
+    # before the edge verdict is read, and the edge verdict still comes
+    # first, as in the vertex-by-vertex loop
+    space = SiteSpace.qubits(4)
+    graph = Graph.from_edges([(1, 2), (2, 3), (2, 4)])
+    terms = (SupportedOperator((1, 2), np.kron(X, X)),
+             SupportedOperator((2, 3), 0.9 * np.kron(Z, Z)),
+             SupportedOperator((2, 4), 0.4 * np.kron(Z, X) + 0.3 * np.kron(I2, Z)),
+             SupportedOperator((2,), 0.5 * Y))
+    expansion = model_cumulants(ModelInstance(space, graph, terms, beta=0.6))
+    k2 = expansion.operator((2,))
+    edge_cumulants = {e: expansion.entries[frozenset(e)] for e in sorted(graph.edges)}
+    assert star_at(2, k2, edge_cumulants, space)[2] > 0.1 * k2.hs_norm()
+    with pytest.raises(NotMarkovError, match=r"edge cumulants on \(1, 2\) and \(2, 3\)") as err:
+        theorem4_decompose(expansion, graph)
+    with pytest.raises(NotMarkovError) as want:
+        theorem4_reference(expansion, graph)
+    assert str(err.value) == str(want.value)
+
+
+def test_theorem4_reads_the_edge_verdict_from_the_cumulant_rows_alone():
+    # a 5-qubit Ising chain with X on both end spins: its edge cumulants
+    # commute, its regrouped terms do not, so the shared table's full sums
+    # are large while its cumulant sub-block is not, and the verdict is the
+    # vertex loop's, not an edge verdict
+    graph = chain(5)
+    terms = tuple(SupportedOperator((i, i + 1), np.kron(Z, Z)) for i in range(1, 5))
+    terms += tuple(SupportedOperator((i,), 0.5 * Z + (0.7 * X if i in (1, 5) else 0.0))
+                   for i in range(1, 6))
+    expansion = model_cumulants(ModelInstance(SiteSpace.qubits(5), graph, terms))
+    got = outcome(theorem4_decompose, expansion, graph)
+    assert not (isinstance(got, tuple) and got[0] is NotMarkovError)
+    assert_same_decomposition(got, outcome(theorem4_reference, expansion, graph))
+
+
+@pytest.mark.parametrize("model, tables", [
+    (families.theorem4_model("path4", np.random.default_rng(3)), 2),
+    (families.ising_chain(10), 1)])
+def test_theorem4_forms_one_product_table_per_site_dimension(monkeypatch, model, tables):
+    # both commutation checks read the same table: path4 has qubit and
+    # dim-4 sites, and a chain's ends and inner sites share one batch
+    expansion = model_cumulants(model)
+    formed = []
+    kernel = decompose._shared_site_norms
+
+    def counted(*args):
+        out = kernel(*args)
+        formed.extend(out)
+        return out
+
+    monkeypatch.setattr(decompose, "_shared_site_norms", counted)
+    theorem4_decompose(expansion, model.graph)
+    assert len(formed) == tables
 
 
 def test_theorem4_triangle_raises():
