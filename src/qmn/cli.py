@@ -24,22 +24,19 @@ term once and leaves its admission, a matrix term's Hermitian check
 included, to ``ModelInstance``.
 
 ``decompose`` and ``cumulants`` take the local route (``"route":
-"local"`` in the report): the cumulants of log rho = beta H - log Z 1, or
-of beta H with ``--of hamiltonian``, are built from the model's terms on
-their own supports, exact and with no positivity floor, at any system
-size.  The two differ only in the empty-support (scalar) component.  Of
-log rho only that scalar, -log Z, needs the spectrum of H: when every term
-is diagonal on its own support (as for the Ising chain), the sum of the
-terms' diagonals as a length-d vector; when the terms commute, the
-eigenvalues of the sector blocks of H in the eigenbases of terms on
-disjoint supports (``markov.log_partition``); else one ``eigvalsh`` of the
-dense H.  The scalar is computed inside the dense cap, and for a diagonal
-model up to the cap squared; past that the ``cumulants`` and ``decompose``
-reports say ``"scalar_computed": false`` and ``decompose`` gives vertex
-terms without the -log Z / n shift, which the Gibbs state does not see.
-Model files
-that ``generate`` and ``decompose --out`` write are compact JSON on one
-line, as reports are.
+"local"`` in the report): the cumulants of beta H, or with ``cumulants
+--of log-gibbs`` (the default) of log rho = beta H - log Z 1, are built
+from the model's terms on their own supports, exact and with no
+positivity floor, at any system size.  The two differ only in the
+empty-support (scalar) component.  ``decompose`` regroups beta H, log rho
+up to its scalar, which cancels in rho = e^{H'} / Tr e^{H'}: its residual
+and support checks are relative to ||beta H||, and its output is the same
+at every size.  Only -log Z needs the spectrum of H
+(``markov.log_partition``, which needs no d x d matrix for diagonal or
+commuting terms).  It is computed inside the dense cap, and for a diagonal
+model up to the cap squared; past that the ``cumulants --of log-gibbs``
+report says ``"scalar_computed": false``.  Model files that ``generate``
+and ``decompose --out`` write are compact JSON on one line, as reports are.
 Reports echo the tolerances they used: ``classify`` its ``route``
 (``symbolic`` for Pauli terms, else ``dense``), the ``rtol`` that route
 applied (0.0 for ``symbolic``, which holds commutators to exact
@@ -456,11 +453,9 @@ def _cmd_classify(args) -> int:
 def _cmd_decompose(args) -> int:
     model = load_model(args.model)
     _maybe_dot(model, args.dot)
-    exp = model_cumulants(model)
-    echo = {"route": "local", "tolerance": args.tol,
-            "support_rtol": args.support_rtol, "scalar_computed": exp.scalar_known}
+    echo = {"route": "local", "tolerance": args.tol, "support_rtol": args.support_rtol}
     try:
-        dec = theorem4_decompose(exp, model.graph,
+        dec = theorem4_decompose(model_cumulants(model, of="hamiltonian"), model.graph,
                                  rtol=args.tol, support_rtol=args.support_rtol)
     except (NotMarkovError, NotTriangleFreeError,
             DecompositionResidualError) as e:
@@ -519,7 +514,7 @@ def _demo_counterexample() -> int:
     ok &= _claim(lines, verdict == "ShieldCommutingOnly",
                  f"classification: {verdict}")
     try:
-        theorem4_decompose(model_cumulants(model), model.graph)
+        theorem4_decompose(model_cumulants(model, of="hamiltonian"), model.graph)
         triangle_ok = False
     except NotTriangleFreeError:
         triangle_ok = True
@@ -587,20 +582,21 @@ def _shape(text: str) -> tuple[int, int]:
 
 def _cmd_generate(args) -> int:
     fam = args.family
+    beta_kw = {} if args.beta is None else {"beta": args.beta}
     try:
         rng = np.random.default_rng(args.seed)
         if fam == "cell":
-            model = families.cell_model(beta=args.beta)
+            model = families.cell_model(**beta_kw)
         elif fam == "noncommuting-chain":
-            model = families.noncommuting_chain(beta=args.beta)
+            model = families.noncommuting_chain(**beta_kw)
         elif fam == "ising":
-            model = families.ising_chain(args.sites, beta=args.beta)
+            model = families.ising_chain(args.sites, **beta_kw)
         elif fam == "tiling":
-            model = families.tiling_model(*_shape(args.shape), beta=args.beta)
+            model = families.tiling_model(*_shape(args.shape), **beta_kw)
         elif fam == "random-commuting":
-            model = families.random_commuting_model(rng, max_sites=args.sites)
+            model = families.random_commuting_model(rng, max_sites=args.sites, **beta_kw)
         else:  # theorem4, the last of the parser's choices
-            model = families.theorem4_model(args.kind, rng)
+            model = families.theorem4_model(args.kind, rng, **beta_kw)
     except ValueError as e:
         raise ModelFormatError(str(e)) from None
     _maybe_dot(model, args.dot)
@@ -681,8 +677,8 @@ def _build_parser() -> _Parser:
     c.set_defaults(func=_cmd_classify)
 
     c = sub.add_parser("decompose",
-                       help="commuting vertex/edge regrouping of log rho on "
-                            "a triangle-free graph")
+                       help="commuting vertex/edge regrouping of beta H (log rho "
+                            "up to its scalar) on a triangle-free graph")
     c.add_argument("model", help="path to a JSON model file")
     c.add_argument("--tol", type=_positive_float, default=decompose.DEFAULT_RTOL)
     c.add_argument("--support-rtol", type=_positive_float,
@@ -706,7 +702,9 @@ def _build_parser() -> _Parser:
     c.add_argument("--shape", default="2x2", help="RxC size for tiling")
     c.add_argument("--kind", choices=families.THEOREM4_KINDS, default="path4",
                    help="graph family for theorem4")
-    c.add_argument("--beta", type=_finite_float, default=1.0)
+    c.add_argument("--beta", type=_finite_float, default=None,
+                   help="default 1.0, or drawn from the seed for "
+                        "random-commuting and theorem4")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", help="output path (default stdout)")
     c.add_argument("--dot", help="also write the interaction graph in DOT format")

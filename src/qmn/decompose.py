@@ -6,16 +6,14 @@ edge cumulants that commute whenever they share a vertex, and vertex
 cumulants K_u that split as h_u + sum_v G_u^v where G_u^v commutes with the
 site-u Schmidt factors of every other edge at u and h_u commutes with all
 of them.  Regrouping K_uv + G_u^v + G_v^u per edge then yields pairwise
-commuting terms whose sum is log rho.  log rho enters as its cumulants,
-as in ``theorem4_decompose(model_cumulants(model), model.graph)``: for a
-model they are those of beta H - log Z 1, built term by term on each
-term's own support, with no positivity floor and no full-space matrix.
-Only the scalar -log Z needs the spectrum.  Past the dense cap it is not
-computed, so the vertex terms then carry no -log Z / n shift; the Gibbs
-state does not see that shift, since a multiple of the identity cancels
-in the normalization.  The final residual compares the returned terms'
-cumulants with the expansion support by support, which is exact by
-Parseval.
+commuting terms whose sum is log rho.  log rho enters as its cumulants.
+A model's are regrouped up to the scalar -log Z, which cancels in rho =
+e^{H'} / Tr e^{H'}: ``theorem4_decompose(model_cumulants(model,
+of="hamiltonian"), model.graph)`` splits beta H term by term on each
+term's own support, with no positivity floor, no full-space matrix and no
+spectrum, so the terms are the same at every size.  The final residual
+compares the returned terms' cumulants with the expansion support by
+support, which is exact by Parseval.
 
 Every commutator the decomposition judges is taken on one site.  On a
 triangle-free graph two terms meet in at most one vertex u, and the
@@ -760,7 +758,7 @@ def _star_stack(ks: np.ndarray, gens: Sequence[Sequence[np.ndarray]], rtol: floa
 
 @dataclass(frozen=True)
 class CommutingDecomposition:
-    """log rho regrouped into pairwise commuting vertex and edge terms."""
+    """log rho, or beta H (log rho up to its scalar), in commuting terms."""
 
     space: SiteSpace
     graph: Graph
@@ -783,9 +781,10 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
                        support_rtol: float = DEFAULT_SUPPORT_RTOL) -> CommutingDecomposition:
     """Commuting vertex/edge Hamiltonian for a Markov state on a triangle-free graph.
 
-    ``expansion`` holds the cumulants of log rho: ``model_cumulants(model)``
-    for a model's Gibbs state, ``expand(logm_pd(rho.matrix), space)`` for a
-    state from elsewhere.  Checks, in order: the graph is triangle-free;
+    ``expansion`` holds the cumulants of log rho, or of log rho up to its
+    scalar: ``model_cumulants(model, of="hamiltonian")`` (beta H) for a
+    model's Gibbs state, ``expand(logm_pd(rho.matrix), space)`` for a state
+    from elsewhere.  Checks, in order: the graph is triangle-free;
     log rho has cumulants on vertices and edges only (up to
     ``support_rtol``); edge cumulants sharing a vertex commute.  Then every
     vertex cumulant K_u is split by projection (``_star_stack``): h_u onto
@@ -794,14 +793,14 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
     of all but (u, v), less h_u.  The edge algebras commute, so this is the
     minimum-norm split (see the module docstring); a residual above
     ``rtol`` times ||K_u|| names the lowest failing vertex.  The pulls are
-    folded into the edge terms; the scalar cumulant, when known, is shared
-    evenly among the vertex terms.  The terms must commute pairwise and their cumulants
-    must match the expansion's, support by support, within
-    ``support_rtol`` relative to its norm; both are re-verified before
-    returning.  A term whose norm embedded in the full space is at most
-    ``support_rtol`` times the expansion's, the residual's own scale, is
-    not judged for commutation: rounding noise left by the star
-    decomposition has no norm of its own to be relative to.
+    folded into the edge terms; the scalar cumulant, if any, is shared
+    evenly among the vertex terms.  The terms must commute pairwise and
+    their cumulants must match the expansion's, support by support, within
+    ``support_rtol`` relative to its norm (||beta H|| for a model); both
+    are re-verified before returning.  A term whose norm embedded in the
+    full space is at most ``support_rtol`` times the expansion's, the
+    residual's own scale, is not judged for commutation: rounding noise
+    left by the star decomposition has no norm of its own to be relative to.
 
     Every commutator is taken from the site factors of the one vertex the
     two terms share, with the Schmidt split of each edge cumulant computed

@@ -745,29 +745,47 @@ def test_cli_decompose_past_the_dense_cap(tmp_path, capsys):
     assert len(read(dec)["terms"]) == 199
 
 
-def test_cli_decompose_report_says_whether_the_scalar_went_in(tmp_path, capsys):
-    for sites, computed in (("4", True), ("100", False)):
-        assert main(["decompose", gen(tmp_path, "ising", "--sites", sites)]) == 0
-        rep = json.loads(capsys.readouterr().out)
-        assert rep["decomposed"] and rep["scalar_computed"] is computed
+@pytest.mark.parametrize(
+    "family", [("theorem4", "--kind", k, "--seed", "3") for k in families.THEOREM4_KINDS]
+    + [("ising", "--sites", "12")], ids=[*families.THEOREM4_KINDS, "ising12"])
+def test_cli_decompose_without_the_scalar_keeps_rounding_level_vertex_terms(
+        tmp_path, capsys, monkeypatch, family):
+    # decompose regroups beta H, with no -log Z / n shift in the vertex
+    # terms; on the theorem4 models at seed 3 the star decomposition leaves
+    # some at rounding level (3.8e-16 on path4 site 2), which have no norm
+    # to judge a commutator against and must not fail the check.  The
+    # output is the same at the default dense cap and at 16.
+    model = gen(tmp_path, *family)
+    written = []
+    for cap in (None, "16"):
+        if cap is None:
+            monkeypatch.delenv("QMN_DENSE_CAP", raising=False)
+        else:
+            monkeypatch.setenv("QMN_DENSE_CAP", cap)
+        out, rep = tmp_path / f"dec-{cap}.json", tmp_path / f"rep-{cap}.json"
+        assert main(["decompose", model, "--out", str(out), "--report", str(rep)]) == 0
+        written.append((out.read_bytes(), rep.read_bytes()))
+    assert written[0] == written[1]
+    rep = json.loads(written[0][1])
+    assert rep["decomposed"] and "scalar_computed" not in rep
+    assert rep["max_commutator"] <= 1e-8 and rep["residual"] <= 1e-8
     assert main(["decompose", gen(tmp_path, "cell")]) == 2
     rep = json.loads(capsys.readouterr().out)
-    assert not rep["decomposed"] and rep["scalar_computed"] is True
+    assert not rep["decomposed"] and "scalar_computed" not in rep
 
 
-@pytest.mark.parametrize("kind", families.THEOREM4_KINDS)
-def test_cli_decompose_without_the_scalar_keeps_rounding_level_vertex_terms(
-        tmp_path, capsys, monkeypatch, kind):
-    # at seed 3 the star decomposition leaves vertex terms at rounding level
-    # (3.8e-16 on path4 site 2); without the -log Z / n shift such a term
-    # has no norm to judge a commutator against, and must not fail the check
-    model = gen(tmp_path, "theorem4", "--kind", kind, "--seed", "3")
-    capsys.readouterr()
-    monkeypatch.setenv("QMN_DENSE_CAP", "16")
-    assert main(["decompose", model]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["decomposed"] and rep["scalar_computed"] is False
-    assert rep["max_commutator"] <= 1e-8 and rep["residual"] <= 1e-8
+def test_cli_decompose_never_computes_log_z(tmp_path, capsys, monkeypatch):
+    def refuse(model):
+        raise AssertionError("log_partition called")
+
+    monkeypatch.setattr(markov, "log_partition", refuse)
+    monkeypatch.setattr(cumulants, "log_partition", refuse)
+    ising4 = gen(tmp_path, "ising", "--sites", "4")
+    for model in (gen(tmp_path, "theorem4", "--kind", "grid2x3", "--seed", "3"), ising4):
+        assert main(["decompose", model]) == 0
+        assert json.loads(capsys.readouterr().out)["decomposed"]
+    with pytest.raises(AssertionError, match="log_partition called"):
+        main(["cumulants", ising4, "--of", "log-gibbs"])
 
 
 def test_cli_cumulants_of_a_diagonal_model_past_the_dense_cap_have_the_scalar(
@@ -866,6 +884,18 @@ def test_cli_generate_tiling_shape(tmp_path):
     # 3x4 corners plus 6 centers, four terms per cell
     assert len(model.space.sites) == 18
     assert len(model.terms) == 24
+
+
+@pytest.mark.parametrize("family", ["theorem4", "random-commuting"])
+def test_cli_generate_writes_the_given_beta(tmp_path, family):
+    # the seeded families draw beta last, so --beta changes nothing else
+    drawn = read(gen(tmp_path, family, "--seed", "3"))
+    given = read(gen(tmp_path, family, "--seed", "3", "--beta", "2.5"))
+    assert given == drawn | {"beta": 2.5}
+    rng = np.random.default_rng(3)
+    own = (families.theorem4_model("path4", rng) if family == "theorem4"
+           else families.random_commuting_model(rng, max_sites=5))
+    assert drawn == model_to_json(own)
 
 
 def test_cli_generate_random_is_seeded(tmp_path):

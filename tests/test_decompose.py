@@ -1037,6 +1037,18 @@ def test_decompositions_with_and_without_the_scalar_agree(kind, seed, beta):
                            rtol=0.0, atol=1e-12)
     for dec, exp in ((got, without), (want, with_scalar)):
         assert abs(dec.max_commutator - judged_max(dec, exp)) <= 1e-12
+    # beta H, the expansion decompose regroups, carries its own trace part
+    # as the scalar: the edge terms are the same, the vertex terms shift
+    hamiltonian = model_cumulants(model, of="hamiltonian")
+    regrouped = theorem4_decompose(hamiltonian, model.graph)
+    assert regrouped.edge_terms.keys() == want.edge_terms.keys()
+    for e, term in want.edge_terms.items():
+        assert np.array_equal(regrouped.edge_terms[e].matrix, term.matrix)
+    shift = (with_scalar.operator(()).matrix[0, 0].real
+             - hamiltonian.operator(()).matrix[0, 0].real) / len(model.space)
+    for u, term in want.vertex_terms.items():
+        assert np.allclose(term.matrix - regrouped.vertex_terms[u].matrix,
+                           shift * np.eye(term.dim), rtol=0.0, atol=1e-12)
 
 
 def outcome(decompose_fn, expansion, graph):
