@@ -14,15 +14,19 @@ the last site each part is the component on the sites it kept.  ``expand``
 runs that split on a full-space matrix.  A sum of local operators needs no
 full-space matrix: each operator splits on its own support and the parts
 add per support, and a stack of operators on the same sites splits in one
-pass.  ``model_cumulants`` builds the expansion of a model's beta H, or of
-its log rho = beta H - log Z 1, that way, and ``theorem4_decompose`` the
-cumulants of its regrouped terms; of log rho only the scalar -log Z needs
-the spectrum (Leifer & Poulin, arXiv:0708.1337, and Brown & Poulin,
-arXiv:1206.0755, work with these cumulants).
+pass.  A Pauli word needs no split at all: every letter is traceless, so a
+word is its own component on the sites it acts on.  ``model_cumulants``
+builds the expansion of a model's beta H, or of its log rho = beta H - log
+Z 1, that way, summing the Pauli words per support and splitting only the
+dense terms, and ``theorem4_decompose`` the cumulants of its regrouped
+terms; of log rho only the scalar -log Z needs the spectrum (Leifer &
+Poulin, arXiv:0708.1337, and Brown & Poulin, arXiv:1206.0755, work with
+these cumulants).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -50,13 +54,16 @@ def _embedded_norm_sq(space: SiteSpace, support: Iterable[int],
 class CumulantExpansion:
     """All cumulant components of one operator, keyed by support.
 
-    ``scalar_known`` is False when the empty-support component was not
-    computed (log rho past the dense cap, where -log Z needs the
-    spectrum); it is then absent from ``entries`` and ``total_norm_sq``.
+    ``norms`` holds each entry's squared Hilbert-Schmidt norm embedded in
+    the full space.  ``scalar_known`` is False when the empty-support
+    component was not computed (log rho past the dense cap, where -log Z
+    needs the spectrum); it is then absent from ``entries`` and
+    ``total_norm_sq``.
     """
 
     space: SiteSpace
     entries: dict[frozenset[int], SupportedOperator]
+    norms: dict[frozenset[int], float]
     total_norm_sq: float
     scalar_known: bool = True
 
@@ -73,11 +80,7 @@ class CumulantExpansion:
 
     def norm_sq(self, region: Iterable[int]) -> float:
         """Squared Hilbert-Schmidt norm of the component embedded in the full space."""
-        key = frozenset(region)
-        if key not in self.entries:
-            return 0.0
-        op = self.entries[key]
-        return _embedded_norm_sq(self.space, op.support, op.matrix)
+        return self.norms.get(frozenset(region), 0.0)
 
     def distance(self, other: "CumulantExpansion") -> float:
         """Hilbert-Schmidt distance of the two operators, support by support.
@@ -141,29 +144,22 @@ def _local_components(support: tuple[int, ...], dims: Mapping[int, int],
     return parts
 
 
-def _split_sum(terms: Iterable[tuple[tuple[int, ...], np.ndarray]],
-               space: SiteSpace) -> dict[tuple[int, ...], np.ndarray]:
-    """Components of a sum of (support, matrix) terms, added per support."""
-    parts: dict[tuple[int, ...], np.ndarray] = {}
-    for support, matrix in terms:
-        dims = {s: space.dim(s) for s in support}
-        for key, m in _local_components(support, dims, matrix).items():
-            parts[key] = parts[key] + m if key in parts else m
-    return parts
-
-
 def _collect(parts: Mapping[tuple[int, ...], np.ndarray], space: SiteSpace,
              drop_rtol: float, scalar_known: bool = True) -> CumulantExpansion:
     """Expansion of support-keyed components, in order of size, then of
-    sites; those whose embedded norm is below ``drop_rtol`` times the
-    total are dropped, and the total still counts them."""
+    sites, with their embedded norms; those whose norm is below
+    ``drop_rtol`` times the total are dropped, and the total still counts
+    them."""
     norms = {k: _embedded_norm_sq(space, k, m) for k, m in parts.items()}
     total = sum(norms.values())
     cutoff_sq = (drop_rtol ** 2) * total
-    entries = {frozenset(k): SupportedOperator(k, parts[k])
-               for k in sorted(parts, key=lambda k: (len(k), k))
-               if norms[k] > cutoff_sq}
-    return CumulantExpansion(space, entries, total, scalar_known)
+    kept = [k for k in sorted(parts, key=lambda k: (len(k), k)) if norms[k] > cutoff_sq]
+    # a part is a square complex matrix on its sorted support, or a real one
+    # split from a real operator
+    entries = {frozenset(k): SupportedOperator._trusted(k, parts[k].astype(complex, copy=False))
+               for k in kept}
+    return CumulantExpansion(space, entries, {frozenset(k): norms[k] for k in kept},
+                             total, scalar_known)
 
 
 CUMULANT_TARGETS = ("log-gibbs", "hamiltonian")
@@ -173,19 +169,36 @@ def model_cumulants(model: ModelInstance, of: str = "log-gibbs") -> CumulantExpa
     """Cumulants of a model's log rho = beta H - log Z 1 (``"log-gibbs"``)
     or of beta H (``"hamiltonian"``), built from its terms.
 
-    Every term, Pauli or dense, is split on its own support as one of the
-    model's ``checked_terms``, which ``ModelInstance`` admitted.  Only the
-    scalar -log Z needs the spectrum; ``log_partition`` supplies it, and
-    where it raises ``DenseCapError`` (past the dense cap, or past its
-    square for a diagonal model) a log-gibbs expansion has no scalar entry
-    and ``scalar_known`` is False.  Components are dropped as in ``expand``
-    (``DEFAULT_DROP_RTOL``), relative to the norm of what was computed.
+    The cumulants are read off the model's ``blocks``: a block of Pauli
+    words is the component on its own sites as it stands, since every
+    letter is traceless, and a dense term, as ``ModelInstance`` admitted
+    it, is split on its own support.  The parts add per support; no Pauli
+    term is made dense as a whole or split, and only ``log_partition``'s
+    sector and dense routes build ``checked_terms``.  Only the scalar
+    -log Z needs the spectrum; ``log_partition``
+    supplies it, and where it raises ``DenseCapError`` (past the dense
+    cap, or past its square for a diagonal model) a log-gibbs expansion
+    has no scalar entry and ``scalar_known`` is False.  Components are
+    dropped as in ``expand`` (``DEFAULT_DROP_RTOL``), relative to the norm
+    of what was computed.
     """
     if of not in CUMULANT_TARGETS:
         raise ValueError(f"of must be one of {CUMULANT_TARGETS}, got {of!r}")
     space = model.space
-    parts = _split_sum(((op.support, op.matrix) for op in model.checked_terms), space)
-    parts = {k: model.beta * m for k, m in parts.items()}
+    dims = dict(zip(space.sites, space.dims))
+    parts: dict[tuple[int, ...], np.ndarray | None] = {}
+    for op, whole in model.blocks:
+        if whole:
+            # keyed where a split of the block would first meet each subset
+            # of its sites, so the norms add up as a term-by-term split's
+            for bits in itertools.product((False, True), repeat=len(op.support)):
+                parts.setdefault(tuple(itertools.compress(op.support, bits)), None)
+            split = {op.support: op.matrix}
+        else:
+            split = _local_components(op.support, dims, op.matrix)
+        for key, m in split.items():
+            parts[key] = m if parts.get(key) is None else parts[key] + m
+    parts = {k: model.beta * m for k, m in parts.items() if m is not None}
     scalar_known = True
     if of == "log-gibbs":
         scalar = parts.pop((), np.zeros((1, 1), dtype=complex))

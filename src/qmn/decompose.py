@@ -635,50 +635,47 @@ def _shared_site_norms(rows: np.ndarray, counts: Sequence[Sequence[int]],
     the table itself the memory is fixed.
     """
     widths = [1 + len(c) + sum(c) for c in counts]
-    first_row = list(itertools.accumulate(widths, initial=0))
-    first_end = list(itertools.accumulate(map(len, counts), initial=0))
+    g_all = 1 + max(map(len, counts))
+    # One share row per run of rows, site by site: the vertex row, then per
+    # end its head rows and its tail row.  In its term's slot j it holds the
+    # row's share 1 / ||a||^2 of the term's sum and, for a head row, in slot
+    # g + j its share 1 / ||head||^2 of the head's (0 for a zero operand);
+    # np.repeat spreads each over its run.  A last row of zeros stands for
+    # the padding, which enters no sum.
+    inv = iter([1.0 / x ** 2 if x > 0.0 else 0.0 for x in norms])
+    inv_head = iter([1.0 / x ** 2 if x > 0.0 else 0.0 for x in head_norms])
+    shares, lengths = [], []
+    for c in counts:
+        for j, heads in enumerate((0, *c)):
+            row = [0.0] * (2 * g_all)
+            row[j] = next(inv)
+            if heads:
+                shares.append(row.copy())
+                shares[-1][g_all + j] = next(inv_head)
+                lengths.append(heads)
+            shares.append(row)
+            lengths.append(1)
+    share = np.repeat(shares + [[0.0] * (2 * g_all)], lengths + [1], axis=0)
+    first = list(itertools.accumulate(widths, initial=0))
     out = []
     for group in _size_groups(widths):
         m, width = len(group), widths[group[0]]
         g = 1 + max(len(counts[s]) for s in group)
-        sizes = {s: [1] + [c + 1 for c in counts[s]] for s in group}
-        n_cols = max(widths[s] - max(sizes[s]) for s in group)
-        # Each row's place in the table and its share of each sum it enters,
-        # 1 / ||a||^2 in its term a's slot j and, for a head row, 1 /
-        # ||head||^2 in slot g + j; 0 for a zero operand.  The columns leave
-        # out the rows of each site's largest term, and padding repeats row
-        # 0 but enters no sum.
-        lay: tuple[list[int], list[int], list[float]] = ([], [], [])
-        cols: tuple[list[int], list[int], list[float]] = ([], [], [])
-
-        def place(into, row: int, n: int, j: int, inv: float, inv_head: float) -> None:
-            take, at, share = into
-            base = len(take) * 2 * g + j
-            take += range(row, row + n)
-            at += range(base, base + n * 2 * g, 2 * g)
-            share += [inv] * n
-            at += range(base + g, base + (n - 1) * 2 * g, 2 * g)
-            share += [inv_head] * (n - 1)
-
-        for i, s in enumerate(group):
-            big = sizes[s].index(max(sizes[s]))
-            terms = norms[first_end[s] + s:first_end[s + 1] + s + 1]
-            heads = [0.0] + list(head_norms[first_end[s]:first_end[s + 1]])
-            row = first_row[s]
-            for j, n in enumerate(sizes[s]):
-                inv = 1.0 / terms[j] ** 2 if terms[j] > 0.0 else 0.0
-                inv_head = 1.0 / heads[j] ** 2 if heads[j] > 0.0 else 0.0
-                place(lay, row, n, j, inv, inv_head)
-                if j != big:
-                    place(cols, row, n, j, inv, inv_head)
-                row += n
-            lay[0].extend([0] * ((i + 1) * width - len(lay[0])))
-            cols[0].extend([0] * ((i + 1) * n_cols - len(cols[0])))
-        run_rows, run_cols = (
-            np.bincount(at, share, minlength=len(take) * 2 * g).reshape(m, -1, 2 * g)
-            for take, at, share in (lay, cols))
-        y = rows[lay[0]].reshape(m, width, d, d)
-        z = rows[cols[0]].reshape(m, n_cols, d, d)
+        # each site's rows, and its rows but those of its largest term, each
+        # padded with -1, the row of zeros
+        lay, cols = [], []
+        for s in group:
+            sizes = [1, *(x + 1 for x in counts[s])]
+            big = sizes.index(max(sizes))
+            at = first[s] + sum(sizes[:big])
+            lay.append(range(first[s], first[s] + widths[s]))
+            cols.append([*range(first[s], at), *range(at + sizes[big], first[s + 1])])
+        n_cols = max(map(len, cols))
+        lay, cols = (np.array([[*x, *[-1] * (size - len(x))] for x in xs])
+                     for xs, size in ((lay, width), (cols, n_cols)))
+        shares = share if g == g_all else share[:, np.r_[:g, g_all:g_all + g]]
+        run_rows, run_cols = shares[lay], shares[cols]
+        y, z = rows[lay], rows[cols]
         # sq[s, a, b] = ||[y_a, z_b]||^2 at site s, for a chunk of rows a at a time
         sq = np.empty((m, width, n_cols))
         left = z.reshape(m, n_cols * d, d)
@@ -773,7 +770,10 @@ class CommutingDecomposition:
         return tuple(vs + es)
 
     def to_model(self) -> ModelInstance:
-        return ModelInstance(self.space, self.graph, self.terms(), beta=1.0)
+        """The terms as a model at beta 1, wrapped as they are, read-only:
+        each is exactly Hermitian by construction, so it is not admitted
+        again."""
+        return ModelInstance._trusted(self.space, self.graph, self.terms())
 
 
 def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,

@@ -300,9 +300,10 @@ class ModelInstance:
     names the term (its ``term`` index; the matrix's error is the cause).
     This is the one Hermitian check and symmetrization of a dense term on
     every path into a model: built in code, loaded from a file
-    (``cli.model_from_json`` decodes terms and leaves the check here),
-    re-made by ``dataclasses.replace`` or by
-    ``CommutingDecomposition.to_model``.  A Pauli term's sites must have
+    (``cli.model_from_json`` decodes terms and leaves the check here), or
+    re-made by ``dataclasses.replace``.  Only
+    ``CommutingDecomposition.to_model`` skips it (``_trusted``): its terms
+    are exactly Hermitian by construction.  A Pauli term's sites must have
     dim 2 (2**qubits with a composition), and a dense term's matrix the
     product of its sites' dimensions, or ``DimensionMismatchError`` names
     the term and its sites.
@@ -367,6 +368,20 @@ class ModelInstance:
             terms.append(t)
         object.__setattr__(self, "terms", tuple(terms))
 
+    @classmethod
+    def _trusted(cls, space: SiteSpace, graph: Graph,
+                 terms: tuple[SupportedOperator, ...]) -> "ModelInstance":
+        """A model of atomic sites, at beta 1, whose dense terms the caller
+        built exactly Hermitian, each on a clique of ``graph`` with the
+        dimension of its sites: the terms are wrapped as they are,
+        read-only, without ``__post_init__``'s admission."""
+        for t in terms:
+            t.matrix.flags.writeable = False
+        model = object.__new__(cls)
+        vars(model).update(space=space, graph=graph, terms=terms, beta=1.0,
+                           site_composition=None)
+        return model
+
     @cached_property
     def qubit_owner(self) -> dict[int, int]:
         """Map from qubit id to the site that contains it."""
@@ -392,6 +407,46 @@ class ModelInstance:
         sites = self.term_support(term)
         comp = self.site_composition or {x: (x,) for x in sites}
         return SupportedOperator(sites, term.matrix([q for x in sites for q in comp[x]]))
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[SupportedOperator, bool], ...]:
+        """The terms as read-only dense blocks on their own sites, each
+        flagged True when it is a cumulant as it stands.
+
+        A dense term is its own block, in term order.  The Pauli words are
+        summed per set of sites they act on, one block per set, where its
+        first word is met, in ``term_operator``'s qubit order; an identity
+        word's set is empty.  ``PauliSum.matrices`` builds the blocks, one
+        stack per number of qubits.  Every letter is traceless, so such a
+        block is the cumulant of the Pauli terms on exactly its sites
+        (Brown & Poulin, arXiv:1206.0755).
+        """
+        comp = self.site_composition
+        words: dict[tuple[int, ...], list[PauliTerm]] = {}
+        order: list = []
+        for t in self.terms:
+            if isinstance(t, SupportedOperator):
+                order.append(t)
+                continue
+            for w in t.terms:
+                key = self.term_support(w)
+                if key in words:
+                    words[key].append(w)
+                else:
+                    words[key] = [w]
+                    order.append(key)
+        qubits = {x: x if comp is None else [q for s in x for q in comp[s]] for x in words}
+        by_width: dict[int, list[tuple[int, ...]]] = {}
+        for x in words:
+            by_width.setdefault(len(qubits[x]), []).append(x)
+        blocks = {}
+        for xs in by_width.values():
+            stack = PauliSum.matrices([PauliSum(tuple(words[x])) for x in xs],
+                                      [qubits[x] for x in xs])
+            stack.flags.writeable = False
+            blocks.update((x, SupportedOperator._trusted(x, m)) for x, m in zip(xs, stack))
+        return tuple((x, False) if isinstance(x, SupportedOperator) else (blocks[x], True)
+                     for x in order)
 
     @cached_property
     def checked_terms(self) -> tuple[SupportedOperator, ...]:
@@ -524,14 +579,17 @@ def log_partition(model: ModelInstance) -> float:
 
     Three routes, tried in order:
 
-    * **Diagonal.** When every one of ``checked_terms`` is diagonal on its
-      own support, as for classical models such as an Ising chain, the
-      spectrum is the diagonal of H: each term's diagonal is added, in term
-      order, into a length-d vector shaped like the space, so no d x d
-      matrix is built and no eigensolve runs.  The entries are added in the
-      order ``embed_sum`` adds them and sorted as ``eigvalsh`` returns
-      them.  The vector takes at most the memory of a cap x cap matrix: d
-      up to ``dense_cap()`` squared.
+    * **Diagonal.** When every term is diagonal on its own support, a
+      Pauli term by having Z words only, as for classical models such as
+      an Ising chain, the spectrum is the diagonal of H: the diagonal of
+      each of the model's ``blocks`` is added, in their order, into a
+      length-d vector shaped like the space, so no d x d matrix is built,
+      no eigensolve runs and ``checked_terms`` is not needed.  Where each
+      Pauli term's words share one set of sites, and no two terms share
+      it, the entries are added in the order ``embed_sum`` adds them, and
+      they are sorted as ``eigvalsh`` returns them.  The vector takes at
+      most the memory of a cap x cap matrix: d up to ``dense_cap()``
+      squared.
     * **Sectors.** H commutes with each term when the terms commute, so it
       is block diagonal in the eigenbases of terms on disjoint supports
       (Bravyi & Vyalyi, quant-ph/0308021).  Walking the terms in order,
@@ -560,17 +618,17 @@ def log_partition(model: ModelInstance) -> float:
     ``DenseCapError`` is raised.
     """
     space = model.space
-    ops = model.checked_terms
     d = space.total_dim
-    if all(np.count_nonzero(op.matrix) == np.count_nonzero(op.matrix.diagonal())
-           for op in ops):
+    if all(not any(w.x for w in t.terms) if isinstance(t, PauliSum)
+           else np.count_nonzero(t.matrix) == np.count_nonzero(t.matrix.diagonal())
+           for t in model.terms):
         cap = dense_cap()
         if d > cap * cap:
             raise DenseCapError(
                 f"the diagonal of the model's Hamiltonian needs {d} entries, past "
                 f"the dense cap {cap} squared (set QMN_DENSE_CAP to override)")
         diag = np.zeros(space.dims)
-        for op in ops:
+        for op, _ in model.blocks:
             axes = {space.axis(s) for s in op.support}
             diag += op.matrix.diagonal().real.reshape(
                 [n if k in axes else 1 for k, n in enumerate(space.dims)])

@@ -23,8 +23,8 @@ the parity of |(x1&z2) ^ (z1&x2)| before any product is formed, adds the
 anticommuting pairs' products into an (x, z) table and builds a sum only
 of what survives; :func:`words_commute` is the same parity test on bare
 masks, which settles a pair of sums with no anticommuting word pair before
-any sum is built.  :meth:`PauliSum.matrix` is the one conversion to a
-dense matrix.
+any sum is built.  :meth:`PauliSum.matrices` (``matrix`` for one sum) is
+the one conversion to dense matrices.
 
 Text form (read by ``parse_term`` / ``parse_sum``, written by ``str``)::
 
@@ -275,22 +275,38 @@ class PauliSum:
         return " + ".join(str(t) for t in self.terms)
 
     def matrix(self, qubits: Sequence[int]) -> np.ndarray:
-        """Dense matrix on ``qubits``, the first one the most significant.
+        """Dense matrix on ``qubits``, the first one the most significant
+        (``matrices`` of this sum alone)."""
+        return PauliSum.matrices([self], [qubits])[0]
+
+    @staticmethod
+    def matrices(sums: Sequence["PauliSum"], qubits: Sequence[Sequence[int]]) -> np.ndarray:
+        """Dense matrices of ``sums[k]`` on ``qubits[k]``, one stack (k, 2**n,
+        2**n) for n qubits each, the first one the most significant.
 
         Each word is a signed permutation, X^x Z^z |j> = (-1)^|j&z| |j^x>,
-        times its phase i^|x&z|.  ``qubits`` must cover the support.
+        times its phase i^|x&z|, and a sum's words are added into its
+        matrix in order.  ``qubits[k]`` must cover the support of
+        ``sums[k]``.
         """
-        n = len(qubits)
-        pos = {q: n - 1 - k for k, q in enumerate(qubits)}
+        n = len(qubits[0]) if len(qubits) else 0
+        if any(len(qs) != n for qs in qubits):
+            raise ValueError("every sum of one stack needs the same number of qubits")
         j = np.arange(2 ** n)
-        out = np.zeros((2 ** n, 2 ** n), dtype=complex)
-        for t in self.terms:
-            x = sum(1 << pos[q] for q in _bits(t.x))
-            parity = np.zeros_like(j)
-            for q in _bits(t.z):
-                parity ^= (j >> pos[q]) & 1
-            c = _times_i_power(t.coeff, (t.x & t.z).bit_count())
-            out[j ^ x, j] += c * (1 - 2 * parity)
+        parity = np.zeros_like(j)  # of the set bits of each index
+        for b in range(n):
+            parity ^= (j >> b) & 1
+        k, x, z, c = [], [], [], []
+        for at, (s, qs) in enumerate(zip(sums, qubits)):
+            pos = {q: n - 1 - a for a, q in enumerate(qs)}
+            for t in s.terms:
+                k.append(at)
+                x.append(sum(1 << pos[q] for q in _bits(t.x)))
+                z.append(sum(1 << pos[q] for q in _bits(t.z)))
+                c.append(_times_i_power(t.coeff, (t.x & t.z).bit_count()))
+        out = np.zeros((len(sums), 2 ** n, 2 ** n), dtype=complex)
+        k, x, z = (np.array(a, dtype=np.intp)[:, None] for a in (k, x, z))
+        np.add.at(out, (k, x ^ j, j), np.array(c, dtype=complex)[:, None] * (1 - 2 * parity[z & j]))
         return out
 
 

@@ -41,9 +41,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from qmn.cumulants import (
+    DEFAULT_DROP_RTOL,
     CumulantExpansion,
     _collect,
-    _split_sum,
+    _local_components,
     verify_clique_support,
 )
 from qmn.decompose import (
@@ -61,7 +62,7 @@ from qmn.errors import (
     UnknownSiteError,
 )
 from qmn.graphs import Graph, Partition, coarse_grain, is_triangle_free
-from qmn.markov import DensityMatrix, ModelInstance
+from qmn.markov import DensityMatrix, ModelInstance, log_partition
 from qmn.pauli import PauliSum, PauliTerm, as_sum
 from qmn.tensor import (
     SiteSpace,
@@ -249,6 +250,29 @@ def walk_oracle(model, rtol: float = 1e-9) -> dict:
 
 # ---------------------------------------------------------------------------
 # the vertex-by-vertex decomposition
+
+def _split_sum(terms, space: SiteSpace) -> dict[tuple[int, ...], np.ndarray]:
+    """Components of a sum of (support, matrix) terms, each split on its
+    own support and added per support."""
+    parts: dict[tuple[int, ...], np.ndarray] = {}
+    for support, matrix in terms:
+        dims = {s: space.dim(s) for s in support}
+        for key, m in _local_components(support, dims, matrix).items():
+            parts[key] = parts[key] + m if key in parts else m
+    return parts
+
+
+def dense_model_cumulants(model, of: str = "log-gibbs") -> CumulantExpansion:
+    """``model_cumulants`` the dense way: every term of ``checked_terms``
+    split on its own support, Pauli or not, the parts times beta, and of
+    log rho the scalar less ``log_partition``."""
+    parts = _split_sum(((op.support, op.matrix) for op in model.checked_terms),
+                       model.space)
+    parts = {k: model.beta * m for k, m in parts.items()}
+    if of == "log-gibbs":
+        parts[()] = parts.pop((), np.zeros((1, 1), dtype=complex)) - log_partition(model)
+    return _collect(parts, model.space, DEFAULT_DROP_RTOL)
+
 
 def local_expansion(ops, space: SiteSpace) -> CumulantExpansion:
     """Every nonzero cumulant component of a sum of local operators, each

@@ -326,7 +326,11 @@ def test_each_dense_term_is_checked_for_hermiticity_once(tmp_path, monkeypatch):
     dec = decompose.theorem4_decompose(cumulants.model_cumulants(model), model.graph)
     calls.clear()
     dec_model = dec.to_model()
-    assert len(calls) == len(dec_model.terms)
+    # the decomposition's terms are exactly Hermitian, and wrapped unchecked
+    assert len(calls) == 0
+    for t in dec_model.terms:
+        assert np.array_equal(t.matrix, t.matrix.conj().T)
+        assert not t.matrix.flags.writeable
     for k, m in enumerate((model, dec_model)):
         path = str(tmp_path / f"path4-{k}.json")
         save_model(m, path)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmn import families
+from qmn.cli import main, save_model
 from qmn.cumulants import (
     CUMULANT_TARGETS,
     _local_components,
@@ -13,17 +14,18 @@ from qmn.cumulants import (
     model_cumulants,
     verify_clique_support,
 )
-from qmn.decompose import hermitian_basis
+from qmn.decompose import coarse_grain_model, hermitian_basis
 from qmn.errors import NonHermitianError, UnknownSiteError
 from qmn.graphs import Graph, cliques
-from qmn.markov import DensityMatrix, ModelInstance, gibbs
-from qmn.pauli import PauliTerm, parse_sum
+from qmn.markov import DensityMatrix, ModelInstance, gibbs, log_partition
+from qmn.pauli import PauliSum, PauliTerm, parse_sum
 from qmn.tensor import (
     SiteSpace, SupportedOperator, embed_sum, hs_norm, logm_pd, partial_trace,
 )
 
 from helpers import (
     brute_cumulant,
+    dense_model_cumulants,
     dense_pauli_word,
     local_expansion,
     log_gibbs,
@@ -325,6 +327,90 @@ def test_model_cumulants_match_the_dense_expansion(model, of):
     for key, op in want.entries.items():
         err = hs_norm(got.entries[key].matrix - op.matrix)
         assert err <= 1e-12 * op.hs_norm(), (sorted(key), err)
+
+
+@st.composite
+def word_models(draw):
+    """Pauli models on a chain of 2-4 qubits, one edge possibly contracted
+    by ``coarse_grain_model`` (multi-word terms on a two-qubit site).  A
+    term is one word on an edge or a site, identity letters allowed; or
+    such a word plus a narrower one inside it; or the identity word; or a
+    word drawn before, again.  With ``z_only`` every letter is a Z or an
+    identity.  Coefficients are drawn floats, so sums round."""
+    n = draw(st.integers(2, 4))
+    z_only = draw(st.booleans())
+    alphabet = "IZ" if z_only else "IXYZ"
+    coeff = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3)
+    pool = [(i, i + 1) for i in range(1, n)] + [(i,) for i in range(1, n + 1)]
+
+    def word(sup):
+        letters = {q: draw(st.sampled_from(alphabet)) for q in sup}
+        return PauliTerm.from_letters(draw(coeff), {q: a for q, a in letters.items()
+                                                    if a != "I"})
+
+    terms: list = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("word", "word", "narrow", "identity", "repeat")))
+        sup = draw(st.sampled_from(pool))
+        if kind == "identity":
+            terms.append(PauliTerm(draw(coeff)))
+        elif kind == "narrow":
+            terms.append(PauliSum.of(word(sup), word(sup[:1])))
+        elif kind == "repeat" and terms:
+            old = draw(st.sampled_from(terms))
+            old = old if isinstance(old, PauliTerm) else old.terms[0]
+            terms.append(PauliTerm(draw(coeff), old.x, old.z))
+        else:
+            terms.append(word(sup))
+    model = ModelInstance(SiteSpace.qubits(n), chain(n), tuple(terms),
+                          beta=draw(st.floats(0.3, 3.0)))
+    if draw(st.booleans()):
+        u = draw(st.integers(1, n - 1))
+        model = coarse_grain_model(model, {u: u + 1})
+    return model
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(word_models(), st.sampled_from(CUMULANT_TARGETS))
+def test_word_cumulants_match_the_dense_split_of_each_term(model, of):
+    got = model_cumulants(model, of)
+    want = dense_model_cumulants(model, of)
+    assert got.entries.keys() == want.entries.keys()
+    scale = math.sqrt(want.total_norm_sq)
+    assert abs(got.total_norm_sq - want.total_norm_sq) <= 1e-14 * want.total_norm_sq
+    for key, op in want.entries.items():
+        assert got.entries[key].support == op.support
+        err = hs_norm(got.entries[key].matrix - op.matrix)
+        assert err * math.sqrt(model.space.total_dim / op.dim) <= 1e-14 * scale, sorted(key)
+        assert abs(got.norm_sq(key) - want.norm_sq(key)) <= 1e-14 * want.total_norm_sq
+    # a word of Z letters alone splits exactly, so one such word per term
+    # leaves the dense split no rounding of its own
+    if all(len(t.terms) == 1 and not t.terms[0].x for t in model.terms):
+        assert got.total_norm_sq == want.total_norm_sq
+        for key, op in want.entries.items():
+            assert np.array_equal(got.entries[key].matrix, op.matrix)
+            assert got.norm_sq(key) == want.norm_sq(key)
+
+
+def test_pauli_models_need_no_dense_terms(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("checked_terms built")
+
+    monkeypatch.setattr(ModelInstance, "checked_terms", property(refuse))
+    ising = families.ising_chain(12)
+    merged = coarse_grain_model(families.ising_chain(6), {1: 2, 4: 5})
+    with pytest.raises(AssertionError, match="checked_terms"):
+        ising.hamiltonian()
+    for model in (ising, merged):
+        assert model_cumulants(model, "hamiltonian").scalar_known
+        assert model_cumulants(model).scalar_known
+        assert math.isfinite(log_partition(model))
+    for name, model in (("ising12", ising), ("merged", merged)):
+        path = str(tmp_path / f"{name}.json")
+        save_model(model, path)
+        argv = [path, "--out", str(tmp_path / f"{name}-out.json")]
+        assert main(["decompose", *argv, "--report", str(tmp_path / "rep.json")]) == 0
+        assert main(["cumulants", *argv]) == 0
 
 
 def test_model_cumulants_past_the_dense_cap(monkeypatch):

@@ -268,6 +268,28 @@ def test_symplectic_core_matches_dense_oracle(data):
     assert np.allclose(commutator(a, b).matrix(order), dense_comm, atol=1e-12)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_stacked_matrices_match_the_dense_oracle(data):
+    # sums of up to three words, each on its own order of the same qubits,
+    # converted as one stack
+    ids = data.draw(gapped_ids(max_qubits=4))
+    sums, orders, want = [], [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        order = data.draw(st.permutations(ids))
+        drawn = [data.draw(words(order)) for _ in range(data.draw(st.integers(0, 3)))]
+        sums.append(PauliSum(tuple(t for t, _ in drawn)))
+        orders.append(order)
+        want.append(sum((m for _, m in drawn), np.zeros((2 ** len(ids),) * 2, dtype=complex)))
+    got = PauliSum.matrices(sums, orders)
+    assert got.shape == (len(sums),) + (2 ** len(ids),) * 2
+    for g, w, s, order in zip(got, want, sums, orders):
+        assert np.allclose(g, w, rtol=0.0, atol=1e-12)
+        assert np.array_equal(g, s.matrix(order))
+    with pytest.raises(ValueError, match="same number of qubits"):
+        PauliSum.matrices(sums[:1] * 2, [ids, ids + [99]])
+
+
 def assert_terms_match_composition_kron(model):
     comp = model.site_composition
     for t in model.terms:
