@@ -50,14 +50,18 @@ region, not the whole model.
 
 ``verify-markov`` answers by certificate before it builds any state: an
 all-Pauli model that ``classify`` finds LocalCommuting or
-ShieldCommutingOnly has every CMI exactly 0 on every shielding partition
-at once (see ``decompose.py``), and the report says ``"route":
+ShieldCommutingOnly, or a model with dense terms that ``classify``'s
+pairwise stage finds LocalCommuting, has every CMI 0 on every shielding
+partition at once (see ``decompose.py``), and the report says ``"route":
 "certificate"``.  It lists, with CMI 0.0, the spanning partitions that
 ``classify`` regrouped, and none for a LocalCommuting model, whatever
 ``--partitions`` says; so it answers past the partition enumeration caps
-too, as long as no component region passes them.  Every other model, and
-``--route dense``, takes the dense CMI sweep over the ``--partitions``
-mode's partitions (``"route": "dense"``).
+and, for a LocalCommuting model, past the dense cap too, as long as no
+component region passes them.  The report's ``rtol`` is the commutator
+tolerance that decided it: 0.0 for Pauli terms, whose commutators cancel
+exactly, else ``decompose.DEFAULT_RTOL``, to which the 0.0 holds.  Every
+other model, and ``--route dense``, takes the dense CMI sweep over the
+``--partitions`` mode's partitions (``"route": "dense"``).
 Tolerance options (``--tol``, ``--rtol``, ``--support-rtol``) take finite
 numbers above zero, and ``--max-support`` an integer >= 0.  Reports are
 compact JSON.
@@ -388,11 +392,12 @@ def _cmd_verify_markov(args) -> int:
 
 def _markov_json(rep: MarkovReport) -> dict:
     """The report's partitions and verdict, with the route, tolerance and
-    mode that produced them, and the certifying classify verdict if any."""
+    mode that produced them, and the certifying classify verdict and its
+    commutator tolerance if any."""
     doc = rep.to_json_dict() | {"route": rep.route, "tolerance": rep.tolerance,
                                 "mode": rep.mode}
     if rep.certificate is not None:
-        doc["certificate"] = rep.certificate
+        doc |= {"certificate": rep.certificate, "rtol": rep.rtol}
     return doc
 
 

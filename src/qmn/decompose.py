@@ -81,10 +81,14 @@ quant-ph/0304007).  A ``LocalCommuting`` or ``ShieldCommutingOnly``
 verdict on a Pauli model, whose commutators cancel symbolically, is such a
 grouping on every spanning partition; every shielding partition extends to
 a spanning one, and strong subadditivity gives I(A:C|B) <= I(AA':CC'|B) =
-0, so it certifies ``--partitions all`` too.  ``verify_gibbs`` reports that
-certificate, listing only the partitions ``classify`` regrouped, and builds
-no state; every other model takes the dense CMI sweep of
-``markov.is_markov_network``.
+0, so it certifies ``--partitions all`` too.  Dense terms that commute
+pairwise to ``rtol`` make any grouping such a grouping to that tolerance,
+and their certificate's 0.0 holds to it.  ``verify_gibbs`` reports either
+certificate, listing only the partitions ``classify`` regrouped, and
+builds no state.  On dense terms it runs only the pairwise stage, bounded
+by the pairs of terms on their own supports: the dense grouping search
+can cost more than the sweep it would replace.  Every other model takes
+the dense CMI sweep of ``markov.is_markov_network``.
 
 ``classify`` never walks the spanning partitions of the whole graph.  Join
 two terms when their supports overlap and they fail to commute; each
@@ -411,6 +415,28 @@ class Classification:
     route: str
 
 
+def _pairwise_stage(model: ModelInstance, rtol: float) -> tuple[
+        str, float, Sequence[Term], Sequence[int], PairwiseCommutation]:
+    """``classify``'s pairwise stage, which ``verify_gibbs`` runs too: the
+    route, the tolerance it applies, the operators, the indices of those
+    judged above the norm floor and their ``pairwise_commutation``, whose
+    pairs index the judged ones.  ``classify`` describes the tolerances and
+    the floor; every commutator is taken on a pair's own sites."""
+    symbolic = model.all_pauli()
+    tol = 0.0 if symbolic else rtol
+    ops = model.terms if symbolic else model.checked_terms
+    judged: Sequence[int] = range(len(ops))
+    norms = None
+    if not symbolic:
+        hs = [op.hs_norm() for op in ops]
+        sq = [x ** 2 / op.dim for x, op in zip(hs, ops)]
+        floor = rtol ** 2 * sum(sq)
+        judged = [i for i, x in enumerate(sq) if x > floor]
+        norms = [hs[i] for i in judged]
+    pair = pairwise_commutation([ops[i] for i in judged], model.space, tol, norms=norms)
+    return "symbolic" if symbolic else "dense", tol, ops, judged, pair
+
+
 def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL) -> Classification:
     """Sort a model into one of three commutation classes.
 
@@ -445,19 +471,7 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL) -> Classification
     the pairwise stage runs for locally commuting models, so those are
     classified at any system size.
     """
-    symbolic = model.all_pauli()
-    route = "symbolic" if symbolic else "dense"
-    tol = 0.0 if symbolic else rtol
-    ops = model.terms if symbolic else model.checked_terms
-    judged = range(len(ops))
-    norms = None
-    if not symbolic:
-        hs = [op.hs_norm() for op in ops]
-        sq = [x ** 2 / op.dim for x, op in zip(hs, ops)]
-        floor = rtol ** 2 * sum(sq)
-        judged = [i for i, x in enumerate(sq) if x > floor]
-        norms = [hs[i] for i in judged]
-    pair = pairwise_commutation([ops[i] for i in judged], model.space, tol, norms=norms)
+    route, tol, ops, judged, pair = _pairwise_stage(model, rtol)
     worst = pair.worst and (judged[pair.worst[0]], judged[pair.worst[1]])
     if pair.commuting:
         return Classification(LOCAL_COMMUTING, pair.max_norm, worst, (), None, route)
@@ -490,18 +504,25 @@ def verify_gibbs(model: ModelInstance, tol: float = DEFAULT_CMI_TOL,
                  mode: str = "spanning", route: str = "auto") -> MarkovReport:
     """Markov check of a model's Gibbs state, by certificate when one exists.
 
-    ``route="auto"`` first classifies an all-Pauli model symbolically.  A
+    ``route="auto"`` first looks for a commutation certificate.  An
+    all-Pauli model is classified symbolically; a model with a dense term
+    runs ``classify``'s pairwise stage alone, at ``DEFAULT_RTOL``.  A
     ``LocalCommuting`` or ``ShieldCommutingOnly`` verdict proves every CMI
-    exactly 0 at every beta, on every shielding partition at once (see the
-    module docstring), so the report builds no state and lists, with CMI
-    0.0, what ``classify`` checked: the partitions of each noncommutation
+    0 at every beta, on every shielding partition at once (see the module
+    docstring), so the report builds no state and lists, with CMI 0.0,
+    what ``classify`` checked: the partitions of each noncommutation
     component's region it regrouped, widened to spanning ones by putting
-    every other site in B, or none when the terms commute pairwise.  A
-    model with a dense term, a ``NotShieldCommuting`` verdict (which proves
-    nothing by itself), a component region past the partition enumeration
-    cap or a grouping search past ``SPLIT_SEARCH_CAP`` falls through to the
-    dense sweep of ``markov.is_markov_network`` over the ``mode``'s
-    partitions, which ``route="dense"`` forces.
+    every other site in B, or none when the terms commute pairwise.  Its
+    ``rtol`` is the commutator tolerance that decided it: 0.0 for Pauli
+    terms, whose commutators cancel exactly, and ``DEFAULT_RTOL`` for dense
+    terms, so there the 0.0 holds to that tolerance.  Dense terms that do
+    not commute pairwise get no grouping search here, which can cost more
+    than the sweep it would replace.  Such a model, a
+    ``NotShieldCommuting`` verdict (which proves nothing by itself), a
+    component region past the partition enumeration cap or a grouping
+    search past ``SPLIT_SEARCH_CAP`` falls through to the dense sweep of
+    ``markov.is_markov_network`` over the ``mode``'s partitions, which
+    ``route="dense"`` forces.
     """
     if route not in ("auto", "dense"):
         raise ValueError(f"route must be 'auto' or 'dense', got {route!r}")
@@ -515,7 +536,10 @@ def verify_gibbs(model: ModelInstance, tol: float = DEFAULT_CMI_TOL,
         if c is not None and c.verdict != NOT_SHIELD_COMMUTING:
             records = tuple(PartitionRecord(r.partition, 0.0, 0.0 <= tol)
                             for r in c.records)
-            return MarkovReport(records, 0.0, tol, mode, "certificate", c.verdict)
+            return MarkovReport(records, 0.0, tol, mode, "certificate", c.verdict, 0.0)
+    elif route == "auto" and _pairwise_stage(model, DEFAULT_RTOL)[-1].commuting:
+        return MarkovReport((), 0.0, tol, mode, "certificate", LOCAL_COMMUTING,
+                            DEFAULT_RTOL)
     return is_markov_network(gibbs(model), model.graph, tol, mode)
 
 

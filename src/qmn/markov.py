@@ -218,8 +218,9 @@ class MarkovReport:
     """Per-partition conditional mutual informations and the overall verdict.
 
     ``route`` names how the CMIs were obtained: ``"dense"`` computes them
-    from the state, ``"certificate"`` takes the exact 0.0 that a
-    commutation certificate (``certificate``, the classify verdict) proves.
+    from the state, ``"certificate"`` takes the 0.0 that a commutation
+    certificate (``certificate``, the classify verdict) proves, exactly
+    for ``rtol`` 0.0, else to the commutator tolerance ``rtol``.
     """
 
     records: tuple[PartitionRecord, ...]
@@ -228,6 +229,7 @@ class MarkovReport:
     mode: str
     route: str = "dense"
     certificate: str | None = None
+    rtol: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -579,10 +581,12 @@ def log_partition(model: ModelInstance) -> float:
 
     Three routes, tried in order:
 
-    * **Diagonal.** When every term is diagonal on its own support, a
-      Pauli term by having Z words only, as for classical models such as
-      an Ising chain, the spectrum is the diagonal of H: the diagonal of
-      each of the model's ``blocks`` is added, in their order, into a
+    * **Diagonal.** When every one of the model's ``blocks`` is diagonal,
+      as for classical models such as an Ising chain, the spectrum is the
+      diagonal of H.  A model of Z words only is, with no look at a block;
+      otherwise each block's matrix is checked, so Pauli words that cancel
+      across terms, summed in one block, take this route too.  The
+      diagonal of each block is added, in their order, into a
       length-d vector shaped like the space, so no d x d matrix is built,
       no eigensolve runs and ``checked_terms`` is not needed.  Where each
       Pauli term's words share one set of sites, and no two terms share
@@ -608,20 +612,21 @@ def log_partition(model: ModelInstance) -> float:
       beta * ``SECTOR_RTOL`` * sum_j ||h_j||.  A single term that leaves
       the sectors sends the model to the dense route, even when another
       term cancels it.
-    * **Dense.** Any other model, including one whose off-diagonal parts
-      cancel only across terms, sums H and takes one ``eigvalsh``, on the
-      real symmetric matrix when the imaginary part is exactly zero: the
-      spectrum is the same, and a real ``eigvalsh`` costs a fraction of a
-      complex one.
+    * **Dense.** Any other model, including one whose dense terms cancel
+      each other's off-diagonal parts, sums H and takes one ``eigvalsh``,
+      on the real symmetric matrix when the imaginary part is exactly
+      zero: the spectrum is the same, and a real ``eigvalsh`` costs a
+      fraction of a complex one.
 
     The sector and dense routes need d within ``dense_cap()``; past a cap
     ``DenseCapError`` is raised.
     """
     space = model.space
     d = space.total_dim
-    if all(not any(w.x for w in t.terms) if isinstance(t, PauliSum)
-           else np.count_nonzero(t.matrix) == np.count_nonzero(t.matrix.diagonal())
-           for t in model.terms):
+    # Z words need no look at the blocks they sum to
+    if (all(isinstance(t, PauliSum) and not any(w.x for w in t.terms) for t in model.terms)
+            or all(np.count_nonzero(op.matrix) == np.count_nonzero(op.matrix.diagonal())
+                   for op, _ in model.blocks)):
         cap = dense_cap()
         if d > cap * cap:
             raise DenseCapError(

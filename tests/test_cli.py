@@ -431,6 +431,24 @@ def test_cli_verify_markov_report_echoes_route_tolerance_and_mode(tmp_path):
     assert "certificate" not in rep
 
 
+def test_cli_verify_markov_certifies_dense_commuting_terms_past_the_cap(
+        tmp_path, monkeypatch):
+    model = gen(tmp_path, "random-commuting", "--seed", "1", "--sites", "5")
+    cell = gen(tmp_path, "cell")
+    out = str(tmp_path / "rep.json")
+    monkeypatch.setenv("QMN_DENSE_CAP", "8")
+    assert main(["verify-markov", model, "--out", out]) == 0
+    rep = read(out)
+    assert {k: rep[k] for k in ("route", "certificate", "rtol", "partitions",
+                                "max_cmi", "verdict")} == {
+        "route": "certificate", "certificate": "LocalCommuting", "rtol": 1e-9,
+        "partitions": [], "max_cmi": 0.0, "verdict": "pass"}
+    # a Pauli certificate holds to exact cancellation
+    assert main(["verify-markov", cell, "--out", out]) == 0
+    assert read(out)["rtol"] == 0.0
+    assert main(["verify-markov", model, "--route", "dense"]) == 3
+
+
 def test_cli_verify_markov_unmerged_tiling_by_certificate(tmp_path):
     tiling = gen(tmp_path, "tiling", "--shape", "1x3")
     out = str(tmp_path / "rep.json")

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from qmn import decompose, families
 from qmn.cumulants import expand, model_cumulants
@@ -20,6 +20,7 @@ from qmn.decompose import (
 )
 from qmn.errors import (
     DecompositionResidualError,
+    DenseCapError,
     DimensionMismatchError,
     EnumerationCapError,
     NotMarkovError,
@@ -622,6 +623,78 @@ def test_verify_gibbs_validates_route_and_mode():
         verify_gibbs(model, route="local")
     with pytest.raises(ValueError):
         verify_gibbs(model, mode="everything")
+
+
+def dense_written(model: ModelInstance) -> ModelInstance:
+    """The same model with every term written as a matrix."""
+    return ModelInstance(model.space, model.graph,
+                         tuple(model.term_operator(t) for t in model.terms),
+                         beta=model.beta)
+
+
+def test_dense_locally_commuting_chain_is_certified_past_the_cap():
+    model = dense_written(families.ising_chain(60))
+    rep = verify_gibbs(model)
+    assert (rep.route, rep.certificate, rep.rtol) == (
+        "certificate", LOCAL_COMMUTING, decompose.DEFAULT_RTOL)
+    assert rep.passed and rep.records == () and rep.max_cmi == 0.0
+    with pytest.raises(DenseCapError):
+        verify_gibbs(model, route="dense")
+
+
+def test_dense_shield_commuting_tiling_keeps_the_sweep_without_a_grouping_search(
+        monkeypatch):
+    model = dense_written(families.tiling_model(1, 2))
+    assert classify(model).verdict == SHIELD_COMMUTING_ONLY
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verify path ran the dense grouping search")
+
+    monkeypatch.setattr(decompose, "_best_grouping", refuse)
+    for mode in ("spanning", "all"):
+        rep = verify_gibbs(model, mode=mode)
+        assert (rep.route, rep.certificate, rep.rtol) == ("dense", None, None)
+        assert rep.passed and rep.max_cmi <= 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pauli_models(max_qubits=6))
+def test_dense_pairwise_stage_agrees_with_the_symbolic_one(model):
+    sym = classify(model)
+    dense = dense_written(model)
+    commuting = decompose._pairwise_stage(dense, decompose.DEFAULT_RTOL)[-1].commuting
+    if 0.0 < sym.pairwise_max <= 1e-6:
+        # no verdict is asserted between the bands; the draws are counted
+        # in the hypothesis statistics, not dropped
+        event("symbolic pairwise_max in (0, 1e-6]")
+        return
+    assert commuting == (sym.verdict == LOCAL_COMMUTING)
+    if commuting:
+        rep = verify_gibbs(dense, tol=1e-9)
+        assert (rep.route, rep.certificate) == ("certificate", LOCAL_COMMUTING)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.5, 2.0, 8.0]),
+       st.sampled_from([0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3]))
+def test_dense_certificates_agree_with_the_sweep_under_perturbation(seed, beta, eta):
+    rng = np.random.default_rng(seed)
+    model = families.random_commuting_model(rng, beta=beta)
+    terms = list(model.terms)
+    k = int(rng.integers(len(terms)))
+    r = random_hermitian(rng, terms[k].dim)
+    scale = eta * terms[k].hs_norm() / np.linalg.norm(r)
+    terms[k] = SupportedOperator(terms[k].support, terms[k].matrix + scale * r)
+    model = ModelInstance(model.space, model.graph, tuple(terms), beta=beta)
+    auto = verify_gibbs(model, tol=1e-9)
+    dense = verify_gibbs(model, tol=1e-9, route="dense")
+    event(f"eta {eta:g}: {auto.route}")
+    assert auto.passed == dense.passed
+    if auto.route == "certificate":
+        assert (auto.certificate, auto.rtol) == (LOCAL_COMMUTING, decompose.DEFAULT_RTOL)
+        assert dense.max_cmi <= 1e-12
+    else:
+        assert auto == dense
 
 
 @st.composite
