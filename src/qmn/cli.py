@@ -35,8 +35,17 @@ at every size.  Only -log Z needs the spectrum of H
 (``markov.log_partition``, which needs no d x d matrix for diagonal or
 commuting terms).  It is computed inside the dense cap, and for a diagonal
 model up to the cap squared; past that the ``cumulants --of log-gibbs``
-report says ``"scalar_computed": false``.  Model files that ``generate``
-and ``decompose --out`` write are compact JSON on one line, as reports are.
+report says ``"scalar_computed": false``.
+
+Model files are read and written by ``orjson``.  ``generate`` and
+``decompose --out`` write them through ``save_model``: compact JSON on one
+line, each number in the shortest form that reads back to the same float
+(``0.00001`` for 1e-05), parsed back bit for bit.  Text that orjson
+refuses (NaN, Infinity, a number past the float range, a lone surrogate,
+a syntax error) is read again by stdlib ``json``, so it gets the same
+field check or line-numbered message as ever.  Integers must fit 64 bits
+(site ids included): a larger one parses as a float and fails its field's
+integer check.  Reports keep ``json``'s text (``"key": value``).
 Reports echo the tolerances they used: ``classify`` its ``route``
 (``symbolic`` for Pauli terms, else ``dense``), the ``rtol`` that route
 applied (0.0 for ``symbolic``, which holds commutators to exact
@@ -63,8 +72,7 @@ exactly, else ``decompose.DEFAULT_RTOL``, to which the 0.0 holds.  Every
 other model, and ``--route dense``, takes the dense CMI sweep over the
 ``--partitions`` mode's partitions (``"route": "dense"``).
 Tolerance options (``--tol``, ``--rtol``, ``--support-rtol``) take finite
-numbers above zero, and ``--max-support`` an integer >= 0.  Reports are
-compact JSON.
+numbers above zero, and ``--max-support`` an integer >= 0.
 
 Exit codes: 0 when the command's claim holds, 2 when it fails (not Markov,
 not decomposable, off-clique weight, NotShieldCommuting), 1 on usage or
@@ -86,6 +94,7 @@ import sys
 from typing import Any, Sequence
 
 import numpy as np
+import orjson
 
 from . import cumulants, decompose, families, markov
 from .cumulants import model_cumulants, verify_clique_support
@@ -345,18 +354,49 @@ def model_to_json(model: ModelInstance) -> dict:
 
 
 def load_model(path: str) -> ModelInstance:
+    """Read a model file: ``orjson`` parses the bytes, ``model_from_json``
+    checks every field.  Bytes that orjson refuses go to ``_json_fallback``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as e:
         raise ModelFormatError(f"{path}: {e.strerror or e}") from e
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(f"{path}: line {e.lineno}: {e.msg}") from e
+    try:
+        data = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        data = _json_fallback(raw, path)
     return model_from_json(data)
 
 
-def save_model(model: ModelInstance, path: str) -> None:
-    _emit(model_to_json(model), path)
+def _json_fallback(raw: bytes, path: str) -> Any:
+    """Parse what orjson refused with stdlib ``json``, as a text-mode read
+    of the file sees it (UTF-8, newlines made ``\\n``).  JSON's NaN,
+    Infinity and 1e400 parse and meet the field check that names them;
+    a syntax error gets json's line and message."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(
+            f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ModelFormatError(f"{path}: line {e.lineno}: {e.msg}") from e
+    except RecursionError:
+        raise ModelFormatError(f"{path}: JSON nested too deeply to read") from None
+
+
+def save_model(model: ModelInstance, path: str | None) -> None:
+    """Write ``model_to_json(model)`` to ``path``, or to stdout if None: one
+    line of compact JSON by ``orjson``, whose floats read back bit for bit.
+    Site ids must fit 64 bits."""
+    text = orjson.dumps(model_to_json(model)) + b"\n"
+    if path:
+        with open(path, "wb") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text.decode())
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +645,7 @@ def _cmd_generate(args) -> int:
     except ValueError as e:
         raise ModelFormatError(str(e)) from None
     _maybe_dot(model, args.dot)
-    _emit(model_to_json(model), args.out)
+    save_model(model, args.out)
     return EXIT_PASS
 
 

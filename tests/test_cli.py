@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,9 @@ from qmn.graphs import Graph, shield_partitions
 from qmn.markov import ModelInstance, gibbs, is_markov_network
 from qmn.pauli import PauliSum, PauliTerm, parse_sum, parse_term
 from qmn.tensor import SiteSpace, SupportedOperator, check_hermitian
+
+from helpers import term_bits
+from test_decompose import pauli_models
 
 
 def write(path, data):
@@ -309,6 +314,74 @@ def test_loaded_models_save_and_reload_unchanged(data):
             assert a.support == b.support
             assert np.array_equal(a.matrix, b.matrix)
     assert model_to_json(back) == saved
+
+
+# finite floats of every magnitude, subnormals and -0.0 drawn often, small
+# enough that symmetrizing a matrix (x + x) / 2 stays finite; json wrote
+# 1e-05, orjson writes 0.00001
+FLOATS = st.sampled_from((-0.0, 5e-324, -1e-310, 1e-05)) | st.floats(-1e300, 1e300)
+
+
+@st.composite
+def dense_models(draw):
+    """Exactly Hermitian complex terms on a chain of 2-3 sites of dims 2-3,
+    on one site or an edge, each entry drawn from ``FLOATS``."""
+    n = draw(st.integers(2, 3))
+    dims = draw(st.lists(st.sampled_from((2, 3)), min_size=n, max_size=n))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        first = draw(st.integers(1, n))
+        support = tuple(range(first, min(first + draw(st.integers(1, 2)), n + 1)))
+        d = math.prod(dims[s - 1] for s in support)
+        m = np.zeros((d, d), dtype=complex)
+        for i in range(d):
+            m[i, i] = draw(FLOATS)
+            for j in range(i + 1, d):
+                m[i, j] = complex(draw(FLOATS), draw(FLOATS))
+                m[j, i] = m[i, j].conjugate()
+        terms.append(SupportedOperator(support, m))
+    return ModelInstance(SiteSpace.from_dims(dict(enumerate(dims, start=1))),
+                         Graph.from_edges([(s, s + 1) for s in range(1, n)]),
+                         tuple(terms))
+
+
+def model_bits(model):
+    """beta and every term to the bit: Pauli words' coefficients, dense
+    matrices' entries."""
+    out = [np.float64(model.beta).view(np.uint64)]
+    for t in model.terms:
+        if isinstance(t, PauliSum):
+            out.append(term_bits(t.terms))
+        else:
+            out.append((t.support, t.matrix.astype(complex).view(np.uint64).tolist()))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(dense_models(), pauli_models(max_qubits=6)), FLOATS)
+def test_model_files_round_trip_bit_for_bit(tmp_path_factory, model, beta):
+    # written by save_model, and as the stdlib json writer wrote it
+    # (", " and ": " separators, 1e-05), both read back to the same bits
+    model = dataclasses.replace(model, beta=beta)
+    new = tmp_path_factory.getbasetemp() / "codec-orjson.json"
+    old = tmp_path_factory.getbasetemp() / "codec-json.json"
+    save_model(model, str(new))
+    old.write_text(json.dumps(model_to_json(model)) + "\n", encoding="utf-8")
+    want = model_bits(model)
+    assert model_bits(load_model(str(new))) == want
+    assert model_bits(load_model(str(old))) == want
+    assert json.loads(new.read_text(encoding="utf-8")) == model_to_json(model)
+
+
+def test_generate_writes_model_files_through_save_model(tmp_path, capsys):
+    want = tmp_path / "saved.json"
+    save_model(families.theorem4_model("path4", np.random.default_rng(3)), str(want))
+    out = tmp_path / "generated.json"
+    argv = ["generate", "theorem4", "--kind", "path4", "--seed", "3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == want.read_bytes()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == want.read_bytes()
 
 
 def test_each_dense_term_is_checked_for_hermiticity_once(tmp_path, monkeypatch):
@@ -1034,6 +1107,78 @@ def test_cli_non_finite_input_is_exit_1(tmp_path, capsys):
     assert main(["verify-markov", cell, "--beta", "nan"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "--beta" in captured.err
+
+
+TWO_QUBITS = json.dumps({
+    "sites": [{"id": 1, "dim": 2}, {"id": 2, "dim": 2}], "edges": [[1, 2]],
+    "terms": [{"support": [1, 2], "pauli": "Z Z", "coeff": 1.0},
+              {"support": [1], "matrix": {"re": [[1.0, 0.0], [0.0, -1.0]]}}],
+    "beta": 1.0}, indent=1)
+
+
+def stdlib_loader_error(path):
+    """The stderr line of a loader that reads the file as text with stdlib
+    json and checks its fields with ``model_from_json``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            return f"error: {path}: line {e.lineno}: {e.msg}\n"
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_json(data)
+    return f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("text", [
+    TWO_QUBITS.replace('"coeff": 1.0', '"coeff": NaN'),
+    TWO_QUBITS.replace('"beta": 1.0', '"beta": -Infinity'),
+    TWO_QUBITS.replace("-1.0", "1e400"),
+    TWO_QUBITS.replace('"Z Z"', '"Z \\ud800"'),  # a lone surrogate escape
+    TWO_QUBITS + "\n{}",
+    "\ufeff" + TWO_QUBITS,
+    TWO_QUBITS[:len(TWO_QUBITS) // 2],
+    (TWO_QUBITS + "x").replace("\n", "\r"),  # text mode reads \r as a newline
+], ids=["nan", "infinity", "1e400", "lone-surrogate", "trailing-data", "bom",
+        "truncated", "cr-newlines"])
+def test_cli_model_files_orjson_refuses_get_the_stdlib_diagnostics(tmp_path, capsys, text):
+    path = tmp_path / "model.json"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(orjson.JSONDecodeError):
+        orjson.loads(path.read_bytes())
+    assert main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == stdlib_loader_error(str(path))
+
+
+@pytest.mark.parametrize("raw,fragment", [
+    (TWO_QUBITS.encode("utf-8").replace(b'"Z Z"', b'"Z \xff"'), "not UTF-8 text"),
+    (b"[" * 100000, "JSON nested too deeply to read"),
+], ids=["non-utf8", "deep-nesting"])
+def test_cli_model_file_that_json_cannot_read_is_exit_1(tmp_path, capsys, raw, fragment):
+    path = tmp_path / "model.json"
+    path.write_bytes(raw)
+    assert main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: {fragment}")
+
+
+def test_cli_site_ids_must_fit_64_bits(tmp_path, capsys):
+    def model(site):
+        return write(tmp_path / f"site-{site}.json", {
+            "sites": [{"id": site, "dim": 3}], "edges": [],
+            "terms": [{"support": [site], "matrix": {"re": np.eye(3).tolist()}}]})
+
+    # orjson reads an integer past 2**64 - 1 as a float
+    assert main(["classify", model(2 ** 64)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sites[0] must be an object with an integer id" in captured.err
+    biggest = model(2 ** 64 - 1)
+    saved = str(tmp_path / "saved.json")
+    save_model(load_model(biggest), saved)
+    assert load_model(saved).space.sites == (2 ** 64 - 1,)
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
