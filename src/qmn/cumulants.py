@@ -173,10 +173,9 @@ def model_cumulants(model: ModelInstance, of: str = "log-gibbs") -> CumulantExpa
     words is the component on its own sites as it stands, since every
     letter is traceless, and a dense term, as ``ModelInstance`` admitted
     it, is split on its own support.  The parts add per support; no Pauli
-    term is made dense as a whole or split, and only ``log_partition``'s
-    sector and dense routes build ``checked_terms``.  Only the scalar
-    -log Z needs the spectrum; ``log_partition``
-    supplies it, and where it raises ``DenseCapError`` (past the dense
+    term is made dense as a whole or split.  Only the scalar -log Z needs
+    the spectrum; ``log_partition`` supplies it from the same blocks, and
+    where it raises ``DenseCapError`` (past the dense
     cap, or past its square for a diagonal model) a log-gibbs expansion
     has no scalar entry and ``scalar_known`` is False.  Components are
     dropped as in ``expand`` (``DEFAULT_DROP_RTOL``), relative to the norm

@@ -491,7 +491,8 @@ def classify(model: ModelInstance, rtol: float = DEFAULT_RTOL) -> Classification
         items = [(keys[i], ops[i]) for i in members]
         for p in spanning_shield_partitions(induced):
             norm = _best_grouping(items, p, model.space, tol)
-            whole = Partition(p.a, model.graph.vertices - p.a - p.c, p.c)
+            # disjoint by construction: B takes the rest of the graph
+            whole = Partition._trusted(p.a, model.graph.vertices - p.a - p.c, p.c)
             records.append(ShieldRecord(whole, norm <= tol, norm))
             if norm > tol:
                 return Classification(NOT_SHIELD_COMMUTING, pair.max_norm,

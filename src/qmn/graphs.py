@@ -2,9 +2,9 @@
 
 A partition (A, B, C) of a vertex subset *shields* A from C when every path
 from an A-vertex to a C-vertex passes through B; equivalently no connected
-component of the graph with B removed meets both A and C.  One chunked walk
-enumerates the spanning partitions (A+B+C = all vertices) and, for an audit,
-those that leave vertices out.
+component of the graph with B removed meets both A and C.  One pruned
+depth-first walk enumerates the spanning partitions (A+B+C = all vertices)
+and, for an audit, those that leave vertices out.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .errors import EnumerationCapError, UnknownSiteError
 
@@ -90,7 +88,8 @@ class Partition:
         """A partition of groups the caller built valid, without
         ``__post_init__``'s conversion and checks."""
         p = object.__new__(cls)
-        vars(p).update(a=a, b=b, c=c)
+        groups = p.__dict__
+        groups["a"], groups["b"], groups["c"] = a, b, c
         return p
 
     @property
@@ -146,45 +145,22 @@ class _VertexSets(dict):
         return group
 
 
-def _digit_masks(width: int, base: int, shift: int, nbr: np.ndarray) -> np.ndarray:
-    """For the ``base**width`` digit strings in product order, digit j (most
-    significant first) standing for vertex ``shift + j``: row g < base holds
-    the bitmask of the vertices whose digit is g, and row ``base`` that of
-    the neighbors of the digit-0 (A) vertices, ``nbr[k]`` being vertex
-    k's."""
-    masks = np.zeros((base + 1, 1), dtype=np.int64)
-    if not width:
-        return masks
-    place = np.zeros((width, base + 1, base), dtype=np.int64)
-    groups = np.arange(base)
-    place[:, groups, groups] = np.int64(1) << np.arange(shift, shift + width)[:, None]
-    place[:, base, 0] = nbr[shift:shift + width]
-    for p in place:
-        masks = (masks[:, :, None] | p[:, None, :]).reshape(base + 1, -1)
-    return masks
-
-
-def _neighbors(masks: np.ndarray, nbr: np.ndarray) -> np.ndarray:
-    """Bitmask of the vertices adjacent to each mask's vertices."""
-    held = masks[:, None] >> np.arange(len(nbr), dtype=np.int64) & 1
-    return np.bitwise_or.reduce(held * nbr, axis=1)
-
-
 def _shield_walk(graph: Graph, base: int, cap: int) -> Iterator[Partition]:
     """Shielding partitions among the ``base**n`` assignments (0=A, 1=B,
     2=C, 3=left out) in ``itertools.product`` order over the sorted vertices;
     more than ``cap`` vertices raise ``EnumerationCapError``.
 
-    Each group is a vertex bitmask.  The assignments are walked in chunks
-    that share their leading digits: the last (at most 8) digits' masks are
-    computed once, and a chunk ORs in its leading digits' masks.  A row is
-    kept when it is in canonical orientation (A and C nonempty, the
-    smallest A|C vertex in A) and B shields A from C: no C vertex is
-    adjacent to the reach of A, which is A plus the left-out vertices joined
-    to it through left-out vertices.  A spanning row's reach is A, so the
-    reach fixpoint runs only where vertices are left out.  The kept rows'
-    groups are valid by construction and become ``Partition``s without
-    re-validation.
+    A depth-first walk over vertex bitmasks extends a prefix only while it
+    can still shield.  The reach of A (of C) is the group plus the left-out
+    vertices joined to it through left-out vertices, and B shields exactly
+    when no vertex of A's reach is next to C's.  A prefix keeps the
+    vertices next to each reach; they only grow.  A vertex joins A only if
+    it is not next to C's reach, and C only if A is nonempty (the canonical
+    orientation: smallest A|C vertex in A) and it is not next to A's reach.
+    A left-out vertex joins the reach it is next to, and one next to both is
+    pruned.  While C is empty and A is not, a prefix whose remaining
+    vertices are all next to A's reach is dropped.  Children pop in product
+    order, and the leaves become ``Partition``s without re-validation.
     """
     vs = sorted(graph.vertices)
     n = len(vs)
@@ -192,47 +168,69 @@ def _shield_walk(graph: Graph, base: int, cap: int) -> Iterator[Partition]:
         raise EnumerationCapError(
             f"shielding partition enumeration needs {base}^{n} assignments; "
             f"cap is {base}^{cap}")
-    if n == 0:
-        return
     pos = {v: k for k, v in enumerate(vs)}
-    nbr = np.zeros(n, dtype=np.int64)
+    nbr = [0] * n
     for u, v in graph.edges:
         nbr[pos[u]] |= 1 << pos[v]
         nbr[pos[v]] |= 1 << pos[u]
-    width = min(n, 8)
-    low = _digit_masks(width, base, n - width, nbr)
-    high = _digit_masks(n - width, base, 0, nbr).tolist()
+
+    def widen(near: int, loose: int) -> int:
+        """``near`` plus the neighbors of the loose (left-out, in no reach)
+        vertices it meets, until it meets no more."""
+        while hit := near & loose:
+            loose ^= hit
+            for j in range(n):
+                if hit >> j & 1:
+                    near |= nbr[j]
+        return near
+
+    full = (1 << n) - 1
     sets = _VertexSets(vs)
-    for h in range(base ** (n - width)):
-        a, b, c, near = (low[g] | high[g][h] for g in (0, 1, 2, base))
-        ac = a | c
-        rows = ((a & ac & -ac) != 0) & (c != 0)
-        a, b, c, near = a[rows], b[rows], c[rows], near[rows]
-        reach = a
-        if base > 3:
-            out = (low[3] | high[3][h])[rows]
-            wider = reach | near & out
-            while (wider != reach).any():
-                reach = wider
-                near = _neighbors(reach, nbr)
-                wider = reach | near & out
-        keep = (near & c) == 0
-        for ma, mb, mc in zip(a[keep].tolist(), b[keep].tolist(), c[keep].tolist()):
-            yield Partition._trusted(sets[ma], sets[mb], sets[mc])
+    trusted = Partition._trusted
+    # next vertex, A, C, left-out vertices, vertices next to A's and C's reach
+    stack = [(0, 0, 0, 0, 0, 0)] if n else []
+    while stack:
+        k, a, c, out, near_a, near_c = stack.pop()
+        if a and not c and not full >> k << k & ~near_a:
+            continue
+        bit = 1 << k
+        if k == n - 1:  # the children are leaves, which need no reach
+            b = full ^ a ^ c ^ out ^ bit
+            if c and not bit & near_c:
+                yield trusted(sets[a | bit], sets[b], sets[c])
+            if c:
+                yield trusted(sets[a], sets[b | bit], sets[c])
+            if a and not bit & near_a:
+                yield trusted(sets[a], sets[b], sets[c | bit])
+            if base > 3 and c and not (bit & near_a and bit & near_c):
+                yield trusted(sets[a], sets[b], sets[c])
+            continue
+        nb, loose = nbr[k], out & ~(near_a | near_c)
+        if base > 3 and not (bit & near_a and bit & near_c):
+            stack.append((k + 1, a, c, out | bit,
+                          widen(near_a | nb, loose) if bit & near_a else near_a,
+                          widen(near_c | nb, loose) if bit & near_c else near_c))
+        if a and not bit & near_a:
+            stack.append((k + 1, a, c | bit, out, near_a, widen(near_c | nb, loose)))
+        stack.append((k + 1, a, c, out, near_a, near_c))
+        if not bit & near_c:
+            stack.append((k + 1, a | bit, c, out, widen(near_a | nb, loose), near_c))
 
 
 def spanning_shield_partitions(graph: Graph) -> Iterator[Partition]:
     """Stream the spanning shielding partitions in canonical orientation
-    (smallest A|C vertex in A), walking 3^n assignments in product order;
-    B shields exactly when no edge joins A and C.  More than
+    (smallest A|C vertex in A), in the product order of the 3^n
+    assignments, extending only the prefixes that can still shield; B
+    shields exactly when no edge joins A and C.  More than
     ``ENUMERATION_CAP`` vertices raise ``EnumerationCapError``.
     """
     yield from _shield_walk(graph, 3, ENUMERATION_CAP)
 
 
 def all_shield_partitions(graph: Graph) -> Iterator[Partition]:
-    """Stream every shielding partition, spanning or not (audit mode),
-    walking 4^n assignments in product order, so the spanning ones come in
+    """Stream every shielding partition, spanning or not (audit mode), in
+    the product order of the 4^n assignments, extending only the prefixes
+    that can still shield, so the spanning ones come in
     ``spanning_shield_partitions`` order.  More than ``ALL_ENUMERATION_CAP``
     vertices raise ``EnumerationCapError``.
     """

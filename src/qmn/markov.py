@@ -487,8 +487,8 @@ def gibbs(model: ModelInstance) -> DensityMatrix:
 
 
 def _sector_spectrum(model: ModelInstance) -> np.ndarray | None:
-    """Spectrum of H from its sector blocks, unsorted, or None when no term
-    splits into sectors or the terms leave the sectors by more than
+    """Spectrum of H from its sector blocks, unsorted, or None when no block
+    splits into sectors or the blocks leave the sectors by more than
     ``SECTOR_RTOL`` allows (the sector route of ``log_partition``)."""
     space = model.space
     # each pivot becomes one coarse site, named by its first site, with its
@@ -498,7 +498,7 @@ def _sector_spectrum(model: ModelInstance) -> np.ndarray | None:
     frames: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     rest = []
     stride = 1
-    for op in model.checked_terms:
+    for op, _ in model.blocks:
         if op.support and members.keys().isdisjoint(op.support):
             w, v = np.linalg.eigh(op.matrix)
             ws = w.tolist()
@@ -520,7 +520,7 @@ def _sector_spectrum(model: ModelInstance) -> np.ndarray | None:
     # widened by the pivots it touches and ordered coarse site by coarse
     # site; lab is the sector of each row
     budget = SECTOR_RTOL * sum(math.sqrt(np.vdot(op.matrix, op.matrix).real)
-                               for op in model.checked_terms)
+                               for op, _ in model.blocks)
     off = 0.0
     rotated = []
     for op in rest:
@@ -579,44 +579,45 @@ def _sector_spectrum(model: ModelInstance) -> np.ndarray | None:
 def log_partition(model: ModelInstance) -> float:
     """log Z = log Tr e^{beta H}, a log-sum-exp over the spectrum of beta H.
 
-    Three routes, tried in order:
+    Three routes, tried in order, each reading the model's ``blocks``, so
+    a Pauli word is made dense once for them and ``model_cumulants``:
 
     * **Diagonal.** When every one of the model's ``blocks`` is diagonal,
       as for classical models such as an Ising chain, the spectrum is the
       diagonal of H.  A model of Z words only is, with no look at a block;
       otherwise each block's matrix is checked, so Pauli words that cancel
       across terms, summed in one block, take this route too.  The
-      diagonal of each block is added, in their order, into a
-      length-d vector shaped like the space, so no d x d matrix is built,
-      no eigensolve runs and ``checked_terms`` is not needed.  Where each
-      Pauli term's words share one set of sites, and no two terms share
-      it, the entries are added in the order ``embed_sum`` adds them, and
-      they are sorted as ``eigvalsh`` returns them.  The vector takes at
+      diagonal of each block is added, in their order, into a length-d
+      vector shaped like the space, so no d x d matrix is built and no
+      eigensolve runs.  Where each Pauli term's words share one set of
+      sites, and no two terms share it, the entries are added in the order
+      ``embed_sum`` adds them, and they are sorted as ``eigvalsh`` returns
+      them.  The vector takes at
       most the memory of a cap x cap matrix: d up to ``dense_cap()``
       squared.
-    * **Sectors.** H commutes with each term when the terms commute, so it
-      is block diagonal in the eigenbases of terms on disjoint supports
-      (Bravyi & Vyalyi, quant-ph/0308021).  Walking the terms in order,
+    * **Sectors.** H commutes with each block when the blocks commute, so
+      it is block diagonal in the eigenbases of blocks on disjoint supports
+      (Bravyi & Vyalyi, quant-ph/0308021).  Walking the blocks in order,
       each one disjoint from the pivots already taken whose spectrum (one
       ``eigh`` on its support) has two or more sectors becomes a pivot; a
       sector is a run of eigenvalues with gaps at most ``SECTOR_RTOL``
       times the largest |eigenvalue|.  A pivot is diagonal in its own
-      frame.  Every other term is rotated into the frames of the pivots it
-      touches, on its support widened by them, and its Frobenius weight
+      frame.  Every other block is rotated into the frames of the pivots
+      it touches, on its support widened by them, and its Frobenius weight
       outside the sectors, ||off_j||, is measured.  When sum_j ||off_j||
-      <= ``SECTOR_RTOL`` * sum_j ||h_j|| (all terms), the rotated terms
+      <= ``SECTOR_RTOL`` * sum_j ||h_j|| (all blocks), the rotated blocks
       and the pivots' spectra are summed and each sector block takes its
       own ``eigvalsh``, one batched call per block size.  Dropping the
       off-sector part moves every eigenvalue by at most sum_j ||off_j||
       (Weyl), so log Z, a 1-Lipschitz log-sum-exp, moves by at most
-      beta * ``SECTOR_RTOL`` * sum_j ||h_j||.  A single term that leaves
+      beta * ``SECTOR_RTOL`` * sum_j ||h_j||.  A single block that leaves
       the sectors sends the model to the dense route, even when another
-      term cancels it.
+      block cancels it.
     * **Dense.** Any other model, including one whose dense terms cancel
-      each other's off-diagonal parts, sums H and takes one ``eigvalsh``,
-      on the real symmetric matrix when the imaginary part is exactly
-      zero: the spectrum is the same, and a real ``eigvalsh`` costs a
-      fraction of a complex one.
+      each other's off-diagonal parts, sums the blocks into H and takes
+      one ``eigvalsh``, on the real symmetric matrix when the imaginary
+      part is exactly zero: the spectrum is the same, and a real
+      ``eigvalsh`` costs a fraction of a complex one.
 
     The sector and dense routes need d within ``dense_cap()``; past a cap
     ``DenseCapError`` is raised.
@@ -644,7 +645,7 @@ def log_partition(model: ModelInstance) -> float:
         if w is not None:
             w = np.sort(model.beta * w)
         else:
-            h = model.hamiltonian()
+            h = embed_sum([op for op, _ in model.blocks], space)
             if not h.imag.any():
                 h = h.real
             w = np.linalg.eigvalsh(model.beta * h)

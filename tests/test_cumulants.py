@@ -25,6 +25,7 @@ from qmn.tensor import (
 
 from helpers import (
     brute_cumulant,
+    dense_log_partition,
     dense_model_cumulants,
     dense_pauli_word,
     local_expansion,
@@ -411,6 +412,37 @@ def test_pauli_models_need_no_dense_terms(tmp_path, monkeypatch):
         argv = [path, "--out", str(tmp_path / f"{name}-out.json")]
         assert main(["decompose", *argv, "--report", str(tmp_path / "rep.json")]) == 0
         assert main(["cumulants", *argv]) == 0
+
+
+@pytest.mark.parametrize("build", [
+    families.cell_model,
+    lambda: families.tiling_model(1, 2),
+    lambda: ModelInstance(SiteSpace.qubits(3), chain(3),
+                          (parse_sum("0.5 + 1.0 * X1 X2"), parse_sum("0.7 * Z2 Z3")),
+                          beta=1.5),
+], ids=["cell", "tiling1x2", "identity-word"])
+def test_log_gibbs_cumulants_make_each_pauli_word_dense_once(build, monkeypatch):
+    # log Z's sector and dense routes sum the blocks the cumulants were read
+    # from, so no word is converted again one sum at a time
+    want = dense_log_partition(build())
+    model = build()
+    events = []
+    stack = PauliSum.matrices
+
+    def stacked(sums, qubits):
+        events.append(("stack", len(sums)))
+        return stack(sums, qubits)
+
+    def one_sum(self, qubits):
+        events.append("one")
+        return stack([self], [qubits])[0]
+
+    monkeypatch.setattr(PauliSum, "matrices", staticmethod(stacked))
+    monkeypatch.setattr(PauliSum, "matrix", one_sum)
+    assert model_cumulants(model).scalar_known
+    got = log_partition(model)
+    assert events and "one" not in events
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_model_cumulants_past_the_dense_cap(monkeypatch):

@@ -25,6 +25,13 @@ def cycle(n):
     return Graph.from_edges([(k, k % n + 1) for k in range(1, n + 1)])
 
 
+def grid(rows, cols):
+    return Graph.from_edges(
+        [(r * cols + c + 1, r * cols + c + 2) for r in range(rows) for c in range(cols - 1)]
+        + [(r * cols + c + 1, (r + 1) * cols + c + 1)
+           for r in range(rows - 1) for c in range(cols)])
+
+
 def groups(p):
     return (sorted(p.a), sorted(p.b), sorted(p.c))
 
@@ -107,8 +114,9 @@ def test_spanning_partitions_of_counterexample_cell():
 
 
 def test_spanning_partitions_complete_graph_empty():
-    k4 = Graph.from_edges([(u, v) for u, v in itertools.combinations(range(1, 5), 2)])
-    assert list(spanning_shield_partitions(k4)) == []
+    for n in (4, 14):  # K14 at the cap
+        kn = Graph.from_edges(itertools.combinations(range(1, n + 1), 2))
+        assert list(spanning_shield_partitions(kn)) == []
 
 
 def test_enumeration_cap():
@@ -117,6 +125,29 @@ def test_enumeration_cap():
         list(spanning_shield_partitions(g))
     with pytest.raises(EnumerationCapError):
         list(all_shield_partitions(g))
+
+
+@pytest.mark.parametrize("walk, g, count", [
+    (spanning_shield_partitions, path(14), 121520),
+    (spanning_shield_partitions, grid(2, 7), 47573),
+    (all_shield_partitions, path(10), 71367),
+    (all_shield_partitions, grid(2, 5), 24563),
+], ids=["chain14", "grid2x7", "chain10-audit", "grid2x5-audit"])
+def test_walks_at_the_enumeration_caps(walk, g, count):
+    assert sum(1 for _ in walk(g)) == count
+
+
+def test_spanning_walk_streams(monkeypatch):
+    built = []
+    trusted = Partition._trusted.__func__
+
+    def counted(cls, a, b, c):
+        built.append((a, b, c))
+        return trusted(cls, a, b, c)
+
+    monkeypatch.setattr(Partition, "_trusted", classmethod(counted))
+    first = next(spanning_shield_partitions(path(14)))
+    assert built == [(first.a, first.b, first.c)]
 
 
 def test_all_shield_partitions_includes_non_spanning():
