@@ -15,16 +15,13 @@ spectrum, so the terms are the same at every size.  The final residual
 compares the returned terms' cumulants with the expansion support by
 support, which is exact by Parseval.
 
-Every commutator the decomposition judges is taken on one site.  On a
-triangle-free graph two terms meet in at most one vertex u, and the
-commuting terms that meet there split it into blocks (Bravyi & Vyalyi,
-quant-ph/0308021), so every question can be asked of their site-u factors.
-Write a = sum_i w_i F_i (x) A_i and b = sum_j w'_j F'_j (x) B_j, their
-operator Schmidt splits at u, with orthonormal A_i and B_j on sites the
-other does not touch.  Then [a, b] = sum_ij w_i w'_j [F_i, F'_j] (x) A_i
-(x) B_j with orthonormal partners, and ||[a, b]||^2 = sum_ij w_i^2 w'_j^2
-||[F_i, F'_j]||^2 exactly, with no embedding.  One Schmidt split per edge
-cumulant serves the edge check, the star commutants and the final check.
+Every commutator the decomposition judges is between two terms that meet
+in at most one vertex u: the graph is triangle-free.  The commuting terms
+that meet at u split it into blocks (Bravyi & Vyalyi, quant-ph/0308021),
+so the shared site alone decides each pair, and ``pairwise_commutation``
+contracts each pair over u, with no embedding on the union of their
+supports.  One operator Schmidt split per edge cumulant supplies its site
+factors at each end, the generators of the star commutants.
 
 The star split of each vertex cumulant is two orthogonal projections.
 The pull space P_v of the edge (u, v) is the commutant of the other edges'
@@ -38,22 +35,12 @@ fit of K_u over the pull spaces, its joint part gathered in h_u, is h_u =
 Pi_J K_u and G_u^v = Pi_{P_v} K_u - Pi_J K_u.
 
 The decomposition's linear algebra is small and per site, so all sites of
-one dimension run it as one stack: the star split (one eigensolve over
-every commutant form, then the projections) and one table of factor
-commutators that serves both commutation checks; the final edge terms and
-their cumulants run once per pair of site dimensions.  At u an edge term's
-factors are its cumulant's weighted factors plus one row, its pull times
-sqrt(d_v), whose partner I/sqrt(d_v) on v is orthogonal to the cumulant's
-traceless partners.  So ||[e_uv, e_uw]||^2 sums the squares of a table
-over those rows, and the edge check's ||[K_uv, K_uw]||^2 is the exact
-sub-block over the cumulants' factor rows: one table, built after the star
-split that supplies the pulls, gives both, and a model whose edge
-cumulants fail to commute pays for the star before its ``NotMarkovError``.
-A table pads each site, with rows that enter no sum, to the largest in its
-batch, and a site joins a batch only if it is at least half the batch's
-largest (``_size_groups``): a chain or a grid is one batch per dimension,
-and a hub of high degree a batch of its own.  The number of numpy calls follows the
-site dimensions and degree classes, not the vertices.
+one dimension run the star split as one stack (one eigensolve over every
+commutant form, then the projections), and the final edge terms and their
+cumulants run once per pair of site dimensions.  Each commutation check is
+one ``pairwise_commutation`` call: the edge check over the edge cumulants,
+before any star split, so a model whose edge cumulants fail pays for no
+star; the final check over the returned terms.
 
 One commutation engine serves every question.  A single relative
 commutator norm, ||[a, b]|| / (||a|| ||b||) in the dimension-normalized
@@ -62,8 +49,7 @@ operators are contracted over their shared sites, never embedded on their
 union support: pairs are batched by layout, the dimensions of the sites
 only one of them acts on and of the sites they share, into two batched
 products per layout under the ``PRODUCT_CHUNK`` cap
-(``_dense_commutators``); or the norm comes from their factors on the one
-site they share (above).  The normalization makes the three agree and
+(``_dense_commutators``).  The normalization makes the two agree and
 leaves the value independent of the space an operator is embedded in.
 A single grouping search, run by ``classify`` on the terms of a model,
 regroups them across a shielding partition: terms meeting A go to the A
@@ -118,7 +104,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -167,7 +153,7 @@ from .tensor import (
 DEFAULT_RTOL = 1e-9
 DEFAULT_SUPPORT_RTOL = 1e-8
 SPLIT_SEARCH_CAP = 4096
-# entries of one chunk of products in ``_shared_site_norms`` and ``_dense_commutators``
+# entries of one chunk of products in ``_dense_commutators``
 PRODUCT_CHUNK = 2 ** 18
 
 LOCAL_COMMUTING = "LocalCommuting"
@@ -184,9 +170,7 @@ def _relative_commutator(a: Term, b: Term, space: SiteSpace) -> float:
     commutator cancels; their norms are the dimension-normalized ones,
     sqrt(sum |c|^2).  Dense operators go to ``_dense_commutators`` as a
     batch of one, which contracts them over their shared sites in the same
-    normalized norm, ||X|| / sqrt(dim), on their union support.  For two
-    dense operators that meet in one site, ``theorem4_decompose`` computes
-    the same quantity from their site factors (``_shared_site_norms``).
+    normalized norm, ||X|| / sqrt(dim), on their union support.
     """
     if isinstance(a, PauliSum) and isinstance(b, PauliSum):
         c = commutator(a, b)
@@ -221,7 +205,9 @@ def _dense_commutators(ops: Sequence[SupportedOperator], pairs: Sequence[tuple[i
     operator need not be Hermitian.  As ||[a, b]|| = ||[b, a]||, each pair
     is taken with its smaller operand first, and the pairs of one layout
     (d_A, d_S, d_B) share two batched products, formed for at most
-    ``PRODUCT_CHUNK`` product entries and at least one pair at a time.
+    ``PRODUCT_CHUNK`` product entries and at least one pair at a time.  An
+    operand whose sites must be reordered for a layout is reordered once per
+    call, however many pairs it is in.
     """
     dims = [[space.dim(s) for s in op.support] for op in ops]
     sizes = [op.dim for op in ops]
@@ -233,25 +219,31 @@ def _dense_commutators(ops: Sequence[SupportedOperator], pairs: Sequence[tuple[i
         norms = [hs_norm(op.matrix) for op in ops]
     out = [0.0] * len(pairs)
     layouts: dict[tuple[int, int, int], list[tuple[int, np.ndarray, np.ndarray, float]]] = {}
+    placed: dict[tuple[int, tuple[int, ...], bool], np.ndarray] = {}
+
+    def place(k: int, shared: tuple[int, ...], first: bool) -> np.ndarray:
+        # ops[k] with the sites ``shared`` first (as b) or last (as a),
+        # moved at most once per call; its own matrix when they already are
+        key = (k, shared, first)
+        if key not in placed:
+            sup, m = ops[k].support, ops[k].matrix
+            if (sup[:len(shared)] if first else sup[len(sup) - len(shared):]) != shared:
+                m = _moved(m, dims[k], [sup.index(s) for s in shared] if first
+                           else [p for p, s in enumerate(sup) if s not in shared])
+            placed[key] = m
+        return placed[key]
+
     for n, (i, j) in enumerate(pairs):
         if sizes[j] < sizes[i]:
             i, j = j, i
         scale = norms[i] * norms[j]
         if scale == 0.0:
             continue
-        # a's sites as (a-only, shared) and b's as (shared, b-only); each is
-        # its own matrix when the shared sites already end a's support and
-        # start b's
-        sa, sb = ops[i].support, ops[j].support
-        at = [k for k, s in enumerate(sa) if s in sb]
-        shared = tuple(sa[k] for k in at)
-        ma = ops[i].matrix if sa[len(sa) - len(at):] == shared \
-            else _moved(ops[i].matrix, dims[i], [k for k in range(len(sa)) if k not in at])
-        mb = ops[j].matrix if sb[:len(at)] == shared \
-            else _moved(ops[j].matrix, dims[j], [sb.index(s) for s in shared])
-        d_s = math.prod(dims[i][k] for k in at)
+        sb = ops[j].support
+        shared = tuple(s for s in ops[i].support if s in sb)
+        d_s = math.prod(map(space.dim, shared))
         layouts.setdefault((sizes[i] // d_s, d_s, sizes[j] // d_s), []).append(
-            (n, ma, mb, scale))
+            (n, place(i, shared, False), place(j, shared, True), scale))
     for (d_a, d_s, d_b), members in layouts.items():
         rows = max(1, PRODUCT_CHUNK // (d_a * d_s * d_b) ** 2)
         for lo in range(0, len(members), rows):
@@ -607,120 +599,6 @@ def _runs(sizes: Sequence[int]) -> np.ndarray:
     return (_owner(sizes) == np.arange(len(sizes))[:, None]).astype(float)
 
 
-def _size_groups(sizes: Sequence[int]) -> list[list[int]]:
-    """The indices of ``sizes``, largest first, in groups whose members are
-    each at least half the group's largest.  Padding a member to its
-    group's largest at most doubles its size.  Sites of similar size, such
-    as those of a chain or a grid, form one group, and a site more than
-    twice the size of the rest forms its own."""
-    groups: list[list[int]] = []
-    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
-        if groups and 2 * sizes[i] >= sizes[groups[-1][0]]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
-def _shared_site_norms(rows: np.ndarray, counts: Sequence[Sequence[int]],
-                       norms: Sequence[float], head_norms: Sequence[float], d: int
-                       ) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
-    """Relative commutator norms, as ``_relative_commutator``'s, of the terms
-    meeting at each of several sites of dimension ``d`` and of their heads,
-    from one product table per group of sites.
-
-    At a site the terms are a vertex term and one term per edge end.
-    ``rows`` holds, site by site, the vertex term's one row and then, end
-    by end, the end's ``counts[s][j]`` head rows and its one tail row.  Each
-    row is a weighted site factor x_k of a term a = sum_k x_k (x) B_k, with
-    the B_k Hilbert-Schmidt orthonormal on sites that no other term at the
-    site acts on, and a head, the sum over its head rows alone, is such an
-    operator in its own right.  Then [a, b] = sum_kl [x_k, y_l] (x) B_k (x)
-    B'_l with orthonormal partners, so ||[a, b]||^2 = sum_kl ||[x_k,
-    y_l]||^2 exactly, and one table of ||[x_k, y_l]||^2 over the rows at a
-    site gives every pair: summed over the rows of whole terms, and over the
-    head rows only, each sum over its operands' squared norms.  A term's
-    pairs with itself are never read, so the table's columns leave out the
-    rows of each site's largest term, and each pair is read in the order
-    that holds it.  In the dimension-normalized norm the sites that only
-    one operand acts on cancel, which leaves sqrt(d).  ``norms`` lists each
-    term's norm, site by site with the vertex term first, and
-    ``head_norms`` each end's head's; a pair with a zero operand, or of a
-    term with itself, gets 0.0.
-
-    Returns, per group of sites: the sites' indices and two (m, g, g)
-    arrays of their pairs, slot 0 the vertex term and slot j the j-th end,
-    of the whole terms and of the heads (the vertex slot 0.0).  A site with
-    fewer than g terms leaves its last slots 0.0.  Sites of similar row
-    counts (``_size_groups``) share one batched product, each padded with
-    rows that enter no sum to the largest count among them, at most twice
-    its own, so padding at most quadruples the work, and a vertex of much
-    higher degree than the rest pads none of them.  The products are formed
-    a chunk of rows at a time, at most ``PRODUCT_CHUNK`` entries, so past
-    the table itself the memory is fixed.
-    """
-    widths = [1 + len(c) + sum(c) for c in counts]
-    g_all = 1 + max(map(len, counts))
-    # One share row per run of rows, site by site: the vertex row, then per
-    # end its head rows and its tail row.  In its term's slot j it holds the
-    # row's share 1 / ||a||^2 of the term's sum and, for a head row, in slot
-    # g + j its share 1 / ||head||^2 of the head's (0 for a zero operand);
-    # np.repeat spreads each over its run.  A last row of zeros stands for
-    # the padding, which enters no sum.
-    inv = iter([1.0 / x ** 2 if x > 0.0 else 0.0 for x in norms])
-    inv_head = iter([1.0 / x ** 2 if x > 0.0 else 0.0 for x in head_norms])
-    shares, lengths = [], []
-    for c in counts:
-        for j, heads in enumerate((0, *c)):
-            row = [0.0] * (2 * g_all)
-            row[j] = next(inv)
-            if heads:
-                shares.append(row.copy())
-                shares[-1][g_all + j] = next(inv_head)
-                lengths.append(heads)
-            shares.append(row)
-            lengths.append(1)
-    share = np.repeat(shares + [[0.0] * (2 * g_all)], lengths + [1], axis=0)
-    first = list(itertools.accumulate(widths, initial=0))
-    out = []
-    for group in _size_groups(widths):
-        m, width = len(group), widths[group[0]]
-        g = 1 + max(len(counts[s]) for s in group)
-        # each site's rows, and its rows but those of its largest term, each
-        # padded with -1, the row of zeros
-        lay, cols = [], []
-        for s in group:
-            sizes = [1, *(x + 1 for x in counts[s])]
-            big = sizes.index(max(sizes))
-            at = first[s] + sum(sizes[:big])
-            lay.append(range(first[s], first[s] + widths[s]))
-            cols.append([*range(first[s], at), *range(at + sizes[big], first[s + 1])])
-        n_cols = max(map(len, cols))
-        lay, cols = (np.array([[*x, *[-1] * (size - len(x))] for x in xs])
-                     for xs, size in ((lay, width), (cols, n_cols)))
-        shares = share if g == g_all else share[:, np.r_[:g, g_all:g_all + g]]
-        run_rows, run_cols = shares[lay], shares[cols]
-        y, z = rows[lay], rows[cols]
-        # sq[s, a, b] = ||[y_a, z_b]||^2 at site s, for a chunk of rows a at a time
-        sq = np.empty((m, width, n_cols))
-        left = z.reshape(m, n_cols * d, d)
-        right = z.transpose(0, 2, 1, 3).reshape(m, d, n_cols * d)
-        chunk = max(1, PRODUCT_CHUNK // (m * n_cols * d * d))
-        for lo in range(0, width, chunk):
-            x = y[:, lo:lo + chunk]
-            c = x.shape[1]
-            ab = (x.reshape(m, -1, d) @ right).reshape(m, c, d, n_cols, d)  # y_a z_b
-            ba = (left @ x.transpose(0, 2, 1, 3).reshape(m, d, -1)).reshape(m, n_cols, d, c, d)
-            diff = (ab - ba.transpose(0, 3, 2, 1, 4)).view(float)
-            sq[:, lo:lo + c] = np.einsum("sakbl,sakbl->sab", diff, diff)
-        # each pair in the order that holds it; a term commutes with itself
-        sq = run_rows.transpose(0, 2, 1) @ sq @ run_cols
-        rel = np.sqrt(np.maximum(sq, sq.transpose(0, 2, 1)) * d)
-        rel.reshape(m, -1)[:, ::2 * g + 1] = 0.0
-        out.append((group, rel[:, :g, :g], rel[:, g:, g:]))
-    return out
-
-
 def _commutant_forms(gens: Sequence[np.ndarray], basis: np.ndarray) -> np.ndarray:
     """The form X -> sum_g ||[X, g]||^2 of each stack of generators ``gens``,
     on the real coordinates of X in the Hermitian ``basis``; shape
@@ -827,15 +705,12 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
     residual's own scale, is not judged for commutation: rounding noise
     left by the star decomposition has no norm of its own to be relative to.
 
-    Every commutator is taken from the site factors of the one vertex the
-    two terms share, with the Schmidt split of each edge cumulant computed
-    once.  One product table per site dimension (``_shared_site_norms``)
-    serves both commutation checks: at each vertex the edge cumulants'
-    weighted factors are an exact sub-block of the final terms' rows, whose
-    pull rows the star split supplies (see the module docstring).  So the
-    star split and the table run first, and the verdicts are then raised in
-    the order above; a model whose edge cumulants fail to commute pays for
-    the star split before its ``NotMarkovError``.
+    Each commutation check is one ``pairwise_commutation`` call, which
+    contracts each pair over the one vertex the two share (see the module
+    docstring): the edge check runs on the edge cumulants before any star
+    split, and of the pairs within 1e-12 relative of the largest norm it
+    names the lowest in sorted edge order; the final check runs on the
+    returned terms.
     """
     space = expansion.space
     if graph.vertices != set(space.sites):
@@ -853,6 +728,27 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
     edge_cumulants = {edge_keys[k]: expansion.entries[k]
                       for k in expansion.entries if k in edge_keys}
     ends = _edge_ends(edge_cumulants, space)
+    # edge cumulants of one shape stack together; edges sharing a vertex must
+    # commute, and the lowest pair, in sorted edge order, of those at the
+    # largest norm to rounding is named
+    by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for u, v in edge_cumulants:
+        by_shape.setdefault((space.dim(u), space.dim(v)), []).append((u, v))
+    ks = {shape: np.stack([edge_cumulants[e].matrix for e in es]) for shape, es in by_shape.items()}
+
+    def norms(stacks: Iterable[np.ndarray]) -> np.ndarray:
+        return np.concatenate([np.zeros(0)] + [np.linalg.norm(x.reshape(len(x), -1), axis=1)
+                                               for x in stacks])
+
+    order = [e for es in by_shape.values() for e in es]
+    check = pairwise_commutation([edge_cumulants[e] for e in order], space, support_rtol,
+                                 norms=norms(ks.values()).tolist())
+    if not check.commuting:
+        a, b, x = min((*sorted((order[i], order[j])), x) for (i, j), x in check.norms.items()
+                      if x >= check.max_norm * (1 - 1e-12))
+        raise NotMarkovError(
+            f"edge cumulants on {a} and {b} do not commute (relative norm {x:.3e})")
+
     rank = {e: ends[e].rank for e in edge_cumulants}
     star_of: dict[int, list[int]] = {u: [] for u in sorted(graph.vertices)}
     for u, v in sorted(ends):
@@ -883,97 +779,42 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
         vertex_stacks[d] = h + (k0.real / n) * np.eye(d)
         pull_at.update((end, i) for i, end in enumerate(
             (u, v) for u in us for v in star_of[u]))
+    if failed:
+        u, res, scale = min(failed)
+        raise DecompositionResidualError(
+            f"vertex cumulant at {u} leaves residual {res:.3e} "
+            f"(scale {scale:.3e}) outside the ansatz", residual=res)
 
     def pulls(d: int, ends_at: list[tuple[int, int]]) -> np.ndarray:
         return pull_stacks[d][[pull_at[e] for e in ends_at]]
 
     # K_uv + G_u^v (x) I + I (x) G_v^u, one stack per shape, axes (edge,
     # u row, v row, u col, v col)
-    by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, v in edge_cumulants:
-        by_shape.setdefault((space.dim(u), space.dim(v)), []).append((u, v))
-    edge_stacks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    cumulant_norm: dict[tuple[int, int], float] = {}
+    edge_stacks: dict[tuple[int, int], np.ndarray] = {}
     for (du, dv), es in by_shape.items():
-        k = np.stack([edge_cumulants[e].matrix for e in es])
+        k = ks[du, dv]
         pu = pulls(du, es)
         pv = pulls(dv, [(v, u) for u, v in es])
         t = (k.reshape(-1, du, dv, du, dv)
              + pu[:, :, None, :, None] * np.eye(dv)[:, None]
              + np.eye(du)[:, None, :, None] * pv[:, None, :, None, :])
-        edge_stacks[du, dv] = (k, t.reshape(k.shape))
-        cumulant_norm.update(zip(es, np.linalg.norm(k.reshape(len(es), -1), axis=1).tolist()))
+        edge_stacks[du, dv] = t.reshape(k.shape)
     vertex_terms = {u: SupportedOperator._trusted((u,), vertex_stacks[space.dim(u)][at[u]])
                     for u in star_of}
-    rows = {e: t for shape, es in by_shape.items() for e, t in zip(es, edge_stacks[shape][1])}
+    rows = {e: t for shape, es in by_shape.items() for e, t in zip(es, edge_stacks[shape])}
     final_edges = {e: SupportedOperator._trusted(k.support, rows[e])
                    for e, k in edge_cumulants.items()}
 
-    # One table per site dimension serves both checks.  At u an edge term
-    # is its cumulant's weighted factors, whose partners on v are traceless,
-    # plus its pull times I_v (normalized: sqrt(d_v)), so the cumulant's
-    # factors are the term's head and its pull row the tail; the pull on v
-    # commutes with everything at u.  A term at or below the floor enters
-    # with norm 0, so none of its pairs is judged; the edge check judges
-    # every cumulant.
+    # the final terms commute pairwise.  A term at or below the floor
+    # enters with norm 0, so none of its pairs is judged.
     floor_sq = support_rtol ** 2 * expansion.total_norm_sq / space.total_dim
-
-    def judged_norms(stack: np.ndarray) -> np.ndarray:
-        x = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
-        return np.where(x * x / stack.shape[-1] > floor_sq, x, 0.0)
-
-    term_norm = {u: x for d, us in by_dim.items()
-                 for u, x in zip(us, judged_norms(vertex_stacks[d]).tolist())}
-    term_norm.update((e, x) for shape, es in by_shape.items()
-                     for e, x in zip(es, judged_norms(edge_stacks[shape][1]).tolist()))
-    tables: list[tuple[list[int], np.ndarray, np.ndarray]] = []
-    for d, us in by_dim.items():
-        hubs = [u for u in us if star_of[u]]
-        if not hubs:
-            continue
-        # each hub's rows, gathered from one source: its vertex term, then
-        # per end the cumulant's factors times their weights and the pull
-        # times sqrt(d_v)
-        here = [(u, v) for u in hubs for v in star_of[u]]
-        src = np.concatenate([vertex_stacks[d], pull_stacks[d]]
-                             + [ends[end].left for end in here])
-        take: list[int] = []
-        weight: list[float] = []
-        lo = len(vertex_stacks[d]) + len(pull_stacks[d])
-        for u in hubs:
-            take.append(at[u])
-            weight.append(1.0)
-            for v in star_of[u]:
-                w = ends[u, v].weights
-                take += range(lo, lo + len(w))
-                take.append(len(vertex_stacks[d]) + pull_at[u, v])
-                weight += w.tolist()
-                weight.append(math.sqrt(space.dim(v)))
-                lo += len(w)
-        tables += [([hubs[s] for s in group], rel, heads) for group, rel, heads in
-                   _shared_site_norms(
-                       src[take] * np.array(weight)[:, None, None],
-                       [[len(ends[u, v].weights) for v in star_of[u]] for u in hubs],
-                       [x for u in hubs
-                        for x in [term_norm[u]] + [term_norm[edge(u, v)] for v in star_of[u]]],
-                       [cumulant_norm[edge(u, v)] for u, v in here], d)]
-
-    # the verdicts, in order: the edge cumulants, the star, the final terms
-    if tables and max(float(heads.max()) for _, _, heads in tables) > support_rtol:
-        norms = {(min(edge(u, v), edge(u, w)), max(edge(u, v), edge(u, w))):
-                 float(heads[i, 1 + a, 1 + b])
-                 for hubs, _, heads in tables for i, u in enumerate(hubs)
-                 for (a, v), (b, w) in itertools.combinations(enumerate(star_of[u]), 2)}
-        worst = max(sorted(norms), key=norms.__getitem__)
-        raise NotMarkovError(
-            f"edge cumulants on {worst[0]} and {worst[1]} do not commute "
-            f"(relative norm {norms[worst]:.3e})")
-    if failed:
-        u, res, scale = min(failed)
-        raise DecompositionResidualError(
-            f"vertex cumulant at {u} leaves residual {res:.3e} "
-            f"(scale {scale:.3e}) outside the ansatz", residual=res)
-    max_commutator = max([0.0] + [float(rel.max()) for _, rel, _ in tables])
+    terms = [vertex_terms[u] for us in by_dim.values() for u in us]
+    terms += [final_edges[e] for e in order]
+    hs = norms([*vertex_stacks.values(), *edge_stacks.values()])
+    sizes = np.array([t.dim for t in terms])
+    max_commutator = pairwise_commutation(
+        terms, space, support_rtol,
+        norms=np.where(hs * hs / sizes > floor_sq, hs, 0.0).tolist()).max_norm
     if max_commutator > support_rtol:
         raise DecompositionResidualError(
             f"regrouped terms fail to commute (relative norm {max_commutator:.3e})",
@@ -989,7 +830,7 @@ def theorem4_decompose(expansion: CumulantExpansion, graph: Graph,
         scalar += parts[()].sum()
         rebuilt[d] = parts[(0,)]
     for (du, dv), es in by_shape.items():
-        k, t = edge_stacks[du, dv]
+        k, t = ks[du, dv], edge_stacks[du, dv]
         parts = _local_components((0, 1), {0: du, 1: dv}, t)
         scalar += parts[()].sum()
         for key, d, ends_on in (((0,), du, [u for u, _ in es]), ((1,), dv, [v for _, v in es])):

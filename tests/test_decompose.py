@@ -31,7 +31,7 @@ from qmn.errors import (
 from qmn.graphs import Graph, Partition, cliques
 from qmn.markov import DensityMatrix, ModelInstance, gibbs, is_markov_network, log_partition
 from qmn.pauli import PauliSum, PauliTerm, as_sum
-from qmn.tensor import SiteSpace, SupportedOperator, embed_sum, kron, logm_pd, op_schmidt
+from qmn.tensor import SiteSpace, SupportedOperator, embed_sum, kron, logm_pd
 
 from helpers import (
     dense_pauli_word,
@@ -41,11 +41,9 @@ from helpers import (
     random_hermitian,
     reference_commutator,
     relative_commutator_reference,
-    shared_site_norms_reference,
     star_reference,
     theorem4_reference,
     walk_oracle,
-    weighted_factors,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -124,100 +122,6 @@ def test_relative_commutator_norm_is_the_same_symbolic_and_dense():
         want = pairwise_commutation(sym, space).max_norm
         assert want == 2.0
         assert pairwise_commutation(dense, space).max_norm == pytest.approx(want, rel=1e-12)
-
-
-def hermitian_on(rng, dims, rank):
-    """A sum of ``rank`` products of random Hermitian factors (zero for 0)."""
-    out = 0.0
-    for _ in range(rank):
-        factors = []
-        for d in dims:
-            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            factors.append(g + g.conj().T)
-        prod = factors[0]
-        for f in factors[1:]:
-            prod = np.kron(prod, f)
-        out = out + prod
-    d = int(np.prod(dims))
-    return np.zeros((d, d), dtype=complex) + out
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4)),
-       st.integers(0, 3), st.integers(0, 3), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
-def test_shared_site_norm_is_the_relative_commutator(dims, rank_a, rank_b,
-                                                     commuting, seed):
-    # a on (1, 2) and b on (2, 3) meet only at site 2; products of rank
-    # below the factor count are rank deficient, rank 0 is the zero operator,
-    # and diagonal site-2 factors make a commuting pair
-    rng = np.random.default_rng(seed)
-    space = SiteSpace.from_dims(dict(zip((1, 2, 3), dims)))
-    ma = hermitian_on(rng, dims[:2], rank_a)
-    mb = hermitian_on(rng, dims[1:], rank_b)
-    if commuting:
-        keep = np.kron(np.eye(dims[1]), np.ones((dims[2], dims[2])))
-        mb = mb * keep
-        keep = np.kron(np.ones((dims[0], dims[0])), np.eye(dims[1]))
-        ma = ma * keep
-    a, b = SupportedOperator((1, 2), ma), SupportedOperator((2, 3), mb)
-    # at site 2, a zero vertex term and the two as edge ends with zero pulls
-    splits = op_schmidt([(a, [2]), (b, [2])], space)
-    zero = np.zeros((1, dims[1], dims[1]), dtype=complex)
-    rows = np.concatenate([zero] + [r for x in splits for r in (weighted_factors(x), zero)])
-    norms = [a.hs_norm(), b.hs_norm()]
-    [(_, rel, heads)] = decompose._shared_site_norms(
-        rows, [[len(x.weights) for x in splits]], [0.0] + norms, norms, dims[1])
-    want = decompose._relative_commutator(a, b, space)
-    for r in (rel[0], heads[0]):
-        assert r[1, 2] == pytest.approx(want, rel=1e-10, abs=1e-12)
-        assert r[2, 1] == pytest.approx(want, rel=1e-10, abs=1e-12)
-
-
-def assert_rel_close(got, want):
-    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-14)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(2, 4),
-       st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=4), max_size=3),
-       st.integers(-1, 12), st.booleans(), st.integers(0, 2 ** 32 - 1))
-@example(2, [[2, 3]], 0, False, 1)  # a zero vertex term
-@example(3, [[1, 4, 2]], 2, True, 2)  # a zero edge term, one row per chunk
-def test_shared_site_tables_agree_with_the_reference(d, counts, zero, chunked, seed):
-    # sites of one dimension, each a vertex row and, per end, its factor
-    # rows and one pull row; term ``zero`` (counted site by site) is set to
-    # zero, and the last site has degree 1
-    counts = counts + [[3]]
-    rng = np.random.default_rng(seed)
-    sites = [[rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
-              for n in [1] + [k + 1 for k in c]] for c in counts]
-    terms = [t for site in sites for t in site]
-    if zero >= 0 and zero < len(terms):
-        terms[zero][:] = 0.0
-    norms = [float(np.linalg.norm(t)) for t in terms]
-    head_norms = [float(np.linalg.norm(t[:-1])) for site in sites for t in site[1:]]
-    with pytest.MonkeyPatch.context() as mp:
-        if chunked:
-            mp.setattr(decompose, "PRODUCT_CHUNK", 1)
-        tables = decompose._shared_site_norms(np.concatenate(terms), counts, norms,
-                                              head_norms, d)
-    seen = []
-    for group, rel, heads in tables:
-        for i, s in enumerate(group):
-            seen.append(s)
-            site, g = sites[s], len(sites[s])
-            pairs = ~np.eye(g, dtype=bool)
-            want = shared_site_norms_reference(site, [np.linalg.norm(t) for t in site], d)
-            assert_rel_close(rel[i, :g, :g][pairs], want[pairs])
-            ends = [t[:-1] for t in site[1:]]
-            want = shared_site_norms_reference(ends, [np.linalg.norm(t) for t in ends], d)
-            assert_rel_close(heads[i, 1:g, 1:g][pairs[1:, 1:]], want[pairs[1:, 1:]])
-            # a term with itself, the vertex term's head and the padding are 0.0
-            assert not rel[i].diagonal().any() and not heads[i].diagonal().any()
-            assert not heads[i, 0].any() and not heads[i, :, 0].any()
-            assert not rel[i, g:].any() and not heads[i, g:].any()
-    assert sorted(seen) == list(range(len(counts)))
 
 
 def test_pairwise_commutation_zero_operator_skipped():
@@ -1186,10 +1090,9 @@ def test_stacked_decomposition_matches_the_vertex_loop_on_small_graphs():
 
 
 def test_a_high_degree_vertex_pads_no_other_vertex():
-    # a qubit hub with 60 leaves: at the hub the final check multiplies 301
-    # site factors; padding each leaf's 6 to that count would hold 61 such
-    # products at once (about 700 MB here), against about 12 MB when each
-    # leaf is stacked with its like
+    # a qubit hub with 60 leaves: the final check pairs the hub's 61 terms
+    # with each other, 1830 pairs, and each leaf's two terms; each pair is
+    # contracted over the one site it shares, a chunk of pairs at a time
     rng = np.random.default_rng(5)
     leaves = range(1, 61)
     frame = {s: haar_unitary(rng, 2) for s in range(61)}
@@ -1214,10 +1117,10 @@ def test_a_high_degree_vertex_pads_no_other_vertex():
 
 
 def test_a_high_degree_hub_forms_its_factor_products_in_chunks():
-    # a dim-4 hub with 40 dim-4 leaves: each edge end keeps 16 site factors,
-    # so the edge check pairs 640 factors at the hub; all their products
-    # formed at once take 232 MiB traced, a size that grows as the square
-    # of the degree
+    # a dim-4 hub with 40 dim-4 leaves: the edge check pairs the 40 edge
+    # cumulants at the hub, 780 pairs of 16 x 16 matrices; all their
+    # products formed at once would grow as the square of the degree, so
+    # they are formed a chunk of pairs at a time
     rng = np.random.default_rng(6)
     leaves = range(1, 41)
     frame = {s: haar_unitary(rng, 4) for s in range(41)}
@@ -1315,6 +1218,31 @@ def test_theorem4_raises_the_edge_verdict_before_the_star_residual():
     assert str(err.value) == str(want.value)
 
 
+def test_theorem4_raises_the_edge_verdict_without_a_star_split(monkeypatch):
+    # edge cumulants that fail to commute end the decomposition before any
+    # star split runs: the worst-pair model, and the non-commuting chain
+    # X1X2 + Z2Z3 with its terms written as matrices
+    worst_pair = ModelInstance(
+        SiteSpace.qubits(4), Graph.from_edges([(1, 2), (2, 3), (2, 4)]),
+        (SupportedOperator((1, 2), np.kron(X, X)),
+         SupportedOperator((2, 3), 0.9 * np.kron(Z, Z)),
+         SupportedOperator((2, 4), 0.4 * np.kron(Z, X) + 0.3 * np.kron(I2, Z))), beta=0.6)
+    nc = families.noncommuting_chain()
+    nc = ModelInstance(nc.space, nc.graph, tuple(map(nc.term_operator, nc.terms)))
+
+    def no_star(*args):
+        raise AssertionError("the star split ran")
+
+    monkeypatch.setattr(decompose, "_star_stack", no_star)
+    for model in (worst_pair, nc):
+        expansion = model_cumulants(model)
+        with pytest.raises(NotMarkovError, match=r"edge cumulants on \(1, 2\) and \(2, 3\)") as err:
+            theorem4_decompose(expansion, model.graph)
+        with pytest.raises(NotMarkovError) as want:
+            theorem4_reference(expansion, model.graph)
+        assert str(err.value) == str(want.value)
+
+
 def test_theorem4_reads_the_edge_verdict_from_the_cumulant_rows_alone():
     # a 5-qubit Ising chain with X on both end spins: its edge cumulants
     # commute, its regrouped terms do not, so the shared table's full sums
@@ -1328,26 +1256,6 @@ def test_theorem4_reads_the_edge_verdict_from_the_cumulant_rows_alone():
     got = outcome(theorem4_decompose, expansion, graph)
     assert not (isinstance(got, tuple) and got[0] is NotMarkovError)
     assert_same_decomposition(got, outcome(theorem4_reference, expansion, graph))
-
-
-@pytest.mark.parametrize("model, tables", [
-    (families.theorem4_model("path4", np.random.default_rng(3)), 2),
-    (families.ising_chain(10), 1)])
-def test_theorem4_forms_one_product_table_per_site_dimension(monkeypatch, model, tables):
-    # both commutation checks read the same table: path4 has qubit and
-    # dim-4 sites, and a chain's ends and inner sites share one batch
-    expansion = model_cumulants(model)
-    formed = []
-    kernel = decompose._shared_site_norms
-
-    def counted(*args):
-        out = kernel(*args)
-        formed.extend(out)
-        return out
-
-    monkeypatch.setattr(decompose, "_shared_site_norms", counted)
-    theorem4_decompose(expansion, model.graph)
-    assert len(formed) == tables
 
 
 def test_theorem4_triangle_raises():
